@@ -1,10 +1,12 @@
 """Braid words, the reduced Burau representation, Alexander polynomials of
 braid closures, and entropy estimation through the induced free-group action.
 
-Burau matrices are exact Laurent-polynomial matrices; determinants go through
-fraction-free elimination so every division is exact.  The disk action on the
-free group reuses the freegroup module, so entropy estimates inherit its
-compressed exact iteration.
+Burau matrices are exact Laurent-polynomial matrices: each letter rewrites
+one column of the running product, and a full twist T^k scales it by t^{nk}.
+Determinants go through fraction-free elimination so every division is
+exact; the Alexander polynomial and the Lehmer gap share one det(Burau - I).
+The disk action on the free group reuses the freegroup module, so entropy
+estimates inherit its compressed exact iteration.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ __all__ = [
     "format_braid",
     "reduced_burau",
     "det_burau_minus_identity",
+    "alexander_from_det",
     "reduced_alexander",
+    "gap_from_det",
     "lehmer_gap",
     "artin_endo",
     "entropy_estimate",
@@ -117,10 +121,6 @@ def format_braid(b: BraidWord) -> str:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly((1,))
-_T = LaurentPoly((1,), 1)
-_NEG_T = LaurentPoly((-1,), 1)
-_TINV = LaurentPoly((1,), -1)
-_NEG_TINV = LaurentPoly((-1,), -1)
 
 
 @dataclass(frozen=True)
@@ -174,48 +174,28 @@ class BurauMat:
         )
 
 
-def _place_block(m: int, block, at: int) -> BurauMat:
-    rows = [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
-    for di, brow in enumerate(block):
-        for dj, v in enumerate(brow):
-            rows[at + di][at + dj] = v
-    return BurauMat(tuple(tuple(r) for r in rows))
-
-
-def _generator_matrix(n: int, letter: int) -> BurauMat:
-    """Reduced Burau image of one letter, exact for inverses too."""
-    i, inv = abs(letter), letter < 0
-    m = n - 1
-    if m == 1:
-        return _place_block(1, ((_NEG_TINV if inv else _NEG_T,),), 0)
-    if i == 1:
-        block = (
-            ((_NEG_TINV, _ZERO), (_TINV, _ONE))
-            if inv
-            else ((_NEG_T, _ZERO), (_ONE, _ONE))
-        )
-        return _place_block(m, block, 0)
-    if i == m:
-        block = (
-            ((_ONE, _ONE), (_ZERO, _NEG_TINV))
-            if inv
-            else ((_ONE, _T), (_ZERO, _NEG_T))
-        )
-        return _place_block(m, block, m - 2)
-    block = (
-        ((_ONE, _ONE, _ZERO), (_ZERO, _NEG_TINV, _ZERO), (_ZERO, _TINV, _ONE))
-        if inv
-        else ((_ONE, _T, _ZERO), (_ZERO, _NEG_T, _ZERO), (_ZERO, _ONE, _ONE))
-    )
-    return _place_block(m, block, i - 2)
-
-
 def reduced_burau(beta: BraidWord) -> BurauMat:
-    """Left-to-right product of the generator matrices of the word."""
-    out = BurauMat.identity(beta.n - 1)
-    for letter in beta.expanded_letters():
-        out = out @ _generator_matrix(beta.n, letter)
-    return out
+    """Reduced Burau matrix of the word, letters multiplied left to right.
+
+    Right-multiplying by s_i rewrites only column j = i - 1 (0-based):
+    s_i makes it t*col_{j-1} - t*col_j + col_{j+1}, and s_i^-1 makes it
+    col_{j-1} - t^-1*col_j + t^-1*col_{j+1}, where a neighbour outside the
+    matrix counts as zero.  The full twist maps to t^n times the identity,
+    so T^k shifts every entry by t^{nk}.
+    """
+    m = beta.n - 1
+    zero = [_ZERO] * m
+    # Columns 1..m hold the product; columns 0 and m + 1 stay zero.
+    cols = [zero] + [[_ONE if i == j else _ZERO for i in range(m)] for j in range(m)] + [zero]
+    for letter in beta.letters:
+        i = abs(letter)
+        left, mid, right = cols[i - 1 : i + 2]
+        if letter > 0:
+            cols[i] = [(a - b).shifted(1) + c for a, b, c in zip(left, mid, right)]
+        else:
+            cols[i] = [a + (c - b).shifted(-1) for a, b, c in zip(left, mid, right)]
+    shift = beta.n * beta.full_twist_power
+    return BurauMat(tuple(tuple(v.shifted(shift) for v in row) for row in zip(*cols[1:-1])))
 
 
 def _det_laurent(mat: BurauMat) -> LaurentPoly:
@@ -225,9 +205,8 @@ def _det_laurent(mat: BurauMat) -> LaurentPoly:
         (v.min_deg for row in mat.entries for v in row if v), default=0
     )
     shift = max(0, -low)
-    t_shift = LaurentPoly((1,), shift)
     a = [
-        [(v * t_shift).to_int_poly() for v in row] for row in mat.entries
+        [v.shifted(shift).to_int_poly() for v in row] for row in mat.entries
     ]
     sign = 1
     prev = IntPoly((1,))
@@ -251,15 +230,13 @@ def det_burau_minus_identity(beta: BraidWord) -> LaurentPoly:
     return _det_laurent(reduced_burau(beta).minus_identity())
 
 
-def reduced_alexander(beta: BraidWord) -> LaurentPoly:
+def alexander_from_det(det: LaurentPoly, n: int) -> LaurentPoly:
     """det(Burau - I) divided by 1 + t + ... + t^{n-1}, in canonical form."""
-    det = det_burau_minus_identity(beta)
     if not det:
         raise ValueError(
             "determinant vanishes; the closure has no reduced Alexander data"
         )
-    cyclic = LaurentPoly((1,) * beta.n, 0)
-    quo = det.try_div(cyclic)
+    quo = det.try_div(LaurentPoly((1,) * n, 0))
     if quo is None:
         raise ArithmeticError(
             "determinant not divisible by 1 + t + ... + t^{n-1}; "
@@ -268,12 +245,21 @@ def reduced_alexander(beta: BraidWord) -> LaurentPoly:
     return quo.canonical()
 
 
-def lehmer_gap(beta: BraidWord, tol: float = DEFAULT_TOL) -> float:
+def reduced_alexander(beta: BraidWord) -> LaurentPoly:
+    """Reduced Alexander polynomial of the closure of the braid."""
+    return alexander_from_det(det_burau_minus_identity(beta), beta.n)
+
+
+def gap_from_det(det: LaurentPoly, tol: float) -> float:
     """Mahler measure of det(Burau - I); monomial factors contribute nothing."""
-    det = det_burau_minus_identity(beta)
     if not det:
         raise ValueError("determinant vanishes; Mahler measure undefined")
     return mahler_measure(det.canonical().to_int_poly(), tol=tol).value
+
+
+def lehmer_gap(beta: BraidWord, tol: float = DEFAULT_TOL) -> float:
+    """Mahler measure of det(Burau - I) for the braid."""
+    return gap_from_det(det_burau_minus_identity(beta), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +320,12 @@ def entropy_estimate(
     """
     if n_terms < 4:
         raise ValueError("need at least 4 iterates for a ratio estimate")
-    phi = artin_endo(beta)
+    # The growth rate is a conjugacy invariant and T^k acts by an inner
+    # automorphism, so s w s^-1 T^k is iterated as w.
+    core = beta.letters
+    while len(core) > 1 and core[0] == -core[-1]:
+        core = core[1:-1]
+    phi = artin_endo(BraidWord(beta.n, core))
     per = []
     for g in range(1, beta.n + 1):
         lens = list(iterate_lengths(phi, g, n_terms, budget).terms)

@@ -20,12 +20,12 @@ from fractions import Fraction
 from ._blockword import BudgetError
 from .braid import (
     BraidWord,
+    alexander_from_det,
     det_burau_minus_identity,
     entropy_estimate,
     format_braid,
-    lehmer_gap,
+    gap_from_det,
     parse_braid,
-    reduced_alexander,
     reduced_burau,
 )
 from .dynamics import (
@@ -123,7 +123,7 @@ def _rec_obj(rec: Recurrence) -> dict:
         "char_display": format_poly(rec.char_int()) if rec.char_is_integral() else None,
         "degree": rec.degree,
         "init": [_num(c) for c in rec.init],
-        "start_index": rec.start_index,
+        "start_index": 1,
     }
 
 
@@ -488,7 +488,7 @@ def _cmd_burau(args) -> int:
 def _cmd_alexander(args) -> int:
     beta = _braid_arg(args)
     det = det_burau_minus_identity(beta)
-    alex = reduced_alexander(beta)
+    alex = alexander_from_det(det, beta.n)
     payload = {
         "command": "alexander",
         "inputs": {"braid": format_braid(beta), "n": beta.n},
@@ -499,8 +499,9 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_lehmer_gap(args) -> int:
     beta = _braid_arg(args)
-    gap = lehmer_gap(beta, tol=args.tol)
-    alex = reduced_alexander(beta)
+    det = det_burau_minus_identity(beta)
+    gap = gap_from_det(det, args.tol)
+    alex = alexander_from_det(det, beta.n)
     payload = {
         "command": "lehmer-gap",
         "inputs": {"braid": format_braid(beta), "n": beta.n, "tol": args.tol},
@@ -726,17 +727,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        ValueError,
-        ArithmeticError,
-        NoRecurrenceFound,
-        BudgetError,
-        PrecisionError,
-        OSError,
-    ) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error, indent=2, sort_keys=True))
+        try:
+            code = args.func(args)
+        except (
+            ValueError,
+            ArithmeticError,
+            NoRecurrenceFound,
+            BudgetError,
+            PrecisionError,
+            OSError,
+        ) as exc:
+            error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            print(json.dumps(error, indent=2, sort_keys=True))
+            code = 1
+        sys.stdout.flush()  # a closed stdout then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more: send what is still buffered to
+        # devnull so the interpreter's exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

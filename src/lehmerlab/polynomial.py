@@ -315,6 +315,10 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly(tuple(-v for v in self.coeffs), self.min_deg)
 
+    def shifted(self, k: int) -> "LaurentPoly":
+        """Multiply by t^k."""
+        return LaurentPoly(self.coeffs, self.min_deg + k)
+
     def __sub__(self, other):
         return self + (-_as_laurent(other))
 
@@ -700,17 +704,22 @@ def mahler_measure(f: IntPoly, tol: float = DEFAULT_TOL) -> MahlerResult:
     return MahlerResult(value, lower, upper, exact, rl)
 
 
+def clear_denominators(coeffs) -> tuple[IntPoly, int]:
+    """(D*f, D) for rational coefficients of f, D the lcm of their denominators."""
+    cs = [Fraction(c) for c in coeffs]
+    d = math.lcm(*(c.denominator for c in cs))
+    return IntPoly(tuple(int(c * d) for c in cs)), d
+
+
 def mahler_of_fraction_poly(coeffs, tol: float = DEFAULT_TOL) -> float:
     """Mahler measure of a rational-coefficient polynomial.
 
     Clears denominators: M(f) = M(D*f) / D for the lcm D, since the measure
     is multiplicative and M(constant) = |constant|.
     """
-    cs = [Fraction(c) for c in coeffs]
-    if not any(cs):
+    f, d = clear_denominators(coeffs)
+    if not f:
         raise ValueError("zero polynomial")
-    d = math.lcm(*(c.denominator for c in cs))
-    f = IntPoly(tuple(int(c * d) for c in cs))
     return mahler_measure(f, tol).value / d
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, mahler_measure, roots
+from .polynomial import DEFAULT_TOL, IntPoly, clear_denominators, mahler_measure, roots
 
 DEFAULT_WINDOW = 8
 
@@ -52,15 +52,10 @@ class ExactSeq:
 
 @dataclass(frozen=True)
 class Recurrence:
-    """Monic recurrence: char coefficients ascending (char[-1] == 1), exact.
-
-    start_index records which n the first init term represents; Eq-2.1 style
-    generating functions want a 0-based reading, sequences here are 1-based.
-    """
+    """Monic recurrence: char coefficients ascending (char[-1] == 1), exact."""
 
     char: tuple[Fraction, ...]
     init: tuple[Fraction, ...]
-    start_index: int = 1
 
     def __post_init__(self):
         char = tuple(Fraction(c) for c in self.char)
@@ -269,8 +264,7 @@ def max_growth_exact(a: ExactSeq, d_max: int) -> MaxGrowth:
     rec = fit_min_poly(a, d_max)
     if rec.degree == 0:
         return MaxGrowth(1.0, rec)
-    d = math.lcm(*(c.denominator for c in rec.char))
-    f = IntPoly(tuple(int(c * d) for c in rec.char))
+    f, d = clear_denominators(rec.char)
     return MaxGrowth(mahler_measure(f).value / d, rec)
 
 
@@ -280,9 +274,7 @@ def growth_rates_from_char(char, k_max: int, tol: float = DEFAULT_TOL):
     GR^(k) is the product of the k largest root moduli (with multiplicity)
     and 0 beyond the degree.
     """
-    cs = [Fraction(c) for c in char]
-    den = math.lcm(*(c.denominator for c in cs))
-    f = IntPoly(tuple(int(c * den) for c in cs))
+    f, _ = clear_denominators(char)
     d = f.degree
     mags = sorted((abs(z) for z, _ in roots(f, tol)), reverse=True) if d else []
     out = []
@@ -368,8 +360,7 @@ class TailComparison:
 def _outside_roots(rec: Recurrence, tol: float):
     if rec.degree == 0:
         return ()
-    den = math.lcm(*(c.denominator for c in rec.char))
-    f = IntPoly(tuple(int(c * den) for c in rec.char))
+    f, _ = clear_denominators(rec.char)
     out = [z for z, r in roots(f, tol) if abs(z) - r > 1]
     return tuple(sorted(out, key=lambda z: (-abs(z), z.real, z.imag)))
 

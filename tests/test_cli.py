@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lehmerlab
 from lehmerlab.cli import main
 
 LEHMER_NEG_T = [1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1]
@@ -295,3 +299,24 @@ def test_env_var_tolerance(monkeypatch, capsys):
     code, doc, _ = run_json(["mahler", "--poly", "1,1", "--json-only"], capsys)
     assert code == 0
     assert doc["inputs"]["tol"] == 1e-10
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exit_1_without_traceback(unbuffered):
+    # Buffered, the write fails at the final flush; unbuffered, inside print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lehmerlab.cli", "mahler",
+             "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1", "--json-only"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
