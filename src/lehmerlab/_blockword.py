@@ -1,17 +1,19 @@
-"""Exact compressed words: run-length blocks with big-integer exponents.
+"""Exact compressed words: the one word type of the free-group layer.
 
-Letters are nonzero ints (+g for a generator, -g for its inverse).  A block
-(base, exp) stands for base repeated exp times; multi-letter bases always
-have exp >= 2 and are cyclically reduced, so concatenating a block with
-itself never cancels.  Everything here is exact: reduction happens letter
-by letter at block seams, with whole-block shortcuts when bases match or
-are exact inverses.  A shared budget bounds the work and storage so that
+Letters are nonzero ints (+g for a generator, -g for its inverse).  A word
+is a tuple of blocks (base, exp), each standing for base repeated exp
+times; multi-letter bases always have exp >= 2 and are cyclically reduced,
+so concatenating a block with itself never cancels.  Every word is freely
+reduced, and every reduction goes through Builder: letter by letter at
+block seams, with whole-block shortcuts when bases match or are exact
+inverses.  A shared budget bounds the engine's work and storage so that
 pathological inputs fail loudly instead of hanging.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from itertools import chain
 
 FLAT_CAP = 1 << 16
 COMPRESS_CAP = 512
@@ -38,11 +40,67 @@ def inverse_base(base):
     return tuple(-x for x in reversed(base))
 
 
-@dataclass(frozen=True)
-class BlockWord:
-    """Immutable reduced word as a tuple of (base letters, exponent) blocks."""
+def _run_blocks(rank: int, runs):
+    """Single-letter blocks of (generator, exponent) runs, checked against
+    the rank; zero exponents give (x,) with exp 0."""
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+    for g, e in runs:
+        g, e = int(g), int(e)
+        if not 1 <= g <= rank:
+            raise ValueError(f"generator {g} outside 1..{rank}")
+        yield (g if e > 0 else -g,), abs(e)
 
-    blocks: tuple[tuple[tuple[int, ...], int], ...]
+
+class BlockWord:
+    """Immutable freely reduced word in the free group of the given rank.
+
+    ``BlockWord(rank, runs)`` validates a reduced list of (generator
+    index 1..rank, exponent != 0) runs; engine results come from the
+    trusted ``from_blocks``.  ``runs`` is that run list, expanded on demand.
+    """
+
+    __slots__ = ("rank", "blocks")
+
+    def __init__(self, rank: int, runs):
+        blocks = []
+        for base, e in _run_blocks(rank, runs):
+            if e == 0:
+                raise ValueError("zero exponents are not reduced")
+            blocks.append((base, e))
+        if any(abs(u[0]) == abs(v[0]) for (u, _), (v, _) in zip(blocks, blocks[1:])):
+            raise ValueError("adjacent runs with equal generators")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    @classmethod
+    def from_blocks(cls, rank: int, blocks) -> BlockWord:
+        """Trusted constructor: blocks already hold the Builder invariant."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "blocks", blocks)
+        return w
+
+    @classmethod
+    def from_letters(cls, rank: int, letters) -> BlockWord:
+        b = Builder()
+        for x in letters:
+            b.push_letter(x)
+        return b.result(rank)
+
+    @classmethod
+    def empty(cls, rank: int) -> BlockWord:
+        return cls(rank, ())
+
+    @classmethod
+    def gen(cls, rank: int, g: int, e: int = 1) -> BlockWord:
+        return cls(rank, ((g, e),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("words are immutable")
+
+    def __reduce__(self):
+        return BlockWord.from_blocks, (self.rank, self.blocks)
 
     def length(self) -> int:
         return sum(e * len(b) for b, e in self.blocks)
@@ -59,63 +117,76 @@ class BlockWord:
             for b, e in self.blocks
         )
 
-    def is_empty(self) -> bool:
+    def is_identity(self) -> bool:
         return not self.blocks
 
-    def flatten(self, cap: int = FLAT_CAP) -> list[int]:
-        if self.length() > cap:
-            raise BudgetError(f"refusing to expand a word of length {self.length()}")
-        out: list[int] = []
-        for base, e in self.blocks:
-            out.extend(base * e)
-        return out
+    def is_positive(self) -> bool:
+        return all(x > 0 for b, _ in self.blocks for x in b)
 
-    def to_runs(self, cap: int = FLAT_CAP):
+    def flatten(self) -> list[int]:
+        return [x for base, e in self.blocks for x in base * e]
+
+    def to_runs(self) -> tuple[tuple[int, int], ...]:
         """Signed (generator, exponent) runs; expands multi-letter blocks."""
         runs: list[list[int]] = []
-
-        def add(g, e):
-            if runs and runs[-1][0] == g:
-                runs[-1][1] += e
-                if runs[-1][1] == 0:
-                    runs.pop()
-            else:
-                runs.append([g, e])
-
         for base, e in self.blocks:
-            if len(base) == 1:
-                x = base[0]
-                add(abs(x), e if x > 0 else -e)
-            else:
-                if e * len(base) > cap:
-                    raise BudgetError(
-                        "word too long to expand into explicit runs"
-                    )
-                for x in base * e:
-                    add(abs(x), 1 if x > 0 else -1)
+            pairs = ((base[0], e),) if len(base) == 1 else ((x, 1) for x in base * e)
+            for x, c in pairs:
+                if runs and runs[-1][0] == abs(x):
+                    runs[-1][1] += c if x > 0 else -c
+                else:
+                    runs.append([abs(x), c if x > 0 else -c])
         return tuple((g, e) for g, e in runs)
 
-    @classmethod
-    def from_runs(cls, runs) -> "BlockWord":
-        blocks = []
-        for g, e in runs:
-            if e == 0:
-                continue
-            blocks.append(((g if e > 0 else -g,), abs(e)))
-        return cls(tuple(blocks))
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        return self.to_runs()
 
-    @classmethod
-    def from_letters(cls, letters) -> "BlockWord":
-        letters = list(letters)
-        b = Builder(Budget(4 * len(letters) + 16))
-        for x in letters:
-            b.push_letter(x)
-        return b.result()
-
-    def inverse(self) -> "BlockWord":
-        return BlockWord(
-            tuple((inverse_base(b), e) for b, e in reversed(self.blocks))
+    def inverse(self) -> BlockWord:
+        return BlockWord.from_blocks(
+            self.rank, tuple((inverse_base(b), e) for b, e in reversed(self.blocks))
         )
+
+    def __mul__(self, other: BlockWord) -> BlockWord:
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        b = Builder()
+        b.push_blockword(self)
+        b.push_blockword(other)
+        return b.result(self.rank)
+
+    def __pow__(self, k: int) -> BlockWord:
+        if k < 0:
+            return self.inverse() ** (-k)
+        b = Builder()
+        _push_power(b, self.blocks, k)
+        return b.result(self.rank)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockWord):
+            return NotImplemented
+        return self.rank == other.rank and (
+            self.blocks == other.blocks or self.runs == other.runs
+        )
+
+    def __hash__(self):
+        return hash((self.rank, self.runs))
+
+    def __repr__(self):
+        return f"Word({self.rank}, {self.runs!r})"
+
+    def __str__(self):
+        from .freegroup import format_word
+
+        return format_word(self)
+
+
+def reduce(rank: int, runs) -> BlockWord:
+    """Freely reduced normal form of a raw run list."""
+    b = Builder()
+    for base, e in _run_blocks(rank, runs):
+        b.push_block(base, e)
+    return b.result(rank)
 
 
 class Builder:
@@ -123,11 +194,12 @@ class Builder:
 
     Stack invariant: blocks are either single-letter runs (any exp >= 1) or
     multi-letter cyclically reduced bases with exp >= 2; the concatenated
-    content is always freely reduced.
+    content is always freely reduced.  Without a budget the work is
+    unbounded, as for plain word arithmetic.
     """
 
-    def __init__(self, budget: Budget):
-        self.budget = budget
+    def __init__(self, budget: Budget | None = None):
+        self.budget = budget if budget is not None else Budget(math.inf)
         self.stack: list[list] = []  # [base tuple, exp]
 
     # -- letter-level ------------------------------------------------------
@@ -151,16 +223,13 @@ class Builder:
                 return
         self.stack.append([(x,), 1])
 
-    def _append_run(self, x: int, count: int):
+    def _append_flat(self, letters):
         """Raw append known not to cancel (merges equal-letter runs)."""
-        if count == 0:
-            return
-        if self.stack:
-            base, e = self.stack[-1]
-            if base == (x,):
-                self.stack[-1][1] = e + count
-                return
-        self.stack.append([(x,), count])
+        for x in letters:
+            if self.stack and self.stack[-1][0] == (x,):
+                self.stack[-1][1] += 1
+            else:
+                self.stack.append([(x,), 1])
 
     def pop_letter(self) -> int:
         """Remove and return the last letter, splitting blocks as needed."""
@@ -179,10 +248,8 @@ class Builder:
         if e > 2:
             self.stack.append([base, e - 1])
         else:
-            for x in base:
-                self._append_run(x, 1)
-        for x in base[:-1]:
-            self._append_run(x, 1)
+            self._append_flat(base)
+        self._append_flat(base[:-1])
         return base[-1]
 
     # -- block-level -------------------------------------------------------
@@ -218,11 +285,6 @@ class Builder:
             if remaining:
                 self.stack.append([(x,), remaining])
             return
-        if exp == 1:
-            for x in base:
-                self.push_letter(x)
-            return
-        inv = inverse_base(base)
         remaining = exp
         while remaining > 0:
             if self.stack:
@@ -231,13 +293,14 @@ class Builder:
                     if top == base:
                         self.stack[-1][1] = e + remaining
                         return
-                    if top == inv:
+                    if top == inverse_base(base):
                         m = min(e, remaining)
                         remaining -= m
-                        if m == e:
-                            self.stack.pop()
-                        else:
-                            self.stack[-1][1] = e - m
+                        self.stack.pop()
+                        if e - m >= 2:
+                            self.stack.append([top, e - m])
+                        elif e - m == 1:  # one copy left: it goes flat
+                            self._append_flat(top)
                         if remaining == 0:
                             return
                         if remaining == 1:
@@ -247,13 +310,9 @@ class Builder:
                         continue
             # letter-by-letter seam cancellation against one copy
             i = 0
-            while i < len(base) and self.stack:
-                top, _ = self.stack[-1]
-                if top[-1] == -base[i]:
-                    self.pop_letter()
-                    i += 1
-                else:
-                    break
+            while i < len(base) and self.stack and self.stack[-1][0][-1] == -base[i]:
+                self.pop_letter()
+                i += 1
             if i == 0:
                 break
             remaining -= 1
@@ -272,12 +331,8 @@ class Builder:
         for base, e in w.blocks:
             self.push_block(base, e)
 
-    def push_blockword_inverse(self, w: BlockWord):
-        for base, e in reversed(w.blocks):
-            self.push_block(inverse_base(base), e)
-
-    def result(self) -> BlockWord:
-        return BlockWord(tuple((tuple(b), e) for b, e in self.stack))
+    def result(self, rank: int) -> BlockWord:
+        return BlockWord.from_blocks(rank, tuple((b, e) for b, e in self.stack))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +348,7 @@ def primitive_root(letters: tuple[int, ...]):
     raise AssertionError("unreachable")
 
 
-def compress_flat(letters) -> BlockWord:
+def compress_flat(rank: int, letters) -> BlockWord:
     """Roll periodic repetitions of a reduced letter list into power blocks."""
     letters = tuple(letters)
     n = len(letters)
@@ -315,17 +370,12 @@ def compress_flat(letters) -> BlockWord:
         else:
             blocks.append(((letters[i],), 1))
             i += 1
-    # merge single-letter runs produced above
-    merged: list[list] = []
-    for base, e in blocks:
-        if merged and merged[-1][0] == base and len(base) == 1:
-            merged[-1][1] += e
-        else:
-            merged.append([base, e])
-    return BlockWord(tuple((tuple(b), e) for b, e in merged))
+    # period 1 takes each whole run of a letter, so neighbouring one-letter
+    # blocks never share their letter
+    return BlockWord.from_blocks(rank, tuple(blocks))
 
 
-def _cyclic_reduce_blocks(blocks: list[list], budget: Budget):
+def _cyclic_reduce_blocks(blocks, budget: Budget):
     """Split u into p * core * p^-1; returns (p as runs, core block list)."""
     work = [list(b) for b in blocks]
     prefix: list[list[int]] = []  # [letter, count] runs
@@ -336,7 +386,7 @@ def _cyclic_reduce_blocks(blocks: list[list], budget: Budget):
         else:
             prefix.append([x, c])
 
-    while len(work) >= 2 or (len(work) == 1 and len(work[0][0]) == 1):
+    while len(work) >= 2:
         budget.spend()
         first, fe = work[0]
         last, le = work[-1]
@@ -344,8 +394,6 @@ def _cyclic_reduce_blocks(blocks: list[list], budget: Budget):
         lz = last[-1]
         if f0 != -lz:
             break
-        if len(work) == 1:
-            break  # single run x^e never cancels with itself
         if len(first) == 1 and len(last) == 1:
             m = min(fe, le)
             add_prefix(f0, m)
@@ -396,68 +444,70 @@ def _drop_back_letter(work: list[list], budget: Budget):
     work[len(work) - 1 :] = front + rest
 
 
-# ---------------------------------------------------------------------------
-# Endomorphism application
-
-
-def _push_image(builder: Builder, images, letter: int):
-    img = images[abs(letter) - 1]
-    if letter > 0:
-        builder.push_blockword(img)
-    else:
-        builder.push_blockword_inverse(img)
-
-
-def _apply_power_block(builder: Builder, images, base, exp, budget: Budget):
-    """Append phi(base)^exp using phi(base) = p * core^k * p^-1."""
-    sub = Builder(budget)
-    for x in base:
-        _push_image(sub, images, x)
-    u = sub.stack
-    if not u:
-        return
-    prefix, core = _cyclic_reduce_blocks(u, budget)
+def _push_power(builder: Builder, blocks, exp: int, cap: int | None = None):
+    """Append u^exp for the word u in blocks, as p * root^(k*exp) * p^-1
+    where u = p * root^k * p^-1 and root is cyclically reduced.  A core of
+    several blocks is spelled out flat to find its primitive root; ``cap``
+    bounds that spelling, and without a cap the core is repeated instead
+    whenever that is shorter than its flat spelling."""
+    prefix, core = _cyclic_reduce_blocks(blocks, builder.budget)
     if not core:
-        return  # phi(base) was trivial, so the whole power collapses
+        return  # u was trivial, so the whole power collapses
     for x, c in prefix:
         builder.push_block((x,), c)
+    total = sum(e * len(b) for b, e in core)
     if len(core) == 1:
-        root, k = tuple(core[0][0]), core[0][1]
-        builder.push_block(root, k * exp)
+        builder.push_block(core[0][0], core[0][1] * exp)
+    elif cap is None and total > exp * len(core):
+        for _ in range(exp):
+            for b, e in core:
+                builder.push_block(b, e)
     else:
-        total = sum(e * len(b) for b, e in core)
-        if total > FLAT_CAP:
+        if cap is not None and total > cap:
             raise BudgetError(
-                "image core too long for exact power normalization"
+                "image core too long for exact power normalization: "
+                f"{total} letters > FLAT_CAP {cap}"
             )
-        budget.spend(total)
-        flat = []
-        for b, e in core:
-            flat.extend(b * e)
-        root, k = primitive_root(tuple(flat))
+        builder.budget.spend(total)
+        root, k = primitive_root(tuple(chain.from_iterable(b * e for b, e in core)))
         builder.push_block(root, k * exp)
     for x, c in reversed(prefix):
         builder.push_block((-x,), c)
 
 
+# ---------------------------------------------------------------------------
+# Endomorphism application
+
+
+def _apply_power_block(builder: Builder, table, base, exp):
+    """Append phi(base)^exp; a core of phi(base) that must be spelled out
+    flat may have at most FLAT_CAP letters."""
+    sub = Builder(builder.budget)
+    for x in base:
+        sub.push_blockword(table[x])
+    _push_power(builder, sub.stack, exp, FLAT_CAP)
+
+
 def apply_endo_blocks(images, w: BlockWord, budget: Budget) -> BlockWord:
     """phi(w) for images given as BlockWords (index i holds phi(g_{i+1}))."""
+    table = {}
+    for g, img in enumerate(images, 1):
+        table[g], table[-g] = img, img.inverse()
     builder = Builder(budget)
     for base, exp in w.blocks:
         if exp == 1:
             for x in base:
-                _push_image(builder, images, x)
+                builder.push_blockword(table[x])
         else:
-            _apply_power_block(builder, images, base, exp, budget)
-    return builder.result()
+            _apply_power_block(builder, table, base, exp)
+    return builder.result(w.rank)
 
 
-def compress_images(images: list[BlockWord]) -> list[BlockWord]:
+def compress_images(images) -> list[BlockWord]:
     """Pre-roll periodic repetitions inside small images once per iteration."""
-    out = []
-    for img in images:
-        if 0 < img.length() <= COMPRESS_CAP:
-            out.append(compress_flat(img.flatten(COMPRESS_CAP)))
-        else:
-            out.append(img)
-    return out
+    return [
+        compress_flat(img.rank, img.flatten())
+        if 0 < img.length() <= COMPRESS_CAP
+        else img
+        for img in images
+    ]

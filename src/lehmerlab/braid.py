@@ -112,7 +112,7 @@ def format_braid(b: BraidWord) -> str:
     parts = [f"s{x}" if x > 0 else f"s{-x}^-1" for x in b.letters]
     if b.full_twist_power:
         parts.append(f"T^{b.full_twist_power}")
-    return " ".join(parts) if parts else "1"
+    return " ".join(parts)  # the identity is "", which parse_braid reads back
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 matrix-to-endomorphism construction and the rank-2 positive-automorphism
 descent.
 
-Words are freely reduced run lists with arbitrary-precision exponents.
-Iteration goes through an internal compressed-block engine so that lengths
-like 2*3^n + 2^n - 2 stay exact at n = 25 without materializing 3^25
-letters; a configurable budget turns pathological blowups into clean
-errors instead of hangs.
+There is one word type: Word is the compressed block word of the engine
+(``_blockword.BlockWord``), a freely reduced word stored as power blocks
+with arbitrary-precision exponents.  Products, powers, inverses, parsing
+and endomorphism application all reduce through the engine's Builder and
+stay in block form, so lengths like 2*3^n + 2^n - 2 stay exact at n = 25
+without materializing 3^25 letters; ``Word.runs`` spells a word out as
+(generator, exponent) runs only when asked.  A configurable budget turns
+pathological blowups into clean errors instead of hangs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from ._blockword import (
     BudgetError,
     apply_endo_blocks,
     compress_images,
+    reduce,
 )
 from .dynamics import IntMatrix
 from .sequence import DEFAULT_WINDOW, ExactSeq, GrowthReport
@@ -49,88 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Word:
-    """Freely reduced word: runs of (generator index 1..rank, exponent != 0)."""
-
-    rank: int
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        runs = tuple((int(g), int(e)) for g, e in self.runs)
-        for g, e in runs:
-            if not 1 <= g <= self.rank:
-                raise ValueError(f"generator {g} outside 1..{self.rank}")
-            if e == 0:
-                raise ValueError("zero exponents are not reduced")
-        for (g1, _), (g2, _) in zip(runs, runs[1:]):
-            if g1 == g2:
-                raise ValueError("adjacent runs with equal generators")
-        object.__setattr__(self, "runs", runs)
-
-    @classmethod
-    def empty(cls, rank: int) -> "Word":
-        return cls(rank, ())
-
-    @classmethod
-    def gen(cls, rank: int, g: int, e: int = 1) -> "Word":
-        return cls(rank, ((g, e),))
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
-
-    def is_identity(self) -> bool:
-        return not self.runs
-
-    def is_positive(self) -> bool:
-        return all(e > 0 for _, e in self.runs)
-
-    def count_gen(self, g: int) -> int:
-        return sum(abs(e) for h, e in self.runs if h == g)
-
-    def exponent_sum(self, g: int) -> int:
-        return sum(e for h, e in self.runs if h == g)
-
-    def inverse(self) -> "Word":
-        return Word(self.rank, tuple((g, -e) for g, e in reversed(self.runs)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return reduce(self.rank, self.runs + other.runs)
-
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word.empty(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __str__(self):
-        return format_word(self)
-
-
-def reduce(rank: int, runs) -> Word:
-    """Freely reduced normal form of a raw run list."""
-    stack: list[list[int]] = []
-    for g, e in runs:
-        g, e = int(g), int(e)
-        if e == 0:
-            continue
-        if stack and stack[-1][0] == g:
-            stack[-1][1] += e
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([g, e])
-    return Word(rank, tuple((g, e) for g, e in stack))
+Word = BlockWord
 
 
 @dataclass(frozen=True)
@@ -157,24 +80,11 @@ class Endo:
         return format_endo(self)
 
 
-def _engine_images(phi: Endo) -> list[BlockWord]:
-    return compress_images(
-        [BlockWord.from_runs(w.runs) for w in phi.images]
-    )
-
-
-def _to_blockword(w) -> BlockWord:
-    if isinstance(w, BlockWord):
-        return w
-    return BlockWord.from_runs(w.runs)
-
-
 def apply(phi: Endo, w: Word, budget: int = DEFAULT_BUDGET) -> Word:
     """Substitute images for generators and reduce, exactly."""
     if phi.rank != w.rank:
         raise ValueError("rank mismatch")
-    out = apply_endo_blocks(_engine_images(phi), _to_blockword(w), Budget(budget))
-    return Word(phi.rank, out.to_runs())
+    return apply_endo_blocks(compress_images(phi.images), w, Budget(budget))
 
 
 def compose(outer: Endo, inner: Endo, budget: int = DEFAULT_BUDGET) -> Endo:
@@ -192,15 +102,10 @@ def iterate_lengths(
     """|phi^n(g)| for n = 1..N, exact; g is a generator index or a Word."""
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
-    if isinstance(g, Word):
-        if g.rank != phi.rank:
-            raise ValueError("rank mismatch")
-        w = _to_blockword(g)
-    else:
-        w = BlockWord.from_runs(((int(g), 1),))
-        if not 1 <= int(g) <= phi.rank:
-            raise ValueError(f"generator {g} outside 1..{phi.rank}")
-    images = _engine_images(phi)
+    w = g if isinstance(g, Word) else Word.gen(phi.rank, int(g))
+    if w.rank != phi.rank:
+        raise ValueError("rank mismatch")
+    images = compress_images(phi.images)
     lengths = []
     for _ in range(n_terms):
         w = apply_endo_blocks(images, w, Budget(budget))
@@ -423,7 +328,7 @@ def parse_word(text: str, rank: int | None = None) -> Word:
 
 
 def format_word(w: Word) -> str:
-    if not w.runs:
+    if w.is_identity():
         return "1"
     return " ".join(
         _gen_name(g, w.rank) + (f"^{e}" if e != 1 else "")

@@ -61,14 +61,14 @@ def test_matches_naive_oracle_on_random_endos():
     for _ in range(400):
         rank = rng.randrange(2, 4)
         imgs_runs = [rand_runs(rng, rank, 3, 3) for _ in range(rank)]
-        images = compress_images([BlockWord.from_runs(r) for r in imgs_runs])
+        images = compress_images([BlockWord(rank, r) for r in imgs_runs])
         runs = rand_runs(rng, rank, 4, 4)
-        w = BlockWord.from_runs(runs)
+        w = BlockWord(rank, runs)
         cur = [tuple(r) for r in runs]
         for _ in range(3):
             cur = naive_apply(imgs_runs, cur)
             w = apply_endo_blocks(images, w, Budget(500_000))
-            assert list(w.to_runs(1 << 20)) == cur
+            assert list(w.to_runs()) == cur
 
 
 def test_power_blocks_persist_under_iteration():
@@ -77,12 +77,12 @@ def test_power_blocks_persist_under_iteration():
     25-step acceptance path would be unreachable."""
     images = compress_images(
         [
-            BlockWord.from_runs([(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, 1)]),
-            BlockWord.from_runs([(2, 2)]),
+            BlockWord(2, [(1, 1), (2, -1), (1, 1), (2, -1), (1, 1), (2, 1)]),
+            BlockWord(2, [(2, 2)]),
         ]
     )
     assert images[0].blocks == (((1, -2), 2), ((1,), 1), ((2,), 1))
-    w = BlockWord.from_runs([(1, 1)])
+    w = BlockWord(2, [(1, 1)])
     for n in range(1, 26):
         budget = Budget(1000)
         w = apply_endo_blocks(images, w, budget)
@@ -92,22 +92,22 @@ def test_power_blocks_persist_under_iteration():
 
 
 def test_builder_reduces_like_free_group():
-    w = BlockWord.from_letters([1, 2, -2, 1, 1, -1])
+    w = BlockWord.from_letters(2, [1, 2, -2, 1, 1, -1])
     assert w.to_runs() == ((1, 2),)
-    assert BlockWord.from_letters([1, -1]).is_empty()
-    assert BlockWord.from_letters([]).is_empty()
+    assert BlockWord.from_letters(1, [1, -1]).is_identity()
+    assert BlockWord.from_letters(1, []).is_identity()
 
 
 def test_inverse_word_cancels_completely():
     b = Builder(Budget(10_000))
-    w = BlockWord.from_letters([1, 2, 1, 2, 1, 2, -1, 2, 2])
+    w = BlockWord.from_letters(2, [1, 2, 1, 2, 1, 2, -1, 2, 2])
     b.push_blockword(w)
-    b.push_blockword_inverse(w)
-    assert b.result().is_empty()
+    b.push_blockword(w.inverse())
+    assert b.result(2).is_identity()
 
 
 def test_word_inverse_and_counts():
-    w = BlockWord((((1, -2), 3), ((1,), 1)))
+    w = BlockWord.from_blocks(2, (((1, -2), 3), ((1,), 1)))
     assert w.length() == 7
     assert w.count_gen(1) == 4 and w.count_gen(2) == 3
     assert w.exponent_sum(2) == -3
@@ -115,31 +115,24 @@ def test_word_inverse_and_counts():
     assert inv.length() == 7
     b = Builder(Budget(1000))
     b.push_blockword(w)
-    b.push_blockword_inverse(w)
-    assert b.result().is_empty()
+    b.push_blockword(w.inverse())
+    assert b.result(2).is_identity()
 
 
 def test_compress_flat_rolls_periods():
-    cf = compress_flat([1, -2, 1, -2, 1, 2])
+    cf = compress_flat(2, [1, -2, 1, -2, 1, 2])
     assert cf.blocks == (((1, -2), 2), ((1,), 1), ((2,), 1))
-    cf = compress_flat([1, 1, 1, 1])
+    cf = compress_flat(1, [1, 1, 1, 1])
     assert cf.blocks == (((1,), 4),)
-    assert compress_flat([]).is_empty()
+    assert compress_flat(1, []).is_identity()
 
 
 def test_budget_error_on_uncompressible_growth():
     images = compress_images(
-        [BlockWord.from_runs([(1, 1), (2, 1)]), BlockWord.from_runs([(1, 1)])]
+        [BlockWord(2, [(1, 1), (2, 1)]), BlockWord(2, [(1, 1)])]
     )
-    w = BlockWord.from_runs([(1, 1)])
+    w = BlockWord(2, [(1, 1)])
     with pytest.raises(BudgetError):
         for _ in range(40):
             w = apply_endo_blocks(images, w, Budget(10_000))
 
-
-def test_flatten_cap():
-    w = BlockWord((((1,), 10 ** 9),))
-    with pytest.raises(BudgetError):
-        w.flatten(1 << 16)
-    with pytest.raises(BudgetError):
-        BlockWord((((1, 2), 10 ** 9),)).to_runs(1 << 16)

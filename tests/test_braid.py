@@ -55,7 +55,7 @@ def test_parse_braid_examples():
 
 
 def test_format_braid_roundtrip():
-    for text in ("s1 s2^-1", "s1 s2^-1 T^2", "s3 s2 s1^-1 T^-1", "1"):
+    for text in ("s1 s2^-1", "s1 s2^-1 T^2", "s3 s2 s1^-1 T^-1", "1", ""):
         b = parse_braid(text, 4)
         assert parse_braid(format_braid(b), 4) == b
 

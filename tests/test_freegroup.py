@@ -331,3 +331,153 @@ def test_apply_triangle_inequality(raw):
         abs(e) * phi.images[g - 1].length() for g, e in w.runs
     )
     assert apply(phi, w).length() <= bound
+
+
+# ---------------------------------------------------------------------------
+# The block engine against a letter-level oracle
+
+import json  # noqa: E402
+
+from lehmerlab import cli  # noqa: E402
+from lehmerlab._blockword import Builder  # noqa: E402
+from lehmerlab.braid import BraidWord, artin_endo  # noqa: E402
+
+
+def _pairs(runs):
+    """(signed letter, count) pairs of a run list."""
+    return [(g if e > 0 else -g, abs(e)) for g, e in runs]
+
+
+def _letters(w):
+    return _pairs(w.runs)
+
+
+def _inv(pairs):
+    return [(-x, c) for x, c in reversed(pairs)]
+
+
+def _flat_reduce(pairs):
+    """Free reduction of (letter, count) pairs, as if letter by letter;
+    returns the run list."""
+    out = []
+    for x, c in pairs:
+        while c and out and out[-1][0] == -x:
+            m = min(c, out[-1][1])
+            c -= m
+            out[-1][1] -= m
+            if not out[-1][1]:
+                out.pop()
+        if c and out and out[-1][0] == x:
+            out[-1][1] += c
+        elif c:
+            out.append([x, c])
+    return tuple((abs(x), c if x > 0 else -c) for x, c in out)
+
+
+def _flat_apply(phi, pairs):
+    out = []
+    for x, c in pairs:
+        img = _letters(phi.images[abs(x) - 1])
+        out += (img if x > 0 else _inv(img)) * c
+    return _flat_reduce(out)
+
+
+def _random_word(rng, rank, big):
+    """A word built with * and ** from generator powers (exponents up to
+    +-10^6 when big) and powers of short multi-letter words, next to its
+    oracle letter list."""
+    word, pairs = Word.empty(rank), []
+    for _ in range(rng.randrange(0, 6)):
+        g = rng.randrange(1, rank + 1)
+        if rng.random() < 0.4:
+            e = rng.choice([-1, 1]) * rng.randrange(1, 10 ** 6 if big else 4)
+            word = word * Word.gen(rank, g, e)
+            pairs += _pairs([(g, e)])
+            continue
+        raw = [(rng.randrange(1, rank + 1), rng.choice([-2, -1, 1, 2])) for _ in range(3)]
+        u = reduce(rank, raw[: rng.randrange(1, 4)])
+        k = rng.choice([-1, 1]) * rng.randrange(1, 12)
+        # u^k, then often a power of u^-1 that cancels part or all of it
+        j = -k + rng.randrange(-2, 3) if rng.random() < 0.5 else 0
+        word = word * u ** k * u ** j
+        for p in (k, j):
+            pairs += (_letters(u) if p > 0 else _inv(_letters(u))) * abs(p)
+    return word, _flat_reduce(pairs)
+
+
+def test_word_ops_match_flat_reduction_oracle():
+    rng = random.Random(31337)
+    for _ in range(200):
+        rank = rng.randrange(1, 4)
+        u, u_runs = _random_word(rng, rank, big=True)
+        v, v_runs = _random_word(rng, rank, big=True)
+        assert u.runs == u_runs
+        assert reduce(rank, u.runs + v.runs).runs == (u * v).runs
+        assert (u * v).runs == _flat_reduce(_letters(u) + _letters(v))
+        assert u.inverse().runs == _flat_reduce(_inv(_letters(u)))
+        assert (u * u.inverse()).is_identity()
+        k = rng.randrange(-3, 4)
+        base = _letters(u) if k >= 0 else _inv(_letters(u))
+        assert (u ** k).runs == _flat_reduce(base * abs(k))
+        # a huge power of a conjugated generator power stays small
+        g, e = rng.randrange(1, rank + 1), rng.randrange(1, 4)
+        big = rng.randrange(1, 10 ** 6)
+        conj = v * Word.gen(rank, g, e) * v.inverse()
+        expected = _letters(v) + [(g, e * big)] + _inv(_letters(v))
+        assert (conj ** big).runs == _flat_reduce(expected)
+        assert conj ** big == reduce(rank, conj.runs) ** big
+        assert hash(conj ** big) == hash(Word(rank, _flat_reduce(expected)))
+
+    # apply, on random images with powers.  a -> (a b)^3, b -> (b^-1 a^-1)^2
+    # b^-1 sends a b to a through a partial cancel of two power blocks.
+    phi = parse_endo("a -> a b a b a b; b -> b^-1 a^-1 b^-1 a^-1 b^-1")
+    cases = [(phi, parse_word("a b"))]
+    for _ in range(120):
+        rank = rng.randrange(2, 4)
+        images = tuple(_random_word(rng, rank, big=False)[0] for _ in range(rank))
+        cases.append((Endo(rank, images), _random_word(rng, rank, big=False)[0]))
+    for phi, w in cases:
+        assert apply(phi, w).runs == _flat_apply(phi, _letters(w))
+        twice = apply(phi, apply(phi, w))
+        assert twice.runs == _flat_apply(phi, _pairs(_flat_apply(phi, _letters(w))))
+        lengths = [apply(phi, w).length(), twice.length()]
+        assert list(iterate_lengths(phi, w, 2).terms) == lengths
+    assert apply(*cases[0]) == parse_word("a", 2)
+
+
+def test_builder_partial_inverse_power_cancel():
+    """A partly cancelled power block must not keep a single multi-letter
+    copy as a block, or the next letter pops a copy of its base."""
+    b = Builder()
+    b.push_block((1, 2), 3)
+    b.push_block((-2, -1), 2)
+    b.push_block((-2,), 1)
+    assert b.result(2).runs == ((1, 1),)
+    phi = artin_endo(BraidWord(4, (1, 2, 2, 3, 1), 2))
+    boundary = parse_word("a b c d")
+    assert apply(phi, boundary) == boundary
+
+
+def test_artin_action_fixes_boundary_word():
+    rng = random.Random(1911)
+    braids = [BraidWord(4, (1, 2, 2, 3, 1), 2)]
+    for _ in range(100):
+        n = rng.randrange(2, 6)
+        letters = tuple(
+            rng.choice([-1, 1]) * rng.randrange(1, n) for _ in range(rng.randrange(0, 13))
+        )
+        braids.append(BraidWord(n, letters, rng.randrange(-2, 3)))
+    for beta in braids:
+        boundary = reduce(beta.n, [(g, 1) for g in range(1, beta.n + 1)])
+        assert apply(artin_endo(beta), boundary) == boundary, beta
+
+
+def test_flat_cap_error_names_the_limit(capsys):
+    argv = ["fg-iterate", "--endo", "a -> a b; b -> a", "--iters", "26", "--json-only"]
+    code = cli.main(argv)
+    assert code == 1
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message == (
+        "image core too long for exact power normalization: "
+        "75025 letters > FLAT_CAP 65536"
+    )
