@@ -3,8 +3,8 @@ braid closures, and entropy estimation through the induced free-group action.
 
 Burau matrices are exact Laurent-polynomial matrices: each letter rewrites
 one column of the running product, and a full twist T^k scales it by t^{nk}.
-Determinants go through fraction-free elimination so every division is
-exact; the Alexander polynomial and the Lehmer gap share one det(Burau - I).
+det(Burau - I) is one integer determinant after Kronecker substitution
+(``polynomial.poly_det``), shared by the Alexander polynomial and Lehmer gap.
 The disk action on the free group reuses the freegroup module, so entropy
 estimates inherit its compressed exact iteration.
 """
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, iterate_lengths
-from .polynomial import DEFAULT_TOL, IntPoly, LaurentPoly, mahler_measure
+from .polynomial import DEFAULT_TOL, LaurentPoly, mahler_measure, poly_det
 
 __all__ = [
     "BraidWord",
@@ -198,36 +198,14 @@ def reduced_burau(beta: BraidWord) -> BurauMat:
     return BurauMat(tuple(tuple(v.shifted(shift) for v in row) for row in zip(*cols[1:-1])))
 
 
-def _det_laurent(mat: BurauMat) -> LaurentPoly:
-    """Exact determinant: clear t powers, then fraction-free elimination."""
-    m = mat.size
-    low = min(
-        (v.min_deg for row in mat.entries for v in row if v), default=0
-    )
-    shift = max(0, -low)
-    a = [
-        [v.shifted(shift).to_int_poly() for v in row] for row in mat.entries
-    ]
-    sign = 1
-    prev = IntPoly((1,))
-    for k in range(m - 1):
-        if not a[k][k]:
-            pivot = next((r for r in range(k + 1, m) if a[r][k]), None)
-            if pivot is None:
-                return LaurentPoly()
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = IntPoly()
-        prev = a[k][k]
-    det = a[m - 1][m - 1] if sign == 1 else -a[m - 1][m - 1]
-    return LaurentPoly(det.coeffs, -shift * m)
-
-
 def det_burau_minus_identity(beta: BraidWord) -> LaurentPoly:
-    return _det_laurent(reduced_burau(beta).minus_identity())
+    """det(Burau - I), exact: every entry is shifted by one power of t that
+    clears negative exponents, and the determinant shifted back."""
+    rows = reduced_burau(beta).minus_identity().entries
+    low = min((v.min_deg for row in rows for v in row if v), default=0)
+    shift = max(0, -low)
+    det = poly_det([[v.shifted(shift).to_int_poly() for v in row] for row in rows])
+    return LaurentPoly(det.coeffs, -shift * len(rows))
 
 
 def alexander_from_det(det: LaurentPoly, n: int) -> LaurentPoly:

@@ -9,9 +9,8 @@ identities, so the two routes can be compared coefficient by coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, cyclotomic, euler_phi
+from .polynomial import DEFAULT_TOL, IntPoly, cyclotomic, euler_phi, poly_det
 from .polynomial import roots as poly_roots
 from .sequence import ExactSeq
 
@@ -330,25 +329,9 @@ def _or_rows(adj, mask):
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
-    """Monic det(tI - A), exact (Faddeev-LeVerrier over rationals)."""
-    m = a.dim
-    af = [[Fraction(v) for v in row] for row in a.rows]
-    mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    cs = [Fraction(1)]
-    for k in range(1, m + 1):
-        am = [
-            [sum(af[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        ck = -sum(am[i][i] for i in range(m)) / k
-        cs.append(ck)
-        mat = [
-            [am[i][j] + (ck if i == j else 0) for j in range(m)]
-            for i in range(m)
-        ]
-    if any(c.denominator != 1 for c in cs):
-        raise AssertionError("characteristic polynomial must be integral")
-    return IntPoly(tuple(int(cs[m - i]) for i in range(m + 1)))
+    """Monic det(tI - A), exact (one Kronecker-substituted determinant)."""
+    return poly_det([[IntPoly((-v, int(i == j))) for j, v in enumerate(row)]
+                     for i, row in enumerate(a.rows)])
 
 
 def companion_matrix(f: IntPoly) -> IntMatrix:
@@ -393,4 +376,8 @@ def parse_matrix(text: str) -> IntMatrix:
     data = json.loads(text)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix must be a JSON array of arrays")
-    return IntMatrix(tuple(tuple(int(v) for v in row) for row in data))
+    for i, row in enumerate(data):
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise ValueError(f"matrix entry [{i}][{j}] = {json.dumps(v)} is not an integer")
+    return IntMatrix(tuple(tuple(row) for row in data))

@@ -91,8 +91,10 @@ def compose(outer: Endo, inner: Endo, budget: int = DEFAULT_BUDGET) -> Endo:
     """outer after inner: g maps to outer(inner(g))."""
     if outer.rank != inner.rank:
         raise ValueError("rank mismatch")
+    images = compress_images(outer.images)
     return Endo(
-        outer.rank, tuple(apply(outer, w, budget) for w in inner.images)
+        outer.rank,
+        tuple(apply_endo_blocks(images, w, Budget(budget)) for w in inner.images),
     )
 
 

@@ -380,6 +380,57 @@ def _as_laurent(v) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
+# Determinants
+
+
+def bareiss_det(rows) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix (row lists)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def poly_det(rows) -> IntPoly:
+    """Determinant of a matrix of IntPolys by Kronecker substitution.
+
+    Every coefficient of the determinant is at most the product of the row
+    sums of coefficient 1-norms in absolute value, so below 2^(B-1).  The
+    entries are evaluated at t = 2^B, one integer determinant is taken, and
+    its balanced base-2^B digits are the coefficients.
+
+    >>> poly_det([[IntPoly((0, 1)), IntPoly((1,))], [IntPoly((1,)), IntPoly((0, 1))]]).coeffs
+    (-1, 0, 1)
+    """
+    bound = math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in rows)
+    bits = bound.bit_length() + 1
+    base = 1 << bits
+    d = bareiss_det([[p.evaluate(base) for p in row] for row in rows])
+    mask, half = base - 1, base >> 1
+    coeffs = []
+    while d:
+        digit = d & mask
+        if digit >= half:
+            digit -= base
+        coeffs.append(digit)
+        d = (d - digit) >> bits
+    return IntPoly(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
 # Cyclotomic machinery
 
 
@@ -853,9 +904,6 @@ def _kronecker_factor(f: IntPoly, budget: int):
         for v in ys:
             ds = [x for x in _divisors(abs(v)) if x <= bound]
             divlists.append([s * x for x in ds for s in (1, -1)])
-        total = 1
-        for lst in divlists:
-            total *= len(lst)
         for combo in itertools.product(*divlists):
             spent += 1
             if spent > budget:

@@ -1,9 +1,9 @@
 """Hankel determinants, growth-rate estimators and exact recurrence fitting.
 
 Sequences are 1-indexed rationals (terms[0] is a_1).  Everything except the
-floating-point growth estimates is exact: Hankel determinants go through
-fraction-free (Bareiss) elimination and recurrence fitting through Gaussian
-elimination over Fractions.
+floating-point growth estimates is exact: a Hankel determinant is one
+integer determinant after clearing denominators (``polynomial.bareiss_det``)
+and recurrence fitting is Gaussian elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, clear_denominators, mahler_measure, roots
+from .polynomial import DEFAULT_TOL, IntPoly, bareiss_det, clear_denominators
+from .polynomial import mahler_measure, roots
 
 DEFAULT_WINDOW = 8
 
@@ -103,27 +104,6 @@ class Recurrence:
 # Hankel determinants
 
 
-def _bareiss_det(rows) -> int:
-    """Fraction-free determinant of an integer matrix (list of row lists)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
 def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
     """Exact k x k Hankel determinant with (i, j) entry a_{n+i+j-2}."""
     if k == 0:
@@ -134,7 +114,7 @@ def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
     den = math.lcm(*(e.denominator for e in entries))
     ints = [int(e * den) for e in entries]
     rows = [[ints[i + j] for j in range(k)] for i in range(k)]
-    return Fraction(_bareiss_det(rows), den**k)
+    return Fraction(bareiss_det(rows), den**k)
 
 
 def hankel_values(a: ExactSeq, k: int):

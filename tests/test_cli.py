@@ -91,6 +91,15 @@ def test_computation_error_exit_1(capsys):
     assert "determinant" in doc["error"]["message"]
 
 
+def test_non_integer_matrix_exit_1(capsys):
+    code, doc, _ = run_json(
+        ["lefschetz", "--matrix", "[[1.5, 1], [1, 0.9]]", "--json-only"], capsys
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "1.5" in doc["error"]["message"]
+
+
 def test_bad_polynomial_exit_1(capsys):
     code, doc, _ = run_json(["mahler", "--poly", "1,oops,3", "--json-only"], capsys)
     assert code == 1

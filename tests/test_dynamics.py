@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -212,8 +213,19 @@ def test_verify_kor_examples():
 
 def test_parse_matrix():
     assert parse_matrix("[[0,1],[1,1]]") == IntMatrix(((0, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        parse_matrix("[1,2]")
+    for text in (
+        "[1,2]",
+        "[[1.5, 1], [1, 0.9]]",
+        "[[1.0, 0], [0, 1]]",
+        "[[true, 0], [0, 1]]",
+        '[[1, "2"], [0, 1]]',
+        "[[1, null], [0, 1]]",
+        "[[1, [2]], [0, 1]]",
+    ):
+        with pytest.raises(ValueError):
+            parse_matrix(text)
+    with pytest.raises(ValueError, match=r"\[1\]\[1\] = 0.9"):
+        parse_matrix("[[1, 1], [1, 0.9]]")
 
 
 def random_matrix(rng, m, low=-3, high=3):
@@ -255,3 +267,47 @@ def test_primitive_implies_dominant_real(seed, m):
     lead = next(i for i, c in enumerate(f.coeffs) if c != 0)
     stripped = IntPoly(f.coeffs[lead:])
     assert perron_check(stripped, n_net=5).dominant_real
+
+
+def _faddeev_leverrier_oracle(a: IntMatrix) -> IntPoly:
+    """The slow exact route: Faddeev-LeVerrier over Fractions."""
+    m = a.dim
+    af = [[Fraction(v) for v in row] for row in a.rows]
+    mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    cs = [Fraction(1)]
+    for k in range(1, m + 1):
+        am = [
+            [sum(af[i][l] * mat[l][j] for l in range(m)) for j in range(m)]
+            for i in range(m)
+        ]
+        ck = -sum(am[i][i] for i in range(m)) / k
+        cs.append(ck)
+        mat = [
+            [am[i][j] + (ck if i == j else 0) for j in range(m)]
+            for i in range(m)
+        ]
+    assert all(c.denominator == 1 for c in cs)
+    return IntPoly(tuple(int(cs[m - i]) for i in range(m + 1)))
+
+
+def test_char_poly_matches_faddeev_leverrier_oracle():
+    rng = random.Random(1933)
+    big = 10**30
+    cases = [
+        IntMatrix(((0,),)),
+        IntMatrix(((-7,),)),
+        IntMatrix(tuple((0,) * 5 for _ in range(5))),
+        IntMatrix(((1, 2, 3), (0, 0, 0), (4, 5, 6))),
+        IntMatrix(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))),
+        IntMatrix(((2, 4), (-1, -2))),
+        IntMatrix(((big, -big, 1), (big - 1, 3, -big), (0, big, -big))),
+    ]
+    for _ in range(200):
+        m = rng.randint(1, 9)
+        cases.append(random_matrix(rng, m, -5, 5))
+    for m in range(1, 6):
+        cases.append(random_matrix(rng, m, -big, big))
+    for a in cases:
+        assert char_poly(a) == _faddeev_leverrier_oracle(a), a
+    assert char_poly(cases[2]).coeffs == (0,) * 5 + (1,)
+    assert char_poly(cases[4]).coeffs == (0,) * 4 + (1,)

@@ -1,5 +1,5 @@
-import doctest
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +10,7 @@ from lehmerlab.polynomial import (
     IntPoly,
     LaurentPoly,
     PrecisionError,
+    bareiss_det,
     cyclotomic,
     irreducibility_certificate,
     is_cyclotomic_product,
@@ -17,6 +18,7 @@ from lehmerlab.polynomial import (
     lehmer_polynomial,
     mahler_measure,
     parse_poly,
+    poly_det,
     poly_from_roots,
     roots,
 )
@@ -268,6 +270,55 @@ def test_monic_mahler_at_least_one(f):
     assert mahler_measure(g).value >= 1 - 1e-9
 
 
-def test_docstrings():
-    failures, _ = doctest.testmod(P)
-    assert failures == 0
+
+def _expand_det(rows):
+    """Cofactor expansion along the first row, the definition itself."""
+    if not rows:
+        return IntPoly((1,))
+    total = IntPoly()
+    for j, p in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = p * _expand_det(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def test_poly_det_edge_cases():
+    one, t = IntPoly((1,)), IntPoly((0, 1))
+    assert poly_det([]) == one
+    assert bareiss_det([]) == 1
+    assert poly_det([[IntPoly()]]) == IntPoly()
+    assert poly_det([[t, one], [IntPoly(), IntPoly()]]) == IntPoly()
+    assert poly_det([[one, t, t], [IntPoly(), IntPoly(), IntPoly()], [t, one, one]]) == IntPoly()
+    assert bareiss_det([[0, 2], [3, 4]]) == -6
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    # 1 x 1 entries on the balanced-digit boundary: the bound is the entry's
+    # own 1-norm, so the largest coefficient sits just below half the base.
+    for k in range(0, 70):
+        for c in (2**k, 2**k - 1):
+            for sign in (1, -1):
+                for f in (
+                    IntPoly((sign * c,)),
+                    IntPoly((sign * c, -sign * c)),
+                    IntPoly((0, sign * c, 0, -sign * c)),
+                ):
+                    assert poly_det([[f]]) == f
+
+
+def test_poly_det_matches_cofactor_expansion():
+    rng = random.Random(1936)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        rows = [
+            [
+                IntPoly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 4))))
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ]
+        if rng.random() < 0.2:
+            rows[rng.randrange(m)] = [IntPoly()] * m
+        if rng.random() < 0.2:
+            big = 10 ** rng.randint(10, 40)
+            rows[0] = [p * big for p in rows[0]]
+        assert poly_det(rows) == _expand_det(rows)
