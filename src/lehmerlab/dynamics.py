@@ -8,11 +8,19 @@ identities, so the two routes can be compared coefficient by coefficient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .polynomial import DEFAULT_TOL, IntPoly, cyclotomic, euler_phi, poly_det
 from .polynomial import roots as poly_roots
 from .sequence import ExactSeq
+
+
+def _entry(v, i: int, j: int) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"matrix entry [{i}][{j}] = {v!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -22,7 +30,10 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(
+            tuple(_entry(v, i, j) for j, v in enumerate(row))
+            for i, row in enumerate(self.rows)
+        )
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square with dimension >= 1")
         object.__setattr__(self, "rows", rows)

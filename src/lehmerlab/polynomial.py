@@ -162,11 +162,21 @@ class IntPoly:
         return tuple(quo), tuple(rem)
 
     def try_div(self, other):
-        """Exact quotient in Z[t], or None when the division is not exact."""
-        quo, rem = self.divmod_q(other)
-        if rem or any(q.denominator != 1 for q in quo):
-            return None
-        return IntPoly(tuple(int(q) for q in quo))
+        """Exact quotient in Z[t] by long division, or None at the first inexact step."""
+        other = _as_poly(other)
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, b = list(self.coeffs), other.coeffs
+        d, lead = len(b) - 1, b[-1]
+        quo = [0] * max(len(rem) - d, 0)
+        for k in reversed(range(len(quo))):
+            q, r = divmod(rem[k + d], lead)
+            if r:
+                return None
+            quo[k] = q
+            for i in range(d):
+                rem[k + i] -= q * b[i]
+        return None if any(rem[:d]) else IntPoly(quo)
 
     def exact_div(self, other) -> "IntPoly":
         q = self.try_div(other)
@@ -198,37 +208,27 @@ def poly_from_roots(rs) -> IntPoly:
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t] with positive leading coefficient."""
-    a, b = f, g
-    if not a:
+    """Primitive gcd in Z[t] with positive leading coefficient.
+
+    Primitive polynomial remainder sequence (Brown, J. ACM 18, 1971): each
+    step takes the pseudo-remainder over Z and divides out its content.
+    """
+    a, b = f.primitive_part().coeffs, g.primitive_part().coeffs
+    if len(a) < len(b):
         a, b = b, a
-    if not b:
-        if not a:
-            return IntPoly()
-        p = a.primitive_part()
-        return -p if p.leading < 0 else p
-    ra = [Fraction(c) for c in a.coeffs]
-    rb = [Fraction(c) for c in b.coeffs]
-    while rb:
-        ra, rb = rb, _qmod(ra, rb)
-    num = math.gcd(*(abs(c.numerator) for c in ra))
-    den = math.lcm(*(c.denominator for c in ra))
-    p = IntPoly(tuple(int(c * den) // num for c in ra))
-    return -p if p.leading < 0 else p
-
-
-def _qmod(a, b):
-    rem = list(a)
-    d = len(b) - 1
-    lead = b[-1]
-    while len(rem) - 1 >= d:
-        q = rem[-1] / lead
-        for i in range(d + 1):
-            rem[len(rem) - 1 - d + i] -= q * b[i]
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
+    while b:
+        r, d, lead = list(a), len(b) - 1, b[-1]
+        while len(r) > d:
+            q, k = r[-1], len(r) - 1 - d
+            r = [lead * c for c in r]
+            for i in range(d):
+                r[k + i] -= q * b[i]
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, IntPoly(r).primitive_part().coeffs
+    p = IntPoly(a)
+    return -p if p and p.leading < 0 else p
 
 
 def squarefree_decomposition(f: IntPoly):

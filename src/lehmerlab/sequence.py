@@ -3,7 +3,7 @@
 Sequences are 1-indexed rationals (terms[0] is a_1).  Everything except the
 floating-point growth estimates is exact: a Hankel determinant is one
 integer determinant after clearing denominators (``polynomial.bareiss_det``)
-and recurrence fitting is Gaussian elimination over Fractions.
+and recurrence fitting is one Berlekamp-Massey pass over Fractions.
 """
 
 from __future__ import annotations
@@ -157,44 +157,14 @@ def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
 # Exact recurrence fitting
 
 
-def _solve_exact(rows, rhs):
-    """Particular solution of rows * c = rhs over Q, or None if inconsistent."""
-    if not rows:
-        return []
-    width = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col]
-        aug[r] = [v / inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * width
-    for row_idx, col in enumerate(pivots):
-        sol[col] = aug[row_idx][-1]
-    return sol
-
-
 def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurrence:
     """Least-degree monic recurrence satisfied by every supplied term.
 
-    Scans d = 0, 1, ..., d_max and solves the (overdetermined) linear system
-    exactly; raises NoRecurrenceFound when nothing fits.  The margin keeps
-    short prefixes from producing spurious fits.
+    One Berlekamp-Massey pass over Q (Massey, IEEE Trans. Inf. Theory 15,
+    1969) finds the linear complexity L and a shortest recurrence in O(N^2)
+    operations; raises NoRecurrenceFound when L > d_max.  The margin keeps
+    short prefixes from producing spurious fits: N >= 2 d_max + margin >= 2L,
+    so the shortest recurrence is unique.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
@@ -207,16 +177,32 @@ def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurren
             f"need at least {2 * d_max + margin} terms to fit degree {d_max}, "
             f"have {a.n_terms}"
         )
-    if all(t == 0 for t in a.terms):
-        return Recurrence((Fraction(1),), ())
     ts = a.terms
-    for d in range(1, d_max + 1):
-        rows = [[ts[n + i] for i in range(d)] for n in range(a.n_terms - d)]
-        rhs = [-ts[n + d] for n in range(a.n_terms - d)]
-        sol = _solve_exact(rows, rhs)
-        if sol is not None:
-            return Recurrence(tuple(sol) + (Fraction(1),), ts[:d])
-    raise NoRecurrenceFound(f"no recurrence of degree <= {d_max} fits all terms")
+    # c is the connection polynomial 1 + c_1 x + ... + c_L x^L, with
+    # a_n + c_1 a_{n-1} + ... + c_L a_{n-L} = 0 for L <= n < N; b is c as
+    # it was before L last changed, b_disc the discrepancy that changed it.
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, b_disc = 0, 1, Fraction(1)
+    for n, t in enumerate(ts):
+        disc = t + sum(c[i] * ts[n - i] for i in range(1, length + 1))
+        if disc == 0:
+            shift += 1
+            continue
+        scale = disc / b_disc
+        new = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, v in enumerate(b):
+            new[i + shift] -= scale * v
+        if 2 * length <= n:
+            length, b, b_disc, shift = n + 1 - length, c, disc, 1
+            if length > d_max:
+                raise NoRecurrenceFound(
+                    f"no recurrence of degree <= {d_max} fits all terms"
+                )
+        else:
+            shift += 1
+        c = new
+    c += [Fraction(0)] * (length + 1 - len(c))
+    return Recurrence(tuple(reversed(c[: length + 1])), ts[:length])
 
 
 def seq_from_recurrence(r: Recurrence, n_terms: int) -> ExactSeq:

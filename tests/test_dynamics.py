@@ -42,6 +42,11 @@ def test_matrix_basics():
     assert FIB.power(5).rows == ((8, 5), (5, 3))
     with pytest.raises(ValueError):
         IntMatrix(((1, 2),))
+    for bad in (1.5, 1.0, Fraction(1), "2", None):
+        with pytest.raises(ValueError, match=r"entry \[1\]\[0\]"):
+            IntMatrix(((1, 1), (bad, 0)))
+    with pytest.raises(ValueError, match=r"\[0\]\[0\] = 1.5 is not an integer"):
+        char_poly(IntMatrix(((1.5, 1), (1, 0.9))))
 
 
 def test_trace_powers_examples():

@@ -322,3 +322,98 @@ def test_poly_det_matches_cofactor_expansion():
             big = 10 ** rng.randint(10, 40)
             rows[0] = [p * big for p in rows[0]]
         assert poly_det(rows) == _expand_det(rows)
+
+
+def _fraction_euclid_gcd(f, g):
+    """The slow exact route: Euclid's algorithm over Fractions."""
+    a, b = f, g
+    if not a:
+        a, b = b, a
+    if not b:
+        if not a:
+            return IntPoly()
+        p = a.primitive_part()
+        return -p if p.leading < 0 else p
+    ra = [Fraction(c) for c in a.coeffs]
+    rb = [Fraction(c) for c in b.coeffs]
+    while rb:
+        ra, rb = rb, _qmod(ra, rb)
+    num = math.gcd(*(abs(c.numerator) for c in ra))
+    den = math.lcm(*(c.denominator for c in ra))
+    p = IntPoly(tuple(int(c * den) // num for c in ra))
+    return -p if p.leading < 0 else p
+
+
+def _qmod(a, b):
+    rem = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    while len(rem) - 1 >= d:
+        q = rem[-1] / lead
+        for i in range(d + 1):
+            rem[len(rem) - 1 - d + i] -= q * b[i]
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _fraction_try_div(f, g):
+    """Exact quotient through the rational long division divmod_q."""
+    quo, rem = f.divmod_q(g)
+    if rem or any(q.denominator != 1 for q in quo):
+        return None
+    return IntPoly(tuple(int(q) for q in quo))
+
+
+def test_poly_gcd_and_try_div_match_fraction_oracles():
+    rng = random.Random(1971)
+
+    def rand_poly(lo, hi):
+        return IntPoly(tuple(rng.randint(-6, 6) for _ in range(rng.randint(lo, hi))))
+
+    cases = [
+        (IntPoly(), IntPoly()),
+        (IntPoly(), IntPoly((0, -6, 4))),
+        (IntPoly((-9, 3, -6)), IntPoly()),
+        (IntPoly((7,)), IntPoly((0, 5))),
+        (IntPoly((-4,)), IntPoly((-6,))),
+    ]
+    for _ in range(240):
+        f, g, h = rand_poly(0, 7), rand_poly(0, 7), rand_poly(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:  # a common factor h, squared in f
+            f, g = h * h * f, h * g
+        elif kind == 1:  # nontrivial content, either sign
+            f = f * h * rng.choice((-12, 10**25, 6))
+            g = g * h * rng.choice((-4, 9, 3 * 10**18))
+        elif kind == 2:  # negative leading coefficients
+            f, g = -(f * h) if f else f, -(g * h) if g else g
+        cases.append((f, g))
+    for f, g in cases:
+        expected = _fraction_euclid_gcd(f, g)
+        assert P.poly_gcd(f, g) == expected, (f, g)
+        assert P.poly_gcd(g, f) == expected, (f, g)
+        if g:
+            assert f.try_div(g) == _fraction_try_div(f, g), (f, g)
+            assert (f * g).try_div(g) == f, (f, g)
+            if expected:
+                assert f.try_div(expected) == _fraction_try_div(f, expected), (f, g)
+    with pytest.raises(ZeroDivisionError):
+        IntPoly((1, 1)).try_div(IntPoly())
+
+
+def test_squarefree_decomposition_degree_120():
+    rng = random.Random(120)
+
+    def rand_poly(d):
+        f = IntPoly(tuple(rng.randint(-3, 3) for _ in range(d)) + (rng.choice((1, 2, 3)),))
+        assert P.poly_gcd(f, f.derivative()).degree == 0
+        return f
+
+    g, h = rand_poly(30), rand_poly(60)
+    assert P.poly_gcd(g, h).degree == 0
+    f = -6 * g * g * h
+    content, parts = P.squarefree_decomposition(f)
+    assert content == -6 * g.content() ** 2 * h.content()
+    assert parts == [(h.primitive_part(), 1), (g.primitive_part(), 2)]

@@ -303,3 +303,110 @@ def test_hankel_scaling(c, seed):
     b = ExactSeq.of([c * t for t in terms])
     for n, k in [(1, 2), (2, 3), (3, 1)]:
         assert hankel_det(b, n, k) == Fraction(c) ** k * hankel_det(a, n, k)
+
+
+def _solve_exact(rows, rhs):
+    """Particular solution of rows * c = rhs over Q, or None if inconsistent."""
+    if not rows:
+        return []
+    width = len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = aug[r][col]
+        aug[r] = [v / inv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(aug):
+            break
+    for i in range(r, len(aug)):
+        if aug[i][-1] != 0:
+            return None
+    sol = [Fraction(0)] * width
+    for row_idx, col in enumerate(pivots):
+        sol[col] = aug[row_idx][-1]
+    return sol
+
+
+def _dscan_fit(a, d_max, margin=None):
+    """The slow exact route: scan d = 0, 1, ..., d_max, eliminating over Q."""
+    if d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    if margin is None:
+        margin = d_max
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+    if a.n_terms < 2 * d_max + margin:
+        raise ValueError(
+            f"need at least {2 * d_max + margin} terms to fit degree {d_max}, "
+            f"have {a.n_terms}"
+        )
+    if all(t == 0 for t in a.terms):
+        return Recurrence((Fraction(1),), ())
+    ts = a.terms
+    for d in range(1, d_max + 1):
+        rows = [[ts[n + i] for i in range(d)] for n in range(a.n_terms - d)]
+        rhs = [-ts[n + d] for n in range(a.n_terms - d)]
+        sol = _solve_exact(rows, rhs)
+        if sol is not None:
+            return Recurrence(tuple(sol) + (Fraction(1),), ts[:d])
+    raise NoRecurrenceFound(f"no recurrence of degree <= {d_max} fits all terms")
+
+
+def _outcome(fit, a, d_max, margin):
+    try:
+        return fit(a, d_max, margin)
+    except (ValueError, NoRecurrenceFound) as e:
+        return type(e), str(e)
+
+
+def test_fit_min_poly_matches_dscan_oracle():
+    rng = random.Random(1969)
+    cases = [
+        ([0] * 6, 3, None),
+        ([0], 0, 0),
+        ([0, 0, 0, 5, 0, 0, 0, 5], 4, 0),
+        ([3], 0, None),
+        ([1, 2, 3, 4, 5, 6], 3, 0),
+        ([1, 2], 1, 0),
+    ]
+    for _ in range(300):
+        deg = rng.randint(1, 6)
+        rational = rng.random() < 0.4
+        den = (lambda: rng.choice((1, 2, 3, 7))) if rational else (lambda: 1)
+        char = [Fraction(rng.randint(-3, 3), den()) for _ in range(deg)] + [Fraction(1)]
+        terms = [Fraction(rng.randint(-4, 4), den()) for _ in range(deg)]
+        if rng.random() < 0.2:  # zero initial terms
+            k = rng.randint(1, deg)
+            terms[:k] = [Fraction(0)] * k
+        d_max = rng.randint(max(deg - 2, 0), 8)
+        margin = rng.choice((None, None, 0, 0, 1, 3))
+        need = 2 * d_max + (d_max if margin is None else margin)
+        n_terms = max(need + rng.randint(-1, 6), 1)
+        while len(terms) < n_terms:
+            terms.append(-sum(char[i] * terms[len(terms) - deg + i] for i in range(deg)))
+        if rng.random() < 0.2:  # leading zeros add a factor t^k to the minimal polynomial
+            terms = [Fraction(0)] * rng.randint(1, 3) + terms
+        terms = terms[:n_terms]
+        roll = rng.random()
+        if roll < 0.05:
+            terms = [Fraction(0)] * len(terms)
+        elif roll < 0.25:  # spoil one term, usually forcing NoRecurrenceFound
+            terms[rng.randrange(len(terms))] += 1
+        cases.append((terms, d_max, margin))
+    kinds = set()
+    for terms, d_max, margin in cases:
+        a = ExactSeq.of(terms)
+        got = _outcome(fit_min_poly, a, d_max, margin)
+        assert got == _outcome(_dscan_fit, a, d_max, margin), (terms, d_max, margin)
+        kinds.add(got[0] if isinstance(got, tuple) else Recurrence)
+    assert kinds == {Recurrence, ValueError, NoRecurrenceFound}
