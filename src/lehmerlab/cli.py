@@ -608,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=DEFAULT_BUDGET,
-            help="work cap for free-group rewriting (default %(default)d)",
+            help="work cap for free-group rewriting of words with inverse letters "
+            "(default %(default)d)",
         )
 
     q = add("mahler", _cmd_mahler, "Mahler measure of an integer polynomial")

@@ -10,6 +10,11 @@ stay in block form, so lengths like 2*3^n + 2^n - 2 stay exact at n = 25
 without materializing 3^25 letters; ``Word.runs`` spells a word out as
 (generator, exponent) runs only when asked.  A configurable budget turns
 pathological blowups into clean errors instead of hangs.
+
+Iterated lengths of a positive word under a positive endomorphism (no
+inverse letters anywhere, so nothing cancels) skip the engine: the letter
+counts evolve by the abelianization, v <- A v, and |phi^n(w)| is the sum of
+A^n e(w).  That route builds no words and charges no budget.
 """
 
 from __future__ import annotations
@@ -101,12 +106,27 @@ def compose(outer: Endo, inner: Endo, budget: int = DEFAULT_BUDGET) -> Endo:
 def iterate_lengths(
     phi: Endo, g, n_terms: int, budget: int = DEFAULT_BUDGET
 ) -> ExactSeq:
-    """|phi^n(g)| for n = 1..N, exact; g is a generator index or a Word."""
+    """|phi^n(g)| for n = 1..N, exact; g is a generator index or a Word.
+
+    When the start word w and every image are positive (an identity image
+    counts), the lengths are the entry sums of A^n e(w), with A the
+    abelianization and e(w) the letter counts of w: n integer matrix-vector
+    products, no words built and no budget charged.  Otherwise each
+    phi^n(w) is built in the block engine under ``budget``.
+    """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     w = g if isinstance(g, Word) else Word.gen(phi.rank, int(g))
     if w.rank != phi.rank:
         raise ValueError("rank mismatch")
+    if w.is_positive() and all(u.is_positive() for u in phi.images):
+        a = abelianization(phi).rows
+        v = [w.exponent_sum(i) for i in range(1, phi.rank + 1)]
+        lengths = []
+        for _ in range(n_terms):
+            v = [sum(x * y for x, y in zip(row, v)) for row in a]
+            lengths.append(sum(v))
+        return ExactSeq.of(lengths)
     images = compress_images(phi.images)
     lengths = []
     for _ in range(n_terms):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,13 @@ class PrecisionError(RuntimeError):
     """Raised when root certification fails within the iteration budget."""
 
 
+def _coeff(v, deg: int) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"coefficient of t^{deg} = {v!r} is not an integer") from None
+
+
 def _strip(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -38,7 +46,9 @@ def _strip(coeffs):
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Dense integer polynomial, coefficients ascending.
+    """Dense integer polynomial, coefficients ascending.  A coefficient
+    that is not an integer (ints, bools and numpy integers are) raises
+    ValueError.
 
     >>> f = IntPoly((1, 1)) * IntPoly((-1, 1))
     >>> f.coeffs
@@ -50,7 +60,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        c = _strip(int(v) for v in self.coeffs)
+        c = _strip(_coeff(v, i) for i, v in enumerate(self.coeffs))
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -268,14 +278,15 @@ def squarefree_decomposition(f: IntPoly):
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Integer Laurent polynomial: coeffs ascending from t^min_deg."""
+    """Integer Laurent polynomial: coeffs ascending from t^min_deg;
+    non-integer coefficients raise ValueError, as for IntPoly."""
 
     coeffs: tuple[int, ...] = ()
     min_deg: int = 0
 
     def __post_init__(self):
-        c = list(int(v) for v in self.coeffs)
         m = self.min_deg
+        c = [_coeff(v, m + i) for i, v in enumerate(self.coeffs)]
         while c and c[-1] == 0:
             c.pop()
         while c and c[0] == 0:

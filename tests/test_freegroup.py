@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lehmerlab._blockword import Budget, apply_endo_blocks, compress_images
 from lehmerlab.dynamics import IntMatrix, char_poly
 from lehmerlab.freegroup import (
     BudgetError,
@@ -315,9 +317,74 @@ def test_nielsen_verify_basis_cases():
 
 
 def test_iteration_budget_error():
-    fib = endo_from_matrix(IntMatrix(((1, 1), (1, 0))))
+    phi = parse_endo("a -> b a b^-1 a; b -> a")
     with pytest.raises(BudgetError):
-        iterate_lengths(fib, 1, 40, budget=10_000)
+        iterate_lengths(phi, 1, 40, budget=10_000)
+
+
+def _engine_lengths(phi, w, n_terms):
+    """|phi^n(w)| by building every phi^n(w) in the block engine."""
+    images = compress_images(phi.images)
+    lengths = []
+    for _ in range(n_terms):
+        w = apply_endo_blocks(images, w, Budget(10**9))
+        lengths.append(w.length())
+    return lengths
+
+
+def _random_positive_word(rng, rank, max_count):
+    letters = [g for g in range(1, rank + 1) for _ in range(rng.randrange(max_count + 1))]
+    rng.shuffle(letters)
+    return reduce(rank, [(g, 1) for g in letters])
+
+
+def test_positive_lengths_match_block_engine():
+    """Positive maps and words take the abelianization route; the block
+    engine, iterated directly, is the oracle."""
+    rng = random.Random(2005)
+    identity_images = 0
+    for _ in range(200):
+        rank = rng.randrange(2, 5)
+        images = tuple(
+            Word.empty(rank) if rng.random() < 0.1 else _random_positive_word(rng, rank, 3)
+            for _ in range(rank)
+        )
+        identity_images += sum(u.is_identity() for u in images)
+        phi = Endo(rank, images)
+        if rng.random() < 0.5:
+            w = rng.randrange(1, rank + 1)
+            start = Word.gen(rank, w)
+        else:
+            w = start = _random_positive_word(rng, rank, 2)
+        # Keep the oracle's words below about 10^5 letters.
+        widest = max([1] + [u.length() for u in images])
+        n_terms = rng.randrange(1, 9)
+        while n_terms > 1 and max(1, start.length()) * widest**n_terms > 100_000:
+            n_terms -= 1
+        got = iterate_lengths(phi, w, n_terms, budget=0)
+        assert list(got.terms) == _engine_lengths(phi, start, n_terms), (phi, start)
+    assert identity_images > 0
+
+
+def test_inverse_letters_take_the_block_engine():
+    fib = parse_endo("a -> a b; b -> a")
+    assert list(iterate_lengths(fib, 1, 40, budget=0).terms)[:4] == [2, 3, 5, 8]
+    for word in ("a^-1", "a b^-1 a"):
+        with pytest.raises(BudgetError):
+            iterate_lengths(fib, parse_word(word, 2), 40, budget=10_000)
+    with pytest.raises(BudgetError):
+        iterate_lengths(parse_endo("a -> a b a; b -> b^-1"), 1, 40, budget=10_000)
+
+
+def test_positive_lengths_reach_ten_thousand_iterates():
+    fib = [1, 1]
+    while len(fib) < 10_002:
+        fib.append(fib[-1] + fib[-2])
+    start = time.perf_counter()
+    seq = iterate_lengths(parse_endo("a -> a b; b -> a"), 1, 10_000)
+    elapsed = time.perf_counter() - start
+    assert list(seq.terms) == fib[2:]
+    assert elapsed < 1.0
 
 
 @given(
@@ -473,7 +540,10 @@ def test_artin_action_fixes_boundary_word():
 
 
 def test_flat_cap_error_names_the_limit(capsys):
-    argv = ["fg-iterate", "--endo", "a -> a b; b -> a", "--iters", "26", "--json-only"]
+    argv = [
+        "fg-iterate", "--endo", "a -> a b; b -> a", "--word", "a^-1",
+        "--iters", "26", "--json-only",
+    ]
     code = cli.main(argv)
     assert code == 1
     message = json.loads(capsys.readouterr().out)["error"]["message"]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -182,6 +183,23 @@ def test_laurent_canonical():
     assert f.canonical().to_int_poly().coeffs == (1, 1)
     with pytest.raises(ValueError):
         LaurentPoly((1,), -1).to_int_poly()
+
+
+def test_non_integer_coefficients_rejected():
+    for bad in (1.5, 1.0, Fraction(1), "2", None):
+        with pytest.raises(ValueError, match=r"coefficient of t\^1 = .* is not an integer"):
+            IntPoly((1, bad))
+    with pytest.raises(ValueError, match=r"t\^0 = 1.5 is not an integer"):
+        IntPoly((1.5, -1.7, 1))
+    with pytest.raises(ValueError, match=r"t\^1 = -1.7 is not an integer"):
+        IntPoly((1, -1.7, 1))
+    with pytest.raises(ValueError, match=r"t\^0 = 0.5 is not an integer"):
+        LaurentPoly((0.5, 1), 0)
+    with pytest.raises(ValueError, match=r"t\^-2 = 2.0 is not an integer"):
+        LaurentPoly((1, 2.0), -3)
+    assert IntPoly((True, np.int64(-3), False)).coeffs == (1, -3)
+    assert LaurentPoly((np.int8(0), 1, True), -2) == LaurentPoly((1, 1), -1)
+    assert type(IntPoly((np.int64(2),)).coeffs[0]) is int
 
 
 def test_canonical_lehmer_negated():
