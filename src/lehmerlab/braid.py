@@ -1,12 +1,17 @@
 """Braid words, the reduced Burau representation, Alexander polynomials of
-braid closures, and entropy estimation through the induced free-group action.
+braid closures, and entropy estimation from the action on curves.
 
 Burau matrices are exact Laurent-polynomial matrices: each letter rewrites
 one column of the running product, and a full twist T^k scales it by t^{nk}.
 det(Burau - I) is one integer determinant after Kronecker substitution
 (``polynomial.poly_det``), shared by the Alexander polynomial and Lehmer gap.
-The disk action on the free group reuses the freegroup module, so entropy
-estimates inherit its compressed exact iteration.
+
+Entropy is estimated from Dynnikov coordinates: each letter acts on the
+integer coordinates of a curve by a piecewise-linear map, so an iterate
+costs one integer update per letter (``dynnikov_entropy``).  The induced
+free-group action (``artin_endo``) builds the words phi^n(x_g) exactly in
+the freegroup module; ``entropy_estimate`` reads the growth rate from their
+lengths, at a cost exponential in the iterate count.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, iterate_lengths
-from .polynomial import DEFAULT_TOL, LaurentPoly, mahler_measure, poly_det
+from .polynomial import DEFAULT_TOL, LaurentPoly, _int_arg, mahler_measure, poly_det
 
 __all__ = [
     "BraidWord",
@@ -32,28 +37,36 @@ __all__ = [
     "lehmer_gap",
     "artin_endo",
     "entropy_estimate",
+    "dynnikov_entropy",
 ]
 
 
 @dataclass(frozen=True)
 class BraidWord:
     """Word in the braid group B_n: generator letters plus a formal central
-    full-twist power (letter i > 0 is the i-th generator, i < 0 its inverse)."""
+    full-twist power (letter i > 0 is the i-th generator, i < 0 its inverse).
+    The strand count, letters and twist power must be integers; anything
+    else raises ValueError."""
 
     n: int
     letters: tuple[int, ...] = ()
     full_twist_power: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
+        n = _int_arg(self.n, "strand count n")
+        if n < 2:
             raise ValueError("braid groups need at least 2 strands")
-        letters = tuple(int(x) for x in self.letters)
+        letters = tuple(_int_arg(x, "letter") for x in self.letters)
         for x in letters:
-            if x == 0 or abs(x) > self.n - 1:
+            if x == 0 or abs(x) > n - 1:
                 raise ValueError(
-                    f"letter {x} outside generator range 1..{self.n - 1}"
+                    f"letter {x} outside generator range 1..{n - 1}"
                 )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(
+            self, "full_twist_power", _int_arg(self.full_twist_power, "full_twist_power")
+        )
 
     def expanded_letters(self) -> tuple[int, ...]:
         """Letters with the full twist spelled out as (s_{n-1}...s_1)^n."""
@@ -284,6 +297,47 @@ class EntropyEstimate:
     per_generator: tuple[GeneratorRatios, ...]
 
 
+def _core(beta: BraidWord) -> tuple[int, ...]:
+    """The letters a growth rate depends on.  It is a conjugacy invariant and
+    T^k acts by an inner automorphism (trivially on curves), so s w s^-1 T^k
+    gives the letters of w."""
+    core = beta.letters
+    while len(core) > 1 and core[0] == -core[-1]:
+        core = core[1:-1]
+    return core
+
+
+def _generator_ratios(g: int, terms: list[int], accel: bool) -> GeneratorRatios:
+    """Estimate from the ratios of successive terms: the last raw ratio, or an
+    Aitken step on the last three; their spread is the diagnostic."""
+    # int / int is correctly rounded at any size, where float() overflows.
+    ratios = [b / a for a, b in zip(terms, terms[1:])]
+    tail = tuple(ratios[-3:])
+    est = tail[-1]
+    if accel:
+        denom = tail[-1] - 2 * tail[-2] + tail[-3]
+        if abs(denom) > 1e-12:
+            ait = tail[-1] - (tail[-1] - tail[-2]) ** 2 / denom
+            if math.isfinite(ait) and ait > 0:
+                est = ait
+    return GeneratorRatios(g, est, tail, max(tail) - min(tail))
+
+
+def _largest(per: list[GeneratorRatios], accel: bool) -> EntropyEstimate:
+    best = max(per, key=lambda r: r.estimate)
+    return EntropyEstimate(
+        gr1=best.estimate,
+        log_gr1=math.log(best.estimate),
+        accelerated=accel,
+        per_generator=tuple(per),
+    )
+
+
+def _check_terms(n_terms: int) -> None:
+    if n_terms < 4:
+        raise ValueError("need at least 4 iterates for a ratio estimate")
+
+
 def entropy_estimate(
     beta: BraidWord,
     n_terms: int = 12,
@@ -292,37 +346,81 @@ def entropy_estimate(
 ) -> EntropyEstimate:
     """Estimate the word-growth rate of the disk action from length ratios.
 
-    Ratios converge linearly, so an Aitken step on the last three usually
-    gains several digits; the spread of the last three raw ratios is the
-    reported convergence diagnostic.
+    The words phi^n(x_g), n = 1..n_terms, are built exactly, so the cost is
+    exponential in ``n_terms``; ``dynnikov_entropy`` is the linear-cost
+    route.  Ratios converge linearly, so an Aitken step on the last three
+    usually gains several digits; the spread of the last three raw ratios
+    is the reported convergence diagnostic.
     """
-    if n_terms < 4:
-        raise ValueError("need at least 4 iterates for a ratio estimate")
-    # The growth rate is a conjugacy invariant and T^k acts by an inner
-    # automorphism, so s w s^-1 T^k is iterated as w.
-    core = beta.letters
-    while len(core) > 1 and core[0] == -core[-1]:
-        core = core[1:-1]
-    phi = artin_endo(BraidWord(beta.n, core))
+    _check_terms(n_terms)
+    phi = artin_endo(BraidWord(beta.n, _core(beta)))
     per = []
     for g in range(1, beta.n + 1):
-        lens = list(iterate_lengths(phi, g, n_terms, budget).terms)
-        ratios = [float(b) / float(a) for a, b in zip(lens, lens[1:])]
-        tail = tuple(ratios[-3:])
-        est = tail[-1]
-        if accel:
-            denom = tail[-1] - 2 * tail[-2] + tail[-3]
-            if abs(denom) > 1e-12:
-                ait = tail[-1] - (tail[-1] - tail[-2]) ** 2 / denom
-                if math.isfinite(ait) and ait > 0:
-                    est = ait
-        per.append(
-            GeneratorRatios(g, est, tail, max(tail) - min(tail))
-        )
-    best = max(per, key=lambda r: r.estimate)
-    return EntropyEstimate(
-        gr1=best.estimate,
-        log_gr1=math.log(best.estimate),
-        accelerated=accel,
-        per_generator=tuple(per),
-    )
+        lens = [int(x) for x in iterate_lengths(phi, g, n_terms, budget).terms]
+        per.append(_generator_ratios(g, lens, accel))
+    return _largest(per, accel)
+
+
+# ---------------------------------------------------------------------------
+# Dynnikov coordinates
+
+
+def _dynnikov_apply(a: list[int], b: list[int], letters) -> None:
+    """Act in place by the letters, in word order, on the Dynnikov
+    coordinates (a_1..a_{m-2}, b_1..b_{m-2}) of a curve in the disk with
+    m = len(a) + 2 punctures (m >= 3).
+
+    With x+ = max(x, 0) and x- = min(x, 0): s_1 and s_{m-1} act on the pair
+    (a_1, b_1), respectively (a_{m-2}, b_{m-2}); an interior s_i acts on
+    (a_{i-1}, b_{i-1}, a_i, b_i) through c = a_{i-1} - a_i - b_i+ + b_{i-1}-.
+    s_i^-1 = R s_i R with R(a, b) = (-a, b); s_i leaves the other
+    coordinates alone, so only the a's it moves change sign.
+    """
+    last = len(a) + 1
+    for letter in letters:
+        i = abs(letter)
+        s = 1 if letter > 0 else -1
+        if i == 1:
+            x, y = s * a[0], b[0]
+            t = x + max(y, 0)
+            a[0], b[0] = s * (max(t, 0) - y), t
+        elif i == last:
+            x, y = s * a[-1], b[-1]
+            t = x + min(y, 0)
+            a[-1], b[-1] = s * (min(t, 0) - y), t
+        else:
+            j = i - 2
+            a0, b0, a1, b1 = s * a[j], b[j], s * a[j + 1], b[j + 1]
+            c = a0 - a1 - max(b1, 0) + min(b0, 0)
+            a[j] = s * (a0 - max(b0, 0) - max(max(b1, 0) + c, 0))
+            b[j] = b1 + min(c, 0)
+            a[j + 1] = s * (a1 - min(b1, 0) - min(min(b0, 0) - c, 0))
+            b[j + 1] = b0 - min(c, 0)
+
+
+def dynnikov_entropy(
+    beta: BraidWord, n_terms: int = 12, accel: bool = True
+) -> EntropyEstimate:
+    """Estimate the growth rate of the disk action from Dynnikov coordinates.
+
+    The disk gets n + 1 punctures: puncture 1 stands for the base point of
+    the free group, and letter +-i acts as +-(i + 1).  Generator g is the
+    curve around punctures 1 and 2 (a = 0, b = e_1) carried by s_2 ... s_g
+    to one around the base point and puncture g + 1.  Its max-norm, at the
+    start and after each of n_terms - 1 iterates of the braid, grows at the
+    rate of |phi^n(x_g)|, and the ratios go through the same estimate as
+    ``entropy_estimate``.  Each iterate costs one integer update per letter.
+    """
+    _check_terms(n_terms)
+    n = beta.n
+    core = [x + 1 if x > 0 else x - 1 for x in _core(beta)]
+    per = []
+    for g in range(1, n + 1):
+        a, b = [0] * (n - 1), [1] + [0] * (n - 2)
+        _dynnikov_apply(a, b, range(2, g + 1))
+        norms = [max(map(abs, a + b))]
+        for _ in range(n_terms - 1):
+            _dynnikov_apply(a, b, core)
+            norms.append(max(map(abs, a + b)))
+        per.append(_generator_ratios(g, norms, accel))
+    return _largest(per, accel)

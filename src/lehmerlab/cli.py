@@ -22,7 +22,7 @@ from .braid import (
     BraidWord,
     alexander_from_det,
     det_burau_minus_identity,
-    entropy_estimate,
+    dynnikov_entropy,
     format_braid,
     gap_from_det,
     parse_braid,
@@ -512,9 +512,7 @@ def _cmd_lehmer_gap(args) -> int:
 
 def _cmd_entropy(args) -> int:
     beta = _braid_arg(args)
-    est = entropy_estimate(
-        beta, n_terms=args.iters, accel=not args.no_accel, budget=args.budget
-    )
+    est = dynnikov_entropy(beta, n_terms=args.iters, accel=not args.no_accel)
     payload = {
         "command": "entropy",
         "inputs": {
@@ -603,13 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="root-isolation tolerance (default %(default)g, or LEHMERLAB_TOL)",
         )
 
-    def budget_flag(q):
+    def budget_flag(q, text="work cap for free-group rewriting of words with inverse letters"):
         q.add_argument(
             "--budget",
             type=int,
             default=DEFAULT_BUDGET,
-            help="work cap for free-group rewriting of words with inverse letters "
-            "(default %(default)d)",
+            help=text + " (default %(default)d)",
         )
 
     q = add("mahler", _cmd_mahler, "Mahler measure of an integer polynomial")
@@ -716,11 +713,15 @@ def build_parser() -> argparse.ArgumentParser:
     braid_flags(q)
     tol_flag(q)
 
-    q = add("entropy", _cmd_entropy, "entropy estimate from the disk action's word growth")
+    q = add(
+        "entropy",
+        _cmd_entropy,
+        "entropy estimate from the growth of curves under the braid (Dynnikov coordinates)",
+    )
     braid_flags(q)
-    q.add_argument("--iters", type=int, default=12, help="length terms used (default %(default)d)")
+    q.add_argument("--iters", type=int, default=12, help="iterates used (default %(default)d)")
     q.add_argument("--no-accel", action="store_true", help="disable Aitken acceleration")
-    budget_flag(q)
+    budget_flag(q, "echoed as inputs.budget; does not limit entropy, which builds no words")
 
     return parser
 

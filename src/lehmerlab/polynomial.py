@@ -30,6 +30,14 @@ class PrecisionError(RuntimeError):
     """Raised when root certification fails within the iteration budget."""
 
 
+def _int_arg(v, name: str) -> int:
+    """v as an int through ``operator.index``; ValueError naming v otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} = {v!r} is not an integer") from None
+
+
 def _coeff(v, deg: int) -> int:
     try:
         return operator.index(v)
@@ -285,7 +293,7 @@ class LaurentPoly:
     min_deg: int = 0
 
     def __post_init__(self):
-        m = self.min_deg
+        m = _int_arg(self.min_deg, "min_deg")
         c = [_coeff(v, m + i) for i, v in enumerate(self.coeffs)]
         while c and c[-1] == 0:
             c.pop()

@@ -1,13 +1,17 @@
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
 from lehmerlab.braid import (
     BraidWord,
     BurauMat,
+    _dynnikov_apply,
     artin_endo,
     det_burau_minus_identity,
+    dynnikov_entropy,
     entropy_estimate,
     format_braid,
     lehmer_gap,
@@ -16,7 +20,7 @@ from lehmerlab.braid import (
     reduced_burau,
 )
 from lehmerlab.dynamics import IntMatrix
-from lehmerlab.freegroup import abelianization, apply, format_endo, parse_word
+from lehmerlab.freegroup import BudgetError, abelianization, apply, format_endo, parse_word
 from lehmerlab.polynomial import IntPoly, LaurentPoly, lehmer_polynomial
 
 
@@ -58,6 +62,24 @@ def test_format_braid_roundtrip():
     for text in ("s1 s2^-1", "s1 s2^-1 T^2", "s3 s2 s1^-1 T^-1", "1", ""):
         b = parse_braid(text, 4)
         assert parse_braid(format_braid(b), 4) == b
+
+
+def test_braid_word_rejects_non_integers():
+    """Strand count, letters and twist power go through operator.index, so
+    a float is rejected at construction instead of truncated or failing on
+    use."""
+    with pytest.raises(ValueError, match=r"letter = 1.7 is not an integer"):
+        BraidWord(3, (1.7, -2.2), 0.5)
+    with pytest.raises(ValueError, match=r"full_twist_power = 0.5 is not an integer"):
+        BraidWord(3, (1, -2), 0.5)
+    with pytest.raises(ValueError, match=r"strand count n = 3.0 is not an integer"):
+        BraidWord(3.0, (1,))
+    with pytest.raises(ValueError, match=r"letter = '1' is not an integer"):
+        BraidWord(3, ("1",))
+    b = BraidWord(np.int64(3), (True, np.int8(-2)), np.int64(1))
+    assert b == BraidWord(3, (1, -2), 1)
+    assert all(type(v) is int for v in (b.n, *b.letters, b.full_twist_power))
+    assert len(b.expanded_letters()) == 2 + 6
 
 
 def test_burau_b2():
@@ -236,6 +258,122 @@ def test_entropy_ignores_conjugation_and_twist():
         assert entropy_estimate(parse_braid(text, 5)) == base, text
     twist_only = entropy_estimate(parse_braid("s1 s2 s2^-1 s1^-1 T^1", 3), 6)
     assert twist_only.gr1 == 1.0
+
+
+# Dynnikov coordinates: the three acceptance braids and their dilatations.
+ACCEPTANCE_DILATATIONS = (
+    ("s1 s2^-1", 3, 2.618033988749895),
+    ("s3 s2 s1^-1", 4, 2.296630262886992),
+    ("s1 s2 s3 s4 s1 s2", 5, 1.722083805739043),
+)
+
+
+def _random_coords(rng, n):
+    return tuple(
+        tuple(rng.randint(-10**6, 10**6) for _ in range(n - 2)) for _ in range(2)
+    )
+
+
+def _dynnikov(letters, a, b):
+    """Dynnikov coordinates (a, b) of a curve after the letters act."""
+    a, b = list(a), list(b)
+    _dynnikov_apply(a, b, letters)
+    return tuple(a), tuple(b)
+
+
+def test_dynnikov_inverse_letters_undo():
+    rng = random.Random(57)
+    for n in range(3, 8):
+        for _ in range(40):
+            a, b = _random_coords(rng, n)
+            for i in range(1, n):
+                for word in ((i, -i), (-i, i)):
+                    assert _dynnikov(word, a, b) == (a, b), (n, word)
+
+
+def test_dynnikov_braid_relations():
+    rng = random.Random(58)
+    for n in range(3, 8):
+        for _ in range(40):
+            a, b = _random_coords(rng, n)
+
+            def act(*letters):
+                return _dynnikov(letters, a, b)
+
+            for i in range(1, n):
+                for s in (1, -1):
+                    if i + 1 < n:
+                        x, y = s * i, s * (i + 1)
+                        assert act(x, y, x) == act(y, x, y), (n, x, y)
+                    for j in range(i + 2, n):
+                        assert act(s * i, j) == act(j, s * i), (n, s * i, j)
+
+
+def test_dynnikov_full_twist_fixes_coordinates():
+    rng = random.Random(59)
+    for n in range(3, 8):
+        twist = BraidWord(n, tuple(range(1, n)) * n)
+        for _ in range(40):
+            a, b = _random_coords(rng, n)
+            assert _dynnikov(twist.letters, a, b) == (a, b), n
+            assert _dynnikov(twist.inverse().letters, a, b) == (a, b), n
+
+
+def test_dynnikov_entropy_acceptance_braids():
+    """At 100 iterates every acceptance braid is within 1e-9 of its
+    dilatation, in under 50 ms for the three (best of three runs)."""
+    braids = [(parse_braid(text, n), lam) for text, n, lam in ACCEPTANCE_DILATATIONS]
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        ests = [dynnikov_entropy(beta, 100) for beta, _ in braids]
+        elapsed.append(time.perf_counter() - t0)
+    for est, (beta, lam) in zip(ests, braids):
+        assert abs(est.gr1 - lam) <= 1e-9 * lam, beta
+        assert est.log_gr1 == math.log(est.gr1)
+        assert [g.generator for g in est.per_generator] == list(range(1, beta.n + 1))
+    assert min(elapsed) < 0.05, elapsed
+
+
+def test_dynnikov_entropy_agrees_with_word_route():
+    """On seeded braids with n <= 5 where the word route converged (spread
+    of its last ratios below 1e-3), the estimates agree within that spread."""
+    rng = random.Random(19)
+    nontrivial = 0
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 5))
+        )
+        beta = BraidWord(n, letters)
+        try:
+            words = entropy_estimate(beta, 12, budget=300_000)
+        except BudgetError:
+            continue
+        spread = max(r.spread for r in words.per_generator)
+        if spread >= 1e-3:
+            continue
+        assert abs(dynnikov_entropy(beta, 100).gr1 - words.gr1) <= spread, beta
+        nontrivial += words.gr1 > 2
+    assert nontrivial >= 2
+
+
+def test_dynnikov_entropy_exactly_one_when_nothing_grows():
+    for beta in (
+        BraidWord(3),
+        parse_braid("s1 s1^-1", 3),
+        parse_braid("s1 s2 s2^-1 s1^-1 T^1", 3),
+        parse_braid("T^-2", 6),
+    ):
+        est = dynnikov_entropy(beta, 6)
+        assert est.gr1 == 1.0 and est.log_gr1 == 0.0, beta
+    # x_g is fixed by a braid that never touches strand g, on both routes.
+    for text, fixed in (("s1 s2^-1", 4), ("s2 s3^-1", 1)):
+        per = dynnikov_entropy(parse_braid(text, 4)).per_generator
+        for r in per:
+            assert (r.estimate == 1.0 and r.spread == 0.0) == (r.generator == fixed), text
+    with pytest.raises(ValueError):
+        dynnikov_entropy(parse_braid("s1", 2), 3)
 
 
 def _generator_oracle(n: int, letter: int) -> BurauMat:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -297,6 +299,33 @@ def test_entropy(capsys):
     assert abs(doc["result"]["gr1"] - 2.618033988749895) / 2.618033988749895 < 0.02
     gens = [g["generator"] for g in doc["result"]["per_generator"]]
     assert gens == [1, 2, 3]
+
+
+def _knot_braid(rng, n, length):
+    """Random word whose closure is a knot: its permutation is an n-cycle."""
+    while True:
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+        perm = list(range(n))
+        for x in letters:
+            i = abs(x)
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        j, cycle = perm[0], 1
+        while j != 0:
+            j, cycle = perm[j], cycle + 1
+        if cycle == n:
+            return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in letters)
+
+
+def test_entropy_long_braid_many_iterates(capsys):
+    """Norms pass 1024 bits here, so ratios must be taken on the integers;
+    the word route stopped with a budget error on this input."""
+    braid = _knot_braid(random.Random(12), 12, 199)
+    code, doc, _ = run_json(
+        ["entropy", "--n", "12", "--braid", braid, "--iters", "100", "--json-only"], capsys
+    )
+    assert code == 0, doc
+    assert math.isfinite(doc["result"]["gr1"]) and doc["result"]["gr1"] > 1
+    assert len(doc["result"]["per_generator"]) == 12
 
 
 def test_env_var_tolerance(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""The word-growth demos run end to end on the public word API."""
+"""Every demo runs end to end on the public API."""
 
 import os
 import subprocess
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["04_word_growth.py", "06_positive_basis_descent.py"]
+    "demo", sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

@@ -197,6 +197,12 @@ def test_non_integer_coefficients_rejected():
         LaurentPoly((0.5, 1), 0)
     with pytest.raises(ValueError, match=r"t\^-2 = 2.0 is not an integer"):
         LaurentPoly((1, 2.0), -3)
+    for bad in (0.5, 1.0, "0", None):
+        with pytest.raises(ValueError, match=r"min_deg = .* is not an integer"):
+            LaurentPoly((1, 2), bad)
+    assert LaurentPoly((1, 2), np.int64(-1)) == LaurentPoly((1, 2), -1)
+    assert type(LaurentPoly((1, 2), np.int64(-1)).min_deg) is int
+    assert type(LaurentPoly((1,), True).min_deg) is int
     assert IntPoly((True, np.int64(-3), False)).coeffs == (1, -3)
     assert LaurentPoly((np.int8(0), 1, True), -2) == LaurentPoly((1, 1), -1)
     assert type(IntPoly((np.int64(2),)).coeffs[0]) is int
