@@ -90,13 +90,22 @@ def _read_arg(value: str) -> str:
     return value
 
 
-def _env_tol() -> float:
-    raw = os.environ.get("LEHMERLAB_TOL", "").strip()
-    if not raw:
-        return DEFAULT_TOL
+def _tol_arg(text: str) -> float:
+    """argparse type for --tol: a positive finite float."""
     try:
-        return float(raw)
+        tol = float(text)
     except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return tol
+
+
+def _env_tol() -> float:
+    """LEHMERLAB_TOL when it is a positive finite float, else the default."""
+    try:
+        return _tol_arg(os.environ.get("LEHMERLAB_TOL", ""))
+    except argparse.ArgumentTypeError:
         return DEFAULT_TOL
 
 
@@ -596,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     def tol_flag(q):
         q.add_argument(
             "--tol",
-            type=float,
+            type=_tol_arg,
             default=tol_default,
             help="root-isolation tolerance (default %(default)g, or LEHMERLAB_TOL)",
         )

@@ -3,7 +3,10 @@
 Coefficients are stored in ascending order of degree, so ``IntPoly((1, 0, -2))``
 is ``1 - 2*t^2``.  All ring arithmetic is exact over Z (or Q where division
 requires it); floating point only enters through the numeric root finder,
-which returns certified error radii alongside every approximation.
+which returns certified error radii alongside every approximation.  The
+companion-matrix roots from ``np.roots`` are certified in float64 by
+Weierstrass disks whose radii are rigorous under rounding; mpmath
+(imported only then) refines them when that bound fails.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -25,9 +27,14 @@ DEFAULT_TOL = 1e-10
 _WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                    53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
+# A squarefree f over Z stays squarefree mod p unless p divides its
+# discriminant, so one large prime almost always proves it.
+_SQUAREFREE_PRIME = 1_000_000_007
+
 
 class PrecisionError(RuntimeError):
-    """Raised when root certification fails within the iteration budget."""
+    """Raised when roots cannot be certified within tol: the precision
+    budget ran out, or tol is below float64 resolution at a root."""
 
 
 def _int_arg(v, name: str) -> int:
@@ -252,7 +259,10 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
 def squarefree_decomposition(f: IntPoly):
     """Yun decomposition: (content, [(g_i, i)]) with f = content * prod g_i^i.
 
-    The g_i are primitive, squarefree and pairwise coprime.
+    The g_i are primitive, squarefree and pairwise coprime.  When p does
+    not divide lc(f) and gcd(f, f') = 1 mod p, a square factor g^2 of f
+    would survive mod p with its degree and divide that gcd, so f is
+    squarefree and the integer remainder sequence is skipped.
     """
     if not f:
         raise ValueError("zero polynomial")
@@ -263,6 +273,9 @@ def squarefree_decomposition(f: IntPoly):
         p = -p
     if p.degree == 0:
         return content, []
+    q = _SQUAREFREE_PRIME
+    if p.leading % q and len(_gf_gcd(p.coeffs, p.derivative().coeffs, q)) == 1:
+        return content, [(p, 1)]
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return content, [(p, 1)]
@@ -575,30 +588,122 @@ class RootList:
         return len(self.roots)
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_ETA = 2.0**-1000  # absolute allowance per Horner step for underflow
+_TINY = 2.0**-960  # partial products kept this far above the underflow range
+
+
+def _up(x) -> float:
+    """A float no smaller than x (a float, Fraction or mpmath number)."""
+    return math.nextafter(float(x), math.inf)
+
+
+def _float64_floor(tol: float, z: complex) -> PrecisionError:
+    m = abs(z)
+    return PrecisionError(
+        f"tol={tol:g} is below float64 resolution at a root of modulus {m:.6g}: "
+        f"the float64 spacing there is {math.ulp(m):.3g}, and no float64 center "
+        "lies close enough to that root"
+    )
+
+
 def _horner_mp(coeffs, z):
+    import mpmath as mp
+
     acc = mp.mpc(0)
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
 
 
-def _aberth(coeffs, tol):
-    """Certified roots of a squarefree integer polynomial.
+def _weierstrass_f64(a, z):
+    """Weierstrass data at float64 centers z, with bounds rigorous under rounding.
 
-    Companion-matrix eigenvalues give the starting points; simultaneous
-    Aberth refinement runs at increasing mpmath precision until the
-    Weierstrass disk radii drop below tol.
+    ``a`` holds the coefficients, ascending, as floats that are exact
+    integers below 2^53.  Returns (hi, lo, w) with hi_j >= |f(z_j)|,
+    lo_j <= |lc * prod_{k != j} (z_j - z_k)| (0 where a partial product
+    leaves the normal range) and the computed corrections
+    w_j ~ f(z_j) / (lc * prod).
+
+    f(z_j) is taken by Horner's rule with the running error bound
+    E <- |z| E + 3u |z||p| + 2u |p'| + eta of Higham (Accuracy and
+    Stability of Numerical Algorithms, Alg. 5.1): 3u >= sqrt(2) gamma_2
+    bounds a complex product (Lemma 3.5, with or without FMA), 2u >=
+    gamma_1 a sum, and eta covers underflow.  Evaluating E, and the
+    product, commits fewer than 8(n + 2) roundings of relative size u
+    each, which the factors 1 + gamma and 1 - gamma absorb.
+    """
+    n = len(a) - 1
+    g = 8 * (n + 2) * _U / (1 - 8 * (n + 2) * _U)
+    with np.errstate(all="ignore"):
+        az = np.abs(z)
+        p = np.full(len(z), a[-1], dtype=complex)
+        pa = np.abs(p)
+        err = np.zeros(len(z))
+        for c in a[-2::-1]:
+            p = p * z + c
+            qa = np.abs(p)
+            err = az * err + (3 * _U * az * pa + 2 * _U * qa + _ETA)
+            pa = qa
+        hi = (pa + err) * (1 + g)
+        d = z[:, None] - z[None, :]
+        np.fill_diagonal(d, 1)
+        partial = np.cumprod(d, axis=1)
+        mags = np.abs(partial)
+        normal = (np.isfinite(mags) & (mags >= _TINY)).all(axis=1)
+        prod = a[-1] * partial[:, -1]
+        lo = np.where(normal, np.abs(prod) * (1 - g), 0.0)
+        w = p / prod
+    return hi, lo, w
+
+
+def _certified_roots(coeffs, tol):
+    """Certified roots of a squarefree integer polynomial with f(0) != 0.
+
+    Returns float64 centers z_j and radii r_j < tol/4 such that every
+    connected component of m disks D(z_j, r_j) holds exactly m roots:
+    r_j >= n|W_j| for the Weierstrass corrections
+    W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
+    Carstensen).  The np.roots eigenvalues are certified in float64 as
+    they are or after one float64 Weierstrass step; when that fails (a
+    coefficient of 2^53 or more, a cluster, overflow) _aberth refines
+    them in mpmath.
     """
     n = len(coeffs) - 1
-    lead = coeffs[-1]
-    dcoeffs = [i * c for i, c in enumerate(coeffs) if i]
     try:
-        monic = [float(Fraction(c, coeffs[-1])) for c in coeffs]
-        start = [complex(z) for z in np.roots(monic[::-1])]
+        start = np.roots([float(Fraction(c, coeffs[-1])) for c in reversed(coeffs)])
         if len(start) != n:
             raise ValueError
     except (OverflowError, ValueError, np.linalg.LinAlgError):
-        start = [complex(0.4 * k + 0.4, 0.9) for k in range(n)]
+        start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
+    if max(map(abs, coeffs)) < 2**53:
+        a = np.array(coeffs, dtype=float)
+        z = start.astype(complex)
+        for _ in range(2):
+            hi, lo, w = _weierstrass_f64(a, z)
+            with np.errstate(all="ignore"):
+                # (1 + 4u) absorbs the two roundings of n * hi / lo and its own.
+                radii = n * hi / lo * (1 + 4 * _U)
+            if np.all(radii < tol / 4):
+                return [complex(v) for v in z], [float(r) for r in radii]
+            z = z - w
+    return _aberth(coeffs, tol, start)
+
+
+def _aberth(coeffs, tol, start):
+    """The escalation route of _certified_roots.
+
+    Simultaneous Aberth refinement from start at 40, 80, ... digits of
+    mpmath until every radius about the rounded float64 center, n|W_j| at
+    the mpmath root plus its distance to that center (both rounded
+    upward), is below tol/4.
+    """
+    import mpmath as mp
+
+    n = len(coeffs) - 1
+    lead = coeffs[-1]
+    dcoeffs = [i * c for i, c in enumerate(coeffs) if i]
+    start = [complex(z) for z in start]
     # Distinct starting points are required for the Aberth denominators.
     for j in range(n):
         for k in range(j):
@@ -629,20 +734,27 @@ def _aberth(coeffs, tol):
                     moved = max(moved, abs(step))
                 if moved < stop:
                     break
-            radii = []
-            ok = True
+            nws, dists = [], []
             for j in range(n):
                 prod = mp.mpc(lead)
                 for k in range(n):
                     if k != j:
                         prod *= zs[j] - zs[k]
                 if prod == 0:
-                    ok = False
                     break
-                w = _horner_mp(coeffs, zs[j]) / prod
-                radii.append(float(n * abs(w)) * (1 + 1e-9) + 1e-290)
-            if ok and all(r < tol / 4 for r in radii):
-                return [complex(z) for z in zs], radii
+                nws.append(n * abs(_horner_mp(coeffs, zs[j]) / prod))
+                dists.append(abs(zs[j] - complex(zs[j])))
+            else:
+                radii = [_up(_up(nw) + _up(d)) for nw, d in zip(nws, dists)]
+                if all(r < tol / 4 for r in radii):
+                    return [complex(z) for z in zs], radii
+                for j in range(n):
+                    # An isolated disk holds its root, so no float64 point
+                    # lies within dists[j] - nws[j] of that root.
+                    if dists[j] - nws[j] >= tol / 4 and all(
+                        abs(zs[j] - zs[k]) > nws[j] + nws[k] for k in range(n) if k != j
+                    ):
+                        raise _float64_floor(tol, complex(zs[j]))
         dps *= 2
     raise PrecisionError(f"root certification failed at tol={tol}")
 
@@ -668,7 +780,11 @@ def _rational_roots(g: IntPoly):
 
 
 def _merge_clusters(zs, radii):
-    """Union overlapping certification disks; members share the cluster radius."""
+    """Union overlapping certification disks; members share the cluster radius.
+
+    Both the overlap test and the shared radius carry a margin of a few
+    units of roundoff, so disks are merged whenever they might meet.
+    """
     n = len(zs)
     parent = list(range(n))
 
@@ -680,7 +796,7 @@ def _merge_clusters(zs, radii):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) <= radii[i] + radii[j]:
+            if abs(zs[i] - zs[j]) * (1 - 8 * _U) <= radii[i] + radii[j]:
                 parent[find(i)] = find(j)
     out = list(radii)
     groups = {}
@@ -689,7 +805,7 @@ def _merge_clusters(zs, radii):
     for members in groups.values():
         if len(members) == 1:
             continue
-        r = max(abs(zs[i] - zs[j]) + radii[j] for i in members for j in members)
+        r = max(abs(zs[i] - zs[j]) + radii[j] for i in members for j in members) * (1 + 8 * _U)
         for i in members:
             out[i] = r
     return out
@@ -699,15 +815,18 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     """All complex roots of f with multiplicity, certified within tol.
 
     Multiple roots are separated exactly first (Yun decomposition), exact
-    rational roots are split off, and the rest go through companion-matrix
-    initialization plus Aberth refinement with Weierstrass disk bounds.
+    rational roots are split off, and the rest are np.roots eigenvalues
+    certified by Weierstrass disks in float64, with mpmath Aberth
+    refinement when that bound fails.  Every radius is a proven bound
+    about its float64 center.  A tol that no float64 center can meet
+    raises PrecisionError naming the float64 spacing at that root.
     """
     if not f:
         raise ValueError("zero polynomial has no well-defined root list")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
     if f.degree == 0:
         return RootList((), ())
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _, parts = squarefree_decomposition(f)
     zs: list[complex] = []
     radii: list[float] = []
@@ -719,19 +838,20 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
         if val:
             g = IntPoly(g.coeffs[val:])
             zs.extend([0j] * (val * mult))
-            radii.extend([1e-300] * (val * mult))
+            radii.extend([0.0] * (val * mult))
         rat, g = _rational_roots(g)
         for r in rat:
-            z = complex(Fraction(r))
-            err = 1e-300 if Fraction(z.real) == r else abs(z) * 1e-15 + 1e-300
+            z = complex(r)  # correctly rounded
+            dist = abs(Fraction(z.real) - r)
+            if dist > tol:
+                raise _float64_floor(tol, z)
             zs.extend([z] * mult)
-            radii.extend([err] * mult)
+            radii.extend([_up(dist) if dist else 0.0] * mult)
         if g.degree >= 1:
-            az, ar = _aberth(list(g.coeffs), tol)
+            az, ar = _certified_roots(list(g.coeffs), tol)
             for z, r in zip(az, ar):
-                rr = r + abs(z) * 4e-16 + 1e-300
                 zs.extend([z] * mult)
-                radii.extend([rr] * mult)
+                radii.extend([r] * mult)
     radii = _merge_clusters(zs, radii)
     if any(r > tol for r in radii):
         raise PrecisionError("root clusters wider than the requested tolerance")

@@ -333,10 +333,52 @@ def test_env_var_tolerance(monkeypatch, capsys):
     code, doc, _ = run_json(["mahler", "--poly", "1,1", "--json-only"], capsys)
     assert code == 0
     assert doc["inputs"]["tol"] == 1e-8
-    monkeypatch.setenv("LEHMERLAB_TOL", "not-a-number")
-    code, doc, _ = run_json(["mahler", "--poly", "1,1", "--json-only"], capsys)
-    assert code == 0
-    assert doc["inputs"]["tol"] == 1e-10
+    for bad in ("not-a-number", "inf", "-inf", "nan", "0", "-1e-8"):
+        monkeypatch.setenv("LEHMERLAB_TOL", bad)
+        code, doc, _ = run_json(["mahler", "--poly", "1,1", "--json-only"], capsys)
+        assert code == 0
+        assert doc["inputs"]["tol"] == 1e-10
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8", "abc"])
+def test_tol_must_be_positive_finite_exit_2(tol, capsys):
+    for cmd in (["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"], ["lehmer-gap", "--n", "3", "--braid", "s1 s2^-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, f"--tol={tol}", "--json-only"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --tol: {tol!r} is not a positive finite number" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+def test_tol_below_float64_resolution_exit_1(tol, capsys):
+    for cmd in (["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"], ["lehmer-gap", "--n", "3", "--braid", "s1 s2^-1 T^2"]):
+        code, doc, _ = run_json([*cmd, "--tol", tol, "--json-only"], capsys)
+        assert code == 1
+        assert doc["error"]["type"] == "PrecisionError"
+        message = doc["error"]["message"]
+        assert f"tol={float(tol):g} is below float64 resolution" in message
+        assert "float64 spacing" in message and "modulus" in message
+        assert "cluster" not in message
+
+
+def test_mahler_leaves_mpmath_unimported():
+    script = (
+        "import sys, lehmerlab.cli as cli\n"
+        "code = cli.main(['mahler', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1', '--json-only'])\n"
+        "assert code == 0, code\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,9 @@ def test_roots_errors():
         roots(IntPoly())
     with pytest.raises(ValueError):
         roots(parse_poly("t-1"), tol=0)
+    for tol in (math.inf, math.nan, -1e-8):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            roots(parse_poly("t-1"), tol=tol)
 
 
 def test_mahler_examples():
@@ -441,3 +445,216 @@ def test_squarefree_decomposition_degree_120():
     content, parts = P.squarefree_decomposition(f)
     assert content == -6 * g.content() ** 2 * h.content()
     assert parts == [(h.primitive_part(), 1), (g.primitive_part(), 2)]
+
+
+# ---------------------------------------------------------------------------
+# Certified roots: the float64 route against a 40-digit mpmath oracle
+
+
+def _mp_oracle(coeffs):
+    """Every root of a squarefree f (coefficients ascending) to 40 digits,
+    as (roots, radii).  np.roots starts are polished by Newton's method in
+    mpmath and proved by their own 40-digit Weierstrass disks, which must
+    be tiny and pairwise disjoint; each disk then holds exactly one root."""
+    n = len(coeffs) - 1
+    desc = list(coeffs[::-1])
+    ddesc = [c * (n - i) for i, c in enumerate(desc[:-1])]
+    with mpmath.workdps(40):
+        zs = []
+        for z0 in np.roots([float(c) for c in desc]):
+            z = mpmath.mpc(complex(z0))
+            for _ in range(8):
+                step = mpmath.polyval(desc, z) / mpmath.polyval(ddesc, z)
+                z -= step
+                if abs(step) < 1e-36:
+                    break
+            zs.append(z)
+        radii = []
+        for j, z in enumerate(zs):
+            prod = coeffs[-1] * mpmath.fprod(z - y for k, y in enumerate(zs) if k != j)
+            radii.append(n * abs(mpmath.polyval(desc, z) / prod))
+        assert max(radii) < 1e-25
+        for j in range(n):
+            for k in range(j):
+                assert abs(zs[j] - zs[k]) > radii[j] + radii[k]
+    return zs, radii
+
+
+def _assert_encloses(rl, oracle_parts, tol):
+    """Each oracle root (with its multiplicity) lies in a disk of rl, and each
+    connected component of the disks holds as many roots as it has disks."""
+    zs, radii = rl.roots, rl.radii
+    assert max(radii, default=0.0) <= tol
+    parent = list(range(len(zs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(zs)):
+        for j in range(i):
+            if abs(zs[i] - zs[j]) <= radii[i] + radii[j]:
+                parent[find(i)] = find(j)
+    counts = {}
+    with mpmath.workdps(40):
+        for roots_mp, radii_mp, mult in oracle_parts:
+            for w, rw in zip(roots_mp, radii_mp):
+                homes = {find(i) for i, (z, r) in enumerate(rl) if abs(w - z) + rw <= r}
+                assert len(homes) == 1, (complex(w), homes)
+                home = homes.pop()
+                counts[home] = counts.get(home, 0) + mult
+    sizes = {}
+    for i in range(len(zs)):
+        sizes[find(i)] = sizes.get(find(i), 0) + 1
+    assert counts == sizes
+
+
+def _random_monic(rng, d):
+    c = [rng.randint(-3, 3) for _ in range(d)] + [1]
+    c[0] = rng.choice((-3, -2, 2, 3))
+    return IntPoly(tuple(c))
+
+
+def _random_palindrome(rng, d):
+    half = [1] + [rng.randint(-2, 2) for _ in range(d // 2)]
+    return IntPoly(tuple(half + half[-2::-1] if d % 2 == 0 else half + half[::-1]))
+
+
+def _squarefree(make):
+    while True:
+        f = make()
+        if P.poly_gcd(f, f.derivative()).degree == 0:
+            return f
+
+
+def _certification_cases():
+    """(name, [(squarefree factor, multiplicity)]) in the benchmark's families."""
+    rng = random.Random(2024)
+    lehmer = lehmer_polynomial()
+    cases = [
+        ("lehmer", [(lehmer, 1)]),
+        ("phi7*lehmer", [(cyclotomic(7) * lehmer, 1)]),
+        ("phi105", [(cyclotomic(105), 1)]),
+    ]
+    for d in (2, 3, 5, 10, 24, 48, 80, 160):
+        cases.append((f"random{d}", [(_squarefree(lambda: _random_monic(rng, d)), 1)]))
+    for d in (4, 12, 48, 160):
+        h = _squarefree(lambda: _random_palindrome(rng, d - 10))
+        cases.append((f"reciprocal{d}", [(lehmer * h, 1)]))
+    for d in (8, 24, 64):
+        e = rng.choice([e for e in range(3, 4 * d) if P.euler_phi(e) <= d // 2])
+        phi = cyclotomic(e)
+        h = _squarefree(lambda: _random_monic(rng, d - phi.degree))
+        cases.append((f"cyclotomic{d}", [(phi * h, 1)]))
+    for d in (8, 24, 64):
+        k = max(2, d // 8)
+        g = _squarefree(lambda: _random_monic(rng, k))
+        h = _squarefree(lambda: _random_monic(rng, d - 2 * k))
+        cases.append((f"repeated{d}", [(g, 2), (h, 1)]))
+    return cases
+
+
+@pytest.fixture
+def escalations(monkeypatch):
+    """Degrees of the polynomials sent to the mpmath escalation route."""
+    seen = []
+    aberth = P._aberth
+
+    def counting(coeffs, tol, start):
+        seen.append(len(coeffs) - 1)
+        return aberth(coeffs, tol, start)
+
+    monkeypatch.setattr(P, "_aberth", counting)
+    return seen
+
+
+CERTIFICATION_CASES = _certification_cases()
+
+
+@pytest.mark.parametrize("parts", [p for _, p in CERTIFICATION_CASES], ids=[n for n, _ in CERTIFICATION_CASES])
+def test_float64_roots_enclose_the_mpmath_oracle(parts, escalations):
+    f = IntPoly((1,))
+    for g, mult in parts:
+        f = f * g**mult
+    rl = roots(f)
+    assert len(rl) == f.degree
+    oracle = [(*_mp_oracle(g.coeffs), mult) for g, mult in parts]
+    _assert_encloses(rl, oracle, 1e-10)
+    assert escalations == []
+
+
+@pytest.mark.parametrize("f", [p[0][0] for _, p in CERTIFICATION_CASES[:9]], ids=[n for n, _ in CERTIFICATION_CASES[:9]])
+def test_float64_bounds_hold_at_the_np_roots_centers(f):
+    """hi bounds |f(z_j)| from above and lo bounds |lc * prod (z_j - z_k)| from
+    below, at each float64 center itself, against 60-digit evaluation."""
+    a = np.array(f.coeffs, dtype=float)
+    z = np.roots(a[::-1]).astype(complex)
+    hi, lo, _ = P._weierstrass_f64(a, z)
+    desc = list(f.coeffs[::-1])
+    with mpmath.workdps(60):
+        zm = [mpmath.mpc(v) for v in z]
+        for j, w in enumerate(zm):
+            assert abs(mpmath.polyval(desc, w)) <= hi[j]
+            prod = f.leading * mpmath.fprod(w - y for k, y in enumerate(zm) if k != j)
+            assert 0 < lo[j] <= abs(prod)
+
+
+def _mignotte(d, a):
+    """t^d - 2(a t - 1)^2: two real roots within about 2 a^(-d/2 - 1) of 1/a."""
+    c = [0] * (d + 1)
+    c[d] = 1
+    c[0], c[1], c[2] = c[0] - 2, c[1] + 4 * a, c[2] - 2 * a * a
+    return IntPoly(tuple(c))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_mignotte(10, 10), _mignotte(14, 5), _mignotte(20, 3), IntPoly((1, 1, 0, 2**53 + 1))],
+    ids=["mignotte10", "mignotte14", "mignotte20", "coefficient>=2^53"],
+)
+def test_escalation_route_certifies(f, escalations):
+    rl = roots(f)
+    assert escalations == [f.degree]
+    _assert_encloses(rl, [(*_mp_oracle(f.coeffs), 1)], 1e-10)
+
+
+def test_tol_below_float64_resolution_names_the_limit():
+    for tol in (1e-16, 1e-300):
+        with pytest.raises(PrecisionError, match=r"float64 spacing .* modulus|modulus .* float64 spacing"):
+            roots(lehmer_polynomial(), tol)
+    # a rational root: 1/3 lies 1.85e-17 from the nearest float64
+    with pytest.raises(PrecisionError, match="modulus 0.333333"):
+        roots(IntPoly((-1, 3)), 1e-17)
+    assert roots(IntPoly((-1, 3)), 1e-16).roots == (1 / 3 + 0j,)
+    assert roots(IntPoly((-1, 2)), 1e-300).radii == (0.0,)
+
+
+def test_squarefree_proof_mod_p_matches_the_prs_route(monkeypatch):
+    rng = random.Random(160)
+    prs_calls = []
+    gcd = P.poly_gcd
+
+    def counting(f, g):
+        prs_calls.append(f.degree)
+        return gcd(f, g)
+
+    for d in (1, 2, 7, 20, 60, 160):
+        f = _random_monic(rng, d) * rng.choice((1, 2, 3))
+        g = _random_monic(rng, max(1, d // 8))
+        for h in (f, f * g * g, g * g * g * f) if d < 100 else (f, f * g * g):
+            p = h.primitive_part()
+            squarefree = gcd(p, p.derivative()).degree == 0  # the PRS route
+            monkeypatch.setattr(P, "poly_gcd", counting)
+            prs_calls.clear()
+            content, parts = P.squarefree_decomposition(h)
+            monkeypatch.setattr(P, "poly_gcd", gcd)
+            assert (parts == [(p, 1)]) == squarefree
+            assert (prs_calls == []) == squarefree
+            prod = IntPoly((content,))
+            for q, i in parts:
+                prod = prod * q**i
+            assert prod == h
+    # p | lc(f): the mod-p image drops a degree, so the PRS route decides
+    f = IntPoly((1, 1, P._SQUAREFREE_PRIME))
+    assert P.squarefree_decomposition(f) == (1, [(f, 1)])
