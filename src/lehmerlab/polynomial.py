@@ -34,7 +34,7 @@ _SQUAREFREE_PRIME = 1_000_000_007
 
 class PrecisionError(RuntimeError):
     """Raised when roots cannot be certified within tol: the precision
-    budget ran out, or tol is below float64 resolution at a root."""
+    budget ran out, or tol is too fine for float64 at a root."""
 
 
 def _int_arg(v, name: str) -> int:
@@ -598,12 +598,15 @@ def _up(x) -> float:
     return math.nextafter(float(x), math.inf)
 
 
-def _float64_floor(tol: float, z: complex) -> PrecisionError:
+def _float64_floor(tol: float, z: complex, quarter: bool) -> PrecisionError:
+    """The error for a root that no float64 point lies within reach of:
+    tol/4 for the Weierstrass disks (quarter), tol for a rational root."""
     m = abs(z)
+    reach = f"tol/4 = {tol / 4:.3g}" if quarter else f"tol = {tol:.3g}"
     return PrecisionError(
-        f"tol={tol:g} is below float64 resolution at a root of modulus {m:.6g}: "
+        f"tol={tol:g} is too fine for float64 at a root of modulus {m:.6g}: "
         f"the float64 spacing there is {math.ulp(m):.3g}, and no float64 center "
-        "lies close enough to that root"
+        f"lies within {reach} of that root"
     )
 
 
@@ -621,9 +624,9 @@ def _weierstrass_f64(a, z):
 
     ``a`` holds the coefficients, ascending, as floats that are exact
     integers below 2^53.  Returns (hi, lo, w) with hi_j >= |f(z_j)|,
-    lo_j <= |lc * prod_{k != j} (z_j - z_k)| (0 where a partial product
-    leaves the normal range) and the computed corrections
-    w_j ~ f(z_j) / (lc * prod).
+    lo_j <= |lc * prod_{k != j} (z_j - z_k)| (0 where a partial product,
+    the whole one included, leaves the normal range) and the computed
+    corrections w_j ~ f(z_j) / (lc * prod).
 
     f(z_j) is taken by Horner's rule with the running error bound
     E <- |z| E + 3u |z||p| + 2u |p'| + eta of Higham (Accuracy and
@@ -648,12 +651,13 @@ def _weierstrass_f64(a, z):
         hi = (pa + err) * (1 + g)
         d = z[:, None] - z[None, :]
         np.fill_diagonal(d, 1)
+        # lc goes in first, so the mask below covers the whole product.
+        d[:, 0] *= a[-1]
         partial = np.cumprod(d, axis=1)
         mags = np.abs(partial)
         normal = (np.isfinite(mags) & (mags >= _TINY)).all(axis=1)
-        prod = a[-1] * partial[:, -1]
-        lo = np.where(normal, np.abs(prod) * (1 - g), 0.0)
-        w = p / prod
+        lo = np.where(normal, mags[:, -1] * (1 - g), 0.0)
+        w = p / partial[:, -1]
     return hi, lo, w
 
 
@@ -664,10 +668,9 @@ def _certified_roots(coeffs, tol):
     connected component of m disks D(z_j, r_j) holds exactly m roots:
     r_j >= n|W_j| for the Weierstrass corrections
     W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
-    Carstensen).  The np.roots eigenvalues are certified in float64 as
-    they are or after one float64 Weierstrass step; when that fails (a
-    coefficient of 2^53 or more, a cluster, overflow) _aberth refines
-    them in mpmath.
+    Carstensen).  The np.roots eigenvalues are certified in float64 after
+    one float64 Weierstrass step; when that fails (a coefficient of 2^53
+    or more, a cluster, overflow) _aberth refines them in mpmath.
     """
     n = len(coeffs) - 1
     try:
@@ -678,15 +681,16 @@ def _certified_roots(coeffs, tol):
         start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
     if max(map(abs, coeffs)) < 2**53:
         a = np.array(coeffs, dtype=float)
+        # One float64 Weierstrass step takes the eigenvalues to within a
+        # few ulps of the roots; the stepped centers are the ones certified.
         z = start.astype(complex)
-        for _ in range(2):
-            hi, lo, w = _weierstrass_f64(a, z)
-            with np.errstate(all="ignore"):
-                # (1 + 4u) absorbs the two roundings of n * hi / lo and its own.
-                radii = n * hi / lo * (1 + 4 * _U)
-            if np.all(radii < tol / 4):
-                return [complex(v) for v in z], [float(r) for r in radii]
-            z = z - w
+        z -= _weierstrass_f64(a, z)[2]
+        hi, lo, _ = _weierstrass_f64(a, z)
+        with np.errstate(all="ignore"):
+            # (1 + 4u) absorbs the two roundings of n * hi / lo and its own.
+            radii = n * hi / lo * (1 + 4 * _U)
+        if np.all(radii < tol / 4):
+            return [complex(v) for v in z], [float(r) for r in radii]
     return _aberth(coeffs, tol, start)
 
 
@@ -754,7 +758,7 @@ def _aberth(coeffs, tol, start):
                     if dists[j] - nws[j] >= tol / 4 and all(
                         abs(zs[j] - zs[k]) > nws[j] + nws[k] for k in range(n) if k != j
                     ):
-                        raise _float64_floor(tol, complex(zs[j]))
+                        raise _float64_floor(tol, complex(zs[j]), True)
         dps *= 2
     raise PrecisionError(f"root certification failed at tol={tol}")
 
@@ -815,11 +819,12 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     """All complex roots of f with multiplicity, certified within tol.
 
     Multiple roots are separated exactly first (Yun decomposition), exact
-    rational roots are split off, and the rest are np.roots eigenvalues
-    certified by Weierstrass disks in float64, with mpmath Aberth
-    refinement when that bound fails.  Every radius is a proven bound
-    about its float64 center.  A tol that no float64 center can meet
-    raises PrecisionError naming the float64 spacing at that root.
+    rational roots are split off, and the rest are np.roots eigenvalues,
+    taken one float64 Weierstrass step and certified by Weierstrass disks
+    in float64, with mpmath Aberth refinement when that bound fails.
+    Every radius is a proven bound about its float64 center.  A tol that
+    no float64 center can meet raises PrecisionError naming the float64
+    spacing at that root.
     """
     if not f:
         raise ValueError("zero polynomial has no well-defined root list")
@@ -844,7 +849,7 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
             z = complex(r)  # correctly rounded
             dist = abs(Fraction(z.real) - r)
             if dist > tol:
-                raise _float64_floor(tol, z)
+                raise _float64_floor(tol, z, False)
             zs.extend([z] * mult)
             radii.extend([_up(dist) if dist else 0.0] * mult)
         if g.degree >= 1:

@@ -358,7 +358,7 @@ def test_tol_below_float64_resolution_exit_1(tol, capsys):
         assert code == 1
         assert doc["error"]["type"] == "PrecisionError"
         message = doc["error"]["message"]
-        assert f"tol={float(tol):g} is below float64 resolution" in message
+        assert f"tol={float(tol):g} is too fine for float64" in message
         assert "float64 spacing" in message and "modulus" in message
         assert "cluster" not in message
 

@@ -582,14 +582,18 @@ def test_float64_roots_enclose_the_mpmath_oracle(parts, escalations):
     oracle = [(*_mp_oracle(g.coeffs), mult) for g, mult in parts]
     _assert_encloses(rl, oracle, 1e-10)
     assert escalations == []
+    # The float64 Weierstrass step leaves every center within a few ulps of its root.
+    with mpmath.workdps(40):
+        for roots_mp, _, _ in oracle:
+            for w in roots_mp:
+                assert min(abs(w - z) for z in rl.roots) <= 2 * math.ulp(float(abs(w)))
 
 
-@pytest.mark.parametrize("f", [p[0][0] for _, p in CERTIFICATION_CASES[:9]], ids=[n for n, _ in CERTIFICATION_CASES[:9]])
-def test_float64_bounds_hold_at_the_np_roots_centers(f):
+def _assert_bounds_hold(f, z):
     """hi bounds |f(z_j)| from above and lo bounds |lc * prod (z_j - z_k)| from
-    below, at each float64 center itself, against 60-digit evaluation."""
+    below, at each float64 center itself, against 60-digit evaluation.
+    Returns lo."""
     a = np.array(f.coeffs, dtype=float)
-    z = np.roots(a[::-1]).astype(complex)
     hi, lo, _ = P._weierstrass_f64(a, z)
     desc = list(f.coeffs[::-1])
     with mpmath.workdps(60):
@@ -597,7 +601,36 @@ def test_float64_bounds_hold_at_the_np_roots_centers(f):
         for j, w in enumerate(zm):
             assert abs(mpmath.polyval(desc, w)) <= hi[j]
             prod = f.leading * mpmath.fprod(w - y for k, y in enumerate(zm) if k != j)
-            assert 0 < lo[j] <= abs(prod)
+            assert 0 <= lo[j] <= abs(prod)
+    return lo
+
+
+@pytest.mark.parametrize("f", [p[0][0] for _, p in CERTIFICATION_CASES[:9]], ids=[n for n, _ in CERTIFICATION_CASES[:9]])
+def test_float64_bounds_hold_at_the_np_roots_centers(f):
+    """The bounds hold at the np.roots eigenvalues and at the stepped centers
+    that roots() certifies."""
+    a = np.array(f.coeffs, dtype=float)
+    z = np.roots(a[::-1]).astype(complex)
+    assert (_assert_bounds_hold(f, z) > 0).all()
+    assert (_assert_bounds_hold(f, z - P._weierstrass_f64(a, z)[2]) > 0).all()
+
+
+def test_product_overflow_fails_the_float64_bound(escalations):
+    """At the roots near +-2^16 of (2^19 t^2 - (2^51 + 1))(t^62 - 2) every
+    partial product of root differences is finite (about 2^1008), but times
+    lc = 2^19 the product overflows: lo must be 0 there, not inf, and the
+    roots escalate."""
+    f = IntPoly((-(2**51 + 1), 0, 2**19)) * IntPoly((-2,) + (0,) * 61 + (1,))
+    a = np.array(f.coeffs, dtype=float)
+    z = np.roots(a[::-1]).astype(complex)
+    big = np.abs(z) > 2**15
+    assert big.sum() == 2
+    lo = _assert_bounds_hold(f, z)
+    assert (lo[big] == 0).all() and (lo[~big] > 0).all()
+    rl = roots(f)
+    assert escalations == [f.degree]
+    oracle = [(*_mp_oracle(g.coeffs), 1) for g in (IntPoly((-(2**51 + 1), 0, 2**19)), IntPoly((-2,) + (0,) * 61 + (1,)))]
+    _assert_encloses(rl, oracle, 1e-10)
 
 
 def _mignotte(d, a):
@@ -623,6 +656,10 @@ def test_tol_below_float64_resolution_names_the_limit():
     for tol in (1e-16, 1e-300):
         with pytest.raises(PrecisionError, match=r"float64 spacing .* modulus|modulus .* float64 spacing"):
             roots(lehmer_polynomial(), tol)
+    # Lehmer's real root 1.17628... lies at least tol/4 = 7.5e-17 from every
+    # float64 (the spacing there is 2.2e-16), though a float64 lies within tol.
+    with pytest.raises(PrecisionError, match=r"within tol/4 = 7\.5e-17 of that root"):
+        roots(lehmer_polynomial(), 3e-16)
     # a rational root: 1/3 lies 1.85e-17 from the nearest float64
     with pytest.raises(PrecisionError, match="modulus 0.333333"):
         roots(IntPoly((-1, 3)), 1e-17)
