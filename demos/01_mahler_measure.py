@@ -28,13 +28,13 @@ print("M(f) =", result.value)
 print("certified bracket:", result.lower, "..", result.upper)
 
 # Structural checks: reciprocal (palindromic coefficients), not a product
-# of cyclotomics.  Irreducibility certificates are budgeted: a mod-p
-# witness settles most inputs instantly, but this reciprocal polynomial
-# factors modulo every prime, so the certificate honestly reports
-# inconclusive rather than burning the whole search budget.
+# of cyclotomics, and irreducible.  Modulo 2 it factors with degrees 5 + 5
+# and modulo 3 with 2 + 8; no factor degree but 0 and 10 fits both
+# patterns, so the certificate closes at the prime 3.
 print("reciprocal:", is_reciprocal(L))
 print("cyclotomic product:", is_cyclotomic_product(L))
-print("irreducibility:", irreducibility_certificate(L).status)
+cert = irreducibility_certificate(L)
+print("irreducibility:", cert.status, "(witness prime", str(cert.witness_prime) + ")")
 
 # Any polynomial parses from a coefficient list or a symbolic expression.
 g = parse_poly("t^3 - t - 1")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-FLAT_CAP = 1 << 16
 COMPRESS_CAP = 512
 
 
@@ -444,11 +443,11 @@ def _drop_back_letter(work: list[list], budget: Budget):
     work[len(work) - 1 :] = front + rest
 
 
-def _push_power(builder: Builder, blocks, exp: int, cap: int | None = None):
+def _push_power(builder: Builder, blocks, exp: int, flat: bool = False):
     """Append u^exp for the word u in blocks, as p * root^(k*exp) * p^-1
     where u = p * root^k * p^-1 and root is cyclically reduced.  A core of
-    several blocks is spelled out flat to find its primitive root; ``cap``
-    bounds that spelling, and without a cap the core is repeated instead
+    several blocks is spelled out flat, at the builder's budget, to find
+    its primitive root; unless ``flat`` is set, it is repeated instead
     whenever that is shorter than its flat spelling."""
     prefix, core = _cyclic_reduce_blocks(blocks, builder.budget)
     if not core:
@@ -458,16 +457,11 @@ def _push_power(builder: Builder, blocks, exp: int, cap: int | None = None):
     total = sum(e * len(b) for b, e in core)
     if len(core) == 1:
         builder.push_block(core[0][0], core[0][1] * exp)
-    elif cap is None and total > exp * len(core):
+    elif not flat and total > exp * len(core):
         for _ in range(exp):
             for b, e in core:
                 builder.push_block(b, e)
     else:
-        if cap is not None and total > cap:
-            raise BudgetError(
-                "image core too long for exact power normalization: "
-                f"{total} letters > FLAT_CAP {cap}"
-            )
         builder.budget.spend(total)
         root, k = primitive_root(tuple(chain.from_iterable(b * e for b, e in core)))
         builder.push_block(root, k * exp)
@@ -480,12 +474,12 @@ def _push_power(builder: Builder, blocks, exp: int, cap: int | None = None):
 
 
 def _apply_power_block(builder: Builder, table, base, exp):
-    """Append phi(base)^exp; a core of phi(base) that must be spelled out
-    flat may have at most FLAT_CAP letters."""
+    """Append phi(base)^exp; the core of phi(base) is always spelled out,
+    so that the power stays one block."""
     sub = Builder(builder.budget)
     for x in base:
         sub.push_blockword(table[x])
-    _push_power(builder, sub.stack, exp, FLAT_CAP)
+    _push_power(builder, sub.stack, exp, flat=True)
 
 
 def apply_endo_blocks(images, w: BlockWord, budget: Budget) -> BlockWord:

@@ -1,0 +1,287 @@
+"""Factoring over Z/p and Z/p^k behind polynomial.irreducibility_certificate.
+
+Musser's degree-set test from one Frobenius matrix per prime, then a
+Berlekamp split, a Hensel lift and Zassenhaus recombination.  Polynomials
+over Z/m are lists of residues in [0, m), ascending, with no high zeros.
+``irreducibility_certificate`` imports this module on first use.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .polynomial import IntPoly, IrreducibilityCertificate, _gf_gcd, _monic, _zm, _zm_divmod
+
+# Primes scanned in order by certify_squarefree, which stops after
+# _MUSSER_PRIMES of them that leave f squarefree: that bounds its cost only.
+_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_MUSSER_PRIMES = 5
+
+
+def _scan_primes():
+    """_WITNESS_PRIMES, then every larger prime."""
+    yield from _WITNESS_PRIMES
+    q = _WITNESS_PRIMES[-1]
+    while True:
+        q += 2
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+
+
+def _zm_lin(a, b, m, c=1):
+    """a + c*b mod m."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] += c * v
+    return _zm(out, m)
+
+
+def _zm_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + len(b)] = [o + x * y for o, y in zip(out[i : i + len(b)], b)]
+    return _zm(out, m)
+
+
+def _zm_prod(polys, m):
+    out = [1]
+    for u in polys:
+        out = _zm_mul(out, u, m)
+    return out
+
+
+def _gf_bezout(g, h, p):
+    """s, t with s g + t h = 1 mod p, deg s < deg h and deg t < deg g, for
+    coprime monic g and h.  Extended Euclid keeps r = s g mod h, and the
+    last nonzero remainder is a constant."""
+    r0, r1, s0, s1 = g, h, [1], []
+    while r1:
+        q, r = _zm_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _zm_lin(s0, _zm_mul(q, s1, p), p, -1)
+    inv = pow(r0[0], -1, p)
+    s = _zm_divmod([v * inv % p for v in s0], h, p)[1]
+    t = _zm_divmod(_zm_lin([1], _zm_mul(s, g, p), p, -1), h, p)[0]
+    return s, t
+
+
+def _frobenius_matrix(fm, p):
+    """Berlekamp's matrix of monic f mod p: row i holds x^(i p) mod f.
+
+    x^p comes by repeated squaring and row i as row i-1 times x^p.  Row j
+    of ``high`` holds x^(n+j) mod f, so a product of two residues reduces
+    with one matrix product.  Entries stay below p, so every sum of
+    products stays below n p^2, far inside int64.
+    """
+    n = len(fm) - 1
+    low = np.array(fm[:n], dtype=np.int64)
+    high = np.zeros((max(n - 1, 0), n), dtype=np.int64)
+    row = -low % p
+    for j in range(n - 1):
+        high[j] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
+
+    def mulmod(a, b):
+        c = np.convolve(a, b) % p
+        return (c[:n] + c[n:] @ high) % p
+
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = 1
+    base = np.roll(one, 1) if n > 1 else -low % p  # x mod f
+    xp, e = one, p
+    while e:
+        if e & 1:
+            xp = mulmod(xp, base)
+        base = mulmod(base, base)
+        e >>= 1
+    rows = [one]
+    for _ in range(n - 1):
+        rows.append(mulmod(rows[-1], xp))
+    return np.array(rows)
+
+
+def _distinct_degree(fm, q, p):
+    """[(d, product of the degree-d factors)] of squarefree monic f mod p.
+
+    x^(p^d) mod f is x^(p^(d-1)) times Berlekamp's matrix, and the
+    degree-d part is gcd(x^(p^d) - x, what is left of f).
+    """
+    n = len(fm) - 1
+    parts, h = [], fm
+    v = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        v[1] = 1
+    d = 0
+    while 2 * (d + 1) <= len(h) - 1:
+        d += 1
+        v = v @ q % p
+        g = _gf_gcd(h, _zm_lin(v.tolist(), [0, 1], p, -1), p)
+        if len(g) > 1:
+            parts.append((d, g))
+            h = _zm_divmod(h, g, p)[0]
+    if len(h) > 1:
+        parts.append((len(h) - 1, h))
+    return parts
+
+
+def _berlekamp_basis(q, p):
+    """A basis of {v : v Q = v mod p}, Berlekamp's subalgebra, by Gaussian
+    elimination of (Q - I)^T."""
+    n = len(q)
+    a = (q - np.eye(n, dtype=np.int64)).T % p
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+    basis = []
+    for c in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = int(-a[r, c] % p)
+        basis.append(_zm(v, p))
+    return basis
+
+
+def _gf_factors(parts, basis, p):
+    """The monic irreducible factors mod p, sorted.  A distinct-degree part
+    u is the product of gcd(u, v - s) over s mod p for every v in
+    Berlekamp's subalgebra, and some v separates any two of its factors."""
+    out = []
+    for d, g in parts:
+        facs = [g]
+        for v in basis:
+            if len(facs) * d == len(g) - 1:
+                break
+            split = []
+            for u in facs:
+                if len(u) - 1 == d:
+                    split.append(u)
+                    continue
+                w, left = _zm_divmod(v, u, p)[1], len(u) - 1
+                for s in range(p):
+                    c = _gf_gcd(u, _zm_lin(w, [s], p, -1), p)
+                    if len(c) > 1:
+                        split.append(c)
+                        left -= len(c) - 1
+                        if not left:
+                            break
+            facs = split
+        out += facs
+    return sorted(out, key=lambda u: (len(u), u))
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """f = g h and s g + t h = 1 mod m, lifted to mod m^2 (von zur Gathen
+    and Gerhard, Modern Computer Algebra, Alg. 15.10; h stays monic)."""
+    m *= m
+    e = _zm_lin(f, _zm_mul(g, h, m), m, -1)
+    q, r = _zm_divmod(_zm_mul(s, e, m), h, m)
+    g = _zm_lin(_zm_lin(g, _zm_mul(t, e, m), m), _zm_mul(q, g, m), m)
+    h = _zm_lin(h, r, m)
+    b = _zm_lin(_zm_lin(_zm_mul(s, g, m), _zm_mul(t, h, m), m), [1], m, -1)
+    c, d = _zm_divmod(_zm_mul(s, b, m), h, m)
+    s = _zm_lin(s, d, m, -1)
+    t = _zm_lin(_zm_lin(t, _zm_mul(t, b, m), m, -1), _zm_mul(c, g, m), m, -1)
+    return g, h, s, t
+
+
+def _hensel_lift(f, facs, p, big):
+    """Monic u_i with f = prod u_i mod big = p^(2^k), for monic f mod big
+    whose factors mod p are the pairwise coprime monic facs: split the
+    list in halves, lift the two products quadratically, recurse."""
+    if len(facs) == 1:
+        return [f]
+    k = len(facs) // 2
+    g, h = _zm_prod(facs[:k], p), _zm_prod(facs[k:], p)
+    s, t = _gf_bezout(g, h, p)
+    m = p
+    while m < big:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _hensel_lift(g, facs[:k], p, big) + _hensel_lift(h, facs[k:], p, big)
+
+
+def _subsets(degs, total, start=0):
+    """Index tuples, ascending, of the entries of degs that sum to total."""
+    if total == 0:
+        yield ()
+        return
+    for i in range(start, len(degs)):
+        if degs[i] <= total:
+            for rest in _subsets(degs, total - degs[i], i + 1):
+                yield (i,) + rest
+
+
+def _mignotte_bound(f: IntPoly, d: int) -> int:
+    norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
+    return math.comb(d, d // 2) * norm * abs(f.leading)
+
+
+def _zassenhaus(f, degset, p, facs):
+    """Zassenhaus's recombination (J. Number Theory 1, 1969) of the factors
+    of f mod p lifted past twice |lc| times the Mignotte bound."""
+    n, lc, f0 = f.degree, f.leading, f.coeffs[0]
+    bound = 2 * abs(lc) * _mignotte_bound(f, n - 1)
+    big = p
+    while big <= bound:
+        big *= big
+    inv = pow(lc, -1, big)
+    lifted = _hensel_lift([c * inv % big for c in f.coeffs], facs, p, big)
+    degs = [len(u) - 1 for u in lifted]
+    for total in range(1, n // 2 + 1):
+        if not degset >> total & 1:
+            continue
+        for subset in _subsets(degs, total):
+            # lc(f)/lc(g) * g(0) divides lc(f) * f(0) for a true factor g.
+            c0 = lc * math.prod(lifted[i][0] for i in subset) % big
+            c0 -= big if 2 * c0 > big else 0
+            if lc * f0 and (not c0 or lc * f0 % c0):
+                continue
+            g = [lc * c % big for c in _zm_prod([lifted[i] for i in subset], big)]
+            g = IntPoly(tuple(c - big if 2 * c > big else c for c in g)).primitive_part()
+            if f.try_div(g) is not None:
+                return IrreducibilityCertificate("reducible", factor=-g if g.leading < 0 else g)
+    return IrreducibilityCertificate("irreducible", witness_prime=p)
+
+
+def certify_squarefree(f: IntPoly) -> IrreducibilityCertificate:
+    """irreducibility_certificate for a primitive f that is squarefree over Z."""
+    n, df = f.degree, f.derivative().coeffs
+    degset, best, usable = (1 << n + 1) - 1, None, 0
+    for p in _scan_primes():
+        if f.leading % p == 0:
+            continue
+        fm = _monic(_zm(f.coeffs, p), p)
+        if len(_gf_gcd(fm, df, p)) > 1:
+            continue
+        q = _frobenius_matrix(fm, p)
+        parts = _distinct_degree(fm, q, p)
+        sums = 1
+        for d, g in parts:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+        degset &= sums
+        if degset == 1 | 1 << n:
+            return IrreducibilityCertificate("irreducible", witness_prime=p)
+        count = sum((len(g) - 1) // d for d, g in parts)
+        if best is None or count < best[0]:
+            best = (count, p, q, parts)
+        usable += 1
+        if usable == _MUSSER_PRIMES:
+            break
+    _, p, q, parts = best
+    return _zassenhaus(f, degset, p, _gf_factors(parts, _berlekamp_basis(q, p), p))

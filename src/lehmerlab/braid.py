@@ -281,6 +281,11 @@ def artin_endo(beta: BraidWord) -> Endo:
 
 @dataclass(frozen=True)
 class GeneratorRatios:
+    """One generator's growth-rate estimate, its last three raw ratios and
+    their spread.  The spread is a convergence diagnostic of this
+    generator's ratios; it does not bound the error of the estimate, nor
+    of the ``gr1`` taken from it."""
+
     generator: int
     estimate: float
     last_ratios: tuple[float, ...]
@@ -350,7 +355,8 @@ def entropy_estimate(
     exponential in ``n_terms``; ``dynnikov_entropy`` is the linear-cost
     route.  Ratios converge linearly, so an Aitken step on the last three
     usually gains several digits; the spread of the last three raw ratios
-    is the reported convergence diagnostic.
+    is the reported convergence diagnostic of each generator, not a bound
+    on the error of ``gr1``.
     """
     _check_terms(n_terms)
     phi = artin_endo(BraidWord(beta.n, _core(beta)))
@@ -409,7 +415,9 @@ def dynnikov_entropy(
     to one around the base point and puncture g + 1.  Its max-norm, at the
     start and after each of n_terms - 1 iterates of the braid, grows at the
     rate of |phi^n(x_g)|, and the ratios go through the same estimate as
-    ``entropy_estimate``.  Each iterate costs one integer update per letter.
+    ``entropy_estimate``, with the same per-generator spread: a convergence
+    diagnostic of one generator, not a bound on the error of ``gr1``.  Each
+    iterate costs one integer update per letter.
     """
     _check_terms(n_terms)
     n = beta.n

@@ -102,10 +102,19 @@ def _tol_arg(text: str) -> float:
 
 
 def _env_tol() -> float:
-    """LEHMERLAB_TOL when it is a positive finite float, else the default."""
+    """LEHMERLAB_TOL when it is a positive finite float, else the default;
+    a value that is set but rejected gets one note on stderr."""
+    text = os.environ.get("LEHMERLAB_TOL")
+    if text is None:
+        return DEFAULT_TOL
     try:
-        return _tol_arg(os.environ.get("LEHMERLAB_TOL", ""))
+        return _tol_arg(text)
     except argparse.ArgumentTypeError:
+        print(
+            f"lehmerlab: LEHMERLAB_TOL={text!r} is not a positive finite number; "
+            f"using the default tol {DEFAULT_TOL:g}",
+            file=sys.stderr,
+        )
         return DEFAULT_TOL
 
 

@@ -11,7 +11,6 @@ Weierstrass disks whose radii are rigorous under rounding; mpmath
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -22,10 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-
-# Primes used as reduction witnesses by irreducibility_certificate.
-_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 # A squarefree f over Z stays squarefree mod p unless p divides its
 # discriminant, so one large prime almost always proves it.
@@ -924,186 +919,88 @@ def mahler_of_fraction_poly(coeffs, tol: float = DEFAULT_TOL) -> float:
 
 @dataclass(frozen=True)
 class IrreducibilityCertificate:
-    """Sound verdict: 'irreducible' (mod-p witness), 'reducible' (explicit
-    factor), or 'inconclusive'."""
+    """Verdict of irreducibility_certificate over Z; never inconclusive.
+
+    ``status`` is 'irreducible' or 'reducible'.  For 'irreducible',
+    ``witness_prime`` is the prime at which the proof closed: the prime
+    whose mod-p factor degrees brought Musser's degree-set intersection
+    down to {0, n}, or the prime of the Zassenhaus lift in which no subset
+    of the lifted factors gave a divisor.  For 'reducible', ``factor`` is a
+    proper divisor of f in Z[t], checked by exact division, and
+    ``witness_prime`` is None.
+    """
 
     status: str
     witness_prime: int | None = None
     factor: IntPoly | None = None
 
 
-def _polmod_mul(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo monic f
-    df = len(f) - 1
-    for i in range(len(out) - 1, df - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(df):
-                out[i - df + j] = (out[i - df + j] - c * f[j]) % p
-            out[i] = 0
-    out = out[:df]
-    while len(out) < df:
-        out.append(0)
+# Polynomials over Z/m are lists of residues in [0, m), ascending, with no
+# high zeros.
+
+
+def _zm(a, m):
+    out = [v % m for v in a]
+    while out and out[-1] == 0:
+        out.pop()
     return out
 
 
-def _polmod_pow_x(e, f, p):
-    """x^e modulo (f, p) for monic f, by binary exponentiation."""
-    df = len(f) - 1
-    result = [1] + [0] * (df - 1)
-    base = ([0, 1] + [0] * (df - 2))[:df] if df > 1 else [(-f[0]) % p]
-    while e:
-        if e & 1:
-            result = _polmod_mul(result, base, f, p)
-        base = _polmod_mul(base, base, f, p)
-        e >>= 1
-    return result
+def _zm_divmod(a, b, m):
+    """Quotient and remainder of a by b mod m, for lc(b) a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r.pop() * inv % m
+        if c:
+            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
+    return q, _zm(r, m)
+
+
+def _monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [v * inv % m for v in a]
 
 
 def _gf_gcd(a, b, p):
-    a, b = [v % p for v in a], [v % p for v in b]
-
-    def strip(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
+    """Monic gcd of a and b mod the prime p ([] when both vanish)."""
+    a, b = _zm(a, p), _zm(b, p)
     while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b):
-            c = (r[-1] * inv) % p
-            off = len(r) - len(b)
-            for i in range(len(b)):
-                r[off + i] = (r[off + i] - c * b[i]) % p
-            r = strip(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
+        a, b = b, _zm_divmod(a, b, p)[1]
+    return _monic(a, p) if a else a
 
 
-def _irreducible_mod_p(f: IntPoly, p: int) -> bool:
-    if f.leading % p == 0:
-        return False
-    n = f.degree
-    inv = pow(f.leading % p, p - 2, p)
-    fm = [(c * inv) % p for c in f.coeffs]
-    if n == 1:
-        return True
-    # x^(p^n) == x mod f, and gcd(x^(p^(n/q)) - x, f) trivial for prime q | n.
-    xq = _polmod_pow_x(p**n, fm, p)
-    xq[1] = (xq[1] - 1) % p if len(xq) > 1 else xq[1]
-    if any(xq):
-        return False
-    m = n
-    qs = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            qs.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        qs.add(m)
-    for q in qs:
-        g = _polmod_pow_x(p ** (n // q), fm, p)
-        g[1] = (g[1] - 1) % p
-        if len(_gf_gcd(g, list(fm), p)) > 1:
-            return False
-    return True
+def irreducibility_certificate(f: IntPoly) -> IrreducibilityCertificate:
+    """Conclusive irreducibility test for a primitive f over Z.
 
+    A square factor from the Yun decomposition proves reducibility.
+    Otherwise primes are scanned in order, skipping those that divide lc(f)
+    or leave f not squarefree mod p.  At each, one Frobenius matrix gives
+    the distinct-degree factorization, and the subset sums of the factor
+    degrees are intersected (Musser, J. ACM 25, 1978); an intersection
+    {0, n} proves irreducibility.  After five usable primes, the factors
+    mod the prime with the fewest are split by Berlekamp's subalgebra,
+    Hensel-lifted and recombined by subsets of increasing degree sum,
+    keeping sums in the degree set; the first subset whose product divides
+    f gives a least-degree, hence irreducible, factor, and if none does, f
+    is irreducible.  Every step is deterministic.
 
-def _mignotte_bound(f: IntPoly, d: int) -> int:
-    norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
-    return math.comb(d, d // 2) * norm * abs(f.leading)
-
-
-def _kronecker_factor(f: IntPoly, budget: int):
-    """Bounded exhaustive search for a proper factor via interpolation."""
-    n = f.degree
-    xs_pool = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    spent = 0
-    for d in range(1, n // 2 + 1):
-        xs, ys = [], []
-        for x in xs_pool:
-            v = f.evaluate(x)
-            if v == 0:
-                return IntPoly((-x, 1))
-            xs.append(x)
-            ys.append(v)
-            if len(xs) == d + 1:
-                break
-        if len(xs) < d + 1:
-            return None
-        bound = _mignotte_bound(f, d)
-        divlists = []
-        for v in ys:
-            ds = [x for x in _divisors(abs(v)) if x <= bound]
-            divlists.append([s * x for x in ds for s in (1, -1)])
-        for combo in itertools.product(*divlists):
-            spent += 1
-            if spent > budget:
-                return None
-            g = _lagrange_int(xs, combo, d)
-            if g is None or g.degree != d:
-                continue
-            if any(abs(c) > bound for c in g.coeffs):
-                continue
-            if g.primitive_part().degree >= 1 and f.try_div(g.primitive_part()) is not None:
-                cand = g.primitive_part()
-                if cand.degree >= 1:
-                    return cand
-    return None
-
-
-def _lagrange_int(xs, ys, d):
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        w = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += w * basis[k]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return IntPoly(tuple(int(c) for c in coeffs))
-
-
-def irreducibility_certificate(f: IntPoly, kronecker_budget: int = 200_000) -> IrreducibilityCertificate:
-    """Sound but incomplete irreducibility test over Z.
-
-    A mod-p witness proves irreducibility; an explicit divisor proves
-    reducibility (searched only for degree <= 16); otherwise inconclusive.
+    The known limit is recombination: inputs that split into many factors
+    modulo every prime, like the Swinnerton-Dyer polynomials, try
+    exponentially many subsets in the number of factors.
     """
     if f.degree < 1:
         raise ValueError("degree >= 1 required")
     if f.content() != 1:
         raise ValueError("primitive polynomial required")
-    for p in _WITNESS_PRIMES:
-        if f.leading % p == 0:
-            continue
-        if _irreducible_mod_p(f, p):
-            return IrreducibilityCertificate("irreducible", witness_prime=p)
-    if f.degree <= 16:
-        g = _kronecker_factor(f, kronecker_budget)
-        if g is not None:
+    for g, mult in squarefree_decomposition(f)[1]:
+        if mult > 1:
             return IrreducibilityCertificate("reducible", factor=g)
-    return IrreducibilityCertificate("inconclusive")
+    # The factoring code is compiled on first use, not at package import.
+    from ._factor import certify_squarefree
+
+    return certify_squarefree(f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lehmerlab
@@ -340,6 +341,23 @@ def test_env_var_tolerance(monkeypatch, capsys):
         assert doc["inputs"]["tol"] == 1e-10
 
 
+def test_env_var_fallback_notes_on_stderr(monkeypatch, capsys):
+    argv = ["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1", "--json-only"]
+    monkeypatch.delenv("LEHMERLAB_TOL", raising=False)
+    assert main(argv) == 0
+    plain, err = capsys.readouterr()
+    assert err == ""
+    for bad in ("not-a-number", "inf", "0", ""):
+        monkeypatch.setenv("LEHMERLAB_TOL", bad)
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        assert err == (
+            f"lehmerlab: LEHMERLAB_TOL={bad!r} is not a positive finite number; "
+            "using the default tol 1e-10\n"
+        )
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8", "abc"])
 def test_tol_must_be_positive_finite_exit_2(tol, capsys):
     for cmd in (["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"], ["lehmer-gap", "--n", "3", "--braid", "s1 s2^-1"]):
@@ -379,6 +397,34 @@ def test_mahler_leaves_mpmath_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_poly_check_is_deterministic_without_random():
+    # Lehmer's polynomial times t^14 - 3t^5 + 2t + 5: squarefree, so the
+    # factor comes from the Hensel lift and recombination.
+    coeffs = "5,7,2,-5,-7,-10,-10,-7,1,8,10,5,3,0,-2,-2,0,-1,-1,-1,-1,-1,0,1,1"
+    script = (
+        "import sys, lehmerlab.cli as cli\n"
+        f"code = cli.main(['poly-check', '--poly', '{coeffs}', '--json-only'])\n"
+        "print('random' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    # -S keeps site hooks, which may import random themselves, out of the
+    # check; numpy's directory goes on the path by hand instead.
+    paths = [os.path.dirname(os.path.dirname(m.__file__)) for m in (lehmerlab, np)]
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b"False\n"
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    irr = json.loads(outs[0])["result"]["irreducibility"]
+    assert irr["status"] == "reducible" and irr["witness_prime"] is None
+    assert irr["factor"]["display"] == "t^10+t^9-t^7-t^6-t^5-t^4-t^3+t+1"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

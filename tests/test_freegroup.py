@@ -540,14 +540,13 @@ def test_artin_action_fixes_boundary_word():
 
 
 def test_flat_cap_error_names_the_limit(capsys):
+    # Normalizing powers of the long image cores (up to 75025 letters)
+    # is charged to --budget, and the error names that budget.
     argv = [
         "fg-iterate", "--endo", "a -> a b; b -> a", "--word", "a^-1",
-        "--iters", "26", "--json-only",
+        "--iters", "26", "--json-only", "--budget", "50000",
     ]
     code = cli.main(argv)
     assert code == 1
     message = json.loads(capsys.readouterr().out)["error"]["message"]
-    assert message == (
-        "image core too long for exact power normalization: "
-        "75025 letters > FLAT_CAP 65536"
-    )
+    assert message == "budget of 50000 operations exceeded"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lehmerlab import _factor as F
 from lehmerlab import polynomial as P
 from lehmerlab.polynomial import (
     IntPoly,
@@ -160,18 +162,180 @@ def test_irreducibility_certificates():
     assert c.status == "reducible"
     assert c.factor is not None and parse_poly("t^2-1").try_div(c.factor) is not None
 
+    # Lehmer's polynomial splits 5 + 5 mod 2 and 2 + 8 mod 3: no degree
+    # but 0 and 10 is a subset sum of both patterns.
     c = irreducibility_certificate(lehmer_polynomial())
-    assert c.status in ("irreducible", "inconclusive")
-
-    # x^4+1 is irreducible over Z yet reducible mod every prime: sound i.e. never "reducible"
-    c = irreducibility_certificate(parse_poly("t^4+1"))
-    assert c.status != "reducible"
+    assert (c.status, c.witness_prime, c.factor) == ("irreducible", 3, None)
 
     c = irreducibility_certificate(cyclotomic(3) * cyclotomic(4))
     assert c.status == "reducible"
 
+    # A square factor comes from the Yun decomposition.
+    c = irreducibility_certificate(lehmer_polynomial() ** 2 * parse_poly("t-3"))
+    assert (c.status, c.witness_prime, c.factor) == ("reducible", None, lehmer_polynomial())
+
+    # A leading coefficient divisible by every prime of _WITNESS_PRIMES.
+    c = irreducibility_certificate(IntPoly((1, math.prod(F._WITNESS_PRIMES))))
+    assert (c.status, c.witness_prime) == ("irreducible", 101)
+
     with pytest.raises(ValueError):
         irreducibility_certificate(IntPoly((2, 2)))
+
+
+class _OracleBudget(Exception):
+    pass
+
+
+def _kronecker_oracle(f, budget=300):
+    """Kronecker's search for a least-degree factor by interpolation at
+    small points: every combination of divisors of the values, up to the
+    Mignotte bound.  Returns None when f has no proper factor and raises
+    _OracleBudget when the search would take more than budget steps."""
+    n = f.degree
+    xs_pool = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
+    spent = 0
+    for d in range(1, n // 2 + 1):
+        xs, ys = [], []
+        for x in xs_pool:
+            v = f.evaluate(x)
+            if v == 0:
+                return IntPoly((-x, 1))
+            xs.append(x)
+            ys.append(v)
+            if len(xs) == d + 1:
+                break
+        bound = F._mignotte_bound(f, d)
+        divlists = []
+        for v in ys:
+            ds = [x for x in P._divisors(abs(v)) if x <= bound]
+            divlists.append([s * x for x in ds for s in (1, -1)])
+        for combo in itertools.product(*divlists):
+            spent += 1
+            if spent > budget:
+                raise _OracleBudget
+            g = _lagrange_int(xs, combo, d)
+            if g is None or g.degree != d:
+                continue
+            if any(abs(c) > bound for c in g.coeffs):
+                continue
+            if g.primitive_part().degree >= 1 and f.try_div(g.primitive_part()) is not None:
+                return g.primitive_part()
+    return None
+
+
+def _lagrange_int(xs, ys, d):
+    coeffs = [Fraction(0)] * (d + 1)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = [Fraction(0)] + basis
+            for k in range(len(basis) - 1):
+                basis[k] -= xj * basis[k + 1]
+            denom *= xi - xj
+        w = Fraction(yi) / denom
+        for k in range(len(basis)):
+            coeffs[k] += w * basis[k]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return IntPoly(tuple(int(c) for c in coeffs))
+
+
+def _oracle_cases():
+    """Seeded primitive inputs of degree <= 12: products of small random
+    factors, with and without repeats, and single random polynomials."""
+    rng = random.Random(1978)
+    cases = []
+    while len(cases) < 120:
+        k = rng.choice((1, 1, 2, 3))
+        f = IntPoly((1,))
+        for _ in range(k):
+            d = rng.randint(1, 12 // k)
+            c = [rng.randint(-3, 3) for _ in range(d)] + [rng.choice((1, 1, 2, -1))]
+            f = f * (IntPoly(tuple(c)) ** rng.choice((1, 1, 1, 2)))
+        f = f.primitive_part()
+        if 1 <= f.degree <= 12:
+            cases.append(f)
+    return cases
+
+
+def test_certificate_agrees_with_the_kronecker_oracle():
+    verdicts = {"irreducible": 0, "reducible": 0}
+    factored = 0
+    for f in _oracle_cases():
+        try:
+            g = _kronecker_oracle(f)
+        except _OracleBudget:
+            continue
+        c = irreducibility_certificate(f)
+        assert c.status == ("irreducible" if g is None else "reducible"), f
+        verdicts[c.status] += 1
+        if g is not None:
+            assert f.try_div(c.factor) is not None and c.factor.leading > 0
+            assert c.factor.content() == 1
+            if P.poly_gcd(f, f.derivative()).degree == 0:
+                factored += 1
+                assert c.factor.degree == g.degree, f
+    assert verdicts["irreducible"] >= 15 and verdicts["reducible"] >= 60 and factored >= 30, (verdicts, factored)
+
+
+def _product_cases():
+    """Seeded products of known factors up to degree 64, monic and not,
+    with coefficients up to 2^40."""
+    rng = random.Random(1969)
+    cases = []
+    for i in range(16):
+        bits, monic = (1, 4, 20, 40)[i % 4], i % 3 != 0
+        degs, total = [], rng.randint(4, 64)
+        while sum(degs) < total:
+            degs.append(rng.randint(1, total - sum(degs)))
+        if len(degs) == 1:
+            degs = [1, degs[0] - 1] if degs[0] > 1 else [1, 1]
+        f = IntPoly((1,))
+        for d in degs:
+            c = [rng.randint(-(2**bits), 2**bits) for _ in range(d)]
+            c.append(1 if monic else rng.randint(1, 2**bits))
+            c[0] = c[0] or 1
+            f = f * IntPoly(tuple(c))
+        cases.append(f.primitive_part())
+    return cases
+
+
+@pytest.mark.parametrize("f", _product_cases(), ids=lambda f: f"deg{f.degree}")
+def test_products_are_never_certified_irreducible(f):
+    c = irreducibility_certificate(f)
+    assert c.status == "reducible" and c.witness_prime is None
+    assert 0 < c.factor.degree < f.degree
+    assert c.factor.content() == 1 and c.factor.leading > 0
+    assert f.try_div(c.factor) is not None
+
+
+def _swinnerton_dyer(primes):
+    """prod (t + e_1 sqrt(p_1) + ... ) over all signs: f <- A^2 - p B^2,
+    where f(t - y) = A + y B mod y^2 - p."""
+    f = IntPoly((0, 1))
+    for p in primes:
+        a, b = IntPoly(), IntPoly()
+        # (t - y)^i as A_i + y B_i, so f(t - y) = sum c_i (A_i + y B_i).
+        ai, bi = IntPoly((1,)), IntPoly()
+        for c in f.coeffs:
+            a, b = a + ai * c, b + bi * c
+            ai, bi = ai * IntPoly((0, 1)) - bi * p, bi * IntPoly((0, 1)) - ai
+        f = a * a - b * b * p
+    return f
+
+
+def test_swinnerton_dyer_and_t4_plus_1_are_irreducible():
+    # Both split into factors of degree <= 2 modulo every prime, so no
+    # degree set closes and recombination has to prove them irreducible.
+    s4 = _swinnerton_dyer((2, 3, 5, 7))
+    assert s4.coeffs[::2] == (46225, -5596840, 13950764, -7453176, 1513334, -141912, 6476, -136, 1)
+    for f in (s4, parse_poly("t^4+1"), _swinnerton_dyer((2, 3))):
+        c = irreducibility_certificate(f)
+        assert c.status == "irreducible" and c.factor is None
+        assert c.witness_prime in F._WITNESS_PRIMES
 
 
 def test_is_reciprocal():
