@@ -5,8 +5,10 @@ is ``1 - 2*t^2``.  All ring arithmetic is exact over Z (or Q where division
 requires it); floating point only enters through the numeric root finder,
 which returns certified error radii alongside every approximation.  The
 companion-matrix roots from ``np.roots`` are certified in float64 by
-Weierstrass disks whose radii are rigorous under rounding; mpmath
-(imported only then) refines them when that bound fails.
+Weierstrass disks whose radii are rigorous under rounding; when that bound
+fails, mpmath (imported only then) iterates the same Weierstrass
+correction.  Rational roots, zero included, are recognized exactly inside
+their isolated disks.
 """
 
 from __future__ import annotations
@@ -593,15 +595,13 @@ def _up(x) -> float:
     return math.nextafter(float(x), math.inf)
 
 
-def _float64_floor(tol: float, z: complex, quarter: bool) -> PrecisionError:
-    """The error for a root that no float64 point lies within reach of:
-    tol/4 for the Weierstrass disks (quarter), tol for a rational root."""
+def _float64_floor(tol: float, z: complex) -> PrecisionError:
+    """The error for a root that no float64 point lies within tol/4 of."""
     m = abs(z)
-    reach = f"tol/4 = {tol / 4:.3g}" if quarter else f"tol = {tol:.3g}"
     return PrecisionError(
         f"tol={tol:g} is too fine for float64 at a root of modulus {m:.6g}: "
         f"the float64 spacing there is {math.ulp(m):.3g}, and no float64 center "
-        f"lies within {reach} of that root"
+        f"lies within tol/4 = {tol / 4:.3g} of that root"
     )
 
 
@@ -657,7 +657,7 @@ def _weierstrass_f64(a, z):
 
 
 def _certified_roots(coeffs, tol):
-    """Certified roots of a squarefree integer polynomial with f(0) != 0.
+    """Certified roots of a squarefree integer polynomial.
 
     Returns float64 centers z_j and radii r_j < tol/4 such that every
     connected component of m disks D(z_j, r_j) holds exactly m roots:
@@ -665,7 +665,8 @@ def _certified_roots(coeffs, tol):
     W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
     Carstensen).  The np.roots eigenvalues are certified in float64 after
     one float64 Weierstrass step; when that fails (a coefficient of 2^53
-    or more, a cluster, overflow) _aberth refines them in mpmath.
+    or more, a cluster, overflow) _weierstrass_mp iterates the same
+    correction in mpmath.
     """
     n = len(coeffs) - 1
     try:
@@ -686,28 +687,40 @@ def _certified_roots(coeffs, tol):
             radii = n * hi / lo * (1 + 4 * _U)
         if np.all(radii < tol / 4):
             return [complex(v) for v in z], [float(r) for r in radii]
-    return _aberth(coeffs, tol, start)
+    return _weierstrass_mp(coeffs, tol, start)
 
 
-def _aberth(coeffs, tol, start):
+def _weierstrass_mp(coeffs, tol, start):
     """The escalation route of _certified_roots.
 
-    Simultaneous Aberth refinement from start at 40, 80, ... digits of
-    mpmath until every radius about the rounded float64 center, n|W_j| at
-    the mpmath root plus its distance to that center (both rounded
-    upward), is below tol/4.
+    In-place Weierstrass (Durand-Kerner) steps z_j <- z_j - W_j from start
+    at 40, 80, ... digits of mpmath until every radius about the rounded
+    float64 center is below tol/4.  That radius is n|W_j| at the mpmath
+    iterate plus the distance to the center, bounded under rounding as in
+    _weierstrass_f64: with g = gamma_{8(n+2)} at mp.eps (twice the unit
+    roundoff), |f(z_j)| <= |f^(z_j)| + g * sum |a_i| |z_j|^i and
+    |lc * prod_{k != j} (z_j - z_k)| >= |P^_j| (1 - g) for the computed
+    values f^ and P^, each rounded once per real operation.
     """
     import mpmath as mp
 
     n = len(coeffs) - 1
     lead = coeffs[-1]
-    dcoeffs = [i * c for i, c in enumerate(coeffs) if i]
+    abs_coeffs = [abs(c) for c in coeffs]
     start = [complex(z) for z in start]
-    # Distinct starting points are required for the Aberth denominators.
+    # Distinct starting points keep the Weierstrass denominators nonzero.
     for j in range(n):
         for k in range(j):
             if abs(start[j] - start[k]) < 1e-12:
                 start[j] += (j + 1) * 1e-6 * (1 + 1j)
+
+    def correction(zs, j):
+        prod = mp.mpc(lead)
+        for k in range(n):
+            if k != j:
+                prod *= zs[j] - zs[k]
+        return _horner_mp(coeffs, zs[j]), prod
+
     dps = 40
     zs = [mp.mpc(z) for z in start]
     while dps <= 1600:
@@ -717,32 +730,22 @@ def _aberth(coeffs, tol, start):
             for _ in range(120):
                 moved = mp.mpf(0)
                 for j in range(n):
-                    fz = _horner_mp(coeffs, zs[j])
-                    fpz = _horner_mp(dcoeffs, zs[j])
-                    if fpz == 0:
-                        zs[j] += mp.mpf(10) ** (-dps // 3)
-                        continue
-                    newton = fz / fpz
-                    s = mp.mpc(0)
-                    for k in range(n):
-                        if k != j:
-                            s += 1 / (zs[j] - zs[k])
-                    denom = 1 - newton * s
-                    step = newton if denom == 0 else newton / denom
-                    zs[j] -= step
-                    moved = max(moved, abs(step))
+                    fz, prod = correction(zs, j)
+                    w = fz / prod if prod != 0 else mp.mpf(10) ** (-dps // 3)
+                    zs[j] -= w
+                    moved = max(moved, abs(w))
                 if moved < stop:
                     break
+            g = 8 * (n + 2) * mp.eps / (1 - 8 * (n + 2) * mp.eps)
             nws, dists = [], []
-            for j in range(n):
-                prod = mp.mpc(lead)
-                for k in range(n):
-                    if k != j:
-                        prod *= zs[j] - zs[k]
-                if prod == 0:
+            for j, z in enumerate(zs):
+                fz, prod = correction(zs, j)
+                lo = abs(prod) * (1 - g)
+                if lo == 0:
                     break
-                nws.append(n * abs(_horner_mp(coeffs, zs[j]) / prod))
-                dists.append(abs(zs[j] - complex(zs[j])))
+                hi = abs(fz) + g * abs(_horner_mp(abs_coeffs, abs(z)))
+                nws.append(n * hi / lo * (1 + g))
+                dists.append(abs(z - complex(z)) * (1 + g))
             else:
                 radii = [_up(_up(nw) + _up(d)) for nw, d in zip(nws, dists)]
                 if all(r < tol / 4 for r in radii):
@@ -750,32 +753,37 @@ def _aberth(coeffs, tol, start):
                 for j in range(n):
                     # An isolated disk holds its root, so no float64 point
                     # lies within dists[j] - nws[j] of that root.
-                    if dists[j] - nws[j] >= tol / 4 and all(
-                        abs(zs[j] - zs[k]) > nws[j] + nws[k] for k in range(n) if k != j
+                    if dists[j] * (1 - 2 * g) - nws[j] >= tol / 4 and all(
+                        abs(zs[j] - zs[k]) * (1 - g) > nws[j] + nws[k] for k in range(n) if k != j
                     ):
-                        raise _float64_floor(tol, complex(zs[j]), True)
+                        raise _float64_floor(tol, complex(zs[j]))
         dps *= 2
     raise PrecisionError(f"root certification failed at tol={tol}")
 
 
-def _rational_roots(g: IntPoly):
-    """Exact rational roots of a squarefree primitive polynomial."""
-    found = []
-    if g.degree < 1:
-        return found, g
-    c0, cn = g.coeffs[0], g.leading
-    if abs(c0) > 10**6 or abs(cn) > 10**6:
-        return found, g
-    for p in _divisors(abs(c0)):
-        for q in _divisors(abs(cn)):
-            for sp in (p, -p):
-                r = Fraction(sp, q)
-                if g.evaluate(r) == 0:
-                    g = g.exact_div(IntPoly((-r.numerator, r.denominator)))
-                    found.append(r)
-                    if g.degree < 1:
-                        return found, g
-    return found, g
+def _recognize_rational_roots(g: IntPoly, zs, radii):
+    """Replace, in place, each certified disk of g that holds a rational
+    root by that root rounded to float64, with its rounding distance.
+
+    Only a disk that meets the real axis and is disjoint from every other
+    disk of g is tried: it holds exactly one root, so a rational q inside
+    it with g(q) = 0 is that root.  A rational root of the primitive g has
+    a denominator dividing lc(g), so it is the best approximation of the
+    center with denominator at most |lc(g)| once the radius is below
+    1/(2 lc^2).  Zero and float64-exact roots get radius 0.
+    """
+    lc = abs(g.leading)
+    for j, (z, r) in enumerate(zip(zs, radii)):
+        if abs(z.imag) > r or any(
+            abs(z - y) * (1 - 8 * _U) <= r + s for k, (y, s) in enumerate(zip(zs, radii)) if k != j
+        ):
+            continue
+        x = Fraction(z.real)
+        q = x.limit_denominator(lc)
+        if (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2 and g.evaluate(q) == 0:
+            zs[j] = complex(q)  # correctly rounded
+            dist = abs(Fraction(zs[j].real) - q)
+            radii[j] = _up(dist) if dist else 0.0
 
 
 def _merge_clusters(zs, radii):
@@ -813,13 +821,14 @@ def _merge_clusters(zs, radii):
 def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     """All complex roots of f with multiplicity, certified within tol.
 
-    Multiple roots are separated exactly first (Yun decomposition), exact
-    rational roots are split off, and the rest are np.roots eigenvalues,
-    taken one float64 Weierstrass step and certified by Weierstrass disks
-    in float64, with mpmath Aberth refinement when that bound fails.
-    Every radius is a proven bound about its float64 center.  A tol that
-    no float64 center can meet raises PrecisionError naming the float64
-    spacing at that root.
+    Multiple roots are separated exactly first (Yun decomposition).  The
+    roots of each squarefree part are np.roots eigenvalues, taken one
+    float64 Weierstrass step and certified by Weierstrass disks in
+    float64, with mpmath Weierstrass iteration when that bound fails.
+    Rational roots, zero included, are then recognized exactly inside
+    their isolated disks.  Every radius is a proven bound about its
+    float64 center.  A tol that no float64 center can meet raises
+    PrecisionError naming the float64 spacing at that root.
     """
     if not f:
         raise ValueError("zero polynomial has no well-defined root list")
@@ -831,27 +840,11 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     zs: list[complex] = []
     radii: list[float] = []
     for g, mult in parts:
-        # t^k factors give exact zero roots.
-        val = 0
-        while val <= g.degree and g.coeffs[val] == 0:
-            val += 1
-        if val:
-            g = IntPoly(g.coeffs[val:])
-            zs.extend([0j] * (val * mult))
-            radii.extend([0.0] * (val * mult))
-        rat, g = _rational_roots(g)
-        for r in rat:
-            z = complex(r)  # correctly rounded
-            dist = abs(Fraction(z.real) - r)
-            if dist > tol:
-                raise _float64_floor(tol, z, False)
+        az, ar = _certified_roots(list(g.coeffs), tol)
+        _recognize_rational_roots(g, az, ar)
+        for z, r in zip(az, ar):
             zs.extend([z] * mult)
-            radii.extend([_up(dist) if dist else 0.0] * mult)
-        if g.degree >= 1:
-            az, ar = _certified_roots(list(g.coeffs), tol)
-            for z, r in zip(az, ar):
-                zs.extend([z] * mult)
-                radii.extend([r] * mult)
+            radii.extend([r] * mult)
     radii = _merge_clusters(zs, radii)
     if any(r > tol for r in radii):
         raise PrecisionError("root clusters wider than the requested tolerance")

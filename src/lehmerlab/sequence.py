@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import DEFAULT_TOL, IntPoly, bareiss_det, clear_denominators
-from .polynomial import mahler_measure, roots
+from .polynomial import mahler_of_fraction_poly, roots
 
 DEFAULT_WINDOW = 8
 
@@ -230,8 +230,7 @@ def max_growth_exact(a: ExactSeq, d_max: int) -> MaxGrowth:
     rec = fit_min_poly(a, d_max)
     if rec.degree == 0:
         return MaxGrowth(1.0, rec)
-    f, d = clear_denominators(rec.char)
-    return MaxGrowth(mahler_measure(f).value / d, rec)
+    return MaxGrowth(mahler_of_fraction_poly(rec.char), rec)
 
 
 def growth_rates_from_char(char, k_max: int, tol: float = DEFAULT_TOL):

@@ -382,10 +382,12 @@ def test_tol_below_float64_resolution_exit_1(tol, capsys):
 
 
 def test_mahler_leaves_mpmath_unimported():
+    # Lehmer's polynomial, then inputs with zero and rational roots.
     script = (
         "import sys, lehmerlab.cli as cli\n"
-        "code = cli.main(['mahler', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1', '--json-only'])\n"
-        "assert code == 0, code\n"
+        "for poly in ('1,1,0,-1,-1,-1,-1,-1,0,1,1', '0,0,-1,1,2', '1,-5,6'):\n"
+        "    code = cli.main(['mahler', '--poly', poly, '--json-only'])\n"
+        "    assert code == 0, (poly, code)\n"
         "print('mpmath' in sys.modules)\n"
     )
     env = dict(os.environ)

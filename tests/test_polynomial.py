@@ -92,6 +92,8 @@ def test_roots_multiplicity_and_cardinality():
     assert len(rl) == 4
     ones = [z for z, _ in rl if abs(z - 1) < 1e-8]
     assert len(ones) == 2
+    # zero and the other integer roots are recognized exactly in their disks
+    assert rl.roots == (2, 1, 1, 0) and rl.radii == (0.0,) * 4
 
 
 def test_roots_errors():
@@ -615,38 +617,39 @@ def test_squarefree_decomposition_degree_120():
 # Certified roots: the float64 route against a 40-digit mpmath oracle
 
 
-def _mp_oracle(coeffs):
-    """Every root of a squarefree f (coefficients ascending) to 40 digits,
+def _mp_oracle(coeffs, dps=40):
+    """Every root of a squarefree f (coefficients ascending) to dps digits,
     as (roots, radii).  np.roots starts are polished by Newton's method in
-    mpmath and proved by their own 40-digit Weierstrass disks, which must
+    mpmath and proved by their own dps-digit Weierstrass disks, which must
     be tiny and pairwise disjoint; each disk then holds exactly one root."""
     n = len(coeffs) - 1
     desc = list(coeffs[::-1])
     ddesc = [c * (n - i) for i, c in enumerate(desc[:-1])]
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         zs = []
         for z0 in np.roots([float(c) for c in desc]):
             z = mpmath.mpc(complex(z0))
-            for _ in range(8):
+            for _ in range(dps // 5):
                 step = mpmath.polyval(desc, z) / mpmath.polyval(ddesc, z)
                 z -= step
-                if abs(step) < 1e-36:
+                if abs(step) < mpmath.mpf(10) ** (4 - dps):
                     break
             zs.append(z)
         radii = []
         for j, z in enumerate(zs):
             prod = coeffs[-1] * mpmath.fprod(z - y for k, y in enumerate(zs) if k != j)
             radii.append(n * abs(mpmath.polyval(desc, z) / prod))
-        assert max(radii) < 1e-25
+        assert max(radii) < mpmath.mpf(10) ** (15 - dps)
         for j in range(n):
             for k in range(j):
                 assert abs(zs[j] - zs[k]) > radii[j] + radii[k]
     return zs, radii
 
 
-def _assert_encloses(rl, oracle_parts, tol):
+def _assert_encloses(rl, oracle_parts, tol, dps=40):
     """Each oracle root (with its multiplicity) lies in a disk of rl, and each
-    connected component of the disks holds as many roots as it has disks."""
+    connected component of the disks holds as many roots as it has disks.
+    The test runs at the oracle's precision, dps digits."""
     zs, radii = rl.roots, rl.radii
     assert max(radii, default=0.0) <= tol
     parent = list(range(len(zs)))
@@ -661,7 +664,7 @@ def _assert_encloses(rl, oracle_parts, tol):
             if abs(zs[i] - zs[j]) <= radii[i] + radii[j]:
                 parent[find(i)] = find(j)
     counts = {}
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         for roots_mp, radii_mp, mult in oracle_parts:
             for w, rw in zip(roots_mp, radii_mp):
                 homes = {find(i) for i, (z, r) in enumerate(rl) if abs(w - z) + rw <= r}
@@ -716,6 +719,9 @@ def _certification_cases():
         g = _squarefree(lambda: _random_monic(rng, k))
         h = _squarefree(lambda: _random_monic(rng, d - 2 * k))
         cases.append((f"repeated{d}", [(g, 2), (h, 1)]))
+    # f(0) = lc = 720720 has 240 divisors; the rational roots are 1/2 and 2.
+    h = _squarefree(lambda: IntPoly((360360,) + tuple(rng.randint(-3, 3) for _ in range(17)) + (360360,)))
+    cases.append(("divisors720720", [(IntPoly((-1, 2)) * IntPoly((-2, 1)) * h, 1)]))
     return cases
 
 
@@ -723,13 +729,13 @@ def _certification_cases():
 def escalations(monkeypatch):
     """Degrees of the polynomials sent to the mpmath escalation route."""
     seen = []
-    aberth = P._aberth
+    escalate = P._weierstrass_mp
 
     def counting(coeffs, tol, start):
         seen.append(len(coeffs) - 1)
-        return aberth(coeffs, tol, start)
+        return escalate(coeffs, tol, start)
 
-    monkeypatch.setattr(P, "_aberth", counting)
+    monkeypatch.setattr(P, "_weierstrass_mp", counting)
     return seen
 
 
@@ -816,6 +822,27 @@ def test_escalation_route_certifies(f, escalations):
     _assert_encloses(rl, [(*_mp_oracle(f.coeffs), 1)], 1e-10)
 
 
+def test_escalation_radius_bounds_the_working_precision_rounding(escalations):
+    """Near a cluster the small product of root differences amplifies the
+    rounding error of f(z_j) at 40 digits; a radius without that error
+    term missed these roots by 4.1e-25 and 1.1e-36."""
+    pair = IntPoly((-1, 3)) * IntPoly((-(10**17 + 1), 3 * 10**17))
+    with mpmath.workdps(110):
+        exact = [mpmath.mpf(1) / 3, mpmath.mpf(10**17 + 1) / (3 * 10**17)]
+    _assert_encloses(roots(pair), [(exact, [mpmath.mpf(10) ** -100] * 2, 1)], 1e-10, 110)
+    f = _mignotte(14, 10)
+    _assert_encloses(roots(f), [(*_mp_oracle(f.coeffs, 110), 1)], 1e-10, 110)
+    assert escalations == [2, 14]
+
+
+def test_rational_root_is_recognized_only_in_an_isolated_disk():
+    """At tol 1e-3 the disks about 1/10 and the roots 1/10 +- 7.07e-8 overlap;
+    snapping all three centers to the rational root 1/10 would lose two roots."""
+    f = _mignotte(12, 10)
+    rl = roots(IntPoly((-1, 10)) * f, 1e-3)
+    _assert_encloses(rl, [(*_mp_oracle((-1, 10)), 1), (*_mp_oracle(f.coeffs, 110), 1)], 1e-3, 110)
+
+
 def test_tol_below_float64_resolution_names_the_limit():
     for tol in (1e-16, 1e-300):
         with pytest.raises(PrecisionError, match=r"float64 spacing .* modulus|modulus .* float64 spacing"):
@@ -829,6 +856,7 @@ def test_tol_below_float64_resolution_names_the_limit():
         roots(IntPoly((-1, 3)), 1e-17)
     assert roots(IntPoly((-1, 3)), 1e-16).roots == (1 / 3 + 0j,)
     assert roots(IntPoly((-1, 2)), 1e-300).radii == (0.0,)
+    assert roots(IntPoly((-(10**7 + 1), 1024)), 1e-300).radii == (0.0,)
 
 
 def test_squarefree_proof_mod_p_matches_the_prs_route(monkeypatch):
