@@ -6,11 +6,15 @@ results, tolerances) and a short human summary on stderr unless
 machine-readable error object on stdout), 2 usage error.
 
 Inputs can be given inline or as @path to read a file.  Values that start
-with a minus sign need the --flag=value form (--poly="-1,-1,1").  The
-environment variable LEHMERLAB_TOL overrides the default tolerance.
+with a minus sign need the --flag=value form (--poly="-1,-1,1").  A
+subcommand that takes --tol and is run without it uses the environment
+variable LEHMERLAB_TOL, or the default tolerance when that is unset.  A
+value that is not a positive finite number falls back to the default, with
+one note on stderr; it is read, and noted, only when it would be used.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -162,46 +166,31 @@ def _growth_obj(rep: GrowthReport) -> dict:
     }
 
 
-def _emit(args, payload: dict, summary) -> int:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if not args.json_only:
-        for line in summary:
-            print(line, file=sys.stderr)
-    return 0
-
-
 def _braid_arg(args) -> BraidWord:
     return parse_braid(_read_arg(args.braid), args.n)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (inputs, result, summary lines) and
+# main() writes the {"command", "inputs", "result"} envelope.
 
 
-def _cmd_mahler(args) -> int:
+def _cmd_mahler(args) -> tuple:
     f = parse_poly(_read_arg(args.poly))
     r = mahler_measure(f, tol=args.tol)
-    payload = {
-        "command": "mahler",
-        "inputs": {"poly": _poly_obj(f), "tol": args.tol},
-        "result": {
-            "mahler": r.value,
-            "lower": r.lower,
-            "upper": r.upper,
-            "exact": r.exact,
-        },
-    }
-    return _emit(args, payload, [f"M({format_poly(f)}) = {r.value:.12f}"])
+    inputs = {"poly": _poly_obj(f), "tol": args.tol}
+    result = {"mahler": r.value, "lower": r.lower, "upper": r.upper, "exact": r.exact}
+    return inputs, result, [f"M({format_poly(f)}) = {r.value:.12f}"]
 
 
-def _cmd_poly_check(args) -> int:
+def _cmd_poly_check(args) -> tuple:
     f = parse_poly(_read_arg(args.poly))
     cert = irreducibility_certificate(f)
     result = {
         "degree": f.degree,
         "monic": f.is_monic,
         "reciprocal": is_reciprocal(f),
-        "cyclotomic_product": is_cyclotomic_product(f),
+        "cyclotomic_product": f.is_monic and is_cyclotomic_product(f),
         "power_substitution_order": power_substitution_order(f),
         "irreducibility": {
             "status": cert.status,
@@ -209,21 +198,16 @@ def _cmd_poly_check(args) -> int:
             "factor": None if cert.factor is None else _poly_obj(cert.factor),
         },
     }
-    payload = {
-        "command": "poly-check",
-        "inputs": {"poly": _poly_obj(f)},
-        "result": result,
-    }
     summary = [
         f"degree {f.degree}, reciprocal: {result['reciprocal']}, "
         f"cyclotomic product: {result['cyclotomic_product']}",
         f"power substitution order: {result['power_substitution_order']}, "
         f"irreducibility: {cert.status}",
     ]
-    return _emit(args, payload, summary)
+    return {"poly": _poly_obj(f)}, result, summary
 
 
-def _cmd_hankel(args) -> int:
+def _cmd_hankel(args) -> tuple:
     a = parse_seq(_read_arg(args.seq))
     inputs = {"seq": [_num(v) for v in a.terms], "k": args.k, "n": args.n}
     if args.n is not None:
@@ -234,106 +218,88 @@ def _cmd_hankel(args) -> int:
         pairs = hankel_values(a, args.k)
         result = {"first_n": 1, "values": [_num(v) for _, v in pairs]}
         summary = [f"H_{{n,{args.k}}} for n = 1..{len(pairs)}"]
-    payload = {"command": "hankel", "inputs": inputs, "result": result}
-    return _emit(args, payload, summary)
+    return inputs, result, summary
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args) -> tuple:
     a = parse_seq(_read_arg(args.seq))
     rep = growth_report(
         a, args.k_max, window=args.window, d_max=args.d_max, tol=args.tol
     )
-    payload = {
-        "command": "growth",
-        "inputs": {
-            "seq": [_num(v) for v in a.terms],
-            "k_max": args.k_max,
-            "window": args.window,
-            "d_max": args.d_max,
-            "tol": args.tol,
-        },
-        "result": _growth_obj(rep),
+    inputs = {
+        "seq": [_num(v) for v in a.terms],
+        "k_max": args.k_max,
+        "window": args.window,
+        "d_max": args.d_max,
+        "tol": args.tol,
     }
     summary = []
     for e in rep.entries:
         est = "n/a" if e.estimate is None else f"{e.estimate:.6f}"
         exa = "n/a" if e.exact is None else f"{e.exact:.6f}"
         summary.append(f"GR^({e.k}): estimate {est}, exact {exa}")
-    return _emit(args, payload, summary)
+    return inputs, _growth_obj(rep), summary
 
 
-def _cmd_fit_recurrence(args) -> int:
+def _cmd_fit_recurrence(args) -> tuple:
     a = parse_seq(_read_arg(args.seq))
     d_max = args.d_max if args.d_max is not None else max(1, a.n_terms // 3)
     rec = fit_min_poly(a, d_max)
-    payload = {
-        "command": "fit-recurrence",
-        "inputs": {"seq": [_num(v) for v in a.terms], "d_max": d_max},
-        "result": _rec_obj(rec),
-    }
+    inputs = {"seq": [_num(v) for v in a.terms], "d_max": d_max}
     disp = format_poly(rec.char_int()) if rec.char_is_integral() else str(rec.char)
-    return _emit(args, payload, [f"minimal polynomial: {disp}"])
+    return inputs, _rec_obj(rec), [f"minimal polynomial: {disp}"]
 
 
-def _cmd_lefschetz(args) -> int:
+def _cmd_lefschetz(args) -> tuple:
     a = parse_matrix(_read_arg(args.matrix))
     seq = lefschetz_seq(a, args.boundary, args.iters)
     char = char_poly(a)
     m = mahler_measure(char, tol=args.tol)
-    payload = {
-        "command": "lefschetz",
-        "inputs": {
-            "matrix": [list(row) for row in a.rows],
-            "has_boundary": args.boundary,
-            "n_terms": args.iters,
-            "tol": args.tol,
-        },
-        "result": {
-            "lefschetz": [_num(v) for v in seq.terms],
-            "char": _poly_obj(char),
-            "mahler_char": m.value,
-        },
+    inputs = {
+        "matrix": [list(row) for row in a.rows],
+        "has_boundary": args.boundary,
+        "n_terms": args.iters,
+        "tol": args.tol,
+    }
+    result = {
+        "lefschetz": [_num(v) for v in seq.terms],
+        "char": _poly_obj(char),
+        "mahler_char": m.value,
     }
     summary = [
         f"L_n for n = 1..{args.iters}; char poly {format_poly(char)}, "
         f"M = {m.value:.6f}"
     ]
-    return _emit(args, payload, summary)
+    return inputs, result, summary
 
 
-def _cmd_net_trace(args) -> int:
+def _cmd_net_trace(args) -> tuple:
     f = parse_poly(_read_arg(args.poly))
     nets = net_traces(f, args.iters)
     first_bad = next((i + 1 for i, v in enumerate(nets) if v < 0), None)
-    payload = {
-        "command": "net-trace",
-        "inputs": {"poly": _poly_obj(f), "n_terms": args.iters},
-        "result": {"net_traces": [_num(v) for v in nets], "first_negative_n": first_bad},
-    }
+    inputs = {"poly": _poly_obj(f), "n_terms": args.iters}
+    result = {"net_traces": [_num(v) for v in nets], "first_negative_n": first_bad}
     tail = "all nonnegative" if first_bad is None else f"first negative at n = {first_bad}"
-    return _emit(args, payload, [f"net traces for n = 1..{args.iters}: {tail}"])
+    return inputs, result, [f"net traces for n = 1..{args.iters}: {tail}"]
 
 
-def _cmd_perron(args) -> int:
+def _cmd_perron(args) -> tuple:
     f = parse_poly(_read_arg(args.poly))
     chk = perron_check(f, n_net=args.n_net, tol=args.tol)
-    payload = {
-        "command": "perron",
-        "inputs": {"poly": _poly_obj(f), "n_net": args.n_net, "tol": args.tol},
-        "result": {
-            "integer_coeffs": chk.integer_coeffs,
-            "dominant_real": chk.dominant_real,
-            "net_traces_ok_up_to_n": chk.net_traces_ok_up_to_n,
-            "net_traces_checked": chk.net_traces_checked,
-            "first_negative_net": chk.first_negative_net,
-            "perron_candidate": chk.is_perron_candidate,
-        },
+    inputs = {"poly": _poly_obj(f), "n_net": args.n_net, "tol": args.tol}
+    result = {
+        "integer_coeffs": chk.integer_coeffs,
+        "dominant_real": chk.dominant_real,
+        "net_traces_ok_up_to_n": chk.net_traces_ok_up_to_n,
+        "net_traces_checked": chk.net_traces_checked,
+        "first_negative_net": chk.first_negative_net,
+        "perron_candidate": chk.is_perron_candidate,
     }
     verdict = "passes" if chk.is_perron_candidate else "fails"
-    return _emit(args, payload, [f"{format_poly(f)} {verdict} the Perron conditions"])
+    return inputs, result, [f"{format_poly(f)} {verdict} the Perron conditions"]
 
 
-def _cmd_padding(args) -> int:
+def _cmd_padding(args) -> tuple:
     f = parse_poly(_read_arg(args.poly))
     pad = cyclotomic_padding(
         f,
@@ -352,17 +318,13 @@ def _cmd_padding(args) -> int:
                 "net": [_num(v) for v in pad.net],
             }
         )
-    payload = {
-        "command": "padding",
-        "inputs": {
-            "poly": _poly_obj(f),
-            "n_net": args.n_net,
-            "search_bound": args.search_bound,
-            "max_degree": args.max_degree,
-            "max_mult": args.max_mult,
-            "tol": args.tol,
-        },
-        "result": result,
+    inputs = {
+        "poly": _poly_obj(f),
+        "n_net": args.n_net,
+        "search_bound": args.search_bound,
+        "max_degree": args.max_degree,
+        "max_mult": args.max_mult,
+        "tol": args.tol,
     }
     if pad is None:
         summary = ["no cyclotomic padding found within the search bounds"]
@@ -370,21 +332,16 @@ def _cmd_padding(args) -> int:
         summary = ["net traces already nonnegative; no padding needed"]
     else:
         summary = [f"padding found: indices {list(pad.indices)}, phi = {format_poly(pad.phi)}"]
-    return _emit(args, payload, summary)
+    return inputs, result, summary
 
 
-def _cmd_primitivity(args) -> int:
+def _cmd_primitivity(args) -> tuple:
     a = parse_matrix(_read_arg(args.matrix))
     prim = primitivity(a)
-    payload = {
-        "command": "primitivity",
-        "inputs": {"matrix": [list(row) for row in a.rows]},
-        "result": {"primitive": prim},
-    }
-    return _emit(args, payload, [f"primitive: {prim}"])
+    return {"matrix": [list(row) for row in a.rows]}, {"primitive": prim}, [f"primitive: {prim}"]
 
 
-def _cmd_fg_iterate(args) -> int:
+def _cmd_fg_iterate(args) -> tuple:
     phi = parse_endo(_read_arg(args.endo))
     inputs = {
         "endo": format_endo(phi),
@@ -405,11 +362,10 @@ def _cmd_fg_iterate(args) -> int:
             per[name] = [_num(v) for v in seq.terms]
         result = {"per_generator": per}
         summary = [f"|phi^n(g)| for each generator, n = 1..{args.iters}"]
-    payload = {"command": "fg-iterate", "inputs": inputs, "result": result}
-    return _emit(args, payload, summary)
+    return inputs, result, summary
 
 
-def _cmd_fg_growth(args) -> int:
+def _cmd_fg_growth(args) -> tuple:
     phi = parse_endo(_read_arg(args.endo))
     inputs = {
         "endo": format_endo(phi),
@@ -445,126 +401,106 @@ def _cmd_fg_growth(args) -> int:
             "maxima": [_num(v) for v in rep.maxima],
         }
         best = max((v for v in rep.maxima if v is not None), default=None)
-    payload = {"command": "fg-growth", "inputs": inputs, "result": result}
     shown = "n/a" if best is None else f"{best:.6f}"
-    return _emit(args, payload, [f"largest growth rate: {shown}"])
+    return inputs, result, [f"largest growth rate: {shown}"]
 
 
-def _cmd_fg_from_matrix(args) -> int:
+def _cmd_fg_from_matrix(args) -> tuple:
     a = parse_matrix(_read_arg(args.matrix))
     phi = endo_from_matrix(a)
     ab = abelianization(phi)
-    payload = {
-        "command": "fg-from-matrix",
-        "inputs": {"matrix": [list(row) for row in a.rows]},
-        "result": {
-            "endo": format_endo(phi),
-            "images": [format_word(w) for w in phi.images],
-            "abelianization": [list(row) for row in ab.rows],
-        },
+    result = {
+        "endo": format_endo(phi),
+        "images": [format_word(w) for w in phi.images],
+        "abelianization": [list(row) for row in ab.rows],
     }
-    return _emit(args, payload, [format_endo(phi)])
+    return {"matrix": [list(row) for row in a.rows]}, result, [format_endo(phi)]
 
 
-def _cmd_f2_positive_aut(args) -> int:
+def _cmd_f2_positive_aut(args) -> tuple:
     a = parse_matrix(_read_arg(args.matrix))
     descent = positive_f2_aut(a)
     phi = descent.endo
     ab = abelianization(phi)
     u, v = phi.images
-    payload = {
-        "command": "f2-positive-aut",
-        "inputs": {"matrix": [list(row) for row in a.rows]},
-        "result": {
-            "endo": format_endo(phi),
-            "images": [format_word(u), format_word(v)],
-            "swapped": descent.swapped,
-            "ds": list(descent.ds),
-            "abelianization": [list(row) for row in ab.rows],
-            "matches_input": ab == a,
-            "positive_words": u.is_positive() and v.is_positive(),
-            "nielsen_basis": nielsen_verify_basis(u, v),
-        },
+    result = {
+        "endo": format_endo(phi),
+        "images": [format_word(u), format_word(v)],
+        "swapped": descent.swapped,
+        "ds": list(descent.ds),
+        "abelianization": [list(row) for row in ab.rows],
+        "matches_input": ab == a,
+        "positive_words": u.is_positive() and v.is_positive(),
+        "nielsen_basis": nielsen_verify_basis(u, v),
     }
-    return _emit(args, payload, [format_endo(phi)])
+    return {"matrix": [list(row) for row in a.rows]}, result, [format_endo(phi)]
 
 
-def _cmd_burau(args) -> int:
+def _cmd_burau(args) -> tuple:
     beta = _braid_arg(args)
     mat = reduced_burau(beta)
-    payload = {
-        "command": "burau",
-        "inputs": {"braid": format_braid(beta), "n": beta.n},
-        "result": {
-            "size": mat.size,
-            "matrix": [[_laurent_obj(e) for e in row] for row in mat.entries],
-        },
+    inputs = {"braid": format_braid(beta), "n": beta.n}
+    result = {
+        "size": mat.size,
+        "matrix": [[_laurent_obj(e) for e in row] for row in mat.entries],
     }
-    return _emit(args, payload, [f"reduced Burau matrix, size {mat.size}"])
+    return inputs, result, [f"reduced Burau matrix, size {mat.size}"]
 
 
-def _cmd_alexander(args) -> int:
+def _cmd_alexander(args) -> tuple:
     beta = _braid_arg(args)
     det = det_burau_minus_identity(beta)
     alex = alexander_from_det(det, beta.n)
-    payload = {
-        "command": "alexander",
-        "inputs": {"braid": format_braid(beta), "n": beta.n},
-        "result": {"alexander": _laurent_obj(alex), "det": _laurent_obj(det)},
-    }
-    return _emit(args, payload, [f"reduced Alexander polynomial: {alex}"])
+    inputs = {"braid": format_braid(beta), "n": beta.n}
+    result = {"alexander": _laurent_obj(alex), "det": _laurent_obj(det)}
+    return inputs, result, [f"reduced Alexander polynomial: {alex}"]
 
 
-def _cmd_lehmer_gap(args) -> int:
+def _cmd_lehmer_gap(args) -> tuple:
     beta = _braid_arg(args)
     det = det_burau_minus_identity(beta)
     gap = gap_from_det(det, args.tol)
     alex = alexander_from_det(det, beta.n)
-    payload = {
-        "command": "lehmer-gap",
-        "inputs": {"braid": format_braid(beta), "n": beta.n, "tol": args.tol},
-        "result": {"gap": gap, "alexander": _laurent_obj(alex)},
-    }
-    return _emit(args, payload, [f"Mahler measure of det(Burau - I): {gap:.12f}"])
+    inputs = {"braid": format_braid(beta), "n": beta.n, "tol": args.tol}
+    result = {"gap": gap, "alexander": _laurent_obj(alex)}
+    return inputs, result, [f"Mahler measure of det(Burau - I): {gap:.12f}"]
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> tuple:
     beta = _braid_arg(args)
     est = dynnikov_entropy(beta, n_terms=args.iters, accel=not args.no_accel)
-    payload = {
-        "command": "entropy",
-        "inputs": {
-            "braid": format_braid(beta),
-            "n": beta.n,
-            "n_terms": args.iters,
-            "accel": not args.no_accel,
-            "budget": args.budget,
-        },
-        "result": {
-            "gr1": est.gr1,
-            "log_gr1": est.log_gr1,
-            "accelerated": est.accelerated,
-            "per_generator": [
-                {
-                    "generator": g.generator,
-                    "estimate": g.estimate,
-                    "spread": g.spread,
-                    "last_ratios": list(g.last_ratios),
-                }
-                for g in est.per_generator
-            ],
-        },
+    inputs = {
+        "braid": format_braid(beta),
+        "n": beta.n,
+        "n_terms": args.iters,
+        "accel": not args.no_accel,
+        "budget": args.budget,
     }
-    summary = [f"growth rate {est.gr1:.6f}, entropy {est.log_gr1:.6f}"]
-    return _emit(args, payload, summary)
+    result = {
+        "gr1": est.gr1,
+        "log_gr1": est.log_gr1,
+        "accelerated": est.accelerated,
+        "per_generator": [
+            {
+                "generator": g.generator,
+                "estimate": g.estimate,
+                "spread": g.spread,
+                "last_ratios": list(g.last_ratios),
+            }
+            for g in est.per_generator
+        ],
+    }
+    return inputs, result, [f"growth rate {est.gr1:.6f}, entropy {est.log_gr1:.6f}"]
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    tol_default = _env_tol()
+    """The whole argparse tree.  It reads no environment, so one parser
+    serves every main() call in a process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json-only",
@@ -615,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument(
             "--tol",
             type=_tol_arg,
-            default=tol_default,
-            help="root-isolation tolerance (default %(default)g, or LEHMERLAB_TOL)",
+            default=None,
+            help=f"root-isolation tolerance (default {DEFAULT_TOL:g}, or LEHMERLAB_TOL)",
         )
 
     def budget_flag(q, text="work cap for free-group rewriting of words with inverse letters"):
@@ -748,7 +684,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            code = args.func(args)
+            if "tol" in vars(args) and args.tol is None:
+                args.tol = _env_tol()
+            inputs, result, summary = args.func(args)
         except (
             ValueError,
             ArithmeticError,
@@ -760,6 +698,13 @@ def main(argv=None) -> int:
             error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             print(json.dumps(error, indent=2, sort_keys=True))
             code = 1
+        else:
+            doc = {"command": args.command, "inputs": inputs, "result": result}
+            print(json.dumps(doc, indent=2, sort_keys=True))
+            if not args.json_only:
+                for line in summary:
+                    print(line, file=sys.stderr)
+            code = 0
         sys.stdout.flush()  # a closed stdout then fails here, not at exit
         return code
     except BrokenPipeError:

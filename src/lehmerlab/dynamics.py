@@ -167,6 +167,8 @@ def _power_traces(spectrum, n_terms: int):
 
 def net_traces(spectrum, n_terms: int) -> list:
     """tr_n = sum over k | n of mu(n/k) tr(Lambda^k), for n = 1..N."""
+    if n_terms < 1:
+        raise ValueError("need n_terms >= 1")
     ps = _power_traces(spectrum, n_terms)
     out = []
     for n in range(1, n_terms + 1):
@@ -227,6 +229,8 @@ def perron_check(f: IntPoly, n_net: int = 50, tol: float = DEFAULT_TOL) -> Perro
     dominant-real condition is certified from root enclosures; nonnegative
     net traces are only ever checked on the finite prefix n <= n_net.
     """
+    if n_net < 1:
+        raise ValueError("need n_net >= 1")
     if not f.is_monic:
         raise ValueError("perron_check needs a monic polynomial")
     dominant = _dominant_real(f, tol)
@@ -283,6 +287,8 @@ def cyclotomic_padding(
     disjoint spectra, so each candidate costs one vector sum.  None means
     nothing was found within the search bounds, not a disproof.
     """
+    if n_net < 1:
+        raise ValueError("need n_net >= 1")
     if not _dominant_real(f, tol):
         raise ValueError("cyclotomic padding expects a dominant real root")
     base = net_traces(f, n_net)

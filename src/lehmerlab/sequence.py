@@ -108,7 +108,11 @@ def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
     """Exact k x k Hankel determinant with (i, j) entry a_{n+i+j-2}."""
     if k == 0:
         return Fraction(1)
-    if n < 1 or k < 0 or n + 2 * k - 2 > a.n_terms:
+    if n < 1:
+        raise ValueError(f"Hankel start index n={n} must be at least 1")
+    if k < 0:
+        raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
+    if n + 2 * k - 2 > a.n_terms:
         raise ValueError(f"Hankel window (n={n}, k={k}) exceeds {a.n_terms} terms")
     entries = [a.get(n + i) for i in range(2 * k - 1)]
     den = math.lcm(*(e.denominator for e in entries))

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import lehmerlab
-from lehmerlab.cli import main
+from lehmerlab.cli import build_parser, main
+from lehmerlab.dynamics import net_trace
+from lehmerlab.polynomial import parse_poly
 
 LEHMER_NEG_T = [1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1]
 
@@ -195,6 +197,33 @@ def test_net_trace_and_perron(capsys):
     assert doc["result"]["net_traces_checked"] == 40
 
 
+def test_non_positive_counts_exit_1(capsys):
+    for argv, message in (
+        (["perron", "--poly=-1,-1,1", "--n-net", "-5"], "need n_net >= 1"),
+        (["padding", "--poly=3,-4,1", "--n-net", "0"], "need n_net >= 1"),
+        (["net-trace", "--poly=-1,-1,1", "--iters", "-1"], "need n_terms >= 1"),
+    ):
+        code, doc, _ = run_json([*argv, "--json-only"], capsys)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": message}
+    with pytest.raises(ValueError, match="need n_terms >= 1"):
+        net_trace(parse_poly("t^2-t-1"), 0)
+
+
+@pytest.mark.parametrize(
+    "poly, status, witness, factor",
+    [("-1,0,2", "irreducible", 3, None), ("1,0,-1", "reducible", None, "t+1")],
+)
+def test_poly_check_non_monic(poly, status, witness, factor, capsys):
+    code, doc, _ = run_json(["poly-check", f"--poly={poly}", "--json-only"], capsys)
+    assert code == 0, doc
+    r = doc["result"]
+    assert r["monic"] is False and r["cyclotomic_product"] is False
+    irr = r["irreducibility"]
+    assert irr["status"] == status and irr["witness_prime"] == witness
+    assert (irr["factor"] and irr["factor"]["display"]) == factor
+
+
 def test_padding_trivial_when_already_nonnegative(capsys):
     code, doc, _ = run_json(["padding", "--poly=3,-4,1", "--json-only"], capsys)
     assert code == 0
@@ -356,6 +385,94 @@ def test_env_var_fallback_notes_on_stderr(monkeypatch, capsys):
             f"lehmerlab: LEHMERLAB_TOL={bad!r} is not a positive finite number; "
             "using the default tol 1e-10\n"
         )
+
+
+# One tiny input per subcommand: every handler's output goes through the
+# same {"command", "inputs", "result"} envelope.
+ENVELOPE_CASES = {
+    "mahler": ["--poly", "1,1"],
+    "poly-check": ["--poly", "1,1"],
+    "hankel": ["--seq", "1,1,2,3,5", "--k", "2"],
+    "growth": ["--seq", "1,1,2,3,5,8,13,21", "--k-max", "1"],
+    "fit-recurrence": ["--seq", "1,1,2,3,5,8"],
+    "lefschetz": ["--matrix", "[[2,1],[1,1]]", "--iters", "3"],
+    "net-trace": ["--poly=-1,-1,1", "--iters", "4"],
+    "perron": ["--poly=-1,-1,1", "--n-net", "4"],
+    "padding": ["--poly=3,-4,1", "--n-net", "4"],
+    "primitivity": ["--matrix", "[[1,1],[1,0]]"],
+    "fg-iterate": ["--endo", "a -> a b; b -> a", "--iters", "3"],
+    "fg-growth": ["--endo", "a -> a b; b -> a", "--iters", "12", "--k-max", "1"],
+    "fg-from-matrix": ["--matrix", "[[1,1],[1,0]]"],
+    "f2-positive-aut": ["--matrix", "[[2,1],[1,1]]"],
+    "burau": ["--n", "2", "--braid", "s1"],
+    "alexander": ["--n", "3", "--braid", "s1 s2^-1"],
+    "lehmer-gap": ["--n", "3", "--braid", "s1 s2^-1"],
+    "entropy": ["--n", "3", "--braid", "s1 s2^-1", "--iters", "6"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_CASES))
+def test_one_envelope_per_subcommand(command, capsys):
+    argv = [command, *ENVELOPE_CASES[command]]
+    code, doc, err = run_json([*argv, "--json-only"], capsys)
+    assert code == 0, doc
+    assert set(doc) == {"command", "inputs", "result"}
+    assert doc["command"] == argv[0]
+    assert err == ""
+    code, again, err = run_json(argv, capsys)
+    assert code == 0 and again == doc
+    assert err.strip()
+
+
+def test_env_var_read_only_when_used(monkeypatch, capsys):
+    monkeypatch.setenv("LEHMERLAB_TOL", "abc")
+    code, _, err = run_json(["poly-check", "--poly", "1,1", "--json-only"], capsys)
+    assert (code, err) == (0, "")
+    code, doc, err = run_json(["mahler", "--poly", "1,1", "--tol", "1e-8", "--json-only"], capsys)
+    assert (code, err) == (0, "")
+    assert doc["inputs"]["tol"] == 1e-8
+    # --help shows the static default whatever the environment holds.
+    with pytest.raises(SystemExit) as exc:
+        main(["mahler", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert "(default 1e-10, or LEHMERLAB_TOL)" in " ".join(out.split())
+    assert err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out, _ = capsys.readouterr()
+    assert len(ENVELOPE_CASES) == 18
+    assert all(name in out for name in ENVELOPE_CASES)
+
+
+def test_parser_built_once_per_process_and_not_at_import():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import lehmerlab.cli as cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    cli.main(['mahler', '--poly', '1,1', '--json-only'])\n"
+        "    counts.append(len(built))\n"
+        "print(counts)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, after_one, after_two = json.loads(proc.stdout.splitlines()[-1])
+    assert first == 0 and after_one > 0 and after_two == after_one
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8", "abc"])

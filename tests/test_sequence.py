@@ -80,10 +80,14 @@ def test_hankel_size_zero_is_one():
 def test_hankel_window_bounds():
     a = fib_seq(6)
     assert hankel_det(a, 4, 2) is not None  # n + 2k - 2 == 6, last admissible
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"window \(n=5, k=2\) exceeds 6 terms"):
         hankel_det(a, 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start index n=0 must be at least 1"):
         hankel_det(a, 0, 2)
+    with pytest.raises(ValueError, match="size k=-1 must be nonnegative"):
+        hankel_det(a, 1, -1)
+    with pytest.raises(ValueError, match="size k=-1 must be nonnegative"):
+        hankel_values(a, -1)
 
 
 def test_hankel_values_enumeration():
