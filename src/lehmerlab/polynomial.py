@@ -6,9 +6,9 @@ requires it); floating point only enters through the numeric root finder,
 which returns certified error radii alongside every approximation.  The
 companion-matrix roots from ``np.roots`` are certified in float64 by
 Weierstrass disks whose radii are rigorous under rounding; when that bound
-fails, mpmath (imported only then) iterates the same Weierstrass
-correction.  Rational roots, zero included, are recognized exactly inside
-their isolated disks.
+fails, the same correction is iterated at dyadic centers, whose disks are
+certified in exact integer arithmetic.  Rational roots, zero included, are
+recognized exactly inside their isolated disks.
 """
 
 from __future__ import annotations
@@ -591,27 +591,15 @@ _TINY = 2.0**-960  # partial products kept this far above the underflow range
 
 
 def _up(x) -> float:
-    """A float no smaller than x (a float, Fraction or mpmath number)."""
+    """A float no smaller than x (a float or Fraction)."""
     return math.nextafter(float(x), math.inf)
 
 
-def _float64_floor(tol: float, z: complex) -> PrecisionError:
-    """The error for a root that no float64 point lies within tol/4 of."""
-    m = abs(z)
-    return PrecisionError(
-        f"tol={tol:g} is too fine for float64 at a root of modulus {m:.6g}: "
-        f"the float64 spacing there is {math.ulp(m):.3g}, and no float64 center "
-        f"lies within tol/4 = {tol / 4:.3g} of that root"
-    )
-
-
-def _horner_mp(coeffs, z):
-    import mpmath as mp
-
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _isqrt_up(num: int, den: int) -> int:
+    """The least integer m >= 0 with m^2 >= num / den."""
+    q = -(-num // den)
+    m = math.isqrt(q)
+    return m + (m * m < q)
 
 
 def _weierstrass_f64(a, z):
@@ -665,8 +653,8 @@ def _certified_roots(coeffs, tol):
     W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
     Carstensen).  The np.roots eigenvalues are certified in float64 after
     one float64 Weierstrass step; when that fails (a coefficient of 2^53
-    or more, a cluster, overflow) _weierstrass_mp iterates the same
-    correction in mpmath.
+    or more, a cluster, overflow) _weierstrass_exact iterates the same
+    correction at dyadic centers and certifies it in exact integers.
     """
     n = len(coeffs) - 1
     try:
@@ -687,77 +675,83 @@ def _certified_roots(coeffs, tol):
             radii = n * hi / lo * (1 + 4 * _U)
         if np.all(radii < tol / 4):
             return [complex(v) for v in z], [float(r) for r in radii]
-    return _weierstrass_mp(coeffs, tol, start)
+    return _weierstrass_exact(coeffs, tol, start)
 
 
-def _weierstrass_mp(coeffs, tol, start):
-    """The escalation route of _certified_roots.
+def _weierstrass_exact(coeffs, tol, start):
+    """The escalation route of _certified_roots: centers z_j = (x_j + i y_j) / 2^p.
 
-    In-place Weierstrass (Durand-Kerner) steps z_j <- z_j - W_j from start
-    at 40, 80, ... digits of mpmath until every radius about the rounded
-    float64 center is below tol/4.  That radius is n|W_j| at the mpmath
-    iterate plus the distance to the center, bounded under rounding as in
-    _weierstrass_f64: with g = gamma_{8(n+2)} at mp.eps (twice the unit
-    roundoff), |f(z_j)| <= |f^(z_j)| + g * sum |a_i| |z_j|^i and
-    |lc * prod_{k != j} (z_j - z_k)| >= |P^_j| (1 - g) for the computed
-    values f^ and P^, each rounded once per real operation.
-    """
-    import mpmath as mp
+    In-place Weierstrass (Durand-Kerner) steps z_j <- z_j - W_j from start run in fixed
+    point, each product dropping p bits, at p = 128, 256, ..., 4096 until every radius
+    about the rounded float64 center is below tol/4.  No rounding is left to bound:
+    F_j = 2^(pn) f(z_j) and P_j = 2^(p(n-1)) lc prod_{k != j} (z_j - z_k) are Gaussian
+    integers, n|W_j| = n|F_j| / (2^p |P_j|) and the distance to that center are bounded
+    by integer square roots, and every comparison is exact."""
+    n, lead = len(coeffs) - 1, coeffs[-1]
 
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    abs_coeffs = [abs(c) for c in coeffs]
-    start = [complex(z) for z in start]
-    # Distinct starting points keep the Weierstrass denominators nonzero.
-    for j in range(n):
-        for k in range(j):
-            if abs(start[j] - start[k]) < 1e-12:
-                start[j] += (j + 1) * 1e-6 * (1 + 1j)
-
-    def correction(zs, j):
-        prod = mp.mpc(lead)
+    def horner_and_product(j, cs, head, shift):
+        # Horner over cs, and prod_{k != j} (z_j - z_k), from head; products drop shift bits.
+        x, y = xs[j], ys[j]
+        fr, fi = pr, pi = head, 0
+        for c in cs:
+            fr, fi = ((fr * x - fi * y) >> shift) + c, (fr * y + fi * x) >> shift
         for k in range(n):
             if k != j:
-                prod *= zs[j] - zs[k]
-        return _horner_mp(coeffs, zs[j]), prod
+                dx, dy = x - xs[k], y - ys[k]
+                pr, pi = (pr * dx - pi * dy) >> shift, (pr * dy + pi * dx) >> shift
+        return fr, fi, pr, pi
 
-    dps = 40
-    zs = [mp.mpc(z) for z in start]
-    while dps <= 1600:
-        with mp.workdps(dps):
-            zs = [mp.mpc(z) for z in zs]
-            stop = mp.mpf(10) ** (-dps + 8)
-            for _ in range(120):
-                moved = mp.mpf(0)
-                for j in range(n):
-                    fz, prod = correction(zs, j)
-                    w = fz / prod if prod != 0 else mp.mpf(10) ** (-dps // 3)
-                    zs[j] -= w
-                    moved = max(moved, abs(w))
-                if moved < stop:
-                    break
-            g = 8 * (n + 2) * mp.eps / (1 - 8 * (n + 2) * mp.eps)
-            nws, dists = [], []
-            for j, z in enumerate(zs):
-                fz, prod = correction(zs, j)
-                lo = abs(prod) * (1 - g)
-                if lo == 0:
-                    break
-                hi = abs(fz) + g * abs(_horner_mp(abs_coeffs, abs(z)))
-                nws.append(n * hi / lo * (1 + g))
-                dists.append(abs(z - complex(z)) * (1 + g))
-            else:
-                radii = [_up(_up(nw) + _up(d)) for nw, d in zip(nws, dists)]
-                if all(r < tol / 4 for r in radii):
-                    return [complex(z) for z in zs], radii
-                for j in range(n):
-                    # An isolated disk holds its root, so no float64 point
-                    # lies within dists[j] - nws[j] of that root.
-                    if dists[j] * (1 - 2 * g) - nws[j] >= tol / 4 and all(
-                        abs(zs[j] - zs[k]) * (1 - g) > nws[j] + nws[k] for k in range(n) if k != j
-                    ):
-                        raise _float64_floor(tol, complex(zs[j]))
-        dps *= 2
+    p = 128
+    xs = [round(Fraction(z.real) * 2**p) for z in start]
+    ys = [round(Fraction(z.imag) * 2**p) for z in start]
+    while p <= 4096:
+        cs = [c << p for c in coeffs[-2::-1]]
+        for _ in range(120):
+            moved = 0
+            for j in range(n):
+                fr, fi, pr, pi = horner_and_product(j, cs, lead << p, p)
+                den = pr * pr + pi * pi
+                if den:
+                    wr, wi = ((fr * pr + fi * pi) << p) // den, ((fi * pr - fr * pi) << p) // den
+                else:  # coincident centers, or a product below 2^-p
+                    wr = wi = 1 << (p - p // 3)
+                xs[j], ys[j] = xs[j] - wr, ys[j] - wi
+                moved = max(moved, abs(wr), abs(wi))
+            if moved < 1 << 27:
+                break
+        # Distinct centers make P_j != 0; F_j = sum a_i 2^(p(n-i)) (x_j + i y_j)^i; units of 2^-s.
+        if len(set(zip(xs, ys))) == n:
+            cs = [c << p * t for t, c in enumerate(coeffs[-2::-1], 1)]
+            s, one = p + 64, 1 << p
+            try:
+                centers = [complex(x / one, y / one) for x, y in zip(xs, ys)]  # correctly rounded
+            except OverflowError:
+                raise PrecisionError("root approximations left the float64 range") from None
+            nws, dists, radii = [], [], []
+            for j, (x, y, z) in enumerate(zip(xs, ys, centers)):
+                fr, fi, pr, pi = horner_and_product(j, cs, lead, 0)
+                nws.append(_isqrt_up(n * n * (fr * fr + fi * fi) << 128, pr * pr + pi * pi))
+                dx, dy = Fraction(x, one) - Fraction(z.real), Fraction(y, one) - Fraction(z.imag)
+                d = dx * dx + dy * dy
+                dists.append(d)
+                radii.append(_up((nws[j] + _isqrt_up(d.numerator << 2 * s, d.denominator)) / (1 << s)))
+            if all(r < tol / 4 for r in radii):
+                return centers, radii
+            for j in range(n):
+                # An isolated disk holds its root, so no float64 point lies
+                # within dists[j]^(1/2) - nws[j] of that root.
+                if dists[j] >= (Fraction(tol) / 4 + Fraction(nws[j], 1 << s)) ** 2 and all(
+                    ((xs[j] - xs[k]) ** 2 + (ys[j] - ys[k]) ** 2) << 128 > (nws[j] + nws[k]) ** 2
+                    for k in range(n) if k != j
+                ):
+                    m = abs(centers[j])
+                    raise PrecisionError(
+                        f"tol={tol:g} is too fine for float64 at a root of modulus {m:.6g}: "
+                        f"the float64 spacing there is {math.ulp(m):.3g}, and no float64 center "
+                        f"lies within tol/4 = {tol / 4:.3g} of that root"
+                    )
+        xs, ys = [x << p for x in xs], [y << p for y in ys]
+        p *= 2
     raise PrecisionError(f"root certification failed at tol={tol}")
 
 
@@ -824,7 +818,8 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     Multiple roots are separated exactly first (Yun decomposition).  The
     roots of each squarefree part are np.roots eigenvalues, taken one
     float64 Weierstrass step and certified by Weierstrass disks in
-    float64, with mpmath Weierstrass iteration when that bound fails.
+    float64; when that bound fails, Weierstrass steps in fixed point give
+    dyadic centers whose disks are certified in exact integer arithmetic.
     Rational roots, zero included, are then recognized exactly inside
     their isolated disks.  Every radius is a proven bound about its
     float64 center.  A tol that no float64 center can meet raises

@@ -290,6 +290,8 @@ def growth_report(
     tol: float = DEFAULT_TOL,
 ) -> GrowthReport:
     """Numeric GR^(k) estimates for k <= k_max plus the exact fitted route."""
+    if k_max < 0:
+        raise ValueError("need k_max >= 0")
     if d_max is None:
         d_max = a.n_terms // 3
     rec = None
@@ -368,6 +370,8 @@ def eventually_periodic(a: ExactSeq, min_evidence: int = 3) -> Periodicity | Non
     Requires min_evidence full periods of agreement beyond the preperiod;
     returns None when no period qualifies.
     """
+    if min_evidence < 1:
+        raise ValueError("min_evidence must be >= 1")
     if not a.is_integral():
         raise ValueError("periodicity detection expects integer terms")
     ts = a.terms

@@ -202,6 +202,9 @@ def test_non_positive_counts_exit_1(capsys):
         (["perron", "--poly=-1,-1,1", "--n-net", "-5"], "need n_net >= 1"),
         (["padding", "--poly=3,-4,1", "--n-net", "0"], "need n_net >= 1"),
         (["net-trace", "--poly=-1,-1,1", "--iters", "-1"], "need n_terms >= 1"),
+        (["growth", "--seq", "1,1,2,3,5,8,13,21", "--k-max", "-1"], "need k_max >= 0"),
+        (["fg-growth", "--endo", "a -> a b; b -> a", "--k-max", "-1"], "need k_max >= 0"),
+        (["fg-growth", "--endo", "a -> a b; b -> a", "--k-max", "-1", "--sum"], "need k_max >= 0"),
     ):
         code, doc, _ = run_json([*argv, "--json-only"], capsys)
         assert code == 1
@@ -499,10 +502,11 @@ def test_tol_below_float64_resolution_exit_1(tol, capsys):
 
 
 def test_mahler_leaves_mpmath_unimported():
-    # Lehmer's polynomial, then inputs with zero and rational roots.
+    # Lehmer's polynomial, inputs with zero and rational roots, and one with
+    # leading coefficient 2^53 + 1, which takes the escalation route.
     script = (
         "import sys, lehmerlab.cli as cli\n"
-        "for poly in ('1,1,0,-1,-1,-1,-1,-1,0,1,1', '0,0,-1,1,2', '1,-5,6'):\n"
+        "for poly in ('1,1,0,-1,-1,-1,-1,-1,0,1,1', '0,0,-1,1,2', '1,-5,6', '1,1,0,9007199254740993'):\n"
         "    code = cli.main(['mahler', '--poly', poly, '--json-only'])\n"
         "    assert code == 0, (poly, code)\n"
         "print('mpmath' in sys.modules)\n"

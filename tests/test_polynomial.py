@@ -617,18 +617,23 @@ def test_squarefree_decomposition_degree_120():
 # Certified roots: the float64 route against a 40-digit mpmath oracle
 
 
-def _mp_oracle(coeffs, dps=40):
+def _mp_oracle(coeffs, dps=40, polyroots=False):
     """Every root of a squarefree f (coefficients ascending) to dps digits,
-    as (roots, radii).  np.roots starts are polished by Newton's method in
-    mpmath and proved by their own dps-digit Weierstrass disks, which must
-    be tiny and pairwise disjoint; each disk then holds exactly one root."""
+    as (roots, radii).  np.roots starts (mpmath.polyroots starts with
+    polyroots=True) are polished by Newton's method in mpmath and proved by
+    their own dps-digit Weierstrass disks, which must be tiny and pairwise
+    disjoint; each disk then holds exactly one root.  On t^30 - 2(5t - 1)^2
+    the np.roots starts collapse onto one root, so it needs polyroots."""
     n = len(coeffs) - 1
     desc = list(coeffs[::-1])
     ddesc = [c * (n - i) for i, c in enumerate(desc[:-1])]
     with mpmath.workdps(dps):
+        if polyroots:
+            starts = mpmath.polyroots(desc, maxsteps=100, extraprec=dps)
+        else:
+            starts = [mpmath.mpc(complex(z0)) for z0 in np.roots([float(c) for c in desc])]
         zs = []
-        for z0 in np.roots([float(c) for c in desc]):
-            z = mpmath.mpc(complex(z0))
+        for z in starts:
             for _ in range(dps // 5):
                 step = mpmath.polyval(desc, z) / mpmath.polyval(ddesc, z)
                 z -= step
@@ -727,15 +732,15 @@ def _certification_cases():
 
 @pytest.fixture
 def escalations(monkeypatch):
-    """Degrees of the polynomials sent to the mpmath escalation route."""
+    """Degrees of the polynomials sent to the exact-integer escalation route."""
     seen = []
-    escalate = P._weierstrass_mp
+    escalate = P._weierstrass_exact
 
     def counting(coeffs, tol, start):
         seen.append(len(coeffs) - 1)
         return escalate(coeffs, tol, start)
 
-    monkeypatch.setattr(P, "_weierstrass_mp", counting)
+    monkeypatch.setattr(P, "_weierstrass_exact", counting)
     return seen
 
 
@@ -813,19 +818,29 @@ def _mignotte(d, a):
 
 @pytest.mark.parametrize(
     "f",
-    [_mignotte(10, 10), _mignotte(14, 5), _mignotte(20, 3), IntPoly((1, 1, 0, 2**53 + 1))],
-    ids=["mignotte10", "mignotte14", "mignotte20", "coefficient>=2^53"],
+    [_mignotte(10, 10), _mignotte(14, 5), _mignotte(20, 3), _mignotte(30, 5), IntPoly((1, 1, 0, 2**53 + 1))],
+    ids=["mignotte10", "mignotte14", "mignotte20", "mignotte30", "coefficient>=2^53"],
 )
 def test_escalation_route_certifies(f, escalations):
     rl = roots(f)
     assert escalations == [f.degree]
-    _assert_encloses(rl, [(*_mp_oracle(f.coeffs), 1)], 1e-10)
+    _assert_encloses(rl, [(*_mp_oracle(f.coeffs, polyroots=True), 1)], 1e-10)
+
+
+def test_escalation_doubles_the_precision(escalations):
+    """At 128 bits the center nearest the root 2^-200 is 0, with radius
+    2^-200 > tol/4; at 256 bits the center is the root itself, and the root
+    is recognized as rational."""
+    rl = roots(IntPoly((-1, 2**200)), 1e-70)
+    assert escalations == [1]
+    assert rl.roots == (2.0**-200 + 0j,) and rl.radii == (0.0,)
 
 
 def test_escalation_radius_bounds_the_working_precision_rounding(escalations):
-    """Near a cluster the small product of root differences amplifies the
-    rounding error of f(z_j) at 40 digits; a radius without that error
-    term missed these roots by 4.1e-25 and 1.1e-36."""
+    """Near a cluster the small product of root differences amplifies any
+    error in f(z_j): a 40-digit mpmath radius without a rounding term missed
+    these roots by 4.1e-25 and 1.1e-36.  The exact-integer radius has no
+    rounding to bound and must enclose them at 110 digits."""
     pair = IntPoly((-1, 3)) * IntPoly((-(10**17 + 1), 3 * 10**17))
     with mpmath.workdps(110):
         exact = [mpmath.mpf(1) / 3, mpmath.mpf(10**17 + 1) / (3 * 10**17)]

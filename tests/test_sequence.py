@@ -253,6 +253,10 @@ def test_eventually_periodic_detection():
 def test_eventually_periodic_needs_evidence():
     # one full repeat is not three
     assert eventually_periodic(ExactSeq.of([1, 2, 3, 4, 1, 2, 3, 4])) is None
+    assert eventually_periodic(ExactSeq.of([1, 2, 3, 4, 1, 2, 3, 4]), 2) == Periodicity(0, 4)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="min_evidence must be >= 1"):
+            eventually_periodic(ExactSeq.of([1, 2, 3, 4, 1, 2, 3, 4]), bad)
 
 
 def test_parse_seq_and_recurrence():
