@@ -2,9 +2,11 @@
 braid closures, and entropy estimation from the action on curves.
 
 Burau matrices are exact Laurent-polynomial matrices: each letter rewrites
-one column of the running product, and a full twist T^k scales it by t^{nk}.
-det(Burau - I) is one integer determinant after Kronecker substitution
-(``polynomial.poly_det``), shared by the Alexander polynomial and Lehmer gap.
+one column of the running product, held as plain integer coefficient lists,
+and a full twist T^k scales it by t^{nk}.  det(Burau - I) is one integer
+determinant after Kronecker substitution, through the core that
+``polynomial.poly_det`` uses too, and is shared by the Alexander polynomial
+and Lehmer gap.
 
 Entropy is estimated from Dynnikov coordinates: each letter acts on the
 integer coordinates of a curve by a piecewise-linear map, so an iterate
@@ -17,10 +19,12 @@ lengths, at a cost exponential in the iterate count.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, iterate_lengths
-from .polynomial import DEFAULT_TOL, LaurentPoly, _int_arg, mahler_measure, poly_det
+from .polynomial import DEFAULT_TOL, LaurentPoly, _int_arg, _kronecker_det, mahler_measure
 
 __all__ = [
     "BraidWord",
@@ -99,22 +103,28 @@ class BraidWord:
         return format_braid(self)
 
 
+_BRAID_TOKEN = re.compile(r"(?:s([0-9]+)|(T)|([+-]?[0-9]+))(?:\^([+-]?[0-9]+))?")
+
+
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse "s1 s2^-1 T^2" (or bare signed integers) into a braid word."""
     letters: list[int] = []
     twist = 0
     for tok in text.split():
-        name, _, exp = tok.partition("^")
+        match = _BRAID_TOKEN.fullmatch(tok)
+        if match is None:
+            raise ValueError(
+                f"bad braid token {tok!r}: expected s<i>, s<i>^<e>, T^<k> "
+                "or a signed integer"
+            )
+        gen, full_twist, bare, exp = match.groups()
         e = int(exp) if exp else 1
-        if name == "T":
+        if full_twist:
             twist += e
             continue
-        if name.startswith("s") and name[1:].isdigit():
-            i = int(name[1:])
-        else:
-            i = int(name)
-            if e != 1:
-                raise ValueError(f"exponent syntax needs s-notation: {tok!r}")
+        if bare is not None and e != 1:
+            raise ValueError(f"exponent syntax needs s-notation: {tok!r}")
+        i = int(gen if gen is not None else bare)
         if i == 0:
             raise ValueError("generator index 0 is not valid")
         letters.extend([i if e > 0 else -i] * abs(e))
@@ -187,38 +197,90 @@ class BurauMat:
         )
 
 
+_ZERO_PAIR = (0, [])
+_NONE = float("inf")  # stands in for the degrees of a zero entry in min/max bounds
+
+
+def _shift_diff_add(x, y, z, k: int):
+    """t^k * (x - y) + z on (min_deg, coeffs) pairs, in the same normal form
+    as LaurentPoly: no zero end coefficients, and (0, []) for zero.  Inputs
+    are never modified, so a result may share a list with them."""
+    (dx, cx), (dy, cy), (dz, cz) = x, y, z
+    if not cy:
+        if not cx:
+            return z
+        if not cz:
+            return dx + k, cx
+    dx += k
+    dy += k
+    lo = min(dx if cx else _NONE, dy if cy else _NONE, dz if cz else _NONE)
+    hi = max(
+        dx + len(cx) if cx else -_NONE,
+        dy + len(cy) if cy else -_NONE,
+        dz + len(cz) if cz else -_NONE,
+    )
+    out = [0] * (hi - lo)
+    if cx:
+        out[dx - lo : dx - lo + len(cx)] = cx
+    if cy:
+        i = dy - lo
+        out[i : i + len(cy)] = map(operator.sub, out[i : i + len(cy)], cy)
+    if cz:
+        i = dz - lo
+        out[i : i + len(cz)] = map(operator.add, out[i : i + len(cz)], cz)
+    while out and out[-1] == 0:
+        out.pop()
+    if not out:
+        return _ZERO_PAIR
+    start = 0
+    while out[start] == 0:
+        start += 1
+    return lo + start, out[start:] if start else out
+
+
 def reduced_burau(beta: BraidWord) -> BurauMat:
     """Reduced Burau matrix of the word, letters multiplied left to right.
 
     Right-multiplying by s_i rewrites only column j = i - 1 (0-based):
-    s_i makes it t*col_{j-1} - t*col_j + col_{j+1}, and s_i^-1 makes it
-    col_{j-1} - t^-1*col_j + t^-1*col_{j+1}, where a neighbour outside the
-    matrix counts as zero.  The full twist maps to t^n times the identity,
-    so T^k shifts every entry by t^{nk}.
+    s_i makes it t*(col_{j-1} - col_j) + col_{j+1}, and s_i^-1 makes it
+    t^-1*(col_{j+1} - col_j) + col_{j-1}, where a neighbour outside the
+    matrix counts as zero.  The columns are kept as plain (min_deg, coeffs)
+    pairs and each entry becomes a LaurentPoly once, at the end.  The full
+    twist maps to t^n times the identity, so T^k shifts every entry by
+    t^{nk} there.
     """
     m = beta.n - 1
-    zero = [_ZERO] * m
+    zero = [_ZERO_PAIR] * m
     # Columns 1..m hold the product; columns 0 and m + 1 stay zero.
-    cols = [zero] + [[_ONE if i == j else _ZERO for i in range(m)] for j in range(m)] + [zero]
+    cols = [zero]
+    cols += [[(0, [1]) if i == j else _ZERO_PAIR for i in range(m)] for j in range(m)]
+    cols.append(zero)
+    up, down = [1] * m, [-1] * m
     for letter in beta.letters:
         i = abs(letter)
         left, mid, right = cols[i - 1 : i + 2]
         if letter > 0:
-            cols[i] = [(a - b).shifted(1) + c for a, b, c in zip(left, mid, right)]
+            cols[i] = list(map(_shift_diff_add, left, mid, right, up))
         else:
-            cols[i] = [a + (c - b).shifted(-1) for a, b, c in zip(left, mid, right)]
+            cols[i] = list(map(_shift_diff_add, right, mid, left, down))
     shift = beta.n * beta.full_twist_power
-    return BurauMat(tuple(tuple(v.shifted(shift) for v in row) for row in zip(*cols[1:-1])))
+    return BurauMat(
+        tuple(
+            tuple(LaurentPoly(c, d + shift) for d, c in row) for row in zip(*cols[1:-1])
+        )
+    )
 
 
 def det_burau_minus_identity(beta: BraidWord) -> LaurentPoly:
     """det(Burau - I), exact: every entry is shifted by one power of t that
-    clears negative exponents, and the determinant shifted back."""
+    clears negative exponents, its coefficients go straight into the
+    Kronecker core (``polynomial._kronecker_det``), and the determinant is
+    shifted back."""
     rows = reduced_burau(beta).minus_identity().entries
     low = min((v.min_deg for row in rows for v in row if v), default=0)
     shift = max(0, -low)
-    det = poly_det([[v.shifted(shift).to_int_poly() for v in row] for row in rows])
-    return LaurentPoly(det.coeffs, -shift * len(rows))
+    det = _kronecker_det([[(v.min_deg + shift, v.coeffs) for v in row] for row in rows])
+    return LaurentPoly(det, -shift * len(rows))
 
 
 def alexander_from_det(det: LaurentPoly, n: int) -> LaurentPoly:

@@ -31,6 +31,7 @@ from ._blockword import (
 )
 from .dynamics import IntMatrix
 from .sequence import DEFAULT_WINDOW, ExactSeq, GrowthReport
+from .sequence import _check_report_args
 from .sequence import growth_report as seq_growth_report
 
 DEFAULT_BUDGET = 10_000_000
@@ -160,6 +161,7 @@ def growth_report(
     budget: int = DEFAULT_BUDGET,
 ) -> EndoGrowthReport:
     """Generalized growth rates: max over generators of per-length GR^(k)."""
+    _check_report_args(k_max, window, d_max)
     reports = []
     for g in range(1, phi.rank + 1):
         seq = iterate_lengths(phi, g, n_terms, budget)
@@ -184,6 +186,7 @@ def growth_report_sum(
     budget: int = DEFAULT_BUDGET,
 ) -> GrowthReport:
     """Growth report of the single sequence sum_i |phi^n(g_i)|."""
+    _check_report_args(k_max, window, d_max)
     per_gen = [
         iterate_lengths(phi, g, n_terms, budget).terms
         for g in range(1, phi.rank + 1)

@@ -433,21 +433,30 @@ def bareiss_det(rows) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def poly_det(rows) -> IntPoly:
-    """Determinant of a matrix of IntPolys by Kronecker substitution.
+def _kronecker_det(rows) -> list[int]:
+    """Coefficients, ascending from t^0, of the determinant of a matrix whose
+    entries are (low, coeffs) pairs: t^low times the polynomial with
+    coefficients ``coeffs`` ascending, with low >= 0.
 
     Every coefficient of the determinant is at most the product of the row
-    sums of coefficient 1-norms in absolute value, so below 2^(B-1).  The
-    entries are evaluated at t = 2^B, one integer determinant is taken, and
-    its balanced base-2^B digits are the coefficients.
-
-    >>> poly_det([[IntPoly((0, 1)), IntPoly((1,))], [IntPoly((1,)), IntPoly((0, 1))]]).coeffs
-    (-1, 0, 1)
+    sums of coefficient 1-norms in absolute value, so below 2^(B-1).  Each
+    entry is packed at t = 2^B by Horner steps of B-bit shifts, one integer
+    determinant is taken, and its balanced base-2^B digits are the
+    coefficients.
     """
-    bound = math.prod(sum(abs(c) for p in row for c in p.coeffs) for row in rows)
+    bound = math.prod(sum(abs(c) for _, p in row for c in p) for row in rows)
     bits = bound.bit_length() + 1
+    packed = []
+    for row in rows:
+        out = []
+        for low, p in row:
+            acc = 0
+            for c in reversed(p):
+                acc = (acc << bits) + c
+            out.append(acc << (bits * low))
+        packed.append(out)
+    d = bareiss_det(packed)
     base = 1 << bits
-    d = bareiss_det([[p.evaluate(base) for p in row] for row in rows])
     mask, half = base - 1, base >> 1
     coeffs = []
     while d:
@@ -456,7 +465,17 @@ def poly_det(rows) -> IntPoly:
             digit -= base
         coeffs.append(digit)
         d = (d - digit) >> bits
-    return IntPoly(tuple(coeffs))
+    return coeffs
+
+
+def poly_det(rows) -> IntPoly:
+    """Determinant of a matrix of IntPolys by Kronecker substitution
+    (``_kronecker_det``).
+
+    >>> poly_det([[IntPoly((0, 1)), IntPoly((1,))], [IntPoly((1,)), IntPoly((0, 1))]]).coeffs
+    (-1, 0, 1)
+    """
+    return IntPoly(_kronecker_det([[(0, p.coeffs) for p in row] for row in rows]))
 
 
 # ---------------------------------------------------------------------------

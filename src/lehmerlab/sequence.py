@@ -143,6 +143,8 @@ def growth_rate(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW) -> float:
 
 def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
     """Estimate plus (max - min) spread over the window, for diagnostics."""
+    if window < 1:
+        raise ValueError("need window >= 1")
     if k == 0:
         return 1.0, 0.0
     last = a.n_terms - 2 * k + 2
@@ -282,6 +284,16 @@ class GrowthReport:
         return max(vals) if vals else None
 
 
+def _check_report_args(k_max: int, window: int, d_max: int | None) -> None:
+    """Reject arguments that would otherwise read as "nothing found"."""
+    if k_max < 0:
+        raise ValueError("need k_max >= 0")
+    if window < 1:
+        raise ValueError("need window >= 1")
+    if d_max is not None and d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+
+
 def growth_report(
     a: ExactSeq,
     k_max: int,
@@ -290,8 +302,7 @@ def growth_report(
     tol: float = DEFAULT_TOL,
 ) -> GrowthReport:
     """Numeric GR^(k) estimates for k <= k_max plus the exact fitted route."""
-    if k_max < 0:
-        raise ValueError("need k_max >= 0")
+    _check_report_args(k_max, window, d_max)
     if d_max is None:
         d_max = a.n_terms // 3
     rec = None

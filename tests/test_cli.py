@@ -205,6 +205,11 @@ def test_non_positive_counts_exit_1(capsys):
         (["growth", "--seq", "1,1,2,3,5,8,13,21", "--k-max", "-1"], "need k_max >= 0"),
         (["fg-growth", "--endo", "a -> a b; b -> a", "--k-max", "-1"], "need k_max >= 0"),
         (["fg-growth", "--endo", "a -> a b; b -> a", "--k-max", "-1", "--sum"], "need k_max >= 0"),
+        (["growth", "--seq", "1,1,2,3,5,8,13,21", "--window", "0"], "need window >= 1"),
+        (["fg-growth", "--endo", "a -> a b; b -> a", "--window", "-3"], "need window >= 1"),
+        (["fg-growth", "--endo", "a -> a b; b -> a", "--window", "0", "--sum"], "need window >= 1"),
+        (["growth", "--seq", "1,1,2,3,5,8,13,21", "--d-max", "-1"], "d_max must be nonnegative"),
+        (["fg-growth", "--endo", "a -> a b; b -> a", "--d-max", "-1"], "d_max must be nonnegative"),
     ):
         code, doc, _ = run_json([*argv, "--json-only"], capsys)
         assert code == 1
@@ -548,6 +553,26 @@ def test_poly_check_is_deterministic_without_random():
     irr = json.loads(outs[0])["result"]["irreducibility"]
     assert irr["status"] == "reducible" and irr["witness_prime"] is None
     assert irr["factor"]["display"] == "t^10+t^9-t^7-t^6-t^5-t^4-t^3+t+1"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    argv = ["alexander", "--n", "3", "--braid", "s1 s2^-1 T^2", "--json-only"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lehmerlab", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["alexander"]["coeffs"] == LEHMER_NEG_T
+    proc = subprocess.run(
+        [sys.executable, "-m", "lehmerlab", "alexander", "--n", "3", "--braid", "s1^x"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -172,6 +172,21 @@ def test_growth_window_spread_and_bounds():
         growth_window(fib_seq(8), 2, window=8)
 
 
+def test_growth_rejects_empty_window_and_negative_d_max():
+    """A window below 1 or a negative d_max raises before any work; neither
+    may come back as a report of estimates that were never attempted."""
+    a = tri_seq(30)
+    for k in (0, 1):
+        for window in (0, -3):
+            with pytest.raises(ValueError, match=r"need window >= 1"):
+                growth_window(a, k, window)
+    with pytest.raises(ValueError, match=r"need window >= 1"):
+        growth_report(a, 2, window=0)
+    with pytest.raises(ValueError, match=r"d_max must be nonnegative"):
+        growth_report(a, 2, d_max=-1)
+    assert growth_report(a, 2, d_max=0).min_poly is None
+
+
 def test_max_growth_exact_fibonacci():
     got = max_growth_exact(fib_seq(20), 5)
     assert got.value == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
