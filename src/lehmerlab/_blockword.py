@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from itertools import chain
 
+from .polynomial import _int_arg
+
 COMPRESS_CAP = 512
 
 
@@ -40,15 +42,18 @@ def inverse_base(base):
 
 
 def _run_blocks(rank: int, runs):
-    """Single-letter blocks of (generator, exponent) runs, checked against
-    the rank; zero exponents give (x,) with exp 0."""
+    """The rank as an int, and the single-letter blocks of (generator,
+    exponent) runs checked against it; zero exponents give (x,) with exp 0."""
+    rank = _int_arg(rank, "rank")
     if rank < 1:
         raise ValueError("rank must be at least 1")
+    blocks = []
     for g, e in runs:
-        g, e = int(g), int(e)
+        g, e = _int_arg(g, "generator"), _int_arg(e, "exponent")
         if not 1 <= g <= rank:
             raise ValueError(f"generator {g} outside 1..{rank}")
-        yield (g if e > 0 else -g,), abs(e)
+        blocks.append(((g if e > 0 else -g,), abs(e)))
+    return rank, blocks
 
 
 class BlockWord:
@@ -62,11 +67,9 @@ class BlockWord:
     __slots__ = ("rank", "blocks")
 
     def __init__(self, rank: int, runs):
-        blocks = []
-        for base, e in _run_blocks(rank, runs):
-            if e == 0:
-                raise ValueError("zero exponents are not reduced")
-            blocks.append((base, e))
+        rank, blocks = _run_blocks(rank, runs)
+        if any(e == 0 for _, e in blocks):
+            raise ValueError("zero exponents are not reduced")
         if any(abs(u[0]) == abs(v[0]) for (u, _), (v, _) in zip(blocks, blocks[1:])):
             raise ValueError("adjacent runs with equal generators")
         object.__setattr__(self, "rank", rank)
@@ -182,8 +185,9 @@ class BlockWord:
 
 def reduce(rank: int, runs) -> BlockWord:
     """Freely reduced normal form of a raw run list."""
+    rank, blocks = _run_blocks(rank, runs)
     b = Builder()
-    for base, e in _run_blocks(rank, runs):
+    for base, e in blocks:
         b.push_block(base, e)
     return b.result(rank)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .polynomial import DEFAULT_TOL, IntPoly, cyclotomic, euler_phi, poly_det
+from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, cyclotomic, euler_phi, poly_det
 from .polynomial import roots as poly_roots
 from .sequence import ExactSeq
 
@@ -83,7 +83,7 @@ class SignedShiftSystem:
     terms: tuple[tuple[int, IntMatrix], ...]
 
     def __post_init__(self):
-        terms = tuple((int(s), m) for s, m in self.terms)
+        terms = tuple((_int_arg(s, "sign"), m) for s, m in self.terms)
         if not terms:
             raise ValueError("a signed system needs at least one term")
         if any(s not in (-1, 1) for s, _ in terms):

@@ -225,7 +225,7 @@ def poly_from_roots(rs) -> IntPoly:
     """Monic polynomial with the given integer roots: prod (t - r)."""
     f = IntPoly((1,))
     for r in rs:
-        f = f * IntPoly((-int(r), 1))
+        f = f * IntPoly((-_int_arg(r, "root"), 1))
     return f
 
 
@@ -522,29 +522,35 @@ def cyclotomic(d: int) -> IntPoly:
 def is_cyclotomic_product(f: IntPoly) -> bool:
     """Exact test: is monic f a product of cyclotomic polynomials?
 
-    Searches every d with phi(d) <= deg f (all such d lie below 2*deg^2)
-    and divides out repeated factors.
+    Graeffe root squaring (Bradford and Davenport, ISSAC '88): with
+    f(t) = E(t^2) + t*O(t^2) of degree n, G(f)(s) = (-1)^n (E(s)^2 - s*O(s)^2)
+    is monic with the squares of f's roots.  G(f) = f proves True: then
+    M(f) = M(f)^2, so M = 1 and, by Kronecker, every root is a root of
+    unity; a cyclotomic product gets there once every root has odd order,
+    as squaring permutes the primitive roots of an odd order.  A
+    coefficient of t^i above C(n, i) in modulus proves False, and it must
+    come: if M(f) > 1, M(G^k f) = M(f)^(2^k), while bounded coefficients
+    keep M <= ||G^k f||_2 <= C(2n, n)^(1/2) < 2^n (Landau), so by
+    Dobrowolski's lower bound on M(f) the loop ends after O(log n) steps.
+
+    >>> is_cyclotomic_product(IntPoly((-1, 0, 1)) * IntPoly((1, 1, 1)))
+    True
+    >>> is_cyclotomic_product(IntPoly((1, -3, 1)))
+    False
     """
     if not f or not f.is_monic:
         raise ValueError("is_cyclotomic_product expects a monic nonzero polynomial")
-    g = f
-    if g.degree == 0:
-        return True
-    if g.coeffs[0] == 0:
+    if f.coeffs[0] == 0:
         return False
-    n = g.degree
-    for d in range(1, 2 * n * n + 1):
-        if euler_phi(d) > g.degree:
-            continue
-        phi_d = cyclotomic(d)
-        while g.degree >= phi_d.degree:
-            q = g.try_div(phi_d)
-            if q is None:
-                break
-            g = q
-        if g.degree == 0:
-            break
-    return g == IntPoly((1,))
+    n = f.degree
+    while True:
+        even, odd = IntPoly(f.coeffs[0::2]), IntPoly(f.coeffs[1::2])
+        g = (even * even - (odd * odd).shifted(1)) * (-1) ** n
+        if g == f:
+            return True
+        if any(abs(c) > math.comb(n, i) for i, c in enumerate(g.coeffs)):
+            return False
+        f = g
 
 
 def power_substitution_order(f: IntPoly) -> int:
@@ -1014,6 +1020,7 @@ def irreducibility_certificate(f: IntPoly) -> IrreducibilityCertificate:
 # Text formats
 
 
+_COEFF_RE = re.compile(r"[+-]?[0-9]+")
 _TERM_RE = re.compile(
     r"^([+-]?)(\d+)?\*?([tx])(?:\^(-?\d+))?$|^([+-]?\d+)$"
 )
@@ -1031,7 +1038,14 @@ def parse_poly(text: str) -> IntPoly:
     if not s:
         raise ValueError("empty polynomial")
     if "t" not in s and "x" not in s:
-        return IntPoly(tuple(int(p.strip()) for p in s.split(",")))
+        coeffs = [p.strip() for p in s.split(",")]
+        for p in coeffs:
+            if not _COEFF_RE.fullmatch(p):
+                raise ValueError(
+                    f"bad coefficient {p!r}: expected comma-separated signed "
+                    "integers such as 1,0,-2"
+                )
+        return IntPoly(tuple(int(p) for p in coeffs))
     s = s.replace(" ", "").replace("**", "^")
     terms = re.findall(r"[+-]?[^+-]+", s)
     out: dict[int, int] = {}

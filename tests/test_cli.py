@@ -111,6 +111,23 @@ def test_bad_polynomial_exit_1(capsys):
     assert doc["error"]["type"] in ("ValueError", "ZeroDivisionError")
 
 
+def test_malformed_tokens_exit_1(capsys):
+    for argv, message in (
+        (
+            ["fg-iterate", "--endo", "a -> a^x; b -> b"],
+            "bad word token 'a^x': expected a letter a-z or g<i>, "
+            "optionally followed by ^<e> with e a signed integer",
+        ),
+        (
+            ["mahler", "--poly", "1,2.5"],
+            "bad coefficient '2.5': expected comma-separated signed integers such as 1,0,-2",
+        ),
+    ):
+        code, doc, _ = run_json([*argv, "--json-only"], capsys)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": message}
+
+
 def test_file_input(tmp_path, capsys):
     p = tmp_path / "lehmer.txt"
     p.write_text("1,1,0,-1,-1,-1,-1,-1,0,1,1\n")

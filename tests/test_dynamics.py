@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,12 @@ def test_signed_trace_seq():
         SignedShiftSystem(())
     with pytest.raises(ValueError):
         SignedShiftSystem(((2, FIB),))
+
+
+def test_signed_system_rejects_non_integer_signs():
+    with pytest.raises(ValueError, match=r"sign = 1.5 is not an integer"):
+        SignedShiftSystem(((1.5, FIB),))
+    assert SignedShiftSystem(((np.int64(-1), FIB), (True, FIB))).terms == ((-1, FIB), (1, FIB))
 
 
 def test_signed_system_bounded_difference_keeps_tail():

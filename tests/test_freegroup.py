@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,21 @@ def test_word_validation():
         Word(2, ((1, 2), (1, 3)))
 
 
+def test_word_rejects_non_integers():
+    """Rank, generators and exponents go through operator.index, so a
+    float is rejected instead of truncated."""
+    with pytest.raises(ValueError, match=r"exponent = 2.9 is not an integer"):
+        Word(2, ((1, 2.9),))
+    with pytest.raises(ValueError, match=r"rank = 2.0 is not an integer"):
+        Word(2.0, ((1, 2),))
+    with pytest.raises(ValueError, match=r"generator = 1.0 is not an integer"):
+        Word.gen(2, 1.0)
+    with pytest.raises(ValueError, match=r"exponent = 2.5 is not an integer"):
+        reduce(2, [(1, 2.5)])
+    w = Word(np.int64(2), ((True, np.int64(3)),))
+    assert type(w.rank) is int and w == Word(2, ((1, 3),))
+
+
 def test_word_algebra():
     w = parse_word("a^3 b^-2 a")
     assert w.length() == 6
@@ -78,6 +94,23 @@ def test_parse_format_roundtrip():
         parse_word("c", rank=2)
     with pytest.raises(ValueError):
         parse_word("a$")
+
+
+@pytest.mark.parametrize(
+    "text", ["a^x", "a^1.5", "a^", "a$", "(a b)^2", "a^2^3", "a^1_0", "g\u00b2"]
+)
+def test_parse_word_names_the_bad_token(text):
+    bad = text.split()[0]
+    message = (
+        f"bad word token {bad!r}: expected a letter a-z or g<i>, "
+        "optionally followed by ^<e> with e a signed integer"
+    )
+    with pytest.raises(ValueError) as exc:
+        parse_word(text)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        parse_endo(f"a -> {text}; b -> b")
+    assert str(exc.value) == message
 
 
 def test_parse_endo_roundtrip():
@@ -127,6 +160,13 @@ def test_iterate_lengths_powers():
     phi = parse_endo("a -> a^3; b -> b^2")
     assert list(iterate_lengths(phi, 1, 25).terms) == [3 ** n for n in range(1, 26)]
     assert list(iterate_lengths(phi, 2, 25).terms) == [2 ** n for n in range(1, 26)]
+
+
+def test_iterate_lengths_rejects_float_generator():
+    phi = parse_endo("a -> a b; b -> a")
+    with pytest.raises(ValueError, match=r"generator = 1.7 is not an integer"):
+        iterate_lengths(phi, 1.7, 3)
+    assert iterate_lengths(phi, np.int64(2), 3) == iterate_lengths(phi, 2, 3)
 
 
 def test_iterate_lengths_conjugated_basis():
@@ -314,6 +354,98 @@ def test_nielsen_verify_basis_cases():
     assert not nielsen_verify_basis(parse_word("a", 2), parse_word("a", 2))
     assert not nielsen_verify_basis(parse_word("a^2", 2), parse_word("b", 2))
     assert nielsen_verify_basis(parse_word("a b", 2), parse_word("b", 2))
+
+
+def _greedy_nielsen_oracle(u, v):
+    """The former ``nielsen_verify_basis``: greedy Nielsen reduction, true
+    iff (u, v) reduces to two generators."""
+    pair = [u, v]
+    total = pair[0].length() + pair[1].length()
+    for _ in range(total + 2):
+        if (
+            pair[0].length() == 1
+            and pair[1].length() == 1
+            and pair[0].runs[0][0] != pair[1].runs[0][0]
+        ):
+            return True
+        best = None
+        for i in (0, 1):
+            w, other = pair[i], pair[1 - i]
+            for cand in (
+                w * other,
+                w * other.inverse(),
+                other * w,
+                other.inverse() * w,
+            ):
+                if cand.length() < w.length():
+                    if best is None or cand.length() - w.length() < best[2]:
+                        best = (i, cand, cand.length() - w.length())
+        if best is None:
+            return False
+        pair[best[0]] = best[1]
+    return False
+
+
+def _random_f2_word(rng, length):
+    return Word.from_letters(2, [rng.choice((1, -1, 2, -2)) for _ in range(length)])
+
+
+def _random_nielsen_basis(rng, moves):
+    """A basis of F_2 from (a, b) by random Nielsen moves: swap, invert
+    one element, or multiply one by the other or its inverse on either side."""
+    pair = [Word.gen(2, 1), Word.gen(2, 2)]
+    for _ in range(moves):
+        i = rng.randrange(2)
+        other = pair[1 - i] ** rng.choice((1, -1))
+        move = rng.randrange(4)
+        if move == 0:
+            pair.reverse()
+        elif move == 1:
+            pair[i] = pair[i].inverse()
+        else:
+            pair[i] = pair[i] * other if move == 2 else other * pair[i]
+    return pair
+
+
+def test_nielsen_verify_basis_matches_greedy_oracle():
+    """The commutator test against greedy Nielsen reduction on seeded
+    bases (some conjugated by a common word), perturbed bases and short
+    random pairs, the identity included."""
+    rng = random.Random(1917)
+    pairs = []
+    for _ in range(800):
+        u, v = _random_nielsen_basis(rng, rng.randrange(9))
+        if rng.random() < 0.3:
+            w = _random_f2_word(rng, rng.randrange(1, 4))
+            u, v = w * u * w.inverse(), w * v * w.inverse()
+        pairs.append((u, v))
+    for _ in range(700):
+        u, v = _random_nielsen_basis(rng, rng.randrange(1, 9))
+        kind = rng.randrange(3)
+        if kind == 0:
+            u = u * _random_f2_word(rng, rng.randrange(1, 3))
+        elif kind == 1:
+            u = u**2
+        else:
+            v = _random_f2_word(rng, 1) * v
+        pairs.append((u, v))
+    for _ in range(600):
+        pairs.append((_random_f2_word(rng, rng.randrange(5)), _random_f2_word(rng, rng.randrange(5))))
+    verdicts = [nielsen_verify_basis(u, v) for u, v in pairs]
+    assert verdicts == [_greedy_nielsen_oracle(u, v) for u, v in pairs]
+    assert len(pairs) >= 2000 and 500 <= sum(verdicts) <= len(pairs) - 500
+
+
+def test_nielsen_verify_basis_long_powers():
+    """(a^N b, a^(N-1) b) is a basis at every N; greedy reduction needs
+    about N rounds, so it is checked only at small N."""
+    a, b = Word.gen(2, 1), Word.gen(2, 2)
+    for n in (1, 2, 10, 1000):
+        assert nielsen_verify_basis(a**n * b, a ** (n - 1) * b)
+        assert _greedy_nielsen_oracle(a**n * b, a ** (n - 1) * b)
+    n = 10**6
+    assert nielsen_verify_basis(a**n * b, a ** (n - 1) * b)
+    assert not nielsen_verify_basis(a**n * b, a ** (n - 2) * b)
 
 
 def test_iteration_budget_error():

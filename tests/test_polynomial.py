@@ -145,6 +145,72 @@ def test_is_cyclotomic_product():
         is_cyclotomic_product(IntPoly((2, 2)))
 
 
+def _cyclotomic_scan_oracle(f):
+    """The former ``is_cyclotomic_product``: divide out every Phi_d with
+    phi(d) <= deg f (all such d lie below 2*deg^2), with multiplicity."""
+    g = f
+    if g.degree == 0:
+        return True
+    if g.coeffs[0] == 0:
+        return False
+    n = g.degree
+    for d in range(1, 2 * n * n + 1):
+        if P.euler_phi(d) > g.degree:
+            continue
+        phi_d = cyclotomic(d)
+        while g.degree >= phi_d.degree:
+            q = g.try_div(phi_d)
+            if q is None:
+                break
+            g = q
+        if g.degree == 0:
+            break
+    return g == IntPoly((1,))
+
+
+_NON_CYCLOTOMIC = (
+    lehmer_polynomial(),
+    parse_poly("t^4 - t^3 - t^2 - t + 1"),  # Salem
+    parse_poly("t^2 - 3t + 1"),
+    parse_poly("t^3 - t - 1"),  # negative constant term
+    parse_poly("t^2 - 2"),
+    parse_poly("t + 2"),
+    parse_poly("t^2 + t - 1"),
+    parse_poly("t"),  # f(0) = 0
+    IntPoly((1, -(10**100), 1)),
+)
+
+
+def test_is_cyclotomic_product_matches_scan_oracle():
+    """Graeffe iteration against the trial-division scan on seeded
+    products of cyclotomic factors with multiplicity, 2-power orders
+    among them, with and without a non-cyclotomic factor."""
+    cases = [
+        IntPoly((1,)),
+        cyclotomic(256),
+        parse_poly("t - 1") ** 12,
+        IntPoly((-2,) + (0,) * 40 + (1,)),
+        lehmer_polynomial() * cyclotomic(15) * cyclotomic(30),
+        cyclotomic(105) * cyclotomic(210),
+    ]
+    cases += list(_NON_CYCLOTOMIC)
+    rng = random.Random(1857)
+    for _ in range(500):
+        f = IntPoly((1,))
+        for _ in range(rng.randrange(1, 4)):
+            d = rng.choice((rng.randrange(1, 91), 2 ** rng.randrange(6), 3 * 2 ** rng.randrange(5)))
+            if P.euler_phi(d) <= 24:
+                f = f * cyclotomic(d) ** rng.randrange(1, 4)
+        if f.degree > 60:
+            continue
+        if rng.random() < 0.4:
+            f = f * rng.choice(_NON_CYCLOTOMIC)
+        cases.append(f)
+    verdicts = [is_cyclotomic_product(f) for f in cases]
+    assert verdicts == [_cyclotomic_scan_oracle(f) for f in cases]
+    assert len(cases) >= 400 and 100 <= sum(verdicts) <= len(cases) - 50
+
+
 def test_power_substitution_order():
     assert P.power_substitution_order(parse_poly("t^4+t^2+1")) == 2
     assert P.power_substitution_order(lehmer_polynomial()) == 1
@@ -412,6 +478,24 @@ def test_parse_and_format_roundtrip():
         parse_poly("")
     with pytest.raises(ValueError):
         parse_poly("t^-1 + 1")
+
+
+@pytest.mark.parametrize(
+    "text, bad", [("1,,2", ""), ("1,2.5", "2.5"), ("3*", "3*"), ("1_0,1", "1_0"), ("1,2,", "")]
+)
+def test_parse_poly_names_the_bad_coefficient(text, bad):
+    with pytest.raises(ValueError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == (
+        f"bad coefficient {bad!r}: expected comma-separated signed integers such as 1,0,-2"
+    )
+    assert parse_poly(" 1, -2 ,+3").coeffs == (1, -2, 3)
+
+
+def test_poly_from_roots_rejects_non_integers():
+    with pytest.raises(ValueError, match=r"root = 1.5 is not an integer"):
+        poly_from_roots([1.5])
+    assert poly_from_roots([True, np.int64(2)]).coeffs == (2, -3, 1)
 
 
 @settings(max_examples=60, deadline=None)
