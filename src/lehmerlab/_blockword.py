@@ -6,8 +6,11 @@ times; multi-letter bases always have exp >= 2 and are cyclically reduced,
 so concatenating a block with itself never cancels.  Every word is freely
 reduced, and every reduction goes through Builder: letter by letter at
 block seams, with whole-block shortcuts when bases match or are exact
-inverses.  A shared budget bounds the engine's work and storage so that
-pathological inputs fail loudly instead of hanging.
+inverses.  Cyclic reduction does too: a reduced u is p c p^-1 with c
+cyclically reduced, and u u reduces to p c^2 p^-1 (Lyndon and Schupp,
+Combinatorial Group Theory, I.1), so the lengths of one Builder product
+locate p and c.  A shared budget bounds the engine's work and storage so
+that pathological inputs fail loudly instead of hanging.
 """
 
 from __future__ import annotations
@@ -304,12 +307,6 @@ class Builder:
                             self.stack.append([top, e - m])
                         elif e - m == 1:  # one copy left: it goes flat
                             self._append_flat(top)
-                        if remaining == 0:
-                            return
-                        if remaining == 1:
-                            for x in base:
-                                self.push_letter(x)
-                            return
                         continue
             # letter-by-letter seam cancellation against one copy
             i = 0
@@ -378,86 +375,43 @@ def compress_flat(rank: int, letters) -> BlockWord:
     return BlockWord.from_blocks(rank, tuple(blocks))
 
 
-def _cyclic_reduce_blocks(blocks, budget: Budget):
-    """Split u into p * core * p^-1; returns (p as runs, core block list)."""
-    work = [list(b) for b in blocks]
-    prefix: list[list[int]] = []  # [letter, count] runs
-
-    def add_prefix(x, c):
-        if prefix and prefix[-1][0] == x:
-            prefix[-1][1] += c
-        else:
-            prefix.append([x, c])
-
-    while len(work) >= 2:
-        budget.spend()
-        first, fe = work[0]
-        last, le = work[-1]
-        f0 = first[0]
-        lz = last[-1]
-        if f0 != -lz:
-            break
-        if len(first) == 1 and len(last) == 1:
-            m = min(fe, le)
-            add_prefix(f0, m)
-            if m == fe:
-                work.pop(0)
-            else:
-                work[0][1] = fe - m
-            if m == le:
-                work.pop()
-            else:
-                work[-1][1] = le - m
-            continue
-        # peel single letters off multi-letter ends
-        add_prefix(f0, 1)
-        _drop_front_letter(work, budget)
-        _drop_back_letter(work, budget)
-    return prefix, work
-
-
-def _drop_front_letter(work: list[list], budget: Budget):
-    base, e = work[0]
-    if len(base) == 1:
-        if e == 1:
-            work.pop(0)
-        else:
-            work[0][1] = e - 1
-        return
-    budget.spend(len(base))
-    rest = [[(x,), 1] for x in base[1:]]
-    if e == 2:
-        tail = [[(x,), 1] for x in base]
-    else:
-        tail = [[base, e - 1]]
-    work[0:1] = rest + tail
-
-
-def _drop_back_letter(work: list[list], budget: Budget):
-    base, e = work[-1]
-    if len(base) == 1:
-        if e == 1:
-            work.pop()
-        else:
-            work[-1][1] = e - 1
-        return
-    budget.spend(len(base))
-    front = [[base, e - 1]] if e > 2 else [[(x,), 1] for x in base]
-    rest = [[(x,), 1] for x in base[:-1]]
-    work[len(work) - 1 :] = front + rest
+def _split(blocks, k: int):
+    """The blocks of the first k letters and of the rest.  A power block cut
+    at letter k keeps its whole copies on each side, and the cut copy splits
+    into one flat block on each side."""
+    for i, (base, e) in enumerate(blocks):
+        q, r = divmod(k, len(base))
+        if q < e:
+            cut = int(r > 0)
+            head = [*blocks[:i], (base, q), (base[:r], cut)]
+            rest = [(base[r:], cut), (base, e - q - cut), *blocks[i + 1 :]]
+            return [b for b in head if b[1]], [b for b in rest if b[1]]
+        k -= e * len(base)
+    return list(blocks), []
 
 
 def _push_power(builder: Builder, blocks, exp: int, flat: bool = False):
-    """Append u^exp for the word u in blocks, as p * root^(k*exp) * p^-1
-    where u = p * root^k * p^-1 and root is cyclically reduced.  A core of
+    """Append u^exp for the word u in blocks.  A reduced u is p * c * p^-1
+    with c cyclically reduced, so u * u reduces to p * c^2 * p^-1: one
+    Builder product gives |p| = |u| - |u u|/2 and |c| = |u u| - |u|, and
+    u^exp is p * c^exp * p^-1.  When the first letter of u is not the
+    inverse of its last, p is empty and no product is built.  A core of
     several blocks is spelled out flat, at the builder's budget, to find
     its primitive root; unless ``flat`` is set, it is repeated instead
     whenever that is shorter than its flat spelling."""
-    prefix, core = _cyclic_reduce_blocks(blocks, builder.budget)
-    if not core:
+    if not blocks:
         return  # u was trivial, so the whole power collapses
-    for x, c in prefix:
-        builder.push_block((x,), c)
+    prefix, core, suffix = [], blocks, []
+    if blocks[0][0][0] == -blocks[-1][0][-1]:
+        square = Builder(builder.budget)
+        for base, e in chain(blocks, blocks):
+            square.push_block(base, e)
+        u_len = sum(e * len(b) for b, e in blocks)
+        uu_len = sum(e * len(b) for b, e in square.stack)
+        prefix, rest = _split(blocks, u_len - uu_len // 2)
+        core, suffix = _split(rest, uu_len - u_len)
+    for base, e in prefix:
+        builder.push_block(base, e)
     total = sum(e * len(b) for b, e in core)
     if len(core) == 1:
         builder.push_block(core[0][0], core[0][1] * exp)
@@ -469,8 +423,8 @@ def _push_power(builder: Builder, blocks, exp: int, flat: bool = False):
         builder.budget.spend(total)
         root, k = primitive_root(tuple(chain.from_iterable(b * e for b, e in core)))
         builder.push_block(root, k * exp)
-    for x, c in reversed(prefix):
-        builder.push_block((-x,), c)
+    for base, e in suffix:
+        builder.push_block(base, e)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ A^n e(w).  That route builds no words and charges no budget.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -27,12 +26,12 @@ from ._blockword import (
     BlockWord,
     Budget,
     BudgetError,
-    _cyclic_reduce_blocks,
     apply_endo_blocks,
     compress_images,
     reduce,
 )
 from .dynamics import IntMatrix
+from .polynomial import _int_arg
 from .sequence import DEFAULT_WINDOW, ExactSeq, GrowthReport
 from .sequence import _check_report_args
 from .sequence import growth_report as seq_growth_report
@@ -73,6 +72,7 @@ class Endo:
     images: tuple[Word, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", _int_arg(self.rank, "rank"))
         if len(self.images) != self.rank:
             raise ValueError("need exactly one image per generator")
         if any(w.rank != self.rank for w in self.images):
@@ -282,11 +282,13 @@ def positive_f2_aut(a: IntMatrix) -> F2Descent:
 
 def nielsen_verify_basis(u: Word, v: Word) -> bool:
     """True iff (u, v) is a basis of F_2.  By Nielsen (Math. Ann. 78, 1917)
-    that holds exactly when u v u^-1 v^-1 is conjugate to [a, b]^(+-1),
+    that holds exactly when c = u v u^-1 v^-1 is conjugate to [a, b]^(+-1),
     that is, when it cyclically reduces to 4 letters: a commutator has
     exponent sum 0 in each generator, so those are a, a^-1, b, b^-1 with
     no inverse pair adjacent, a rotation of a b a^-1 b^-1 or b a b^-1 a^-1.
-    One product and one cyclic reduction decide it, with no search.
+    Writing c = p k p^-1 with k cyclically reduced, c c reduces to
+    p k^2 p^-1, so |k| = |c c| - |c|: one more product decides it, with no
+    search.
 
     >>> nielsen_verify_basis(parse_word("a b a"), parse_word("a b"))
     True
@@ -296,8 +298,7 @@ def nielsen_verify_basis(u: Word, v: Word) -> bool:
     if u.rank != 2 or v.rank != 2:
         raise ValueError("basis verification works in rank 2")
     c = u * v * u.inverse() * v.inverse()
-    core = _cyclic_reduce_blocks(c.blocks, Budget(math.inf))[1]
-    return sum(e * len(base) for base, e in core) == 4
+    return (c * c).length() - c.length() == 4
 
 
 # ---------------------------------------------------------------------------

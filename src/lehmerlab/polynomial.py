@@ -1022,7 +1022,7 @@ def irreducibility_certificate(f: IntPoly) -> IrreducibilityCertificate:
 
 _COEFF_RE = re.compile(r"[+-]?[0-9]+")
 _TERM_RE = re.compile(
-    r"^([+-]?)(\d+)?\*?([tx])(?:\^(-?\d+))?$|^([+-]?\d+)$"
+    r"^([+-]?)([0-9]+)?\*?([tx])(?:\^(-?[0-9]+))?$|^([+-]?[0-9]+)$"
 )
 
 

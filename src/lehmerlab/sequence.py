@@ -9,6 +9,7 @@ and recurrence fitting is one Berlekamp-Massey pass over Fractions.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ class ExactSeq:
 
     @classmethod
     def of(cls, values) -> "ExactSeq":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(values))
 
     @property
     def n_terms(self) -> int:
@@ -227,9 +228,6 @@ class MaxGrowth:
     value: float
     min_poly: Recurrence
 
-    def min_poly_int(self) -> IntPoly:
-        return self.min_poly.char_int()
-
 
 def max_growth_exact(a: ExactSeq, d_max: int) -> MaxGrowth:
     """Mahler measure of the fitted minimal polynomial: max_k GR^(k) exactly."""
@@ -402,12 +400,28 @@ def eventually_periodic(a: ExactSeq, min_evidence: int = 3) -> Periodicity | Non
 # Text formats
 
 
+_TERM_RE = re.compile(r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|[0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+def _terms(text: str) -> list[Fraction]:
+    """Comma-separated terms, each matched against an ASCII pattern so that
+    a bad one is named instead of read by Fraction's wider grammar."""
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    for p in parts:
+        if not _TERM_RE.fullmatch(p):
+            raise ValueError(
+                f"bad term {p!r}: expected comma-separated integers, fractions "
+                "p/q with q > 0 or decimals, such as 1,-2/3,1.5"
+            )
+    return [Fraction(p) for p in parts]
+
+
 def parse_seq(text: str) -> ExactSeq:
     """Comma-separated integers or rationals: "1,1,2,3" or "1/2,1/4"."""
-    parts = [p.strip() for p in text.strip().split(",") if p.strip()]
-    if not parts:
+    terms = _terms(text)
+    if not terms:
         raise ValueError("empty sequence")
-    return ExactSeq(tuple(Fraction(p) for p in parts))
+    return ExactSeq(tuple(terms))
 
 
 def parse_recurrence(text: str) -> Recurrence:
@@ -421,5 +435,4 @@ def parse_recurrence(text: str) -> Recurrence:
     f = parse_poly(char_text)
     if not f.is_monic:
         raise ValueError("characteristic polynomial must be monic")
-    init = [Fraction(p.strip()) for p in init_text.split(",") if p.strip()]
-    return Recurrence(tuple(Fraction(c) for c in f.coeffs), tuple(init))
+    return Recurrence(f.coeffs, tuple(_terms(init_text)))

@@ -122,6 +122,13 @@ def test_malformed_tokens_exit_1(capsys):
             ["mahler", "--poly", "1,2.5"],
             "bad coefficient '2.5': expected comma-separated signed integers such as 1,0,-2",
         ),
+        (["mahler", "--poly", "t^\u0663 + 1"], "cannot parse term 't^\u0663'"),
+        (["mahler", "--poly", "\u0663t + 1"], "cannot parse term '\u0663t'"),
+        (
+            ["fit-recurrence", "--seq", "1,1,2,3,5,8,1/0"],
+            "bad term '1/0': expected comma-separated integers, fractions "
+            "p/q with q > 0 or decimals, such as 1,-2/3,1.5",
+        ),
     ):
         code, doc, _ = run_json([*argv, "--json-only"], capsys)
         assert code == 1

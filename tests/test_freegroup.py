@@ -56,8 +56,8 @@ def test_word_validation():
 
 
 def test_word_rejects_non_integers():
-    """Rank, generators and exponents go through operator.index, so a
-    float is rejected instead of truncated."""
+    """Rank, generators and exponents, and the rank of an Endo, go through
+    operator.index, so a float is rejected instead of truncated."""
     with pytest.raises(ValueError, match=r"exponent = 2.9 is not an integer"):
         Word(2, ((1, 2.9),))
     with pytest.raises(ValueError, match=r"rank = 2.0 is not an integer"):
@@ -68,6 +68,11 @@ def test_word_rejects_non_integers():
         reduce(2, [(1, 2.5)])
     w = Word(np.int64(2), ((True, np.int64(3)),))
     assert type(w.rank) is int and w == Word(2, ((1, 3),))
+    images = (Word.gen(2, 1), Word.gen(2, 2))
+    with pytest.raises(ValueError, match=r"rank = 2.0 is not an integer"):
+        Endo(2.0, images)
+    phi = Endo(np.int64(2), images)
+    assert type(phi.rank) is int and format_endo(phi) == "a -> a; b -> b"
 
 
 def test_word_algebra():
@@ -537,7 +542,7 @@ def test_apply_triangle_inequality(raw):
 
 import json  # noqa: E402
 
-from lehmerlab import cli  # noqa: E402
+from lehmerlab import _blockword, cli  # noqa: E402
 from lehmerlab._blockword import Builder  # noqa: E402
 from lehmerlab.braid import BraidWord, artin_endo  # noqa: E402
 
@@ -642,6 +647,113 @@ def test_word_ops_match_flat_reduction_oracle():
         lengths = [apply(phi, w).length(), twice.length()]
         assert list(iterate_lengths(phi, w, 2).terms) == lengths
     assert apply(*cases[0]) == parse_word("a", 2)
+
+
+def _flat_cyclic_length(pairs):
+    """Length of the cyclic reduction of a reduced word, letter by letter."""
+    letters = [x for x, c in pairs for _ in range(c)]
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i, j = i + 1, j - 1
+    return j - i + 1
+
+
+def _flat_power(pairs, k):
+    """Run list of u^k (k >= 0) by repeated squaring with _flat_reduce."""
+    out, square = (), _flat_reduce(pairs)
+    while k:
+        if k & 1:
+            out = _flat_reduce(_pairs(out) + _pairs(square))
+        square = _flat_reduce(_pairs(square) * 2)
+        k >>= 1
+    return out
+
+
+def _cut_inside_power(blocks, k):
+    """True when letter k falls strictly inside a copy of a multi-letter
+    power block."""
+    for base, e in blocks:
+        if k < e * len(base):
+            return len(base) > 1 and e >= 2 and k % len(base) != 0
+        k -= e * len(base)
+    return False
+
+
+def _both_ends(cuts):
+    """Powers whose split cut inside a power block at both ends of u; each
+    such power splits twice, at |p| and then at |c|."""
+    return sum(front and back for front, back in zip(cuts[0::2], cuts[1::2]))
+
+
+def _random_cyclic(rng, rank, length):
+    """A random cyclically reduced word of the given length (>= 2)."""
+    while True:
+        w = Word.from_letters(
+            rank, [rng.choice([-1, 1]) * rng.randrange(1, rank + 1) for _ in range(length)]
+        )
+        if w.length() >= 2 and _flat_cyclic_length(_letters(w)) == w.length():
+            return w
+
+
+def _power_ended_word(rng, rank):
+    """x^i m y^j, where the last letter of y often cancels the first letter
+    of x, so that the cyclic split of the word cuts inside both powers."""
+    x = _random_cyclic(rng, rank, rng.randrange(2, 4))
+    y = _random_cyclic(rng, rank, rng.randrange(2, 4))
+    if rng.random() < 0.7:
+        first = x.flatten()[0]
+        letters = y.flatten()[:-1] + [-first]
+        if letters[0] != first:  # keep y cyclically reduced
+            y = Word.from_letters(rank, letters)
+    middle = _random_word(rng, rank, big=False)[0]
+    return x ** rng.randrange(2, 5) * middle * y ** rng.randrange(2, 5)
+
+
+def test_cyclic_split_matches_flat_oracle(monkeypatch):
+    """u ** k, |u u| - |u| and apply on words with power blocks at both
+    ends, against letter-level reduction; the cyclic split must be hit
+    inside a multi-letter power block at both ends of u."""
+    cuts = []
+    split = _blockword._split
+
+    def recording_split(blocks, k):
+        cuts.append(_cut_inside_power(blocks, k))
+        return split(blocks, k)
+
+    monkeypatch.setattr(_blockword, "_split", recording_split)
+    rng = random.Random(1929)
+    a, b, c = (Word.gen(3, g) for g in (1, 2, 3))
+    words = [(a * b) ** 2 * c * (c * a.inverse()) ** 2]  # p = a, mid-block twice
+    assert words[0].blocks[0][1] >= 2 and words[0].blocks[-1][1] >= 2
+    for _ in range(300):
+        words.append(_power_ended_word(rng, rng.randrange(2, 4)))
+    for u in words:
+        assert _flat_cyclic_length(_letters(u)) == (u * u).length() - u.length()
+        for k in range(-5, 6):
+            base = _letters(u) if k >= 0 else _inv(_letters(u))
+            assert (u ** k).runs == _flat_reduce(base * abs(k)), (u, k)
+    assert _both_ends(cuts) >= 300
+
+    del cuts[:]
+    for u in words[:100]:
+        rank = u.rank
+        images = (u,) + tuple(_random_word(rng, rank, big=False)[0] for _ in range(rank - 1))
+        phi = Endo(rank, images)
+        w = Word.gen(rank, 1, rng.choice([-1, 1]) * rng.randrange(2, 6))
+        w = w * _random_word(rng, rank, big=False)[0]
+        assert apply(phi, w).runs == _flat_apply(phi, _letters(w)), (phi, w)
+    assert _both_ends(cuts) >= 10
+
+    # (b a)^n a^4 b^-1 (a^-1 b^-1)^(n-1) = p a^5 p^-1 with p = (b a)^(n-1) b,
+    # cut inside the first block; its huge powers stay small.
+    a, b = Word.gen(2, 1), Word.gen(2, 2)
+    u = (b * a) ** 7 * a**4 * b.inverse() * (a.inverse() * b.inverse()) ** 6
+    del cuts[:]
+    for k in (10**6, 10**6 + 1, -(3 * 10**6)):
+        base = _letters(u) if k >= 0 else _inv(_letters(u))
+        assert (u ** k).runs == _flat_power(base, abs(k))
+        assert len((u ** k).blocks) <= len(u.blocks) + 2
+    assert cuts[0]
 
 
 def test_builder_partial_inverse_power_cancel():

@@ -284,6 +284,29 @@ def test_parse_seq_and_recurrence():
         parse_recurrence("2*t^2-1;1,1")
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("\u0661,2", "\u0661"),
+    ("1_000", "1_000"),
+    ("1e3", "1e3"),
+    ("1,,2", ""),
+    ("1/0", "1/0"),
+    ("1/-2", "1/-2"),
+    ("1,2,", ""),
+])
+def test_parse_seq_names_the_bad_term(text, bad):
+    with pytest.raises(ValueError) as exc:
+        parse_seq(text)
+    assert str(exc.value) == (
+        f"bad term {bad!r}: expected comma-separated integers, fractions "
+        "p/q with q > 0 or decimals, such as 1,-2/3,1.5"
+    )
+    with pytest.raises(ValueError, match="bad term"):
+        parse_recurrence("t^2-t-1;" + text)
+    assert parse_seq(" 1, -2/3 ,+1.5,.5,4/02").terms == (
+        1, Fraction(-2, 3), Fraction(3, 2), Fraction(1, 2), 2,
+    )
+
+
 small_roots = st.lists(
     st.sampled_from([-2, -1, 1, 2, 3]), min_size=1, max_size=3
 )
