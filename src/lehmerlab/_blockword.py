@@ -167,15 +167,29 @@ class BlockWord:
         _push_power(b, self.blocks, k)
         return b.result(self.rank)
 
+    def _shape(self):
+        """(rank, length, first letter, last letter), read off the blocks."""
+        if not self.blocks:
+            return self.rank, 0, None, None
+        return self.rank, self.length(), self.blocks[0][0][0], self.blocks[-1][0][-1]
+
     def __eq__(self, other):
         if not isinstance(other, BlockWord):
             return NotImplemented
-        return self.rank == other.rank and (
-            self.blocks == other.blocks or self.runs == other.runs
-        )
+        if self.blocks == other.blocks:
+            return self.rank == other.rank
+        # Different block forms: rule out a different length or end letter
+        # before spelling both words out.
+        return self._shape() == other._shape() and self.runs == other.runs
 
     def __hash__(self):
-        return hash((self.rank, self.runs))
+        # Invariants of the reduced word, so equal words hash equally
+        # whatever their block form, in time linear in the stored letters.
+        sums = [0] * (self.rank + 1)
+        for base, e in self.blocks:
+            for x in base:
+                sums[abs(x)] += e if x > 0 else -e
+        return hash((self._shape(), tuple(sums)))
 
     def __repr__(self):
         return f"Word({self.rank}, {self.runs!r})"

@@ -8,7 +8,9 @@ companion-matrix roots from ``np.roots`` are certified in float64 by
 Weierstrass disks whose radii are rigorous under rounding; when that bound
 fails, the same correction is iterated at dyadic centers, whose disks are
 certified in exact integer arithmetic.  Rational roots, zero included, are
-recognized exactly inside their isolated disks.
+recognized exactly inside their isolated disks.  numpy is imported on the
+first root certification, not with this module, so code that computes no
+root never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 DEFAULT_TOL = 1e-10
 
@@ -644,6 +644,8 @@ def _weierstrass_f64(a, z):
     product, commits fewer than 8(n + 2) roundings of relative size u
     each, which the factors 1 + gamma and 1 - gamma absorb.
     """
+    import numpy as np
+
     n = len(a) - 1
     g = 8 * (n + 2) * _U / (1 - 8 * (n + 2) * _U)
     with np.errstate(all="ignore"):
@@ -681,6 +683,8 @@ def _certified_roots(coeffs, tol):
     or more, a cluster, overflow) _weierstrass_exact iterates the same
     correction at dyadic centers and certifies it in exact integers.
     """
+    import numpy as np
+
     n = len(coeffs) - 1
     try:
         start = np.roots([float(Fraction(c, coeffs[-1])) for c in reversed(coeffs)])

@@ -278,8 +278,13 @@ class GrowthReport:
         return self.entries[k]
 
     def max_exact(self) -> float | None:
-        vals = [e.exact for e in self.entries if e.exact is not None]
-        return max(vals) if vals else None
+        """max_k of the exact GR^(k), or None when no k >= 1 entry is exact.
+
+        The k = 0 entry is exact (1.0) even when no recurrence was found,
+        so on its own it says nothing."""
+        if all(e.exact is None for e in self.entries[1:]):
+            return None
+        return max(e.exact for e in self.entries if e.exact is not None)
 
 
 def _check_report_args(k_max: int, window: int, d_max: int | None) -> None:

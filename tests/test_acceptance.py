@@ -195,7 +195,7 @@ def test_07_entropy_estimates_with_narrowing_diagnostics():
     t0 = time.perf_counter()
     cases = (
         ("s1 s2^-1", 3, 2.618033988749895, (8, 10, 12)),
-        ("s3 s2 s1^-1", 4, 2.296630262886992, (8, 10, 12)),
+        ("s3 s2 s1^-1", 4, 2.2966302628865383, (8, 10, 12)),
         ("s1 s2 s3 s4 s1 s2", 5, 1.722083805739043, (8, 12, 16)),
     )
     finals = {}

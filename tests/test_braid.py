@@ -273,7 +273,7 @@ def test_entropy_ignores_conjugation_and_twist():
 # Dynnikov coordinates: the three acceptance braids and their dilatations.
 ACCEPTANCE_DILATATIONS = (
     ("s1 s2^-1", 3, 2.618033988749895),
-    ("s3 s2 s1^-1", 4, 2.296630262886992),
+    ("s3 s2 s1^-1", 4, 2.2966302628865383),
     ("s1 s2 s3 s4 s1 s2", 5, 1.722083805739043),
 )
 

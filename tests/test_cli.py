@@ -196,6 +196,23 @@ def test_growth_entries(capsys):
     assert doc["inputs"]["window"] == 8
 
 
+def test_max_exact_null_without_recurrence(capsys):
+    code, doc, _ = run_json(
+        ["growth", "--seq", "2,3,5,7,11,13,17,19,23,29,31,37", "--json-only"], capsys
+    )
+    assert code == 0
+    assert doc["result"]["min_poly"] is None
+    assert [e["exact"] for e in doc["result"]["entries"]] == [1.0, None, None, None]
+    assert doc["result"]["max_exact"] is None
+    # Tetranacci needs degree 4, more than 8 terms can fit.
+    tetranacci = "a -> a b; b -> a c; c -> a d; d -> a"
+    code = main(["fg-growth", "--endo", tetranacci, "--iters", "8", "--sum"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["result"]["sum_report"]["max_exact"] is None
+    assert err.splitlines()[-1] == "largest growth rate: n/a"
+
+
 def test_lefschetz(capsys):
     code, doc, _ = run_json(
         ["lefschetz", "--matrix", "[[2,1],[1,1]]", "--iters", "4", "--boundary", "--json-only"],
@@ -549,6 +566,44 @@ def test_mahler_leaves_mpmath_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_numpy_loaded_only_by_root_certification():
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return ['numpy' in sys.modules, 'lehmerlab._factor' in sys.modules]\n"
+        "import lehmerlab\n"
+        "states = [loaded()]\n"
+        "import lehmerlab.cli as cli\n"
+        "cli.build_parser()\n"
+        "states.append(loaded())\n"
+        "for argv in (\n"
+        "    ['fg-iterate', '--endo', 'a -> a b; b -> a', '--iters', '8'],\n"
+        "    ['alexander', '--n', '3', '--braid', 's1 s2^-1 T^2'],\n"
+        "    ['entropy', '--n', '3', '--braid', 's1 s2^-1'],\n"
+        "    ['burau', '--n', '3', '--braid', 's1 s2^-1'],\n"
+        "    ['hankel', '--seq', '1,1,2,3,5,8,13,21', '--k', '2'],\n"
+        "    ['mahler', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1'],\n"
+        "    ['poly-check', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1'],\n"
+        "):\n"
+        "    assert cli.main([*argv, '--json-only']) == 0, argv\n"
+        "    states.append(loaded())\n"
+        "print(json.dumps(states))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    states = json.loads(proc.stdout.splitlines()[-1])
+    # import, parser, then five subcommands that compute no root
+    assert states[:7] == [[False, False]] * 7
+    assert states[7] == [True, False]  # mahler certifies roots
+    assert states[8] == [True, True]  # poly-check factors
 
 
 def test_poly_check_is_deterministic_without_random():

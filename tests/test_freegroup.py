@@ -238,6 +238,12 @@ def test_growth_report_sum_variants():
     assert rep_zy.min_poly.char_int().coeffs == (-6, 11, -6, 1)
     assert rep_zy.max_exact() == pytest.approx(rep_xy.max_exact(), abs=1e-12)
 
+    # Tetranacci sums need degree 4; 8 terms fit at most degree 2.
+    tetranacci = parse_endo("a -> a b; b -> a c; c -> a d; d -> a")
+    rep_none = growth_report_sum(tetranacci, 2, 8)
+    assert rep_none.min_poly is None and rep_none.entry(0).exact == 1.0
+    assert rep_none.max_exact() is None
+
     ident = Endo.identity(2)
     rep_id = growth_report_sum(ident, 1, 10)
     assert rep_id.entry(1).exact == pytest.approx(1.0, abs=1e-12)
@@ -647,6 +653,36 @@ def test_word_ops_match_flat_reduction_oracle():
         lengths = [apply(phi, w).length(), twice.length()]
         assert list(iterate_lengths(phi, w, 2).terms) == lengths
     assert apply(*cases[0]) == parse_word("a", 2)
+
+
+def test_hash_and_eq_ignore_block_form(monkeypatch):
+    rng = random.Random(2024)
+    words, reblocked = [], 0
+    for _ in range(200):
+        rank = rng.randrange(1, 4)
+        u, u_runs = _random_word(rng, rank, big=False)
+        flat = Word(rank, u_runs)  # single-letter blocks only
+        reblocked += u.blocks != flat.blocks
+        assert u == flat and hash(u) == hash(flat)
+        words.append((u, u_runs))
+    assert reblocked >= 40  # 46 with this seed
+    for (u, u_runs), (v, v_runs) in zip(words, words[1:]):
+        assert (u == v) == (u.rank == v.rank and u_runs == v_runs)
+    # Same length and end letters, different words.
+    assert Word(2, ((1, 1), (2, 1), (1, 1))) != Word(2, ((1, 3),))
+
+    a, b = Word.gen(2, 1), Word.gen(2, 2)
+    n = 100_000
+    big, other = (a * b) ** n, b.inverse() * (b * a) ** n * b
+    assert big.blocks != other.blocks
+    calls = []
+    to_runs = Word.to_runs
+    monkeypatch.setattr(Word, "to_runs", lambda w: calls.append(w) or to_runs(w))
+    assert hash(big) == hash(other)
+    # A different length or different end letters is decided from the blocks.
+    assert big != big * a and big != (b * a) ** n and big != a * big * a.inverse()
+    assert not calls
+    assert big == other
 
 
 def _flat_cyclic_length(pairs):

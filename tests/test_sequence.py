@@ -206,6 +206,8 @@ def test_growth_report_shape():
     assert rep.min_poly is not None
     assert rep.entry(4).exact == 0.0
     assert rep.max_exact() == pytest.approx(6.0, abs=1e-9)
+    # k = 0 alone is exact 1.0 with or without a fit, so it is no growth rate.
+    assert growth_report(tri_seq(30), 0).max_exact() is None
     ks = [e.k for e in rep.entries]
     assert ks == [0, 1, 2, 3, 4]
 
@@ -217,6 +219,7 @@ def test_growth_report_without_fit():
     assert rep.min_poly is None
     assert rep.entry(1).exact is None
     assert rep.entry(1).estimate is not None and rep.entry(1).estimate > 1
+    assert rep.max_exact() is None
 
 
 def test_rational_form_matches_series():
