@@ -48,6 +48,7 @@ from .freegroup import (
     endo_from_matrix,
     format_endo,
     format_word,
+    generator_lengths,
     growth_report_sum,
     iterate_lengths,
     nielsen_verify_basis,
@@ -355,11 +356,11 @@ def _cmd_fg_iterate(args) -> tuple:
         result = {"word": format_word(w), "lengths": [_num(v) for v in seq.terms]}
         summary = [f"|phi^n({format_word(w)})| for n = 1..{args.iters}"]
     else:
-        per = {}
-        for g in range(1, phi.rank + 1):
-            name = format_word(Word.gen(phi.rank, g))
-            seq = iterate_lengths(phi, g, args.iters, budget=args.budget)
-            per[name] = [_num(v) for v in seq.terms]
+        seqs = generator_lengths(phi, args.iters, budget=args.budget)
+        per = {
+            format_word(Word.gen(phi.rank, g)): [_num(v) for v in seq.terms]
+            for g, seq in enumerate(seqs, 1)
+        }
         result = {"per_generator": per}
         summary = [f"|phi^n(g)| for each generator, n = 1..{args.iters}"]
     return inputs, result, summary

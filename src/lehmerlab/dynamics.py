@@ -1,9 +1,9 @@
 """Trace and Lefschetz sequences of integer matrices, net traces,
 cyclotomic padding and Perron/primitivity certification.
 
-All matrix arithmetic is exact over arbitrary-precision integers; power
-traces derived from characteristic polynomials go through Newton's
-identities, so the two routes can be compared coefficient by coefficient.
+All matrix arithmetic is exact over arbitrary-precision integers.  Power
+traces tr A^n come from the characteristic polynomial through Newton's
+identities, with no power of A formed.
 """
 
 from __future__ import annotations
@@ -92,15 +92,15 @@ class SignedShiftSystem:
 
 
 def trace_powers(a: IntMatrix, n_terms: int) -> ExactSeq:
-    """tr A^1, ..., tr A^N by iterated multiplication."""
+    """tr A^1, ..., tr A^N as the Newton power sums of char_poly(a).
+
+    tr A^k is the k-th power sum of the eigenvalues of A, with
+    multiplicity, so no power of A is formed: one characteristic
+    polynomial, then O(dim) integer operations per term.
+    """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
-    out = []
-    b = a
-    for _ in range(n_terms):
-        out.append(b.trace())
-        b = b @ a
-    return ExactSeq.of(out)
+    return ExactSeq.of(newton_power_sums(char_poly(a), n_terms))
 
 
 def lefschetz_seq(a: IntMatrix, has_boundary: bool, n_terms: int) -> ExactSeq:

@@ -12,13 +12,15 @@ without materializing 3^25 letters; ``Word.runs`` spells a word out as
 pathological blowups into clean errors instead of hangs.
 
 Iterated lengths of a positive word under a positive endomorphism (no
-inverse letters anywhere, so nothing cancels) skip the engine: the letter
-counts evolve by the abelianization, v <- A v, and |phi^n(w)| is the sum of
-A^n e(w).  That route builds no words and charges no budget.
+inverse letters anywhere, so nothing cancels) skip the engine: with A the
+abelianization, one row-vector pass u_n = 1^T A^n gives |phi^n(g_j)| =
+u_n[j] for every generator at once, and |phi^n(w)| = u_n . e(w).  That
+route builds no words and charges no budget.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -34,7 +36,7 @@ from .dynamics import IntMatrix
 from .polynomial import _int_arg
 from .sequence import DEFAULT_WINDOW, ExactSeq, GrowthReport
 from .sequence import _check_report_args
-from .sequence import growth_report as seq_growth_report
+from .sequence import growth_reports as seq_growth_reports
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -48,6 +50,7 @@ __all__ = [
     "apply",
     "compose",
     "iterate_lengths",
+    "generator_lengths",
     "growth_report",
     "growth_report_sum",
     "endo_from_matrix",
@@ -107,36 +110,70 @@ def compose(outer: Endo, inner: Endo, budget: int = DEFAULT_BUDGET) -> Endo:
     )
 
 
+def _is_positive(phi: Endo) -> bool:
+    return all(u.is_positive() for u in phi.images)
+
+
+def _length_rows(phi: Endo, n_terms: int) -> list[list[int]]:
+    """u_1, ..., u_N with u_n = 1^T A^n, A the abelianization; for a
+    positive phi, u_n[j] = |phi^n(g_{j+1})|.  Column j of A is the letter
+    count of phi(g_{j+1}), so each step is u <- (u . column_j)_j."""
+    columns = [
+        [w.exponent_sum(i) for i in range(1, phi.rank + 1)] for w in phi.images
+    ]
+    u = [1] * phi.rank
+    rows = []
+    for _ in range(n_terms):
+        u = [sum(map(operator.mul, u, col)) for col in columns]
+        rows.append(u)
+    return rows
+
+
 def iterate_lengths(
     phi: Endo, g, n_terms: int, budget: int = DEFAULT_BUDGET
 ) -> ExactSeq:
     """|phi^n(g)| for n = 1..N, exact; g is a generator index or a Word.
 
     When the start word w and every image are positive (an identity image
-    counts), the lengths are the entry sums of A^n e(w), with A the
-    abelianization and e(w) the letter counts of w: n integer matrix-vector
-    products, no words built and no budget charged.  Otherwise each
-    phi^n(w) is built in the block engine under ``budget``.
+    counts), |phi^n(w)| = u_n . e(w), with u_n = 1^T A^n from the row pass
+    of ``generator_lengths`` and e(w) the letter counts of w: no words
+    built and no budget charged.  Otherwise each phi^n(w) is built in the
+    block engine under ``budget``.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     w = g if isinstance(g, Word) else Word.gen(phi.rank, g)
     if w.rank != phi.rank:
         raise ValueError("rank mismatch")
-    if w.is_positive() and all(u.is_positive() for u in phi.images):
-        a = abelianization(phi).rows
-        v = [w.exponent_sum(i) for i in range(1, phi.rank + 1)]
-        lengths = []
-        for _ in range(n_terms):
-            v = [sum(x * y for x, y in zip(row, v)) for row in a]
-            lengths.append(sum(v))
-        return ExactSeq.of(lengths)
+    if w.is_positive() and _is_positive(phi):
+        e = [w.exponent_sum(i) for i in range(1, phi.rank + 1)]
+        return ExactSeq.of(
+            [sum(map(operator.mul, u, e)) for u in _length_rows(phi, n_terms)]
+        )
     images = compress_images(phi.images)
     lengths = []
     for _ in range(n_terms):
         w = apply_endo_blocks(images, w, Budget(budget))
         lengths.append(w.length())
     return ExactSeq.of(lengths)
+
+
+def generator_lengths(
+    phi: Endo, n_terms: int, budget: int = DEFAULT_BUDGET
+) -> tuple[ExactSeq, ...]:
+    """iterate_lengths(phi, g, n_terms, budget) for g = 1..rank.
+
+    For a positive phi one row pass u_n = 1^T A^n gives them all, since
+    |phi^n(g_j)| = u_n[j]; otherwise each generator is iterated in the
+    block engine.
+    """
+    if n_terms < 1:
+        raise ValueError("need n_terms >= 1")
+    if _is_positive(phi):
+        return tuple(ExactSeq.of(col) for col in zip(*_length_rows(phi, n_terms)))
+    return tuple(
+        iterate_lengths(phi, g, n_terms, budget) for g in range(1, phi.rank + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -165,10 +202,9 @@ def growth_report(
 ) -> EndoGrowthReport:
     """Generalized growth rates: max over generators of per-length GR^(k)."""
     _check_report_args(k_max, window, d_max)
-    reports = []
-    for g in range(1, phi.rank + 1):
-        seq = iterate_lengths(phi, g, n_terms, budget)
-        reports.append(seq_growth_report(seq, k_max, window=window, d_max=d_max))
+    reports = seq_growth_reports(
+        generator_lengths(phi, n_terms, budget), k_max, window=window, d_max=d_max
+    )
     maxima: list[float | None] = []
     for k in range(k_max + 1):
         vals = [
@@ -177,7 +213,7 @@ def growth_report(
             if _entry_value(rep.entry(k)) is not None
         ]
         maxima.append(max(vals) if vals else None)
-    return EndoGrowthReport(tuple(reports), tuple(maxima), k_max)
+    return EndoGrowthReport(reports, tuple(maxima), k_max)
 
 
 def growth_report_sum(
@@ -190,12 +226,9 @@ def growth_report_sum(
 ) -> GrowthReport:
     """Growth report of the single sequence sum_i |phi^n(g_i)|."""
     _check_report_args(k_max, window, d_max)
-    per_gen = [
-        iterate_lengths(phi, g, n_terms, budget).terms
-        for g in range(1, phi.rank + 1)
-    ]
+    per_gen = [s.terms for s in generator_lengths(phi, n_terms, budget)]
     summed = ExactSeq.of([sum(col) for col in zip(*per_gen)])
-    return seq_growth_report(summed, k_max, window=window, d_max=d_max)
+    return seq_growth_reports((summed,), k_max, window=window, d_max=d_max)[0]
 
 
 def endo_from_matrix(a: IntMatrix) -> Endo:

@@ -711,11 +711,13 @@ def _weierstrass_exact(coeffs, tol, start):
     """The escalation route of _certified_roots: centers z_j = (x_j + i y_j) / 2^p.
 
     In-place Weierstrass (Durand-Kerner) steps z_j <- z_j - W_j from start run in fixed
-    point, each product dropping p bits, at p = 128, 256, ..., 4096 until every radius
-    about the rounded float64 center is below tol/4.  No rounding is left to bound:
-    F_j = 2^(pn) f(z_j) and P_j = 2^(p(n-1)) lc prod_{k != j} (z_j - z_k) are Gaussian
-    integers, n|W_j| = n|F_j| / (2^p |P_j|) and the distance to that center are bounded
-    by integer square roots, and every comparison is exact."""
+    point, each product dropping p bits, at p = e + 128, e + 256, ..., e + 4096 until every
+    radius about the rounded float64 center is below tol/4.  Here e is the number of bits
+    below 1 of the smallest start modulus, so a root far below 2^-128 still gets 128 bits
+    of its own (at e = 0 the root 2^-200 of 2^200 t - 1 would round to 0).  No rounding
+    is left to bound: F_j = 2^(pn) f(z_j) and P_j = 2^(p(n-1)) lc prod_{k != j} (z_j - z_k)
+    are Gaussian integers, n|W_j| = n|F_j| / (2^p |P_j|) and the distance to that center
+    are bounded by integer square roots, and every comparison is exact."""
     n, lead = len(coeffs) - 1, coeffs[-1]
 
     def horner_and_product(j, cs, head, shift):
@@ -730,10 +732,11 @@ def _weierstrass_exact(coeffs, tol, start):
                 pr, pi = (pr * dx - pi * dy) >> shift, (pr * dy + pi * dx) >> shift
         return fr, fi, pr, pi
 
-    p = 128
+    extra = max(0, -min(math.frexp(abs(z))[1] for z in start))
+    p = 128 + extra
     xs = [round(Fraction(z.real) * 2**p) for z in start]
     ys = [round(Fraction(z.imag) * 2**p) for z in start]
-    while p <= 4096:
+    while p <= 4096 + extra:
         cs = [c << p for c in coeffs[-2::-1]]
         for _ in range(120):
             moved = 0
@@ -779,8 +782,8 @@ def _weierstrass_exact(coeffs, tol, start):
                         f"the float64 spacing there is {math.ulp(m):.3g}, and no float64 center "
                         f"lies within tol/4 = {tol / 4:.3g} of that root"
                     )
-        xs, ys = [x << p for x in xs], [y << p for y in ys]
-        p *= 2
+        xs, ys = [x << p - extra for x in xs], [y << p - extra for y in ys]
+        p = 2 * p - extra
     raise PrecisionError(f"root certification failed at tol={tol}")
 
 
@@ -911,11 +914,25 @@ def mahler_measure(f: IntPoly, tol: float = DEFAULT_TOL) -> MahlerResult:
     return MahlerResult(value, lower, upper, exact, rl)
 
 
+def _as_fractions(values) -> tuple[Fraction, ...]:
+    """The values as Fractions; those that already are are kept as they are."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+
+
+def clear_fractions(values) -> tuple[tuple[int, ...], int]:
+    """(D*v_1, ..., D*v_n) as integers, and D, the lcm of the denominators
+    of the rationals v_i; D = 1 when every v_i is an integer."""
+    fs = _as_fractions(values)
+    d = math.lcm(*(f.denominator for f in fs))
+    if d == 1:
+        return tuple(f.numerator for f in fs), 1
+    return tuple(f.numerator * (d // f.denominator) for f in fs), d
+
+
 def clear_denominators(coeffs) -> tuple[IntPoly, int]:
     """(D*f, D) for rational coefficients of f, D the lcm of their denominators."""
-    cs = [Fraction(c) for c in coeffs]
-    d = math.lcm(*(c.denominator for c in cs))
-    return IntPoly(tuple(int(c * d) for c in cs)), d
+    ints, d = clear_fractions(coeffs)
+    return IntPoly(ints), d
 
 
 def mahler_of_fraction_poly(coeffs, tol: float = DEFAULT_TOL) -> float:

@@ -1,20 +1,26 @@
 """Hankel determinants, growth-rate estimators and exact recurrence fitting.
 
 Sequences are 1-indexed rationals (terms[0] is a_1).  Everything except the
-floating-point growth estimates is exact: a Hankel determinant is one
-integer determinant after clearing denominators (``polynomial.bareiss_det``)
-and recurrence fitting is one Berlekamp-Massey pass over Fractions.
+floating-point growth estimates is exact, and all of it runs on plain
+integers: each sequence keeps one integer view D*a (``ExactSeq.scaled``, D
+the lcm of the denominators), a Hankel determinant is one integer
+determinant of a window of that view (``polynomial.bareiss_det``), since
+H_{n,k}(D*a) = D^k H_{n,k}(a), and recurrence fitting is one fraction-free
+Berlekamp-Massey pass over it, since scaling a sequence changes none of its
+recurrences.  Only the fitted recurrence comes back as Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import DEFAULT_TOL, IntPoly, bareiss_det, clear_denominators
-from .polynomial import mahler_of_fraction_poly, roots
+from .polynomial import _as_fractions, clear_fractions, mahler_of_fraction_poly, roots
 
 DEFAULT_WINDOW = 8
 
@@ -30,7 +36,7 @@ class ExactSeq:
     terms: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(Fraction(t) for t in self.terms))
+        object.__setattr__(self, "terms", _as_fractions(self.terms))
         if not self.terms:
             raise ValueError("a sequence needs at least one term")
 
@@ -49,7 +55,13 @@ class ExactSeq:
         return self.terms[n - 1]
 
     def is_integral(self) -> bool:
-        return all(t.denominator == 1 for t in self.terms)
+        return self.scaled[1] == 1
+
+    @functools.cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(ints, D): the terms times D as integers, D the lcm of their
+        denominators.  Computed on first use and kept."""
+        return clear_fractions(self.terms)
 
 
 @dataclass(frozen=True)
@@ -60,8 +72,8 @@ class Recurrence:
     init: tuple[Fraction, ...]
 
     def __post_init__(self):
-        char = tuple(Fraction(c) for c in self.char)
-        init = tuple(Fraction(v) for v in self.init)
+        char = _as_fractions(self.char)
+        init = _as_fractions(self.init)
         if not char or char[-1] != 1:
             raise ValueError("characteristic polynomial must be monic")
         if len(init) != len(char) - 1:
@@ -115,11 +127,14 @@ def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
         raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
     if n + 2 * k - 2 > a.n_terms:
         raise ValueError(f"Hankel window (n={n}, k={k}) exceeds {a.n_terms} terms")
-    entries = [a.get(n + i) for i in range(2 * k - 1)]
-    den = math.lcm(*(e.denominator for e in entries))
-    ints = [int(e * den) for e in entries]
-    rows = [[ints[i + j] for j in range(k)] for i in range(k)]
-    return Fraction(bareiss_det(rows), den**k)
+    ints, den = a.scaled
+    return Fraction(_hankel_int(ints, n, k), den**k)
+
+
+def _hankel_int(ints, n: int, k: int) -> int:
+    """k x k Hankel determinant of the integer view, entry (i, j) ints[n+i+j-2]."""
+    w = ints[n - 1 : n + 2 * k - 2]
+    return bareiss_det([w[i : i + k] for i in range(k)])
 
 
 def hankel_values(a: ExactSeq, k: int):
@@ -128,7 +143,7 @@ def hankel_values(a: ExactSeq, k: int):
     return [(n, hankel_det(a, n, k)) for n in range(1, last + 1)]
 
 
-def _root_magnitude(h: Fraction, n: int) -> float:
+def _root_magnitude(h: Fraction | int, n: int) -> float:
     """|h|^(1/n) without overflowing floats on huge integers."""
     if h == 0:
         return 0.0
@@ -153,10 +168,16 @@ def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
         raise ValueError(
             f"need at least {window} Hankel values at size k={k}, have {max(last, 0)}"
         )
-    vals = [
-        _root_magnitude(hankel_det(a, n, k), n)
-        for n in range(last - window + 1, last + 1)
-    ]
+    if k < 0:
+        raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
+    # H_{n,k}(a) = H_{n,k}(D*a) / D^k, reduced as hankel_det reduces it; for
+    # D = 1 the integer itself, whose log is the same float.
+    ints, den = a.scaled
+    scale = den**k
+    vals = []
+    for n in range(last - window + 1, last + 1):
+        h = _hankel_int(ints, n, k)
+        vals.append(_root_magnitude(h if scale == 1 else Fraction(h, scale), n))
     return max(vals), max(vals) - min(vals)
 
 
@@ -167,11 +188,23 @@ def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
 def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurrence:
     """Least-degree monic recurrence satisfied by every supplied term.
 
-    One Berlekamp-Massey pass over Q (Massey, IEEE Trans. Inf. Theory 15,
-    1969) finds the linear complexity L and a shortest recurrence in O(N^2)
+    One Berlekamp-Massey pass (Massey, IEEE Trans. Inf. Theory 15, 1969)
+    finds the linear complexity L and a shortest recurrence in O(N^2)
     operations; raises NoRecurrenceFound when L > d_max.  The margin keeps
     short prefixes from producing spurious fits: N >= 2 d_max + margin >= 2L,
     so the shortest recurrence is unique.
+
+    The pass is fraction-free, over the integer view D*a, which satisfies
+    exactly the recurrences of a.  Over Q the connection polynomial is
+    updated as c <- c - (disc/b_disc) x^shift b, with c_0 = 1 and disc =
+    sum_{i<=L} c_i a_{n-i}.  Here c and b are integer vectors, c = lam*c_Q
+    and b = mu*b_Q for nonzero lam and mu; the discrepancies computed from
+    them are then lam*disc_Q and mu*b_disc_Q, so they vanish at the same
+    steps, and the update c <- b_disc*c - disc*x^shift*b gives
+    lam*mu*b_disc_Q times the new c_Q, a nonzero multiple again.  Dividing
+    by the content keeps the integers small and the multiple nonzero.  So
+    the same steps run, L changes at the same n, and c/c_0 at the end is
+    the c of the Q-version: the same Recurrence comes out.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
@@ -184,21 +217,24 @@ def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurren
             f"need at least {2 * d_max + margin} terms to fit degree {d_max}, "
             f"have {a.n_terms}"
         )
-    ts = a.terms
-    # c is the connection polynomial 1 + c_1 x + ... + c_L x^L, with
-    # a_n + c_1 a_{n-1} + ... + c_L a_{n-L} = 0 for L <= n < N; b is c as
-    # it was before L last changed, b_disc the discrepancy that changed it.
-    c, b = [Fraction(1)], [Fraction(1)]
-    length, shift, b_disc = 0, 1, Fraction(1)
-    for n, t in enumerate(ts):
-        disc = t + sum(c[i] * ts[n - i] for i in range(1, length + 1))
+    ts, _ = a.scaled
+    # c is an integer multiple of the connection polynomial 1 + c_1 x + ...
+    # + c_L x^L, with c_0 a_n + c_1 a_{n-1} + ... + c_L a_{n-L} = 0 for
+    # L <= n < N; b is c as it was before L last changed, b_disc the
+    # discrepancy that changed it.
+    c, b = [1], [1]
+    length, shift, b_disc = 0, 1, 1
+    for n in range(len(ts)):
+        disc = sum(map(operator.mul, c, reversed(ts[n - length : n + 1])))
         if disc == 0:
             shift += 1
             continue
-        scale = disc / b_disc
-        new = c + [Fraction(0)] * (len(b) + shift - len(c))
+        new = [b_disc * v for v in c] + [0] * (len(b) + shift - len(c))
         for i, v in enumerate(b):
-            new[i + shift] -= scale * v
+            new[i + shift] -= disc * v
+        g = math.gcd(*new)
+        if g > 1:
+            new = [v // g for v in new]
         if 2 * length <= n:
             length, b, b_disc, shift = n + 1 - length, c, disc, 1
             if length > d_max:
@@ -208,8 +244,10 @@ def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurren
         else:
             shift += 1
         c = new
-    c += [Fraction(0)] * (length + 1 - len(c))
-    return Recurrence(tuple(reversed(c[: length + 1])), ts[:length])
+    c = c[: length + 1] + [0] * (length + 1 - len(c))
+    return Recurrence(
+        tuple(Fraction(v, c[0]) for v in reversed(c)), a.terms[:length]
+    )
 
 
 def seq_from_recurrence(r: Recurrence, n_terms: int) -> ExactSeq:
@@ -305,30 +343,47 @@ def growth_report(
     tol: float = DEFAULT_TOL,
 ) -> GrowthReport:
     """Numeric GR^(k) estimates for k <= k_max plus the exact fitted route."""
+    return growth_reports((a,), k_max, window, d_max, tol)[0]
+
+
+def growth_reports(
+    seqs,
+    k_max: int,
+    window: int = DEFAULT_WINDOW,
+    d_max: int | None = None,
+    tol: float = DEFAULT_TOL,
+) -> tuple[GrowthReport, ...]:
+    """growth_report of each sequence in turn.
+
+    The roots of a characteristic polynomial fitted to several of the
+    sequences are certified once (every generator of the Tetranacci map
+    fits t^4 - t^3 - t^2 - t - 1); nothing is kept beyond the call.
+    """
     _check_report_args(k_max, window, d_max)
-    if d_max is None:
-        d_max = a.n_terms // 3
-    rec = None
-    try:
-        rec = fit_min_poly(a, d_max)
-    except (NoRecurrenceFound, ValueError):
-        rec = None
-    exact = (
-        growth_rates_from_char(rec.char, k_max, tol) if rec is not None else None
-    )
-    entries = []
-    for k in range(k_max + 1):
-        if k == 0:
-            entries.append(GrowthEntry(0, 1.0, 0.0, 1.0, window))
-            continue
+    exact_by_char: dict[tuple[Fraction, ...], list[float]] = {}
+    reports = []
+    for a in seqs:
         try:
-            est, spread = growth_window(a, k, window)
-        except ValueError:
-            est, spread = None, None
-        entries.append(
-            GrowthEntry(k, est, spread, exact[k] if exact else None, window)
-        )
-    return GrowthReport(tuple(entries), rec)
+            rec = fit_min_poly(a, a.n_terms // 3 if d_max is None else d_max)
+        except (NoRecurrenceFound, ValueError):
+            rec = None
+        exact = None
+        if rec is not None:
+            exact = exact_by_char.get(rec.char)
+            if exact is None:
+                exact = growth_rates_from_char(rec.char, k_max, tol)
+                exact_by_char[rec.char] = exact
+        entries = [GrowthEntry(0, 1.0, 0.0, 1.0, window)]
+        for k in range(1, k_max + 1):
+            try:
+                est, spread = growth_window(a, k, window)
+            except ValueError:
+                est, spread = None, None
+            entries.append(
+                GrowthEntry(k, est, spread, exact[k] if exact else None, window)
+            )
+        reports.append(GrowthReport(tuple(entries), rec))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +460,27 @@ def eventually_periodic(a: ExactSeq, min_evidence: int = 3) -> Periodicity | Non
 # Text formats
 
 
-_TERM_RE = re.compile(r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|[0-9]+\.?[0-9]*|\.[0-9]+)")
+# The first alternative is a plain integer, which int reads faster than
+# Fraction reads a string.
+_TERM_RE = re.compile(
+    r"[+-]?(?:([0-9]+)|[0-9]+/0*[1-9][0-9]*|[0-9]+\.?[0-9]*|\.[0-9]+)"
+)
 
 
 def _terms(text: str) -> list[Fraction]:
     """Comma-separated terms, each matched against an ASCII pattern so that
     a bad one is named instead of read by Fraction's wider grammar."""
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    out = []
     for p in parts:
-        if not _TERM_RE.fullmatch(p):
+        match = _TERM_RE.fullmatch(p)
+        if not match:
             raise ValueError(
                 f"bad term {p!r}: expected comma-separated integers, fractions "
                 "p/q with q > 0 or decimals, such as 1,-2/3,1.5"
             )
-    return [Fraction(p) for p in parts]
+        out.append(Fraction(int(p)) if match.group(1) else Fraction(p))
+    return out
 
 
 def parse_seq(text: str) -> ExactSeq:

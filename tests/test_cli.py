@@ -673,3 +673,21 @@ def test_closed_stdout_exit_1_without_traceback(unbuffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
+
+
+def test_growth_layer_stdout_is_pinned(capsys):
+    """Stdout of growth, fit-recurrence, hankel, lefschetz, fg-iterate and
+    fg-growth runs, byte for byte, as the Fraction-based growth layer wrote
+    it before the integer kernels replaced it (tests/data/golden_cli.json)."""
+    with open(GOLDEN) as fh:
+        cases = json.load(fh)
+    assert {c["argv"][0] for c in cases} == {
+        "growth", "fit-recurrence", "hankel", "lefschetz", "fg-iterate", "fg-growth",
+    }
+    for case in cases:
+        code = main(case["argv"])
+        out, _ = capsys.readouterr()
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

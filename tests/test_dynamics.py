@@ -253,6 +253,25 @@ def test_traces_match_newton_identities(seed, m):
     assert list(trace_powers(a, 12).terms) == newton_power_sums(char_poly(a), 12)
 
 
+def _iterated_traces(a, n_terms):
+    """tr A^1, ..., tr A^N by iterated multiplication: the oracle."""
+    out, b = [], a
+    for _ in range(n_terms):
+        out.append(b.trace())
+        b = b @ a
+    return out
+
+
+def test_trace_powers_match_iterated_products():
+    rng = random.Random(24)
+    for m in range(1, 9):
+        for _ in range(12):
+            a = random_matrix(rng, m, -4, 4)
+            assert list(trace_powers(a, 24).terms) == _iterated_traces(a, 24), a
+    with pytest.raises(ValueError, match="need n_terms >= 1"):
+        trace_powers(IntMatrix.identity(2), 0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_lefschetz_growth_bounded_by_mahler(seed, m):

@@ -18,6 +18,7 @@ from lehmerlab.freegroup import (
     endo_from_matrix,
     format_endo,
     format_word,
+    generator_lengths,
     growth_report,
     growth_report_sum,
     iterate_lengths,
@@ -28,6 +29,7 @@ from lehmerlab.freegroup import (
     reduce,
 )
 from lehmerlab.sequence import fit_min_poly
+from lehmerlab.sequence import growth_report as seq_growth_report
 
 
 def test_reduce_examples():
@@ -507,6 +509,49 @@ def test_positive_lengths_match_block_engine():
         got = iterate_lengths(phi, w, n_terms, budget=0)
         assert list(got.terms) == _engine_lengths(phi, start, n_terms), (phi, start)
     assert identity_images > 0
+
+
+def test_generator_lengths_match_block_engine():
+    """One row pass u_n = 1^T A^n gives every generator's lengths; the
+    block engine, iterated per generator, is the oracle."""
+    rng = random.Random(1969)
+    for _ in range(120):
+        rank = rng.randrange(1, 5)
+        images = tuple(
+            Word.empty(rank) if rng.random() < 0.1 else _random_positive_word(rng, rank, 3)
+            for _ in range(rank)
+        )
+        phi = Endo(rank, images)
+        widest = max([1] + [u.length() for u in images])
+        n_terms = rng.randrange(1, 9)
+        while n_terms > 1 and widest**n_terms > 100_000:
+            n_terms -= 1
+        got = generator_lengths(phi, n_terms, budget=0)
+        assert [list(s.terms) for s in got] == [
+            _engine_lengths(phi, Word.gen(rank, g), n_terms) for g in range(1, rank + 1)
+        ], phi
+    mixed = parse_endo("a -> a b a^-1; b -> b a")
+    assert generator_lengths(mixed, 6) == tuple(iterate_lengths(mixed, g, 6) for g in (1, 2))
+    with pytest.raises(BudgetError):
+        generator_lengths(mixed, 40, budget=10_000)
+    with pytest.raises(ValueError, match="need n_terms >= 1"):
+        generator_lengths(mixed, 0)
+
+
+def test_growth_report_certifies_each_fitted_polynomial_once(monkeypatch):
+    import lehmerlab.sequence as S
+
+    calls = []
+    real_roots = S.roots
+    monkeypatch.setattr(S, "roots", lambda f, tol: calls.append(f) or real_roots(f, tol))
+    tetra = parse_endo("a -> a b; b -> a c; c -> a d; d -> a")
+    rep = growth_report(tetra, 3, 16)
+    assert len(calls) == 1 and calls[0].coeffs == (-1, -1, -1, -1, 1)
+    singles = tuple(
+        seq_growth_report(iterate_lengths(tetra, g, 16), 3) for g in range(1, 5)
+    )
+    assert rep.per_generator == singles
+    assert len(calls) == 5
 
 
 def test_inverse_letters_take_the_block_engine():

@@ -912,12 +912,27 @@ def test_escalation_route_certifies(f, escalations):
 
 
 def test_escalation_doubles_the_precision(escalations):
-    """At 128 bits the center nearest the root 2^-200 is 0, with radius
-    2^-200 > tol/4; at 256 bits the center is the root itself, and the root
-    is recognized as rational."""
+    """At 128 absolute bits the center nearest the root 2^-200 would be 0,
+    with radius 2^-200 > tol/4; the fixed point starts 128 bits below the
+    start modulus instead, the center is the root itself, and the root is
+    recognized as rational."""
     rl = roots(IntPoly((-1, 2**200)), 1e-70)
     assert escalations == [1]
     assert rl.roots == (2.0**-200 + 0j,) and rl.radii == (0.0,)
+
+
+def test_tiny_escalated_roots_keep_relative_precision(escalations):
+    """The fixed point of the escalation starts at 128 bits plus the bits
+    below 1 of the smallest start modulus, so a root far below 2^-128 is
+    known to about 2^-128 of its own size: 2^-200 comes back exactly at the
+    default tol, and so do 3 * 2^-200 and the pair +-2^-100 i to 2^-200."""
+    for c in (1, 3):
+        rl = roots(IntPoly((-c, 2**200)))
+        assert rl.roots == (c * 2.0**-200 + 0j,) and rl.radii == (0.0,)
+    rl = roots(IntPoly((1, 0, 2**200)))
+    assert sorted(z.imag for z in rl.roots) == [-(2.0**-100), 2.0**-100]
+    assert all(z.real == 0 and r < 2.0**-200 for z, r in rl)
+    assert escalations == [1, 1, 2]
 
 
 def test_escalation_radius_bounds_the_working_precision_rounding(escalations):

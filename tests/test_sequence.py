@@ -459,3 +459,154 @@ def test_fit_min_poly_matches_dscan_oracle():
         assert got == _outcome(_dscan_fit, a, d_max, margin), (terms, d_max, margin)
         kinds.add(got[0] if isinstance(got, tuple) else Recurrence)
     assert kinds == {Recurrence, ValueError, NoRecurrenceFound}
+
+
+def _fraction_bm(a, d_max, margin=None):
+    """Berlekamp-Massey over Fractions, c_0 = 1 throughout: the Q-version
+    that the fraction-free fit_min_poly must reproduce step for step."""
+    if d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    if margin is None:
+        margin = d_max
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+    if a.n_terms < 2 * d_max + margin:
+        raise ValueError(
+            f"need at least {2 * d_max + margin} terms to fit degree {d_max}, "
+            f"have {a.n_terms}"
+        )
+    ts = a.terms
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, b_disc = 0, 1, Fraction(1)
+    for n, t in enumerate(ts):
+        disc = t + sum(c[i] * ts[n - i] for i in range(1, length + 1))
+        if disc == 0:
+            shift += 1
+            continue
+        scale = disc / b_disc
+        new = c + [Fraction(0)] * (len(b) + shift - len(c))
+        for i, v in enumerate(b):
+            new[i + shift] -= scale * v
+        if 2 * length <= n:
+            length, b, b_disc, shift = n + 1 - length, c, disc, 1
+            if length > d_max:
+                raise NoRecurrenceFound(
+                    f"no recurrence of degree <= {d_max} fits all terms"
+                )
+        else:
+            shift += 1
+        c = new
+    c += [Fraction(0)] * (length + 1 - len(c))
+    return Recurrence(tuple(reversed(c[: length + 1])), ts[:length])
+
+
+def _random_fit_case(rng, family):
+    """(terms, d_max, margin) from one of four families of sequences."""
+    d_max = rng.randint(0, 9)
+    margin = rng.choice((None, None, 0, 1, 3))
+    need = 2 * d_max + (d_max if margin is None else margin)
+    n_terms = max(need + rng.randint(-2, 8), 1)
+    if family == "none":  # random terms, usually no short recurrence
+        big = rng.choice((3, 10**6))
+        return [rng.randint(-big, big) for _ in range(n_terms)], d_max, margin
+    deg = rng.randint(1, 7)
+    if family == "rational":
+        def num():
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 12)))
+    else:
+        def num():
+            return Fraction(rng.randint(-5, 5))
+    char = [num() for _ in range(deg)]
+    terms = [num() for _ in range(deg)]
+    if family == "zeros":  # sparse recurrences, zero starts, leading zeros
+        char = [c if rng.random() < 0.3 else Fraction(0) for c in char]
+        terms = [t if rng.random() < 0.3 else Fraction(0) for t in terms]
+    while len(terms) < n_terms:
+        terms.append(-sum(char[i] * terms[len(terms) - deg + i] for i in range(deg)))
+    if family == "zeros" and rng.random() < 0.5:
+        terms = [Fraction(0)] * rng.randint(1, 4) + terms
+    terms = terms[:n_terms]
+    if rng.random() < 0.15:  # spoil one term
+        terms[rng.randrange(n_terms)] += rng.choice((1, Fraction(1, 7)))
+    return terms, d_max, margin
+
+
+def test_fraction_free_fit_matches_fraction_bm():
+    """fit_min_poly on the integer view against the Fraction pass, on 2400
+    seeded sequences: integer, rational, zero-heavy and random."""
+    rng = random.Random(17)
+    seen = set()
+    for family in ("integer", "rational", "zeros", "none"):
+        for _ in range(600):
+            terms, d_max, margin = _random_fit_case(rng, family)
+            a = ExactSeq.of(terms)
+            got = _outcome(fit_min_poly, a, d_max, margin)
+            assert got == _outcome(_fraction_bm, a, d_max, margin), (terms, d_max, margin)
+            seen.add((family, got[0] if isinstance(got, tuple) else Recurrence))
+    for family in ("integer", "rational", "zeros", "none"):
+        assert {kind for fam, kind in seen if fam == family} == {
+            Recurrence, ValueError, NoRecurrenceFound,
+        }, family
+
+
+def test_scaled_view_clears_denominators_once():
+    a = ExactSeq.of([Fraction(1, 2), Fraction(-2, 3), 4, 0])
+    assert a.scaled == ((3, -4, 24, 0), 6)
+    assert a.scaled is a.scaled
+    assert not a.is_integral()
+    b = ExactSeq.of([3, -1, 0])
+    assert b.scaled == ((3, -1, 0), 1) and b.is_integral()
+    half = Fraction(1, 2)
+    assert ExactSeq.of([half]).terms[0] is half
+
+
+def test_hankel_on_rational_sequences_matches_cofactor_oracle():
+    rng = random.Random(1017)
+    for _ in range(60):
+        terms = [
+            Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 4, 9, 10)))
+            for _ in range(rng.randint(7, 12))
+        ]
+        a = ExactSeq.of(terms)
+        for k in range(0, 5):
+            for n in range(1, a.n_terms - 2 * k + 3):
+                rows = [[a.get(n + i + j) for j in range(k)] for i in range(k)]
+                assert hankel_det(a, n, k) == naive_det(rows), (terms, n, k)
+
+
+def test_growth_window_matches_hankel_route():
+    """The window reads the integer view; its floats are those of the
+    reduced Fraction H_{n,k}, for integer and rational sequences."""
+    rng = random.Random(88)
+    for rational in (False, True):
+        for _ in range(40):
+            den = (lambda: rng.choice((1, 2, 6))) if rational else (lambda: 1)
+            a = ExactSeq.of(
+                [Fraction(rng.randint(-10**6, 10**6), den()) for _ in range(16)]
+            )
+            for k in (1, 2, 3):
+                vals = []
+                for n in range(16 - 2 * k + 2 - 5 + 1, 16 - 2 * k + 3):
+                    h = hankel_det(a, n, k)
+                    vals.append(
+                        0.0 if h == 0 else math.exp(
+                            (math.log(abs(h.numerator)) - math.log(h.denominator)) / n
+                        )
+                    )
+                assert growth_window(a, k, 5) == (max(vals), max(vals) - min(vals))
+
+
+def test_growth_reports_match_one_report_per_sequence(monkeypatch):
+    import lehmerlab.sequence as S
+
+    calls = []
+    real_roots = S.roots
+    monkeypatch.setattr(S, "roots", lambda f, tol: calls.append(f) or real_roots(f, tol))
+    seqs = [fib_seq(20), tri_seq(20), fib_seq(20),
+            ExactSeq.of([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
+            ExactSeq.of([Fraction(1, 3**n) for n in range(1, 16)])]
+    batched = S.growth_reports(seqs, 3, window=4)
+    assert len(calls) == 3  # Fibonacci fitted twice, certified once; no fit for the primes
+    singles = [growth_report(a, 3, window=4) for a in seqs]
+    assert batched == tuple(singles)
+    assert batched[3].min_poly is None
