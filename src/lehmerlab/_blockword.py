@@ -4,9 +4,10 @@ Letters are nonzero ints (+g for a generator, -g for its inverse).  A word
 is a tuple of blocks (base, exp), each standing for base repeated exp
 times; multi-letter bases always have exp >= 2 and are cyclically reduced,
 so concatenating a block with itself never cancels.  Every word is freely
-reduced, and every reduction goes through Builder: letter by letter at
-block seams, with whole-block shortcuts when bases match or are exact
-inverses.  Cyclic reduction does too: a reduced u is p c p^-1 with c
+reduced, and every reduction goes through one routine, Builder.push_block,
+for bases of every length (a letter is a one-letter block): letter by
+letter at block seams, with whole-block shortcuts when bases match or are
+exact inverses.  Cyclic reduction does too: a reduced u is p c p^-1 with c
 cyclically reduced, and u u reduces to p c^2 p^-1 (Lyndon and Schupp,
 Combinatorial Group Theory, I.1), so the lengths of one Builder product
 locate p and c.  A shared budget bounds the engine's work and storage so
@@ -90,7 +91,7 @@ class BlockWord:
     def from_letters(cls, rank: int, letters) -> BlockWord:
         b = Builder()
         for x in letters:
-            b.push_letter(x)
+            b.push_block((x,), 1)
         return b.result(rank)
 
     @classmethod
@@ -214,34 +215,15 @@ class Builder:
 
     Stack invariant: blocks are either single-letter runs (any exp >= 1) or
     multi-letter cyclically reduced bases with exp >= 2; the concatenated
-    content is always freely reduced.  Without a budget the work is
-    unbounded, as for plain word arithmetic.
+    content is always freely reduced.  ``push_block`` is the one way in,
+    for single letters as for long bases; ``pop_letter`` is its letter
+    cancel.  Without a budget the work is unbounded, as for plain word
+    arithmetic.
     """
 
     def __init__(self, budget: Budget | None = None):
         self.budget = budget if budget is not None else Budget(math.inf)
         self.stack: list[list] = []  # [base tuple, exp]
-
-    # -- letter-level ------------------------------------------------------
-
-    def push_letter(self, x: int):
-        self.budget.spend()
-        if self.stack:
-            base, e = self.stack[-1]
-            if len(base) == 1:
-                if base[0] == x:
-                    self.stack[-1][1] = e + 1
-                    return
-                if base[0] == -x:
-                    if e == 1:
-                        self.stack.pop()
-                    else:
-                        self.stack[-1][1] = e - 1
-                    return
-            elif base[-1] == -x:
-                self.pop_letter()
-                return
-        self.stack.append([(x,), 1])
 
     def _append_flat(self, letters):
         """Raw append known not to cancel (merges equal-letter runs)."""
@@ -272,74 +254,52 @@ class Builder:
         self._append_flat(base[:-1])
         return base[-1]
 
-    # -- block-level -------------------------------------------------------
-
     def push_block(self, base: tuple[int, ...], exp: int):
-        """Append base^exp, reducing at the seam."""
+        """Append base^exp for a base of any length, reducing at the seam:
+        merge into an equal top block, cancel whole copies against an
+        inverse one, else cancel one copy letter by letter."""
         if exp <= 0 or not base:
             if exp < 0:
                 raise ValueError("block exponents are positive")
             return
         self.budget.spend()
-        if len(base) == 1:
-            x = base[0]
-            remaining = exp
-            while remaining > 0 and self.stack:
-                top, e = self.stack[-1]
-                if top == (x,):
-                    self.stack[-1][1] = e + remaining
-                    return
-                if top == (-x,):
-                    m = min(e, remaining)
-                    remaining -= m
-                    if m == e:
-                        self.stack.pop()
-                    else:
-                        self.stack[-1][1] = e - m
-                    continue
-                if len(top) > 1 and top[-1] == -x:
-                    self.pop_letter()
-                    remaining -= 1
-                    continue
-                break
-            if remaining:
-                self.stack.append([(x,), remaining])
-            return
+        stack = self.stack
         remaining = exp
-        while remaining > 0:
-            if self.stack:
-                top, e = self.stack[-1]
-                if len(top) > 1:
-                    if top == base:
-                        self.stack[-1][1] = e + remaining
-                        return
-                    if top == inverse_base(base):
-                        m = min(e, remaining)
-                        remaining -= m
-                        self.stack.pop()
-                        if e - m >= 2:
-                            self.stack.append([top, e - m])
-                        elif e - m == 1:  # one copy left: it goes flat
-                            self._append_flat(top)
-                        continue
+        while remaining > 0 and stack:
+            top, e = stack[-1]
+            if top == base:
+                stack[-1][1] = e + remaining
+                return
+            # checked first so that a non-cancelling seam builds no inverse
+            if top[-1] != -base[0]:
+                break
+            if top == inverse_base(base):
+                m = min(e, remaining)
+                remaining -= m
+                if e > m and (len(top) == 1 or e - m >= 2):
+                    stack[-1][1] = e - m
+                else:
+                    stack.pop()
+                    if e > m:  # one copy of a longer base left: it goes flat
+                        self._append_flat(top)
+                continue
             # letter-by-letter seam cancellation against one copy
             i = 0
-            while i < len(base) and self.stack and self.stack[-1][0][-1] == -base[i]:
+            while i < len(base) and stack and stack[-1][0][-1] == -base[i]:
                 self.pop_letter()
                 i += 1
-            if i == 0:
-                break
             remaining -= 1
             if i < len(base):
-                for x in base[i:]:
-                    self.push_letter(x)
+                self.budget.spend(len(base) - i)
+                self._append_flat(base[i:])
                 break
-        if remaining >= 2:
-            self.budget.spend(len(base))
-            self.stack.append([base, remaining])
-        elif remaining == 1:
-            for x in base:
-                self.push_letter(x)
+        if remaining:
+            if len(base) > 1:
+                self.budget.spend(len(base))
+            if remaining > 1 or len(base) == 1:
+                stack.append([base, remaining])
+            else:
+                self._append_flat(base)
 
     def push_blockword(self, w: BlockWord):
         for base, e in w.blocks:

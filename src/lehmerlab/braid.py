@@ -23,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, iterate_lengths
+from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, generator_lengths
 from .polynomial import DEFAULT_TOL, LaurentPoly, _int_arg, _kronecker_det, mahler_measure
 
 __all__ = [
@@ -422,10 +422,10 @@ def entropy_estimate(
     """
     _check_terms(n_terms)
     phi = artin_endo(BraidWord(beta.n, _core(beta)))
-    per = []
-    for g in range(1, beta.n + 1):
-        lens = [int(x) for x in iterate_lengths(phi, g, n_terms, budget).terms]
-        per.append(_generator_ratios(g, lens, accel))
+    per = [
+        _generator_ratios(g, [int(x) for x in seq.terms], accel)
+        for g, seq in enumerate(generator_lengths(phi, n_terms, budget), 1)
+    ]
     return _largest(per, accel)
 
 

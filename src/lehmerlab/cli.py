@@ -253,8 +253,8 @@ def _cmd_fit_recurrence(args) -> tuple:
 
 def _cmd_lefschetz(args) -> tuple:
     a = parse_matrix(_read_arg(args.matrix))
-    seq = lefschetz_seq(a, args.boundary, args.iters)
     char = char_poly(a)
+    seq = lefschetz_seq(char, args.boundary, args.iters)
     m = mahler_measure(char, tol=args.tol)
     inputs = {
         "matrix": [list(row) for row in a.rows],

@@ -91,20 +91,25 @@ class SignedShiftSystem:
         object.__setattr__(self, "terms", terms)
 
 
-def trace_powers(a: IntMatrix, n_terms: int) -> ExactSeq:
+def trace_powers(a: IntMatrix | IntPoly, n_terms: int) -> ExactSeq:
     """tr A^1, ..., tr A^N as the Newton power sums of char_poly(a).
 
     tr A^k is the k-th power sum of the eigenvalues of A, with
     multiplicity, so no power of A is formed: one characteristic
-    polynomial, then O(dim) integer operations per term.
+    polynomial, then O(dim) integer operations per term.  ``a`` may be
+    that polynomial itself, for a caller that already holds it.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
-    return ExactSeq.of(newton_power_sums(char_poly(a), n_terms))
+    char = a if isinstance(a, IntPoly) else char_poly(a)
+    return ExactSeq.of(newton_power_sums(char, n_terms))
 
 
-def lefschetz_seq(a: IntMatrix, has_boundary: bool, n_terms: int) -> ExactSeq:
-    """L_n = 1 - tr A^n for surfaces with boundary, 2 - tr A^n without."""
+def lefschetz_seq(
+    a: IntMatrix | IntPoly, has_boundary: bool, n_terms: int
+) -> ExactSeq:
+    """L_n = 1 - tr A^n for surfaces with boundary, 2 - tr A^n without;
+    ``a`` is A or its characteristic polynomial, as for ``trace_powers``."""
     base = 1 if has_boundary else 2
     return ExactSeq.of([base - t for t in trace_powers(a, n_terms).terms])
 

@@ -150,12 +150,7 @@ def iterate_lengths(
         return ExactSeq.of(
             [sum(map(operator.mul, u, e)) for u in _length_rows(phi, n_terms)]
         )
-    images = compress_images(phi.images)
-    lengths = []
-    for _ in range(n_terms):
-        w = apply_endo_blocks(images, w, Budget(budget))
-        lengths.append(w.length())
-    return ExactSeq.of(lengths)
+    return _block_lengths(phi, (w,), n_terms, budget)[0]
 
 
 def generator_lengths(
@@ -165,15 +160,29 @@ def generator_lengths(
 
     For a positive phi one row pass u_n = 1^T A^n gives them all, since
     |phi^n(g_j)| = u_n[j]; otherwise each generator is iterated in the
-    block engine.
+    block engine, with the images compressed once for all of them.
     """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     if _is_positive(phi):
         return tuple(ExactSeq.of(col) for col in zip(*_length_rows(phi, n_terms)))
-    return tuple(
-        iterate_lengths(phi, g, n_terms, budget) for g in range(1, phi.rank + 1)
-    )
+    gens = [Word.gen(phi.rank, g) for g in range(1, phi.rank + 1)]
+    return _block_lengths(phi, gens, n_terms, budget)
+
+
+def _block_lengths(phi: Endo, words, n_terms: int, budget: int):
+    """|phi^n(w)| for n = 1..N and each start word, built in the block
+    engine from images compressed once; each application gets a fresh
+    budget."""
+    images = compress_images(phi.images)
+    seqs = []
+    for w in words:
+        lengths = []
+        for _ in range(n_terms):
+            w = apply_endo_blocks(images, w, Budget(budget))
+            lengths.append(w.length())
+        seqs.append(ExactSeq.of(lengths))
+    return tuple(seqs)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from lehmerlab._blockword import (
     apply_endo_blocks,
     compress_flat,
     compress_images,
+    inverse_base,
 )
 
 
@@ -136,3 +137,207 @@ def test_budget_error_on_uncompressible_growth():
         for _ in range(40):
             w = apply_endo_blocks(images, w, Budget(10_000))
 
+
+class _TwoBranchBuilder(Builder):
+    """The oracle: the seam rules written out once per base length, with a
+    separate letter push for the flat tails, as the engine had them before
+    ``push_block`` took bases of every length."""
+
+    def push_letter(self, x: int):
+        self.budget.spend()
+        if self.stack:
+            base, e = self.stack[-1]
+            if len(base) == 1:
+                if base[0] == x:
+                    self.stack[-1][1] = e + 1
+                    return
+                if base[0] == -x:
+                    if e == 1:
+                        self.stack.pop()
+                    else:
+                        self.stack[-1][1] = e - 1
+                    return
+            elif base[-1] == -x:
+                self.pop_letter()
+                return
+        self.stack.append([(x,), 1])
+
+    def push_block(self, base, exp):
+        if exp <= 0 or not base:
+            if exp < 0:
+                raise ValueError("block exponents are positive")
+            return
+        self.budget.spend()
+        if len(base) == 1:
+            x = base[0]
+            remaining = exp
+            while remaining > 0 and self.stack:
+                top, e = self.stack[-1]
+                if top == (x,):
+                    self.stack[-1][1] = e + remaining
+                    return
+                if top == (-x,):
+                    m = min(e, remaining)
+                    remaining -= m
+                    if m == e:
+                        self.stack.pop()
+                    else:
+                        self.stack[-1][1] = e - m
+                    continue
+                if len(top) > 1 and top[-1] == -x:
+                    self.pop_letter()
+                    remaining -= 1
+                    continue
+                break
+            if remaining:
+                self.stack.append([(x,), remaining])
+            return
+        remaining = exp
+        while remaining > 0:
+            if self.stack:
+                top, e = self.stack[-1]
+                if len(top) > 1:
+                    if top == base:
+                        self.stack[-1][1] = e + remaining
+                        return
+                    if top == inverse_base(base):
+                        m = min(e, remaining)
+                        remaining -= m
+                        self.stack.pop()
+                        if e - m >= 2:
+                            self.stack.append([top, e - m])
+                        elif e - m == 1:
+                            self._append_flat(top)
+                        continue
+            i = 0
+            while i < len(base) and self.stack and self.stack[-1][0][-1] == -base[i]:
+                self.pop_letter()
+                i += 1
+            if i == 0:
+                break
+            remaining -= 1
+            if i < len(base):
+                for x in base[i:]:
+                    self.push_letter(x)
+                break
+        if remaining >= 2:
+            self.budget.spend(len(base))
+            self.stack.append([base, remaining])
+        elif remaining == 1:
+            for x in base:
+                self.push_letter(x)
+
+
+def _rand_reduced(rng, rank, n):
+    out = []
+    while len(out) < n:
+        x = rng.choice([s * g for g in range(1, rank + 1) for s in (1, -1)])
+        if not out or x != -out[-1]:
+            out.append(x)
+    return tuple(out)
+
+
+def _seam_base(rng, rank, top):
+    """A cyclically reduced base for the next push: often one that cancels
+    into the top block, wholly (its inverse) or partly (the inverse of a
+    suffix of it, then other letters)."""
+    while True:
+        kind = rng.randrange(4)
+        if top is not None and kind == 0:
+            base = inverse_base(top)
+        elif top is not None and kind == 1:
+            cut = rng.randrange(len(top))
+            base = inverse_base(top[cut:]) + _rand_reduced(rng, rank, rng.randrange(0, 4))
+        elif top is not None and kind == 2:
+            base = top
+        else:
+            base = _rand_reduced(rng, rank, rng.choice([1, 1, 2, 3, 4]))
+        reduced = all(x != -y for x, y in zip(base, base[1:]))
+        if base and reduced and (len(base) == 1 or base[0] != -base[-1]):
+            return base
+
+
+def _outcome(fn, limit):
+    """(words, budget used) of fn(budget), or the budget error's message."""
+    budget = Budget(limit)
+    try:
+        return fn(budget), budget.used
+    except BudgetError as e:
+        return str(e)
+
+
+def test_push_block_charges_like_two_branch_push(monkeypatch):
+    """The one seam loop leaves the same blocks, charges the same budget
+    and fails with the same message as the two-branch oracle, push by push
+    and through ``**``, ``*``, parsing and ``apply_endo_blocks``.  After a
+    budget error only the message is compared: the oracle charged a flat
+    tail letter by letter, so it stopped counting one letter past the
+    limit."""
+    import lehmerlab._blockword as engine
+
+    rng = random.Random(1811)
+    limits = (20, 60, 200, 10**9)
+    seen = set()
+
+    def pushes(cls, ops):
+        def run(budget):
+            b = cls(budget)
+            for base, exp in ops:
+                b.push_block(base, exp)
+            return tuple((base, e) for base, e in b.stack)
+
+        return run
+
+    for _ in range(1500):
+        rank = rng.randrange(1, 4)
+        ops, stack = [], Builder()
+        for _ in range(rng.randrange(1, 9)):
+            top = stack.stack[-1][0] if stack.stack else None
+            op = (_seam_base(rng, rank, top), rng.choice([1, 1, 2, 3, 5]))
+            stack.push_block(*op)
+            ops.append(op)
+            seen.add((len(op[0]) > 1, top == inverse_base(op[0])))
+        limit = rng.choice(limits)
+        want = _outcome(pushes(_TwoBranchBuilder, ops), limit)
+        assert _outcome(pushes(Builder, ops), limit) == want, ops
+    assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+    def word_ops(cls, rank, runs, raw, images, k):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "Builder", cls)
+            w = BlockWord(rank, runs)
+            letters = BlockWord.from_letters(rank, w.flatten())
+            parsed = engine.reduce(rank, raw)
+            product = w * w.inverse() * w
+
+            def power(budget):
+                b = cls(budget)
+                engine._push_power(b, w.blocks, k)
+                return b.result(rank)
+
+            def twice(budget):
+                once = apply_endo_blocks(images, w, budget)
+                return once, apply_endo_blocks(images, once, budget)
+
+            return (
+                letters.blocks,
+                parsed.blocks,
+                product.blocks,
+                (w ** k).blocks,
+                [_outcome(f, limit) for f in (power, twice) for limit in (40, 10**9)],
+            )
+
+    for _ in range(750):
+        rank = rng.randrange(2, 4)
+        p = BlockWord(rank, rand_runs(rng, rank, 2, 3))
+        c = BlockWord(rank, rand_runs(rng, rank, 3, 3))
+        runs = (p * c * p.inverse()).runs
+        # an unreduced run list, as the parser hands it over
+        undo = [(g, -e) for g, e in reversed(runs)][: rng.randrange(len(runs) + 1)]
+        raw = [*runs, *undo, *rand_runs(rng, rank, 3, 3)]
+        images = compress_images(
+            [BlockWord(rank, rand_runs(rng, rank, 3, 3)) for _ in range(rank)]
+        )
+        k = rng.randrange(0, 5)
+        want = word_ops(_TwoBranchBuilder, rank, runs, raw, images, k)
+        assert word_ops(Builder, rank, runs, raw, images, k) == want, (runs, k)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -222,6 +223,48 @@ def test_lefschetz(capsys):
     assert doc["result"]["lefschetz"] == [-2, -6, -17, -46]
     assert doc["result"]["char"]["coeffs"] == [1, -3, 1]
     assert abs(doc["result"]["mahler_char"] - 2.618033988749895) < 1e-12
+
+
+def test_lefschetz_takes_one_characteristic_polynomial(monkeypatch, capsys):
+    """The traces and the Mahler measure share one char_poly."""
+    import lehmerlab.cli as cli_module
+    import lehmerlab.dynamics as dynamics
+
+    calls = []
+
+    def counted(a, real=dynamics.char_poly):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(dynamics, "char_poly", counted)
+    monkeypatch.setattr(cli_module, "char_poly", counted)
+    code, doc, _ = run_json(
+        ["lefschetz", "--matrix", "[[2,1],[1,1]]", "--iters", "4", "--json-only"],
+        capsys,
+    )
+    assert code == 0
+    assert doc["result"]["lefschetz"] == [-1, -5, -16, -45]
+    assert len(calls) == 1
+
+
+def test_every_traced_target_resolves():
+    """Each function that perfbench/tracer.py wraps exists once
+    lehmerlab.cli is imported; a deleted or renamed one would make a traced
+    benchmark run fail while the rest of the suite passes."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import lehmerlab.cli  # noqa: F401
+
+    def resolves(module, attr):
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        return callable(owner)
+
+    assert tracer.TARGETS
+    assert [t for t in tracer.TARGETS if not resolves(*t[1:])] == []
 
 
 def test_net_trace_and_perron(capsys):

@@ -56,12 +56,14 @@ def test_trace_powers_examples():
     tri = companion_matrix(parse_poly("t^3-6t^2+11t-6"))
     # power sums of {1, 2, 3}
     assert trace_powers(tri, 4).terms == (6, 14, 36, 98)
+    assert trace_powers(char_poly(tri), 4) == trace_powers(tri, 4)
 
 
 def test_lefschetz_examples():
     assert lefschetz_seq(IntMatrix.identity(2), True, 5).terms == (-1,) * 5
     assert lefschetz_seq(IntMatrix(((2,),)), True, 4).terms == (-1, -3, -7, -15)
     assert lefschetz_seq(IntMatrix(((2,),)), False, 3).terms == (0, -2, -6)
+    assert lefschetz_seq(char_poly(IntMatrix(((2,),))), False, 3).terms == (0, -2, -6)
 
 
 def test_lefschetz_of_salem_companion_recovers_mahler():
