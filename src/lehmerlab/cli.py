@@ -123,6 +123,82 @@ def _env_tol() -> float:
         return DEFAULT_TOL
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, in one pass.
+
+    CPython's C encoder is skipped whenever indent is set, so json writes an
+    indented document through nested generators; this writer appends the
+    same pieces to one list.  Strings go through json's own ASCII escaper,
+    ints and floats through int.__repr__ and float.__repr__ (NaN and
+    Infinity spelled as json spells them), and a value json cannot write
+    raises json's TypeError.  Keys must be str: json would coerce others.
+    """
+    out = []
+    _write_json(doc, out, "\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The text of a scalar, by its exact type.  A subclass of str, int or float
+# is written as its base is (json tests isinstance); bool has no subclasses.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(o, out: list, nl: str) -> None:
+    """Append the text of o to out; nl is the newline and indent o sits at."""
+    text = _SCALAR_TEXT.get(type(o))
+    if text is not None:
+        out.append(text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(o[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        base = next((t for t in (str, int, float) if isinstance(o, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        out.append(_SCALAR_TEXT[base](o))
+
+
 def _num(x):
     """JSON-safe exact numbers: integral Fractions as int, others as string."""
     if isinstance(x, Fraction):
@@ -697,11 +773,11 @@ def main(argv=None) -> int:
             OSError,
         ) as exc:
             error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            print(json.dumps(error, indent=2, sort_keys=True))
+            print(_json_text(error))
             code = 1
         else:
             doc = {"command": args.command, "inputs": inputs, "result": result}
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_json_text(doc))
             if not args.json_only:
                 for line in summary:
                     print(line, file=sys.stderr)

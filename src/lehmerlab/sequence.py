@@ -3,11 +3,15 @@
 Sequences are 1-indexed rationals (terms[0] is a_1).  Everything except the
 floating-point growth estimates is exact, and all of it runs on plain
 integers: each sequence keeps one integer view D*a (``ExactSeq.scaled``, D
-the lcm of the denominators), a Hankel determinant is one integer
-determinant of a window of that view (``polynomial.bareiss_det``), since
-H_{n,k}(D*a) = D^k H_{n,k}(a), and recurrence fitting is one fraction-free
-Berlekamp-Massey pass over it, since scaling a sequence changes none of its
-recurrences.  Only the fitted recurrence comes back as Fractions.
+the lcm of the denominators), and H_{n,k}(D*a) = D^k H_{n,k}(a).  A whole
+table of Hankel determinants, every start n and every size up to k, is one
+number wall over that view (Lunnon, J. Integer Sequences 4, 2001): row k+1
+comes from rows k and k-1 by the Desnanot-Jacobi identity, with one exact
+integer division per entry.  A single window, or an entry whose divisor is
+0, is one Bareiss determinant (``polynomial.bareiss_det``).  Recurrence
+fitting is one fraction-free Berlekamp-Massey pass over the view, since
+scaling a sequence changes none of its recurrences.  Only the fitted
+recurrence comes back as Fractions.
 """
 
 from __future__ import annotations
@@ -119,14 +123,14 @@ class Recurrence:
 
 def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
     """Exact k x k Hankel determinant with (i, j) entry a_{n+i+j-2}."""
-    if k == 0:
-        return Fraction(1)
     if n < 1:
         raise ValueError(f"Hankel start index n={n} must be at least 1")
     if k < 0:
         raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
     if n + 2 * k - 2 > a.n_terms:
         raise ValueError(f"Hankel window (n={n}, k={k}) exceeds {a.n_terms} terms")
+    if k == 0:
+        return Fraction(1)
     ints, den = a.scaled
     return Fraction(_hankel_int(ints, n, k), den**k)
 
@@ -137,18 +141,45 @@ def _hankel_int(ints, n: int, k: int) -> int:
     return bareiss_det([w[i : i + k] for i in range(k)])
 
 
+def _number_wall(ints, k_max: int) -> list[list[int]]:
+    """Rows 0..k_max of the Hankel table of an integer sequence: rows[k][n-1]
+    is H_{n,k} for every n whose window fits, n + 2k - 2 <= N.
+
+    Row 0 is all 1 and row 1 the terms.  The Desnanot-Jacobi identity on the
+    (k+1) x (k+1) window at n reads
+        H_{n,k+1} H_{n+2,k-1} = H_{n,k} H_{n+2,k} - H_{n+1,k}^2,
+    and its division is exact, so each entry of row k+1 takes two products
+    and one integer division.  Where the divisor H_{n+2,k-1} is 0 the entry
+    is one Bareiss determinant instead.
+    """
+    rows = [[1] * (len(ints) + 2), list(ints)]
+    for k in range(1, k_max):
+        above, row = rows[k - 1], rows[k]
+        rows.append(
+            [
+                (x * z - y * y) // d if d else _hankel_int(ints, n, k + 1)
+                for n, (x, y, z, d) in enumerate(zip(row, row[1:], row[2:], above[2:]), 1)
+            ]
+        )
+    return rows[: k_max + 1]
+
+
 def hankel_values(a: ExactSeq, k: int):
-    """All admissible (n, H_{n,k}) pairs for the stored prefix."""
-    last = a.n_terms - 2 * k + 2
-    return [(n, hankel_det(a, n, k)) for n in range(1, last + 1)]
+    """All admissible (n, H_{n,k}) pairs for the stored prefix.
 
-
-def _root_magnitude(h: Fraction | int, n: int) -> float:
-    """|h|^(1/n) without overflowing floats on huge integers."""
-    if h == 0:
-        return 0.0
-    lg = math.log(abs(h.numerator)) - math.log(h.denominator)
-    return math.exp(lg / n)
+    Row k of one number wall (``_number_wall``): each entry comes from rows
+    k-1 and k-2 by the Desnanot-Jacobi identity, with a Bareiss determinant
+    only where the identity's divisor H_{n+2,k-2} is 0.
+    """
+    if k < 0:
+        raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
+    if k and a.n_terms < 2 * k - 1:
+        raise ValueError(
+            f"a Hankel window of size k={k} needs {2 * k - 1} terms, have {a.n_terms}"
+        )
+    ints, den = a.scaled
+    scale = den**k
+    return [(n, Fraction(h, scale)) for n, h in enumerate(_number_wall(ints, k)[k], 1)]
 
 
 def growth_rate(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW) -> float:
@@ -158,7 +189,12 @@ def growth_rate(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW) -> float:
 
 
 def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
-    """Estimate plus (max - min) spread over the window, for diagnostics."""
+    """Estimate plus (max - min) spread over the window, for diagnostics.
+
+    The window's H_{n,k} are read off one number wall over the last terms
+    (``_tail_wall``): Desnanot-Jacobi steps, with a Bareiss determinant only
+    where an entry's divisor is 0.
+    """
     if window < 1:
         raise ValueError("need window >= 1")
     if k == 0:
@@ -170,14 +206,33 @@ def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
         )
     if k < 0:
         raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
-    # H_{n,k}(a) = H_{n,k}(D*a) / D^k, reduced as hankel_det reduces it; for
-    # D = 1 the integer itself, whose log is the same float.
     ints, den = a.scaled
-    scale = den**k
+    return _window_spread(_tail_wall(ints, k, window)[k], last, den**k, window)
+
+
+def _tail_wall(ints, k_max: int, window: int) -> list[list[int]]:
+    """Rows 0..k_max of the number wall of the terms from the start of row
+    k_max's last window on (from a_1 when that row is shorter than the
+    window).  Every row k <= k_max with at least window entries in the full
+    wall ends in the same last window of entries."""
+    start = max(0, len(ints) - 2 * k_max + 2 - window)
+    return _number_wall(ints[start:], k_max)
+
+
+def _window_spread(row, last: int, scale: int, window: int):
+    """(max, max - min) of |H_{n,k}|^(1/n) over the last window entries of a
+    wall row that ends at n = last and holds scale * H_{n,k}(a), scale = D^k.
+
+    |H_{n,k}(a)|^(1/n) is exp((log p - log q) / n) for p/q = |h|/scale in
+    lowest terms, the numerator and denominator of the Fraction hankel_det
+    returns, so huge integers never overflow a float."""
     vals = []
-    for n in range(last - window + 1, last + 1):
-        h = _hankel_int(ints, n, k)
-        vals.append(_root_magnitude(h if scale == 1 else Fraction(h, scale), n))
+    for n, h in zip(range(last - window + 1, last + 1), row[-window:]):
+        if h:
+            g = math.gcd(h, scale)
+            vals.append(math.exp((math.log(abs(h) // g) - math.log(scale // g)) / n))
+        else:
+            vals.append(0.0)
     return max(vals), max(vals) - min(vals)
 
 
@@ -355,9 +410,11 @@ def growth_reports(
 ) -> tuple[GrowthReport, ...]:
     """growth_report of each sequence in turn.
 
-    The roots of a characteristic polynomial fitted to several of the
-    sequences are certified once (every generator of the Tetranacci map
-    fits t^4 - t^3 - t^2 - t - 1); nothing is kept beyond the call.
+    Each sequence's estimates for every k <= k_max are read off one number
+    wall over its last terms.  The roots of a characteristic polynomial
+    fitted to several of the sequences are certified once (every generator
+    of the Tetranacci map fits t^4 - t^3 - t^2 - t - 1); nothing is kept
+    beyond the call.
     """
     _check_report_args(k_max, window, d_max)
     exact_by_char: dict[tuple[Fraction, ...], list[float]] = {}
@@ -373,12 +430,16 @@ def growth_reports(
             if exact is None:
                 exact = growth_rates_from_char(rec.char, k_max, tol)
                 exact_by_char[rec.char] = exact
+        ints, den = a.scaled
+        rows = _tail_wall(ints, k_max, window)
         entries = [GrowthEntry(0, 1.0, 0.0, 1.0, window)]
         for k in range(1, k_max + 1):
-            try:
-                est, spread = growth_window(a, k, window)
-            except ValueError:
-                est, spread = None, None
+            last = a.n_terms - 2 * k + 2
+            est, spread = (
+                _window_spread(rows[k], last, den**k, window)
+                if last >= window
+                else (None, None)
+            )
             entries.append(
                 GrowthEntry(k, est, spread, exact[k] if exact else None, window)
             )

@@ -6,11 +6,15 @@ import random
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lehmerlab
-from lehmerlab.cli import build_parser, main
+from lehmerlab.cli import _json_text, build_parser, main
 from lehmerlab.dynamics import net_trace
 from lehmerlab.polynomial import parse_poly
 
@@ -66,6 +70,22 @@ def test_hankel_all_values(capsys):
     assert code == 0
     # Fibonacci 2x2 Hankel determinants alternate +-1 (Cassini).
     assert doc["result"]["values"] == [1, -1, 1, -1, 1, -1]
+
+
+def test_hankel_edge_windows_exit_1(capsys):
+    for argv, message in [
+        (["hankel", "--seq", "1,2,3", "--k", "0", "--n", "0"],
+         "Hankel start index n=0 must be at least 1"),
+        (["hankel", "--seq", "1,2,3", "--k", "1", "--n", "0"],
+         "Hankel start index n=0 must be at least 1"),
+        (["hankel", "--seq", "1,2", "--k", "3", "--n", "1"],
+         "Hankel window (n=1, k=3) exceeds 2 terms"),
+        (["hankel", "--seq", "1,2", "--k", "3"],
+         "a Hankel window of size k=3 needs 5 terms, have 2"),
+    ]:
+        code, doc, _ = run_json(argv + ["--json-only"], capsys)
+        assert code == 1, argv
+        assert doc["error"] == {"type": "ValueError", "message": message}
 
 
 def test_deterministic_output(capsys):
@@ -734,3 +754,65 @@ def test_growth_layer_stdout_is_pinned(capsys):
         code = main(case["argv"])
         out, _ = capsys.readouterr()
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**200), max_value=10**200)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324])
+    | st.text()
+    | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600', max_size=12)
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_json_on_golden_stdout():
+    with open(GOLDEN) as fh:
+        cases = json.load(fh)
+    for case in cases:
+        doc = json.loads(case["stdout"])
+        assert _json_text(doc) + "\n" == case["stdout"], case["argv"]
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_writer_writes_subclasses_as_json_does():
+    import enum
+
+    class Size(enum.IntEnum):
+        K = 3
+
+    class Name(str):
+        pass
+
+    class Real(float):
+        pass
+
+    doc = {Name("k"): [Size.K, Name("a\u00e9"), Real(0.5), Real("nan")], "t": (True, None)}
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _json_text(Size.K) == "3"
+
+
+def test_json_writer_raises_json_type_errors():
+    for bad in (Fraction(1, 3), {1, 2}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps({"value": [bad]}, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            _json_text({"value": [bad]})
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        _json_text({"a": {1: 2}})

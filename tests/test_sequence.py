@@ -96,6 +96,24 @@ def test_hankel_values_enumeration():
     assert all(abs(h) == 1 for _, h in vals)
 
 
+def test_hankel_size_zero_checks_the_window():
+    a = ExactSeq.of([1, 2, 3])
+    assert hankel_det(a, 5, 0) == 1  # n + 2k - 2 == 3, last admissible
+    with pytest.raises(ValueError, match="start index n=0 must be at least 1"):
+        hankel_det(a, 0, 0)
+    with pytest.raises(ValueError, match=r"window \(n=6, k=0\) exceeds 3 terms"):
+        hankel_det(a, 6, 0)
+    assert [n for n, _ in hankel_values(a, 0)] == [1, 2, 3, 4, 5]
+
+
+def test_hankel_values_needs_one_window():
+    assert [n for n, _ in hankel_values(ExactSeq.of([1, 2, 3, 4, 5]), 3)] == [1]
+    with pytest.raises(ValueError, match="size k=3 needs 5 terms, have 2"):
+        hankel_values(ExactSeq.of([1, 2]), 3)
+    with pytest.raises(ValueError, match="size k=3 needs 5 terms, have 4"):
+        hankel_values(ExactSeq.of([1, 2, 3, 4]), 3)
+
+
 def test_fit_fibonacci():
     rec = fit_min_poly(fib_seq(20), 5)
     assert rec.char_int().coeffs == (-1, -1, 1)
@@ -610,3 +628,87 @@ def test_growth_reports_match_one_report_per_sequence(monkeypatch):
     singles = [growth_report(a, 3, window=4) for a in seqs]
     assert batched == tuple(singles)
     assert batched[3].min_poly is None
+
+
+def _wall_cases(rng):
+    """Seeded integer, rational and zero-heavy sequences of 1 to 24 terms."""
+    for _ in range(40):
+        n = rng.randint(1, 24)
+        yield "integer", ExactSeq.of([rng.randint(-30, 30) for _ in range(n)])
+        yield "rational", ExactSeq.of(
+            [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10))) for _ in range(n)]
+        )
+        yield "zeros", ExactSeq.of([rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(n)])
+
+
+def test_number_wall_matches_bareiss_windows(monkeypatch):
+    """Every entry of the wall, at every start and every k <= 8, is the
+    Bareiss determinant of its window; the zero-heavy sequences reach the
+    fallback, the others rarely."""
+    import lehmerlab.sequence as S
+
+    fallbacks = {"integer": 0, "rational": 0, "zeros": 0}
+    family = None
+    real = S._hankel_int
+
+    def counted(ints, n, k):
+        fallbacks[family] += 1
+        return real(ints, n, k)
+
+    for family, a in _wall_cases(random.Random(1901)):
+        ints, _ = a.scaled
+        monkeypatch.setattr(S, "_hankel_int", counted)
+        rows = S._number_wall(ints, 8)
+        monkeypatch.setattr(S, "_hankel_int", real)
+        assert len(rows) == 9
+        assert rows[0] == [1] * (a.n_terms + 2)
+        for k, row in enumerate(rows[1:], 1):
+            assert row == [real(ints, n, k) for n in range(1, a.n_terms - 2 * k + 3)], (
+                a.terms, k,
+            )
+    assert fallbacks["zeros"] > 100
+    assert fallbacks["integer"] < fallbacks["zeros"]
+
+
+def test_hankel_values_match_hankel_det():
+    for _, a in _wall_cases(random.Random(1902)):
+        for k in range(0, (a.n_terms + 1) // 2 + 1):
+            assert hankel_values(a, k) == [
+                (n, hankel_det(a, n, k)) for n in range(1, a.n_terms - 2 * k + 3)
+            ], (a.terms, k)
+
+
+def test_wall_routes_take_no_determinant_without_zero_divisors(monkeypatch):
+    import lehmerlab.sequence as S
+
+    calls = []
+    real = S.bareiss_det
+    monkeypatch.setattr(S, "bareiss_det", lambda rows: calls.append(rows) or real(rows))
+    tetra = [1, 1, 2, 4]
+    while len(tetra) < 16:
+        tetra.append(sum(tetra[-4:]))
+    reports = S.growth_reports([ExactSeq.of(tetra)], 3)
+    assert reports[0].entry(3).estimate is not None
+    assert calls == []
+    # For a_n = 2^n + 3^n + 5^n each H_{n,k}, k <= 3, is a sum of positive
+    # terms (a product of k roots to the n times a squared Vandermonde), and
+    # rows 4 and 5 vanish: rows 4 and 5 divide by rows 2 and 3, never by 0.
+    a = ExactSeq.of([2**n + 3**n + 5**n for n in range(1, 41)])
+    values = hankel_values(a, 5)
+    assert len(values) == 32 and all(h == 0 for _, h in values)
+    assert calls == []
+    assert hankel_values(a, 3)[0][1] == hankel_det(a, 1, 3) != 0
+
+
+def test_growth_report_reads_each_k_as_growth_window_does():
+    """One tail wall for every k <= k_max gives each k's window as a wall
+    built for that k alone."""
+    for _, a in _wall_cases(random.Random(1903)):
+        for window in (1, 3, 8):
+            rep = growth_report(a, 6, window=window, d_max=0)
+            for k in range(1, 7):
+                try:
+                    want = growth_window(a, k, window)
+                except ValueError:
+                    want = (None, None)
+                assert (rep.entry(k).estimate, rep.entry(k).spread) == want, (a.terms, k)
