@@ -106,6 +106,17 @@ def _tol_arg(text: str) -> float:
     return tol
 
 
+def _budget_arg(text: str) -> int:
+    """argparse type for --budget: a nonnegative integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return budget
+
+
 def _env_tol() -> float:
     """LEHMERLAB_TOL when it is a positive finite float, else the default;
     a value that is set but rejected gets one note on stderr."""
@@ -453,26 +464,14 @@ def _cmd_fg_growth(args) -> tuple:
         "budget": args.budget,
         "sum": args.sum,
     }
+    report = growth_report_sum if args.sum else endo_growth_report
+    rep = report(
+        phi, args.k_max, args.iters, window=args.window, d_max=args.d_max, budget=args.budget
+    )
     if args.sum:
-        rep = growth_report_sum(
-            phi,
-            args.k_max,
-            args.iters,
-            window=args.window,
-            d_max=args.d_max,
-            budget=args.budget,
-        )
         result = {"sum_report": _growth_obj(rep)}
         best = rep.max_exact()
     else:
-        rep = endo_growth_report(
-            phi,
-            args.k_max,
-            args.iters,
-            window=args.window,
-            d_max=args.d_max,
-            budget=args.budget,
-        )
         result = {
             "per_generator": [_growth_obj(r) for r in rep.per_generator],
             "maxima": [_num(v) for v in rep.maxima],
@@ -624,6 +623,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
         q.add_argument("--n", type=int, required=True, help="number of strands")
 
+    def growth_flags(q):
+        q.add_argument("--k-max", type=int, default=3, help="largest k (default %(default)d)")
+        q.add_argument(
+            "--window", type=int, default=DEFAULT_WINDOW, help="estimator window (default %(default)d)"
+        )
+        q.add_argument("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)")
+
+    def endo_flag(q):
+        q.add_argument(
+            "--endo", required=True, help="images like 'a -> a b a; b -> a b'; @path reads a file"
+        )
+
     def tol_flag(q):
         q.add_argument(
             "--tol",
@@ -635,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     def budget_flag(q, text="work cap for free-group rewriting of words with inverse letters"):
         q.add_argument(
             "--budget",
-            type=int,
+            type=_budget_arg,
             default=DEFAULT_BUDGET,
             help=text + " (default %(default)d)",
         )
@@ -658,11 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = add("growth", _cmd_growth, "generalized growth rates GR^(k) of a sequence")
     seq_flag(q)
-    q.add_argument("--k-max", type=int, default=3, help="largest k (default %(default)d)")
-    q.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW, help="estimator window (default %(default)d)"
-    )
-    q.add_argument("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)")
+    growth_flags(q)
     tol_flag(q)
 
     q = add("fit-recurrence", _cmd_fit_recurrence, "minimal linear recurrence of a sequence")
@@ -700,23 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_flag(q)
 
     q = add("fg-iterate", _cmd_fg_iterate, "exact word lengths |phi^n(w)| under an endomorphism")
-    q.add_argument(
-        "--endo", required=True, help="images like 'a -> a b a; b -> a b'; @path reads a file"
-    )
+    endo_flag(q)
     q.add_argument("--word", default=None, help="word to iterate (default: every generator)")
     q.add_argument("--iters", type=int, default=10, help="number of iterates (default %(default)d)")
     budget_flag(q)
 
     q = add("fg-growth", _cmd_fg_growth, "generalized growth rates of an endomorphism")
-    q.add_argument(
-        "--endo", required=True, help="images like 'a -> a b a; b -> a b'; @path reads a file"
-    )
-    q.add_argument("--k-max", type=int, default=3, help="largest k (default %(default)d)")
+    endo_flag(q)
+    growth_flags(q)
     q.add_argument("--iters", type=int, default=16, help="length terms used (default %(default)d)")
-    q.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW, help="estimator window (default %(default)d)"
-    )
-    q.add_argument("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)")
     q.add_argument(
         "--sum",
         action="store_true",

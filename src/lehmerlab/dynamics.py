@@ -8,19 +8,11 @@ identities, with no power of A formed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, cyclotomic, euler_phi, poly_det
+from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, cyclotomic, euler_phi, poly_det
 from .polynomial import roots as poly_roots
 from .sequence import ExactSeq
-
-
-def _entry(v, i: int, j: int) -> int:
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"matrix entry [{i}][{j}] = {v!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -31,7 +23,7 @@ class IntMatrix:
 
     def __post_init__(self):
         rows = tuple(
-            tuple(_entry(v, i, j) for j, v in enumerate(row))
+            tuple(_int_list(row, f"matrix entry [{i}][{{}}]"))
             for i, row in enumerate(self.rows)
         )
         if not rows or any(len(row) != len(rows) for row in rows):
@@ -197,17 +189,14 @@ def net_trace(spectrum, n: int):
 
 
 def _dominant_real(f: IntPoly, tol: float) -> bool:
-    """Certified check that one real root strictly dominates all others."""
+    """Certified check that one real root strictly dominates all others:
+    the first root in ``roots`` order has the largest modulus."""
     if f.degree <= 0:
         return False
-    pairs = list(poly_roots(f, tol))
-    idx = max(range(len(pairs)), key=lambda i: abs(pairs[i][0]))
-    z1, r1 = pairs[idx]
+    (z1, r1), *rest = poly_roots(f, tol)
     if abs(z1.imag) > r1:
         return False
-    lam = z1.real
-    rest = pairs[:idx] + pairs[idx + 1 :]
-    return all(lam - r1 > abs(z) + r for z, r in rest)
+    return all(z1.real - r1 > abs(z) + r for z, r in rest)
 
 
 @dataclass(frozen=True)
@@ -290,10 +279,13 @@ def cyclotomic_padding(
     Enumeration is deterministic: increasing total degree, then
     lexicographic in the sorted index multiset.  Net traces add over
     disjoint spectra, so each candidate costs one vector sum.  None means
-    nothing was found within the search bounds, not a disproof.
+    nothing was found within the search bounds, not a disproof; a bound
+    below 1 raises ValueError before any work.
     """
-    if n_net < 1:
-        raise ValueError("need n_net >= 1")
+    for name, bound in (("n_net", n_net), ("search_bound", search_bound),
+                        ("max_degree", max_degree), ("max_mult", max_mult)):
+        if bound < 1:
+            raise ValueError(f"need {name} >= 1")
     if not _dominant_real(f, tol):
         raise ValueError("cyclotomic padding expects a dominant real root")
     base = net_traces(f, n_net)

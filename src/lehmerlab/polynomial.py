@@ -42,11 +42,17 @@ def _int_arg(v, name: str) -> int:
         raise ValueError(f"{name} = {v!r} is not an integer") from None
 
 
-def _coeff(v, deg: int) -> int:
+def _int_list(values, name: str, first: int = 0) -> list[int]:
+    """The values as ints, through one ``map``: a Python call per value
+    would dominate building a polynomial.  On a value that is not an
+    integer, ``_int_arg``'s error, named ``name.format(index + first)``."""
+    values = list(values)
     try:
-        return operator.index(v)
+        return list(map(operator.index, values))
     except TypeError:
-        raise ValueError(f"coefficient of t^{deg} = {v!r} is not an integer") from None
+        for i, v in enumerate(values, first):
+            _int_arg(v, name.format(i))
+        raise
 
 
 def _strip(coeffs):
@@ -72,7 +78,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        c = _strip(_coeff(v, i) for i, v in enumerate(self.coeffs))
+        c = _strip(_int_list(self.coeffs, "coefficient of t^{}"))
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -304,7 +310,7 @@ class LaurentPoly:
 
     def __post_init__(self):
         m = _int_arg(self.min_deg, "min_deg")
-        c = [_coeff(v, m + i) for i, v in enumerate(self.coeffs)]
+        c = _int_list(self.coeffs, "coefficient of t^{}", m)
         while c and c[-1] == 0:
             c.pop()
         while c and c[0] == 0:
@@ -856,6 +862,10 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     their isolated disks.  Every radius is a proven bound about its
     float64 center.  A tol that no float64 center can meet raises
     PrecisionError naming the float64 spacing at that root.
+
+    The order is part of the contract: roots come sorted by (-|z|, Re z,
+    Im z) of their centers, so the first has the largest modulus and the
+    first k give the k largest moduli; callers read it without sorting.
     """
     if not f:
         raise ValueError("zero polynomial has no well-defined root list")

@@ -189,48 +189,63 @@ def growth_rate(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW) -> float:
 
 
 def growth_window(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW):
-    """Estimate plus (max - min) spread over the window, for diagnostics.
-
-    The window's H_{n,k} are read off one number wall over the last terms
-    (``_tail_wall``): Desnanot-Jacobi steps, with a Bareiss determinant only
-    where an entry's divisor is 0.
-    """
+    """Estimate plus (max - min) spread over the window, for diagnostics:
+    the one row k of ``_window_estimates``."""
     if window < 1:
         raise ValueError("need window >= 1")
-    if k == 0:
-        return 1.0, 0.0
+    if k < 0:
+        raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
     last = a.n_terms - 2 * k + 2
-    if last < window:
+    if k and last < window:
         raise ValueError(
             f"need at least {window} Hankel values at size k={k}, have {max(last, 0)}"
         )
-    if k < 0:
-        raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
+    return _window_estimates(a, k, window, k_min=k)[0]
+
+
+def _window_estimates(a: ExactSeq, k_max: int, window: int, k_min: int = 0):
+    """(estimate, spread) of GR^(k) for k = k_min..k_max: the max and the
+    max - min of |H_{n,k}|^(1/n) over the last window n, or (None, None)
+    where fewer than window H_{n,k} fit the terms.
+
+    Every row k <= k_max with at least window entries ends in the same last
+    window of one number wall, built over the terms from the start of row
+    k_max's last window on (from a_1 when that row is shorter).  The wall
+    holds D^k H_{n,k}(a); only rows k_min..k_max are read as floats.
+    """
     ints, den = a.scaled
-    return _window_spread(_tail_wall(ints, k, window)[k], last, den**k, window)
+    rows = _number_wall(ints[max(0, len(ints) - 2 * k_max + 2 - window) :], k_max)
+    out = []
+    for k in range(k_min, k_max + 1):
+        last = len(ints) - 2 * k + 2
+        if k == 0:
+            out.append((1.0, 0.0))
+        elif last < window:
+            out.append((None, None))
+        else:
+            out.append(_window_spread(rows[k], k, last, den**k, window))
+    return out
 
 
-def _tail_wall(ints, k_max: int, window: int) -> list[list[int]]:
-    """Rows 0..k_max of the number wall of the terms from the start of row
-    k_max's last window on (from a_1 when that row is shorter than the
-    window).  Every row k <= k_max with at least window entries in the full
-    wall ends in the same last window of entries."""
-    start = max(0, len(ints) - 2 * k_max + 2 - window)
-    return _number_wall(ints[start:], k_max)
-
-
-def _window_spread(row, last: int, scale: int, window: int):
+def _window_spread(row, k: int, last: int, scale: int, window: int):
     """(max, max - min) of |H_{n,k}|^(1/n) over the last window entries of a
     wall row that ends at n = last and holds scale * H_{n,k}(a), scale = D^k.
 
     |H_{n,k}(a)|^(1/n) is exp((log p - log q) / n) for p/q = |h|/scale in
     lowest terms, the numerator and denominator of the Fraction hankel_det
-    returns, so huge integers never overflow a float."""
+    returns, so huge integers never overflow a float; an estimate past the
+    float64 range raises OverflowError naming k and n."""
     vals = []
     for n, h in zip(range(last - window + 1, last + 1), row[-window:]):
         if h:
             g = math.gcd(h, scale)
-            vals.append(math.exp((math.log(abs(h) // g) - math.log(scale // g)) / n))
+            try:
+                vals.append(math.exp((math.log(abs(h) // g) - math.log(scale // g)) / n))
+            except OverflowError:
+                raise OverflowError(
+                    f"|H_{{{n},{k}}}|^(1/{n}) at k={k}, n={n} exceeds the float64 "
+                    "range (about 1.8e308)"
+                ) from None
         else:
             vals.append(0.0)
     return max(vals), max(vals) - min(vals)
@@ -333,23 +348,14 @@ def max_growth_exact(a: ExactSeq, d_max: int) -> MaxGrowth:
 def growth_rates_from_char(char, k_max: int, tol: float = DEFAULT_TOL):
     """Exact-route GR^(k) for k = 0..k_max from a characteristic polynomial.
 
-    GR^(k) is the product of the k largest root moduli (with multiplicity)
-    and 0 beyond the degree.
+    GR^(k) is the product of the k largest root moduli (with multiplicity),
+    the first k of ``roots``, and 0 beyond the degree.
     """
     f, _ = clear_denominators(char)
-    d = f.degree
-    mags = sorted((abs(z) for z, _ in roots(f, tol)), reverse=True) if d else []
-    out = []
-    for k in range(k_max + 1):
-        if k == 0:
-            out.append(1.0)
-        elif k <= d:
-            g = 1.0
-            for m in mags[:k]:
-                g *= m
-            out.append(g)
-        else:
-            out.append(0.0)
+    mags = [abs(z) for z, _ in roots(f, tol)]
+    out = [1.0]
+    for k in range(1, k_max + 1):
+        out.append(out[-1] * mags[k - 1] if k <= len(mags) else 0.0)
     return out
 
 
@@ -410,11 +416,11 @@ def growth_reports(
 ) -> tuple[GrowthReport, ...]:
     """growth_report of each sequence in turn.
 
-    Each sequence's estimates for every k <= k_max are read off one number
-    wall over its last terms.  The roots of a characteristic polynomial
-    fitted to several of the sequences are certified once (every generator
-    of the Tetranacci map fits t^4 - t^3 - t^2 - t - 1); nothing is kept
-    beyond the call.
+    Each sequence's estimates for every k <= k_max come from one number
+    wall over its last terms (``_window_estimates``).  The roots of a
+    characteristic polynomial fitted to several of the sequences are
+    certified once (every generator of the Tetranacci map fits
+    t^4 - t^3 - t^2 - t - 1); nothing is kept beyond the call.
     """
     _check_report_args(k_max, window, d_max)
     exact_by_char: dict[tuple[Fraction, ...], list[float]] = {}
@@ -424,25 +430,17 @@ def growth_reports(
             rec = fit_min_poly(a, a.n_terms // 3 if d_max is None else d_max)
         except (NoRecurrenceFound, ValueError):
             rec = None
-        exact = None
+        exact = [1.0] + [None] * k_max
         if rec is not None:
-            exact = exact_by_char.get(rec.char)
-            if exact is None:
-                exact = growth_rates_from_char(rec.char, k_max, tol)
-                exact_by_char[rec.char] = exact
-        ints, den = a.scaled
-        rows = _tail_wall(ints, k_max, window)
-        entries = [GrowthEntry(0, 1.0, 0.0, 1.0, window)]
-        for k in range(1, k_max + 1):
-            last = a.n_terms - 2 * k + 2
-            est, spread = (
-                _window_spread(rows[k], last, den**k, window)
-                if last >= window
-                else (None, None)
+            if rec.char not in exact_by_char:
+                exact_by_char[rec.char] = growth_rates_from_char(rec.char, k_max, tol)
+            exact = exact_by_char[rec.char]
+        entries = [
+            GrowthEntry(k, est, spread, x, window)
+            for k, ((est, spread), x) in enumerate(
+                zip(_window_estimates(a, k_max, window), exact)
             )
-            entries.append(
-                GrowthEntry(k, est, spread, exact[k] if exact else None, window)
-            )
+        ]
         reports.append(GrowthReport(tuple(entries), rec))
     return tuple(reports)
 
@@ -459,11 +457,10 @@ class TailComparison:
 
 
 def _outside_roots(rec: Recurrence, tol: float):
-    if rec.degree == 0:
-        return ()
+    """Centers of the certified roots outside the unit circle, in ``roots``
+    order."""
     f, _ = clear_denominators(rec.char)
-    out = [z for z, r in roots(f, tol) if abs(z) - r > 1]
-    return tuple(sorted(out, key=lambda z: (-abs(z), z.real, z.imag)))
+    return tuple(z for z, r in roots(f, tol) if abs(z) - r > 1)
 
 
 def tail_equivalence(

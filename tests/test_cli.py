@@ -744,11 +744,16 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
 def test_growth_layer_stdout_is_pinned(capsys):
     """Stdout of growth, fit-recurrence, hankel, lefschetz, fg-iterate and
     fg-growth runs, byte for byte, as the Fraction-based growth layer wrote
-    it before the integer kernels replaced it (tests/data/golden_cli.json)."""
+    it before the integer kernels replaced it (tests/data/golden_cli.json).
+    The last eight pins, written before the window estimates and the root
+    readers were merged, add growth rows past the recurrence degree, null
+    estimates, fg-growth with and without --sum at k_max 5, and perron and
+    padding runs whose roots tie in modulus."""
     with open(GOLDEN) as fh:
         cases = json.load(fh)
     assert {c["argv"][0] for c in cases} == {
         "growth", "fit-recurrence", "hankel", "lefschetz", "fg-iterate", "fg-growth",
+        "perron", "padding",
     }
     for case in cases:
         code = main(case["argv"])
@@ -816,3 +821,55 @@ def test_json_writer_raises_json_type_errors():
         assert str(got.value) == str(expected.value)
     with pytest.raises(TypeError, match="keys must be str, not int"):
         _json_text({"a": {1: 2}})
+
+
+def test_growth_past_float64_exits_1_naming_the_limit(capsys):
+    seq = ",".join(str(n * 10**400) for n in range(1, 9))
+    code, doc, _ = run_json(["growth", "--seq", seq, "--k-max", "1", "--json-only"], capsys)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "OverflowError",
+        "message": "|H_{1,1}|^(1/1) at k=1, n=1 exceeds the float64 range (about 1.8e308)",
+    }
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["fg-iterate", "--endo", "a -> a b^-1; b -> a", "--iters", "2"],
+        ["fg-iterate", "--endo", "a -> a b; b -> a"],
+        ["fg-growth", "--endo", "a -> a b^-1; b -> a", "--iters", "2"],
+        ["entropy", "--braid", "s1", "--n", "2"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["-1", "-5", "1.5", "abc"])
+def test_budget_must_be_a_nonnegative_integer_exit_2(cmd, budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--budget", budget, "--json-only"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --budget: {budget!r} is not a nonnegative integer" in err
+
+
+def test_budget_0_is_valid(capsys):
+    code, doc, _ = run_json(
+        ["fg-iterate", "--endo", "a -> a b; b -> a", "--budget", "0", "--json-only"], capsys
+    )
+    assert (code, doc["inputs"]["budget"]) == (0, 0)
+    code, doc, _ = run_json(
+        ["entropy", "--braid", "s1", "--n", "2", "--budget", "0", "--json-only"], capsys
+    )
+    assert (code, doc["inputs"]["budget"]) == (0, 0)
+
+
+def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
+    """tools/cli_diff.py on one seed's benchmark jobs, src on both sides."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "cli_diff.py"), src, src, "--seeds", "3"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["513 jobs", "0 differ"]

@@ -194,6 +194,45 @@ def test_cyclotomic_padding_requires_dominant_real():
         cyclotomic_padding(parse_poly("t^2+1"))
 
 
+@pytest.mark.parametrize("bound", ["search_bound", "max_degree", "max_mult"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_cyclotomic_padding_rejects_bounds_below_1(bound, value):
+    """A bound below 1 raises before any work instead of reporting that
+    nothing was found; the CLI exits 1 with the same message."""
+    from lehmerlab.cli import main
+
+    f = parse_poly("t^3+t^2-22t-40")
+    with pytest.raises(ValueError, match=rf"^need {bound} >= 1$"):
+        cyclotomic_padding(f, **{bound: value})
+    flag = "--" + bound.replace("_", "-")
+    assert main(["padding", "--poly=t^3+t^2-22t-40", f"{flag}={value}", "--json-only"]) == 1
+
+
+def test_dominant_real_reads_the_first_root():
+    """The dominant root is the first of ``roots``; the oracle scans for
+    the largest modulus and compares every other root, as before."""
+    from lehmerlab.dynamics import _dominant_real
+    from lehmerlab.polynomial import roots
+
+    def oracle(f):
+        pairs = list(roots(f))
+        idx = max(range(len(pairs)), key=lambda i: abs(pairs[i][0]))
+        z1, r1 = pairs[idx]
+        rest = pairs[:idx] + pairs[idx + 1 :]
+        return abs(z1.imag) <= r1 and all(z1.real - r1 > abs(z) + r for z, r in rest)
+
+    rng = random.Random(2022)
+    verdicts = set()
+    fs = [parse_poly(t) for t in ("t^2-2", "t^4+1", "t^3-t-1", "t^2+1", "t^2-t-1")]
+    fs += [IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 6))) + (1,))
+           for _ in range(60)]
+    for f in fs:
+        got = _dominant_real(f, 1e-10)
+        assert got == oracle(f), f
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_primitivity_examples():
     assert primitivity(FIB)
     assert not primitivity(IntMatrix.identity(2))

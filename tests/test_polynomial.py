@@ -96,6 +96,35 @@ def test_roots_multiplicity_and_cardinality():
     assert rl.roots == (2, 1, 1, 0) and rl.radii == (0.0,) * 4
 
 
+def _roots_order_cases(rng):
+    """Seeded products of factors whose roots tie in modulus: conjugate
+    pairs, the real pair +-sqrt(2), roots of unity, repeated roots."""
+    pool = ["t^2-2", "t^2+1", "t^2+t+1", "t^2-t-1", "t^3-t-1", "t^2-2t+5", "t-1", "t+2"]
+    for _ in range(30):
+        f = parse_poly(rng.choice(pool[:2]))
+        for _ in range(rng.randint(1, 3)):
+            f = f * parse_poly(rng.choice(pool))
+        if rng.random() < 0.3:
+            f = f * IntPoly(tuple(rng.randint(-3, 3) for _ in range(3)) + (1,))
+        yield f
+
+
+def test_roots_come_in_contract_order():
+    """roots returns its pairs sorted by (-|z|, Re z, Im z) of the centers,
+    so readers take the first k roots as the k largest moduli."""
+    key = lambda pair: (-abs(pair[0]), pair[0].real, pair[0].imag)
+    assert roots(parse_poly("t^2+1")).roots == (-1j, 1j)
+    fs = [parse_poly("t^2-2"), parse_poly("t^4+1"), parse_poly("t^3-t-1")]
+    fs += _roots_order_cases(random.Random(2020))
+    repeated = 0
+    for f in fs:
+        pairs = list(roots(f))
+        assert pairs == sorted(pairs, key=key), f
+        assert abs(pairs[0][0]) == max(abs(z) for z, _ in pairs)
+        repeated += len(pairs) != len(set(pairs))
+    assert repeated >= 10  # most seeded cases hold a repeated root
+
+
 def test_roots_errors():
     with pytest.raises(ValueError):
         roots(IntPoly())
@@ -429,6 +458,8 @@ def test_non_integer_coefficients_rejected():
         IntPoly((1.5, -1.7, 1))
     with pytest.raises(ValueError, match=r"t\^1 = -1.7 is not an integer"):
         IntPoly((1, -1.7, 1))
+    with pytest.raises(ValueError, match=r"^coefficient of t\^2 = 'x' is not an integer$"):
+        IntPoly(c for c in (1, 2, "x"))
     with pytest.raises(ValueError, match=r"t\^0 = 0.5 is not an integer"):
         LaurentPoly((0.5, 1), 0)
     with pytest.raises(ValueError, match=r"t\^-2 = 2.0 is not an integer"):

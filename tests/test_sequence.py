@@ -712,3 +712,51 @@ def test_growth_report_reads_each_k_as_growth_window_does():
                 except ValueError:
                     want = (None, None)
                 assert (rep.entry(k).estimate, rep.entry(k).spread) == want, (a.terms, k)
+
+
+def test_growth_window_checks_k_before_the_window_length():
+    with pytest.raises(ValueError, match=r"^Hankel determinant size k=-1 must be nonnegative$"):
+        growth_window(ExactSeq.of([1, 1, 2, 3, 5]), -1, 100)
+    with pytest.raises(ValueError, match=r"^need at least 100 Hankel values at size k=1, have 5$"):
+        growth_window(ExactSeq.of([1, 1, 2, 3, 5]), 1, 100)
+    assert growth_window(ExactSeq.of([1, 1, 2, 3, 5]), 0, 100) == (1.0, 0.0)
+
+
+def test_estimate_past_float64_names_k_n_and_the_range():
+    """|a_1|^(1/1) = 10^400 has no float64; the window routine says so, and
+    growth_window and growth_report raise its message."""
+    a = ExactSeq.of([n * 10**400 for n in range(1, 9)])
+    message = r"^\|H_\{1,1\}\|\^\(1/1\) at k=1, n=1 exceeds the float64 range \(about 1\.8e308\)$"
+    with pytest.raises(OverflowError, match=message):
+        growth_window(a, 1)
+    with pytest.raises(OverflowError, match=message):
+        growth_report(a, 1)
+    # Past n = 1 the window fits: (10^400)^(1/2) is a float.
+    assert growth_window(a, 1, window=7)[0] > 1e200
+
+
+def test_growth_window_converts_row_k_only():
+    """a_n = 10^(400n): row 1 passes the float64 range, row 2 is all zeros
+    (a_n a_{n+2} - a_{n+1}^2 = 0).  growth_window and growth_rate at k = 2
+    read row 2 alone."""
+    a = ExactSeq.of([10 ** (400 * n) for n in range(1, 13)])
+    assert growth_window(a, 2) == (0.0, 0.0)
+    assert growth_rate(a, 2) == 0.0
+    with pytest.raises(OverflowError, match=r"at k=1, n=5 exceeds the float64"):
+        growth_window(a, 1)
+
+
+def test_exact_rates_read_the_roots_order():
+    """growth_rates_from_char multiplies the first k moduli of ``roots``;
+    the oracle sorts the moduli itself, as the route did before."""
+    from lehmerlab.polynomial import roots
+
+    rng = random.Random(2021)
+    for _ in range(40):
+        rs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
+        f = poly_from_roots(rs) * IntPoly((rng.choice((1, 2, 5)), 0, 1))
+        mags = sorted((abs(z) for z, _ in roots(f)), reverse=True)
+        want = [1.0]
+        for k in range(1, 9):
+            want.append(math.prod(mags[:k], start=1.0) if k <= f.degree else 0.0)
+        assert growth_rates_from_char(f.coeffs, 8) == want, f
