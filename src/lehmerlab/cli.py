@@ -485,12 +485,14 @@ def _cmd_fg_from_matrix(args) -> tuple:
     a = parse_matrix(_read_arg(args.matrix))
     phi = endo_from_matrix(a)
     ab = abelianization(phi)
+    images = [format_word(w) for w in phi.images]
+    endo = format_endo(phi, images)
     result = {
-        "endo": format_endo(phi),
-        "images": [format_word(w) for w in phi.images],
+        "endo": endo,
+        "images": images,
         "abelianization": [list(row) for row in ab.rows],
     }
-    return {"matrix": [list(row) for row in a.rows]}, result, [format_endo(phi)]
+    return {"matrix": [list(row) for row in a.rows]}, result, [endo]
 
 
 def _cmd_f2_positive_aut(args) -> tuple:
@@ -499,9 +501,11 @@ def _cmd_f2_positive_aut(args) -> tuple:
     phi = descent.endo
     ab = abelianization(phi)
     u, v = phi.images
+    images = [format_word(w) for w in phi.images]
+    endo = format_endo(phi, images)
     result = {
-        "endo": format_endo(phi),
-        "images": [format_word(u), format_word(v)],
+        "endo": endo,
+        "images": images,
         "swapped": descent.swapped,
         "ds": list(descent.ds),
         "abelianization": [list(row) for row in ab.rows],
@@ -509,7 +513,7 @@ def _cmd_f2_positive_aut(args) -> tuple:
         "positive_words": u.is_positive() and v.is_positive(),
         "nielsen_basis": nielsen_verify_basis(u, v),
     }
-    return {"matrix": [list(row) for row in a.rows]}, result, [format_endo(phi)]
+    return {"matrix": [list(row) for row in a.rows]}, result, [endo]
 
 
 def _cmd_burau(args) -> tuple:

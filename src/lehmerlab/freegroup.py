@@ -441,8 +441,10 @@ def parse_endo(text: str, rank: int | None = None) -> Endo:
     return Endo(rank, tuple(images))
 
 
-def format_endo(phi: Endo) -> str:
-    return "; ".join(
-        f"{_gen_name(g, phi.rank)} -> {format_word(phi.images[g - 1])}"
-        for g in range(1, phi.rank + 1)
-    )
+def format_endo(phi: Endo, images: list[str] | None = None) -> str:
+    """The "a -> ...; b -> ..." text of phi.  images, when given, are the
+    format_word texts of phi's images, so a caller that shows them too
+    formats each long image once."""
+    if images is None:
+        images = [format_word(w) for w in phi.images]
+    return "; ".join(f"{_gen_name(g, phi.rank)} -> {text}" for g, text in enumerate(images, 1))

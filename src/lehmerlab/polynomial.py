@@ -7,10 +7,11 @@ which returns certified error radii alongside every approximation.  The
 companion-matrix roots from ``np.roots`` are certified in float64 by
 Weierstrass disks whose radii are rigorous under rounding; when that bound
 fails, the same correction is iterated at dyadic centers, whose disks are
-certified in exact integer arithmetic.  Rational roots, zero included, are
-recognized exactly inside their isolated disks.  numpy is imported on the
-first root certification, not with this module, so code that computes no
-root never loads it.
+certified in exact integer arithmetic.  Pairwise disjoint disks prove the
+polynomial squarefree, so the Yun decomposition runs only where they do not.
+Rational roots, zero included, are recognized exactly inside their isolated
+disks.  numpy is imported on the first root certification, not with this
+module, so code that computes no root never loads it.
 """
 
 from __future__ import annotations
@@ -619,6 +620,12 @@ class RootList:
 _U = 2.0**-53  # unit roundoff of float64
 _ETA = 2.0**-1000  # absolute allowance per Horner step for underflow
 _TINY = 2.0**-960  # partial products kept this far above the underflow range
+# roots() sends p straight to Yun, without the float64 certificate, when
+# the float64 Weierstrass step moves an eigenvalue by more than this times
+# max(1, |z|).  On simple roots the step is about u times a condition
+# number; the split eigenvalues of a multiple root move by sqrt(u) or more.
+# It decides only which work runs first, never a result.
+_CLUSTER_STEP = 2.0**-36
 
 
 def _up(x) -> float:
@@ -637,18 +644,25 @@ def _weierstrass_f64(a, z):
     """Weierstrass data at float64 centers z, with bounds rigorous under rounding.
 
     ``a`` holds the coefficients, ascending, as floats that are exact
-    integers below 2^53.  Returns (hi, lo, w) with hi_j >= |f(z_j)|,
+    integers below 2^53.  Returns (hi, lo) with hi_j >= |f(z_j)| and
     lo_j <= |lc * prod_{k != j} (z_j - z_k)| (0 where a partial product,
-    the whole one included, leaves the normal range) and the computed
-    corrections w_j ~ f(z_j) / (lc * prod).
+    the whole one included, leaves the normal range).
 
     f(z_j) is taken by Horner's rule with the running error bound
     E <- |z| E + 3u |z||p| + 2u |p'| + eta of Higham (Accuracy and
     Stability of Numerical Algorithms, Alg. 5.1): 3u >= sqrt(2) gamma_2
     bounds a complex product (Lemma 3.5, with or without FMA), 2u >=
-    gamma_1 a sum, and eta covers underflow.  Evaluating E, and the
-    product, commits fewer than 8(n + 2) roundings of relative size u
-    each, which the factors 1 + gamma and 1 - gamma absorb.
+    gamma_1 a sum, and eta covers underflow.  The factors 1 + gamma and
+    1 - gamma absorb 8(n + 2) roundings of relative size u along any path
+    of the computation.  Each modulus np.abs takes counts as six (3 ulp;
+    numpy's complex abs need not be the correctly rounded hypot, and was
+    seen within 2 ulp of it).  A term of E then commits at most 17
+    roundings where it enters (|z|, |p|, two products, three sums), 8 in
+    each later step (|z|, a product, a sum), 1 in |p| + E and 2 in
+    forming 1 + gamma and multiplying by it: at most 8n + 12 over the n
+    steps.  The product of lo commits one rounding per difference, at
+    most 3 per complex product, 1 for lc, 6 for its modulus and 2 for
+    1 - gamma: at most 4n + 5.
     """
     import numpy as np
 
@@ -673,8 +687,77 @@ def _weierstrass_f64(a, z):
         mags = np.abs(partial)
         normal = (np.isfinite(mags) & (mags >= _TINY)).all(axis=1)
         lo = np.where(normal, mags[:, -1] * (1 - g), 0.0)
-        w = p / partial[:, -1]
-    return hi, lo, w
+    return hi, lo
+
+
+def _weierstrass_step(a, z):
+    """The Weierstrass corrections w_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k))
+    at float64 centers z, computed in float64 from the coefficients a
+    (ascending), with no bound."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        p = np.full(len(z), a[-1], dtype=complex)
+        for c in a[-2::-1]:
+            p = p * z + c
+        d = z[:, None] - z[None, :]
+        np.fill_diagonal(d, 1)
+        d[:, 0] *= a[-1]
+        return p / np.cumprod(d, axis=1)[:, -1]
+
+
+def _eigenvalues(coeffs):
+    """np.roots of the integer coefficients (ascending), or fixed starts where it fails.
+
+    np.roots gets c / lc: CPython's int true division is correctly rounded,
+    so each entry equals float(Fraction(c, lc)).
+    """
+    import numpy as np
+
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    try:
+        start = np.roots([c / lc for c in reversed(coeffs)])
+        if len(start) != n:
+            raise ValueError
+    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
+    return start
+
+
+def _float64_step(coeffs, start):
+    """One float64 Weierstrass step from the eigenvalues start: (a, z, moved).
+
+    a holds the coefficients as floats, z the stepped centers (within a
+    few ulps of simple roots; they are the centers certified) and moved
+    the largest |w_j| / max(1, |start_j|) of the step (nan where centers
+    coincide).  None when a coefficient is 2^53 or more.
+    """
+    import numpy as np
+
+    if max(map(abs, coeffs)) >= 2**53:
+        return None
+    a = np.array(coeffs, dtype=float)
+    z = start.astype(complex)
+    w = _weierstrass_step(a, z)
+    with np.errstate(all="ignore"):
+        moved = float(np.max(np.abs(w) / np.maximum(1.0, np.abs(z))))
+    return a, z - w, moved
+
+
+def _float64_disks(step, tol):
+    """The float64 certificate at the centers of step, a _float64_step:
+    (centers, radii), or None when a radius is not below tol/4 (a cluster,
+    a multiple root, overflow)."""
+    import numpy as np
+
+    a, z, _ = step
+    hi, lo = _weierstrass_f64(a, z)
+    with np.errstate(all="ignore"):
+        # (1 + 4u) absorbs the two roundings of n * hi / lo and its own.
+        radii = (len(a) - 1) * hi / lo * (1 + 4 * _U)
+    if np.all(radii < tol / 4):
+        return [complex(v) for v in z], [float(r) for r in radii]
+    return None
 
 
 def _certified_roots(coeffs, tol):
@@ -684,33 +767,17 @@ def _certified_roots(coeffs, tol):
     connected component of m disks D(z_j, r_j) holds exactly m roots:
     r_j >= n|W_j| for the Weierstrass corrections
     W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
-    Carstensen).  The np.roots eigenvalues are certified in float64 after
-    one float64 Weierstrass step; when that fails (a coefficient of 2^53
-    or more, a cluster, overflow) _weierstrass_exact iterates the same
-    correction at dyadic centers and certifies it in exact integers.
+    Carstensen).  The order of work: the np.roots eigenvalues
+    (_eigenvalues), one float64 Weierstrass step (_float64_step) and the
+    float64 certificate (_float64_disks); when that fails (a coefficient
+    of 2^53 or more, a cluster, overflow) _weierstrass_exact iterates the
+    same correction from the same eigenvalues at dyadic centers and
+    certifies it in exact integers.  roots() takes the same steps on the
+    primitive part of its input before any squarefree split.
     """
-    import numpy as np
-
-    n = len(coeffs) - 1
-    try:
-        start = np.roots([float(Fraction(c, coeffs[-1])) for c in reversed(coeffs)])
-        if len(start) != n:
-            raise ValueError
-    except (OverflowError, ValueError, np.linalg.LinAlgError):
-        start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
-    if max(map(abs, coeffs)) < 2**53:
-        a = np.array(coeffs, dtype=float)
-        # One float64 Weierstrass step takes the eigenvalues to within a
-        # few ulps of the roots; the stepped centers are the ones certified.
-        z = start.astype(complex)
-        z -= _weierstrass_f64(a, z)[2]
-        hi, lo, _ = _weierstrass_f64(a, z)
-        with np.errstate(all="ignore"):
-            # (1 + 4u) absorbs the two roundings of n * hi / lo and its own.
-            radii = n * hi / lo * (1 + 4 * _U)
-        if np.all(radii < tol / 4):
-            return [complex(v) for v in z], [float(r) for r in radii]
-    return _weierstrass_exact(coeffs, tol, start)
+    start = _eigenvalues(coeffs)
+    step = _float64_step(coeffs, start)
+    return (step and _float64_disks(step, tol)) or _weierstrass_exact(coeffs, tol, start)
 
 
 def _weierstrass_exact(coeffs, tol, start):
@@ -793,22 +860,46 @@ def _weierstrass_exact(coeffs, tol, start):
     raise PrecisionError(f"root certification failed at tol={tol}")
 
 
-def _recognize_rational_roots(g: IntPoly, zs, radii):
+def _overlaps(zs, radii):
+    """Boolean matrix of the disks i != j that might meet:
+    |z_i - z_j| * (1 - 8u) <= r_i + r_j.
+
+    The margin of a few units of roundoff makes "might": a pair that
+    fails the test is disjoint, since the computed distance is within
+    3u of the true one and the computed sum within u of r_i + r_j.
+    np.hypot is the C hypot that abs(complex) calls, so each entry is the
+    scalar test's result; np.abs of a complex can differ by an ulp or two.
+    """
+    import numpy as np
+
+    z, r = np.array(zs, dtype=complex), np.array(radii)
+    d = z[:, None] - z[None, :]
+    near = np.hypot(d.real, d.imag) * (1 - 8 * _U) <= r[:, None] + r[None, :]
+    np.fill_diagonal(near, False)
+    return near
+
+
+def _recognize_rational_roots(g: IntPoly, zs, radii, near):
     """Replace, in place, each certified disk of g that holds a rational
     root by that root rounded to float64, with its rounding distance.
 
     Only a disk that meets the real axis and is disjoint from every other
-    disk of g is tried: it holds exactly one root, so a rational q inside
-    it with g(q) = 0 is that root.  A rational root of the primitive g has
-    a denominator dividing lc(g), so it is the best approximation of the
+    disk of g (no True in its row of near, their _overlaps matrix) is
+    tried: it holds exactly one root, so a rational q inside it with
+    g(q) = 0 is that root.  A rational root of the primitive g has a
+    denominator dividing lc(g), so it is the best approximation of the
     center with denominator at most |lc(g)| once the radius is below
-    1/(2 lc^2).  Zero and float64-exact roots get radius 0.
+    1/(2 lc^2).  For monic g that is an integer, and a disk whose center
+    lies more than its radius from the nearest integer is skipped: x -
+    round(x) is exact (Sterbenz).  Zero and float64-exact roots get
+    radius 0.  near is updated in place to the replaced disks, so later
+    disks are tested against them.
     """
     lc = abs(g.leading)
-    for j, (z, r) in enumerate(zip(zs, radii)):
-        if abs(z.imag) > r or any(
-            abs(z - y) * (1 - 8 * _U) <= r + s for k, (y, s) in enumerate(zip(zs, radii)) if k != j
-        ):
+    crowded = near.any(axis=1).tolist()
+    for j in range(len(zs)):
+        z, r = zs[j], radii[j]
+        if abs(z.imag) > r or crowded[j] or (lc == 1 and abs(z.real - round(z.real)) > r):
             continue
         x = Fraction(z.real)
         q = x.limit_denominator(lc)
@@ -816,16 +907,23 @@ def _recognize_rational_roots(g: IntPoly, zs, radii):
             zs[j] = complex(q)  # correctly rounded
             dist = abs(Fraction(zs[j].real) - q)
             radii[j] = _up(dist) if dist else 0.0
+            near[:] = _overlaps(zs, radii)
+            crowded = near.any(axis=1).tolist()
 
 
-def _merge_clusters(zs, radii):
-    """Union overlapping certification disks; members share the cluster radius.
+def _merge_clusters(zs, radii, near):
+    """Union the overlapping certification disks (the True pairs of near,
+    their _overlaps matrix); members share the cluster radius.
 
-    Both the overlap test and the shared radius carry a margin of a few
-    units of roundoff, so disks are merged whenever they might meet.
+    The shared radius carries a margin of a few units of roundoff, as the
+    overlap test does, so disks are merged whenever they might meet.
     """
-    n = len(zs)
-    parent = list(range(n))
+    import numpy as np
+
+    pairs = np.argwhere(np.triu(near)).tolist()
+    if not pairs:
+        return radii
+    parent = list(range(len(zs)))
 
     def find(i):
         while parent[i] != i:
@@ -833,13 +931,11 @@ def _merge_clusters(zs, radii):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) * (1 - 8 * _U) <= radii[i] + radii[j]:
-                parent[find(i)] = find(j)
+    for i, j in pairs:
+        parent[find(i)] = find(j)
     out = list(radii)
     groups = {}
-    for i in range(n):
+    for i in range(len(zs)):
         groups.setdefault(find(i), []).append(i)
     for members in groups.values():
         if len(members) == 1:
@@ -853,15 +949,30 @@ def _merge_clusters(zs, radii):
 def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     """All complex roots of f with multiplicity, certified within tol.
 
-    Multiple roots are separated exactly first (Yun decomposition).  The
-    roots of each squarefree part are np.roots eigenvalues, taken one
-    float64 Weierstrass step and certified by Weierstrass disks in
-    float64; when that bound fails, Weierstrass steps in fixed point give
-    dyadic centers whose disks are certified in exact integer arithmetic.
-    Rational roots, zero included, are then recognized exactly inside
-    their isolated disks.  Every radius is a proven bound about its
-    float64 center.  A tol that no float64 center can meet raises
-    PrecisionError naming the float64 spacing at that root.
+    The order of work, on the primitive part p of f with lc(p) > 0:
+
+    1. The np.roots eigenvalues of p, one float64 Weierstrass step and the
+       float64 certificate of _certified_roots, with no exact escalation.
+       The certificate is skipped when the step moved an eigenvalue by
+       more than _CLUSTER_STEP, the mark of a multiple root or a cluster.
+    2. If every radius is below tol/4 and the n disks are pairwise
+       disjoint (no True in their _overlaps matrix), p is squarefree, and
+       the Yun decomposition is skipped.  Proof: the disks contain the
+       Gerschgorin discs of a matrix whose characteristic polynomial is
+       p/lc (Carstensen), so each connected component of m disks holds m
+       roots counted with multiplicity; a disk alone holds one root, and
+       that root is simple.  So all n roots are simple.
+    3. Otherwise multiple roots are separated exactly (Yun decomposition),
+       and each squarefree part is certified by _certified_roots: the
+       float64 certificate, or, where it fails, Weierstrass steps in fixed
+       point from the same eigenvalues, which give dyadic centers whose
+       disks are certified in exact integer arithmetic.
+    4. Rational roots, zero included, are recognized exactly inside their
+       isolated disks, and overlapping disks are merged into clusters.
+
+    Every radius is a proven bound about its float64 center.  A tol that
+    no float64 center can meet raises PrecisionError naming the float64
+    spacing at that root.
 
     The order is part of the contract: roots come sorted by (-|z|, Re z,
     Im z) of their centers, so the first has the largest modulus and the
@@ -873,16 +984,27 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
         raise ValueError("tol must be a positive finite number")
     if f.degree == 0:
         return RootList((), ())
-    _, parts = squarefree_decomposition(f)
-    zs: list[complex] = []
-    radii: list[float] = []
-    for g, mult in parts:
-        az, ar = _certified_roots(list(g.coeffs), tol)
-        _recognize_rational_roots(g, az, ar)
-        for z, r in zip(az, ar):
-            zs.extend([z] * mult)
-            radii.extend([r] * mult)
-    radii = _merge_clusters(zs, radii)
+    p = f.primitive_part()
+    if p.leading < 0:
+        p = -p
+    coeffs = list(p.coeffs)
+    step = _float64_step(coeffs, _eigenvalues(coeffs))
+    quiet = step is not None and step[2] <= _CLUSTER_STEP
+    disks = _float64_disks(step, tol) if quiet else None
+    near = _overlaps(*disks) if disks else None
+    if near is not None and not near.any():
+        zs, radii = disks  # p is squarefree
+        _recognize_rational_roots(p, zs, radii, near)
+    else:
+        zs, radii = [], []
+        for g, mult in squarefree_decomposition(p)[1]:
+            az, ar = _certified_roots(list(g.coeffs), tol)
+            _recognize_rational_roots(g, az, ar, _overlaps(az, ar))
+            for z, r in zip(az, ar):
+                zs.extend([z] * mult)
+                radii.extend([r] * mult)
+        near = _overlaps(zs, radii)
+    radii = _merge_clusters(zs, radii, near)
     if any(r > tol for r in radii):
         raise PrecisionError("root clusters wider than the requested tolerance")
     order = sorted(range(len(zs)), key=lambda i: (-abs(zs[i]), zs[i].real, zs[i].imag))

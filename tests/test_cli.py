@@ -396,21 +396,19 @@ def test_fg_growth_sum(capsys):
 
 
 def test_fg_from_matrix(capsys):
-    code, doc, _ = run_json(
-        ["fg-from-matrix", "--matrix", "[[1,1],[1,0]]", "--json-only"], capsys
-    )
+    code, doc, err = run_json(["fg-from-matrix", "--matrix", "[[1,1],[1,0]]"], capsys)
     assert code == 0
     assert doc["result"]["images"] == ["a b", "a"]
+    assert doc["result"]["endo"] == "a -> a b; b -> a" == err.strip()
     assert doc["result"]["abelianization"] == [[1, 1], [1, 0]]
 
 
 def test_f2_positive_aut_worked_instance(capsys):
-    code, doc, _ = run_json(
-        ["f2-positive-aut", "--matrix", "[[2,1],[1,1]]", "--json-only"], capsys
-    )
+    code, doc, err = run_json(["f2-positive-aut", "--matrix", "[[2,1],[1,1]]"], capsys)
     assert code == 0
     r = doc["result"]
     assert r["images"] == ["a b a", "a b"]
+    assert r["endo"] == "a -> a b a; b -> a b" == err.strip()
     assert r["matches_input"] is True
     assert r["positive_words"] is True
     assert r["nielsen_basis"] is True

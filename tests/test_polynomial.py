@@ -884,7 +884,7 @@ def _assert_bounds_hold(f, z):
     below, at each float64 center itself, against 60-digit evaluation.
     Returns lo."""
     a = np.array(f.coeffs, dtype=float)
-    hi, lo, _ = P._weierstrass_f64(a, z)
+    hi, lo = P._weierstrass_f64(a, z)
     desc = list(f.coeffs[::-1])
     with mpmath.workdps(60):
         zm = [mpmath.mpc(v) for v in z]
@@ -902,7 +902,7 @@ def test_float64_bounds_hold_at_the_np_roots_centers(f):
     a = np.array(f.coeffs, dtype=float)
     z = np.roots(a[::-1]).astype(complex)
     assert (_assert_bounds_hold(f, z) > 0).all()
-    assert (_assert_bounds_hold(f, z - P._weierstrass_f64(a, z)[2]) > 0).all()
+    assert (_assert_bounds_hold(f, z - P._weierstrass_step(a, z)) > 0).all()
 
 
 def test_product_overflow_fails_the_float64_bound(escalations):
@@ -1032,3 +1032,227 @@ def test_squarefree_proof_mod_p_matches_the_prs_route(monkeypatch):
     # p | lc(f): the mod-p image drops a degree, so the PRS route decides
     f = IntPoly((1, 1, P._SQUAREFREE_PRIME))
     assert P.squarefree_decomposition(f) == (1, [(f, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Certificate-first roots against the Yun-first route it replaced
+
+
+def _yun_first_roots(f, tol=P.DEFAULT_TOL):
+    """roots() with the Yun decomposition first, the reference for the
+    certificate-first route: per squarefree part, np.roots starts from
+    Fractions, a float64 step and certificate or else the exact escalation,
+    then scalar pair scans for rational recognition and cluster merging."""
+    zs, radii = [], []
+    for g, mult in P.squarefree_decomposition(f)[1]:
+        coeffs, n = list(g.coeffs), g.degree
+        try:
+            start = np.roots([float(Fraction(c, coeffs[-1])) for c in reversed(coeffs)])
+            if len(start) != n:
+                raise ValueError
+        except (OverflowError, ValueError, np.linalg.LinAlgError):
+            start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
+        az = None
+        if max(map(abs, coeffs)) < 2**53:
+            a = np.array(coeffs, dtype=float)
+            z = start.astype(complex)
+            z -= P._weierstrass_step(a, z)
+            hi, lo = P._weierstrass_f64(a, z)
+            with np.errstate(all="ignore"):
+                rs = n * hi / lo * (1 + 4 * P._U)
+            if np.all(rs < tol / 4):
+                az, ar = [complex(v) for v in z], [float(r) for r in rs]
+        if az is None:
+            az, ar = P._weierstrass_exact(coeffs, tol, start)
+        lc = abs(g.leading)
+        for j, (z, r) in enumerate(zip(az, ar)):
+            if abs(z.imag) > r or any(
+                abs(z - y) * (1 - 8 * P._U) <= r + s for k, (y, s) in enumerate(zip(az, ar)) if k != j
+            ):
+                continue
+            x = Fraction(z.real)
+            q = x.limit_denominator(lc)
+            if (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2 and g.evaluate(q) == 0:
+                az[j] = complex(q)
+                dist = abs(Fraction(az[j].real) - q)
+                ar[j] = P._up(dist) if dist else 0.0
+        for z, r in zip(az, ar):
+            zs.extend([z] * mult)
+            radii.extend([r] * mult)
+    n = len(zs)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(zs[i] - zs[j]) * (1 - 8 * P._U) <= radii[i] + radii[j]:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    out = list(radii)
+    for members in groups.values():
+        if len(members) > 1:
+            r = max(abs(zs[i] - zs[j]) + radii[j] for i in members for j in members) * (1 + 8 * P._U)
+            for i in members:
+                out[i] = r
+    if any(r > tol for r in out):
+        raise PrecisionError("root clusters wider than the requested tolerance")
+    order = sorted(range(n), key=lambda i: (-abs(zs[i]), zs[i].real, zs[i].imag))
+    return P.RootList(tuple(zs[i] for i in order), tuple(out[i] for i in order))
+
+
+def _route_cases():
+    """(name, f, tol) in every family the certificate-first route must match."""
+    rng = random.Random(21)
+    t = IntPoly((0, 1))
+    lehmer = lehmer_polynomial()
+    cases = [(f"random{d}", _random_monic(rng, d), 1e-10) for d in (2, 3, 5, 8, 16, 32, 48, 64)]
+    cases += [
+        ("phi7*lehmer", cyclotomic(7) * lehmer, 1e-10),
+        ("phi105", cyclotomic(105), 1e-10),
+        ("phi1*phi2*phi3*random12", cyclotomic(1) * cyclotomic(2) * cyclotomic(3) * _random_monic(rng, 12), 1e-10),
+        ("phi9*random40", cyclotomic(9) * _random_monic(rng, 40), 1e-10),
+        ("lehmer*reciprocal30", lehmer * _random_palindrome(rng, 30), 1e-10),
+        ("lehmer^2", lehmer * lehmer, 1e-10),
+    ]
+    for d in (8, 24, 64):
+        g, h = _random_monic(rng, max(2, d // 8)), _random_monic(rng, d - 2 * max(2, d // 8))
+        cases.append((f"repeated{d}", g * g * h, 1e-10))
+        cases.append((f"repeated{d}@1e-3", g * g * h, 1e-3))
+    cases += [
+        ("(t-1)^3(t+2)^2", IntPoly((-1, 1)) ** 3 * IntPoly((2, 1)) ** 2, 1e-10),
+        ("(t-1)^3(t+2)^2@1e-3", IntPoly((-1, 1)) ** 3 * IntPoly((2, 1)) ** 2, 1e-3),
+        ("mignotte10", _mignotte(10, 10), 1e-10),
+        ("mignotte14", _mignotte(14, 5), 1e-10),
+        ("(10t-1)*mignotte12@1e-3", IntPoly((-1, 10)) * _mignotte(12, 10), 1e-3),
+        ("coefficient>=2^53", IntPoly((1, 1, 0, 2**53 + 1)), 1e-10),
+        ("(t-2^60)(t^2+1)", IntPoly((-(2**60), 1)) * IntPoly((1, 0, 1)), 1e-10),
+        ("(2^54t-1)^2(t-3)", IntPoly((-1, 2**54)) ** 2 * IntPoly((-3, 1)), 1e-10),
+        ("-6*random20", -6 * _random_monic(rng, 20), 1e-10),
+        ("-lehmer", -lehmer, 1e-10),
+        ("12*(3t+2)^2*random10", 12 * IntPoly((2, 3)) ** 2 * _random_monic(rng, 10), 1e-10),
+        ("t*random10", t * _random_monic(rng, 10), 1e-10),
+        ("t^3*random10", t**3 * _random_monic(rng, 10), 1e-10),
+        ("t^2", t * t, 1e-10),
+        ("(2t-1)(3t+2)*random16", IntPoly((-1, 2)) * IntPoly((2, 3)) * _random_monic(rng, 16), 1e-10),
+        ("(5t-3)(7t+1)*phi12", IntPoly((-3, 5)) * IntPoly((1, 7)) * cyclotomic(12), 1e-10),
+        ("3t-1", IntPoly((-1, 3)), 1e-10),
+        ("5t", IntPoly((0, 5)), 1e-10),
+        ("2^200t-1", IntPoly((-1, 2**200)), 1e-70),
+        ("(10^17+1)/(3*10^17) and 1/3", IntPoly((-1, 3)) * IntPoly((-(10**17 + 1), 3 * 10**17)), 1e-10),
+        ("lehmer@1e-16", lehmer, 1e-16),
+        ("lehmer@3e-16", lehmer, 3e-16),
+        ("3t-1@1e-17", IntPoly((-1, 3)), 1e-17),
+    ]
+    return cases
+
+
+ROUTE_CASES = _route_cases()
+
+
+def _roots_or_error(route, f, tol):
+    try:
+        rl = route(f, tol)
+    except PrecisionError as e:
+        return f"PrecisionError: {e}"
+    return repr((rl.roots, rl.radii))
+
+
+@pytest.mark.parametrize("f, tol", [c[1:] for c in ROUTE_CASES], ids=[c[0] for c in ROUTE_CASES])
+def test_certificate_first_roots_match_the_yun_first_route(f, tol):
+    """Same centers, radii and order to the bit, and the same PrecisionError."""
+    assert _roots_or_error(roots, f, tol) == _roots_or_error(_yun_first_roots, f, tol)
+
+
+def test_yun_runs_only_where_the_float64_disks_overlap(monkeypatch):
+    yun_calls, disk_calls = [], []
+    yun, disks = P.squarefree_decomposition, P._float64_disks
+
+    def counting_yun(f):
+        yun_calls.append(f.degree)
+        return yun(f)
+
+    def counting_disks(step, tol):
+        disk_calls.append(len(step[1]))
+        return disks(step, tol)
+
+    monkeypatch.setattr(P, "squarefree_decomposition", counting_yun)
+    monkeypatch.setattr(P, "_float64_disks", counting_disks)
+    rng = random.Random(48)
+    g, h = _random_monic(rng, 4), _random_monic(rng, 40)
+    assert P.poly_gcd(h, h.derivative()).degree == 0
+    roots(h)
+    assert (yun_calls, disk_calls) == ([], [40])
+    g_roots = set(roots(g).roots)
+    # The step flags the split double roots of g^2 h, so Yun runs before
+    # any certificate; then each part is certified once.
+    for tol in (1e-10, 1e-3):
+        yun_calls.clear(), disk_calls.clear()
+        rl = roots(g * g * h, tol)
+        assert (yun_calls, disk_calls) == ([48], [40, 4])
+        assert sum(z in g_roots for z in rl.roots) == 8
+    # Without that signal, the double roots pass the certificate at tol 1e-3,
+    # and the overlap of their disks alone must send g^2 h to Yun.
+    monkeypatch.setattr(P, "_CLUSTER_STEP", math.inf)
+    yun_calls.clear(), disk_calls.clear()
+    rl = roots(g * g * h, 1e-3)
+    assert (yun_calls, disk_calls) == ([48], [48, 40, 4])
+    assert sum(z in g_roots for z in rl.roots) == 8
+
+
+def _scalar_overlaps(zs, radii):
+    return [
+        [i != j and abs(zs[i] - zs[j]) * (1 - 8 * P._U) <= radii[i] + radii[j] for j in range(len(zs))]
+        for i in range(len(zs))
+    ]
+
+
+def test_overlap_matrix_matches_the_scalar_test():
+    """Including disks that touch exactly in float64, where <= decides."""
+    rng = random.Random(8)
+    for trial in range(60):
+        n = rng.randint(1, 24)
+        zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        radii = [abs(z) * rng.choice((1e-3, 1e-1, 0.5)) * rng.random() for z in zs]
+        if n > 1:
+            # disk 0 touches disk 1 exactly: r_0 + r_1 is the computed scaled distance
+            gap = abs(zs[0] - zs[1]) * (1 - 8 * P._U)
+            radii[0], radii[1] = gap / 2, gap / 2
+            if trial % 3 == 1:  # one ulp of gap short of touching
+                radii[0] = radii[1] = math.nextafter(gap / 2, 0.0)
+            elif trial % 3 == 2:
+                radii[0], radii[1] = gap, 0.0
+        near = P._overlaps(zs, radii)
+        assert near.tolist() == _scalar_overlaps(zs, radii)
+        if n > 1:
+            assert near[0, 1] == (trial % 3 != 1)
+
+
+def test_monic_integer_on_a_disk_edge_is_recognized():
+    """The integer-distance skip for monic g passes a disk whose edge runs
+    exactly through an integer root, which the exact test then accepts."""
+    g, r = IntPoly((-3, 1)), 2.0**-10
+    for radius, recognized in ((r, True), (math.nextafter(r, 0.0), False)):
+        zs, radii = [complex(3 + r)], [radius]
+        P._recognize_rational_roots(g, zs, radii, P._overlaps(zs, radii))
+        assert (zs, radii) == (([3 + 0j], [0.0]) if recognized else ([complex(3 + r)], [radius]))
+
+
+def test_a_recognized_root_crowds_a_later_disk():
+    """float64 rounds 1/5 up, so the disk of the recognized root reaches past
+    the old disk's edge and meets the disk of 20001/100000, which the old
+    disk missed.  That later disk is then not isolated and keeps its radius,
+    and near follows the replaced disks."""
+    g = IntPoly((-1, 5)) * IntPoly((-20001, 100000))
+    x0, r1 = 0.2 - 2.0**-40, 9.999999999971134e-06
+    zs, radii = [complex(x0), 0.20001 + 0j], [P._up(Fraction(1, 5) - Fraction(x0)), r1]
+    near = P._overlaps(zs, radii)
+    assert not near.any()
+    P._recognize_rational_roots(g, zs, radii, near)
+    assert zs == [0.2 + 0j, 0.20001 + 0j] and radii[1] == r1
+    assert near[0, 1] and near.tolist() == P._overlaps(zs, radii).tolist()
