@@ -1,21 +1,21 @@
 """Factoring over Z/p and Z/p^k behind polynomial.irreducibility_certificate.
 
-Musser's degree-set test from one Frobenius matrix per prime, then a
-Berlekamp split, a Hensel lift and Zassenhaus recombination.  Polynomials
-over Z/m are lists of residues in [0, m), ascending, with no high zeros.
-``irreducibility_certificate`` imports this module on first use.
+A squarefree proof at a witness prime (else one Yun decomposition), Musser's
+degree sets from one Frobenius matrix per prime, a Berlekamp split, a Hensel
+lift and Zassenhaus recombination.  Polynomials over Z/m are lists of
+residues in [0, m), ascending, with no high zeros; every Z/m routine is here.
+Imported on first use, with numpy only by the Frobenius and Berlekamp steps.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+from . import polynomial  # squarefree_decomposition, read at call time
+from .polynomial import IntPoly, IrreducibilityCertificate
 
-from .polynomial import IntPoly, IrreducibilityCertificate, _gf_gcd, _monic, _zm, _zm_divmod
-
-# Primes scanned in order by certify_squarefree, which stops after
-# _MUSSER_PRIMES of them that leave f squarefree: that bounds its cost only.
+# Primes scanned in order by certify, which stops after _MUSSER_PRIMES of
+# them that leave f squarefree: that bounds its cost only.
 _WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                    53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MUSSER_PRIMES = 5
@@ -29,6 +29,38 @@ def _scan_primes():
         q += 2
         if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
             yield q
+
+
+def _zm(a, m):
+    out = [v % m for v in a]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _zm_divmod(a, b, m):
+    """Quotient and remainder of a by b mod m, for lc(b) a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = r.pop() * inv % m
+        if c:
+            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
+    return q, _zm(r, m)
+
+
+def _monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [v * inv % m for v in a]
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd of a and b mod the prime p ([] when both vanish)."""
+    a, b = _zm(a, p), _zm(b, p)
+    while b:
+        a, b = b, _zm_divmod(a, b, p)[1]
+    return _monic(a, p) if a else a
 
 
 def _zm_lin(a, b, m, c=1):
@@ -78,6 +110,8 @@ def _frobenius_matrix(fm, p):
     with one matrix product.  Entries stay below p, so every sum of
     products stays below n p^2, far inside int64.
     """
+    import numpy as np
+
     n = len(fm) - 1
     low = np.array(fm[:n], dtype=np.int64)
     high = np.zeros((max(n - 1, 0), n), dtype=np.int64)
@@ -111,6 +145,8 @@ def _distinct_degree(fm, q, p):
     x^(p^d) mod f is x^(p^(d-1)) times Berlekamp's matrix, and the
     degree-d part is gcd(x^(p^d) - x, what is left of f).
     """
+    import numpy as np
+
     n = len(fm) - 1
     parts, h = [], fm
     v = np.zeros(n, dtype=np.int64)
@@ -132,6 +168,8 @@ def _distinct_degree(fm, q, p):
 def _berlekamp_basis(q, p):
     """A basis of {v : v Q = v mod p}, Berlekamp's subalgebra, by Gaussian
     elimination of (Q - I)^T."""
+    import numpy as np
+
     n = len(q)
     a = (q - np.eye(n, dtype=np.int64)).T % p
     pivots = []
@@ -258,15 +296,27 @@ def _zassenhaus(f, degset, p, facs):
     return IrreducibilityCertificate("irreducible", witness_prime=p)
 
 
-def certify_squarefree(f: IntPoly) -> IrreducibilityCertificate:
-    """irreducibility_certificate for a primitive f that is squarefree over Z."""
+def certify(f: IntPoly) -> IrreducibilityCertificate:
+    """irreducibility_certificate for a primitive f.
+
+    A prime p not dividing lc(f) with gcd(f, f') = 1 mod p proves f
+    squarefree over Z: a square factor g^2 of f keeps its degree mod p, as
+    lc(g) divides lc(f), so g mod p would divide that gcd.  Yun runs only
+    when the first such prime does not prove it, and only once.
+    """
     n, df = f.degree, f.derivative().coeffs
-    degset, best, usable = (1 << n + 1) - 1, None, 0
+    degset, best, usable, proved = (1 << n + 1) - 1, None, 0, False
     for p in _scan_primes():
         if f.leading % p == 0:
             continue
         fm = _monic(_zm(f.coeffs, p), p)
-        if len(_gf_gcd(fm, df, p)) > 1:
+        squarefree_mod_p = len(_gf_gcd(fm, df, p)) == 1
+        if not (proved or squarefree_mod_p):
+            for g, mult in polynomial.squarefree_decomposition(f)[1]:
+                if mult > 1:
+                    return IrreducibilityCertificate("reducible", factor=g)
+        proved = True
+        if not squarefree_mod_p:
             continue
         q = _frobenius_matrix(fm, p)
         parts = _distinct_degree(fm, q, p)

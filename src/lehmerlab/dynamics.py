@@ -280,12 +280,14 @@ def cyclotomic_padding(
     lexicographic in the sorted index multiset.  Net traces add over
     disjoint spectra, so each candidate costs one vector sum.  None means
     nothing was found within the search bounds, not a disproof; a bound
-    below 1 raises ValueError before any work.
+    below 1 or a non-monic f raises ValueError before any root work.
     """
     for name, bound in (("n_net", n_net), ("search_bound", search_bound),
                         ("max_degree", max_degree), ("max_mult", max_mult)):
         if bound < 1:
             raise ValueError(f"need {name} >= 1")
+    if not f.is_monic:
+        raise ValueError("cyclotomic_padding needs a monic polynomial")
     if not _dominant_real(f, tol):
         raise ValueError("cyclotomic padding expects a dominant real root")
     base = net_traces(f, n_net)

@@ -8,7 +8,8 @@ companion-matrix roots from ``np.roots`` are certified in float64 by
 Weierstrass disks whose radii are rigorous under rounding; when that bound
 fails, the same correction is iterated at dyadic centers, whose disks are
 certified in exact integer arithmetic.  Pairwise disjoint disks prove the
-polynomial squarefree, so the Yun decomposition runs only where they do not.
+polynomial squarefree, so the Yun decomposition runs only where they do not,
+as in irreducibility_certificate it runs only where a witness prime does not.
 Rational roots, zero included, are recognized exactly inside their isolated
 disks.  numpy is imported on the first root certification, not with this
 module, so code that computes no root never loads it.
@@ -24,10 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 DEFAULT_TOL = 1e-10
-
-# A squarefree f over Z stays squarefree mod p unless p divides its
-# discriminant, so one large prime almost always proves it.
-_SQUAREFREE_PRIME = 1_000_000_007
 
 
 class PrecisionError(RuntimeError):
@@ -261,25 +258,20 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def squarefree_decomposition(f: IntPoly):
-    """Yun decomposition: (content, [(g_i, i)]) with f = content * prod g_i^i.
+    """Yun decomposition (SYMSAC 1976): (content, [(g_i, i)]) with f =
+    content * prod g_i^i, the g_i primitive, squarefree, pairwise coprime.
 
-    The g_i are primitive, squarefree and pairwise coprime.  When p does
-    not divide lc(f) and gcd(f, f') = 1 mod p, a square factor g^2 of f
-    would survive mod p with its degree and divide that gcd, so f is
-    squarefree and the integer remainder sequence is skipped.
+    Every gcd is ``poly_gcd``'s remainder sequence.  Callers prove f
+    squarefree first where they can: ``roots`` by disjoint disks, and
+    ``irreducibility_certificate`` at a witness prime.
     """
     if not f:
         raise ValueError("zero polynomial")
     sign = 1 if f.leading > 0 else -1
     content = sign * f.content()
-    p = f.primitive_part()
-    if sign < 0:
-        p = -p
+    p = f.primitive_part() if sign > 0 else -f.primitive_part()
     if p.degree == 0:
         return content, []
-    q = _SQUAREFREE_PRIME
-    if p.leading % q and len(_gf_gcd(p.coeffs, p.derivative().coeffs, q)) == 1:
-        return content, [(p, 1)]
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return content, [(p, 1)]
@@ -1101,72 +1093,28 @@ class IrreducibilityCertificate:
     factor: IntPoly | None = None
 
 
-# Polynomials over Z/m are lists of residues in [0, m), ascending, with no
-# high zeros.
-
-
-def _zm(a, m):
-    out = [v % m for v in a]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zm_divmod(a, b, m):
-    """Quotient and remainder of a by b mod m, for lc(b) a unit mod m."""
-    inv = pow(b[-1], -1, m)
-    r, db = list(a), len(b) - 1
-    q = [0] * max(len(r) - db, 0)
-    for k in reversed(range(len(q))):
-        c = q[k] = r.pop() * inv % m
-        if c:
-            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
-    return q, _zm(r, m)
-
-
-def _monic(a, m):
-    inv = pow(a[-1], -1, m)
-    return [v * inv % m for v in a]
-
-
-def _gf_gcd(a, b, p):
-    """Monic gcd of a and b mod the prime p ([] when both vanish)."""
-    a, b = _zm(a, p), _zm(b, p)
-    while b:
-        a, b = b, _zm_divmod(a, b, p)[1]
-    return _monic(a, p) if a else a
-
-
 def irreducibility_certificate(f: IntPoly) -> IrreducibilityCertificate:
     """Conclusive irreducibility test for a primitive f over Z.
 
-    A square factor from the Yun decomposition proves reducibility.
-    Otherwise primes are scanned in order, skipping those that divide lc(f)
-    or leave f not squarefree mod p.  At each, one Frobenius matrix gives
-    the distinct-degree factorization, and the subset sums of the factor
-    degrees are intersected (Musser, J. ACM 25, 1978); an intersection
-    {0, n} proves irreducibility.  After five usable primes, the factors
-    mod the prime with the fewest are split by Berlekamp's subalgebra,
-    Hensel-lifted and recombined by subsets of increasing degree sum,
-    keeping sums in the degree set; the first subset whose product divides
-    f gives a least-degree, hence irreducible, factor, and if none does, f
-    is irreducible.  Every step is deterministic.
-
-    The known limit is recombination: inputs that split into many factors
-    modulo every prime, like the Swinnerton-Dyer polynomials, try
-    exponentially many subsets in the number of factors.
+    ``_factor.certify`` scans primes in order, skipping those that divide
+    lc(f) or leave f not squarefree mod p.  gcd(f, f') = 1 mod the first
+    prime not dividing lc(f) proves f squarefree; else one Yun
+    decomposition runs, and a square factor proves f reducible.  Musser's
+    degree sets (J. ACM 25, 1978) prove irreducibility, or after five
+    usable primes Zassenhaus recombination of the lifted factors gives a
+    least-degree, hence irreducible, factor or proves there is none.
+    Every step is deterministic.  The known limit is recombination: inputs
+    that split into many factors modulo every prime, like Swinnerton-Dyer
+    polynomials, try exponentially many subsets in the number of factors.
     """
     if f.degree < 1:
         raise ValueError("degree >= 1 required")
     if f.content() != 1:
         raise ValueError("primitive polynomial required")
-    for g, mult in squarefree_decomposition(f)[1]:
-        if mult > 1:
-            return IrreducibilityCertificate("reducible", factor=g)
     # The factoring code is compiled on first use, not at package import.
-    from ._factor import certify_squarefree
+    from ._factor import certify
 
-    return certify_squarefree(f)
+    return certify(f)
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1148,7 @@ def parse_poly(text: str) -> IntPoly:
                 )
         return IntPoly(tuple(int(p) for p in coeffs))
     s = s.replace(" ", "").replace("**", "^")
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    terms = re.findall(r"[+-]?(?:\^[+-]|[^+-])+", s)  # a sign after ^ stays
     out: dict[int, int] = {}
     for term in terms:
         m = _TERM_RE.match(term)

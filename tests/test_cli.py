@@ -145,6 +145,9 @@ def test_malformed_tokens_exit_1(capsys):
         ),
         (["mahler", "--poly", "t^\u0663 + 1"], "cannot parse term 't^\u0663'"),
         (["mahler", "--poly", "\u0663t + 1"], "cannot parse term '\u0663t'"),
+        # a sign after ^ belongs to the exponent's term
+        (["mahler", "--poly=t^-1"], "negative exponents are not valid here"),
+        (["mahler", "--poly=t^+2"], "cannot parse term 't^+2'"),
         (
             ["fit-recurrence", "--seq", "1,1,2,3,5,8,1/0"],
             "bad term '1/0': expected comma-separated integers, fractions "
@@ -645,6 +648,7 @@ def test_numpy_loaded_only_by_root_certification():
         "    ['entropy', '--n', '3', '--braid', 's1 s2^-1'],\n"
         "    ['burau', '--n', '3', '--braid', 's1 s2^-1'],\n"
         "    ['hankel', '--seq', '1,1,2,3,5,8,13,21', '--k', '2'],\n"
+        "    ['poly-check', '--poly', '1,2,2,2,1'],\n"
         "    ['mahler', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1'],\n"
         "    ['poly-check', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1'],\n"
         "):\n"
@@ -663,8 +667,10 @@ def test_numpy_loaded_only_by_root_certification():
     states = json.loads(proc.stdout.splitlines()[-1])
     # import, parser, then five subcommands that compute no root
     assert states[:7] == [[False, False]] * 7
-    assert states[7] == [True, False]  # mahler certifies roots
-    assert states[8] == [True, True]  # poly-check factors
+    # (t + 1)^2 (t^2 + 1): Yun finds the square, and no Frobenius matrix is built
+    assert states[7] == [False, True]
+    assert states[8] == [True, True]  # mahler certifies roots
+    assert states[9] == [True, True]  # poly-check factors
 
 
 def test_poly_check_is_deterministic_without_random():
@@ -871,3 +877,20 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["513 jobs", "0 differ"]
+
+
+def test_job_ab_times_one_tree_against_itself():
+    """tools/job_ab.py on one seed's perron jobs, src on both sides."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "job_ab.py"), src, src,
+         "--workload", "spectra", "--kinds", "perron", "--seeds", "3", "--passes", "2"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["family", "jobs", "old_ms", "new_ms", "change"]
+    families = ["perron cyclotomic", "perron random", "perron reciprocal", "perron repeated"]
+    assert [" ".join(row.split()[:2]) for row in rows] == families
+    assert sum(int(row.split()[2]) for row in rows) == 24

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -192,6 +193,24 @@ def test_cyclotomic_padding_fixes_single_bad_net():
 def test_cyclotomic_padding_requires_dominant_real():
     with pytest.raises(ValueError):
         cyclotomic_padding(parse_poly("t^2+1"))
+
+
+@pytest.mark.parametrize("poly", ["-1,0,2", "0", "2,3", "-t^3+t+1"])
+def test_cyclotomic_padding_requires_monic(poly, monkeypatch, capsys):
+    """A non-monic f is refused before any root is computed; the CLI exits
+    1 with the same message."""
+    from lehmerlab import dynamics
+    from lehmerlab.cli import main
+
+    def no_roots(*args):
+        raise AssertionError("roots were computed")
+
+    monkeypatch.setattr(dynamics, "_dominant_real", no_roots)
+    message = "cyclotomic_padding needs a monic polynomial"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cyclotomic_padding(parse_poly(poly))
+    assert main(["padding", f"--poly={poly}", "--json-only"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
 
 @pytest.mark.parametrize("bound", ["search_bound", "max_degree", "max_mult"])

@@ -1004,34 +1004,112 @@ def test_tol_below_float64_resolution_names_the_limit():
     assert roots(IntPoly((-(10**7 + 1), 1024)), 1e-300).radii == (0.0,)
 
 
-def test_squarefree_proof_mod_p_matches_the_prs_route(monkeypatch):
+@pytest.fixture
+def yun_calls(monkeypatch):
+    """The degree of every squarefree_decomposition call, however reached."""
+    calls, yun = [], P.squarefree_decomposition
+
+    def counting(f):
+        calls.append(f.degree)
+        return yun(f)
+
+    monkeypatch.setattr(P, "squarefree_decomposition", counting)
+    return calls
+
+
+def _first_witness_proves_squarefree(f):
+    """gcd(f, f') = 1 mod the first scanned prime not dividing lc(f)."""
+    q = next(q for q in F._scan_primes() if f.leading % q)
+    return len(F._gf_gcd(f.coeffs, f.derivative().coeffs, q)) == 1
+
+
+def _yun_first_certificate(f):
+    """irreducibility_certificate with the Yun decomposition first, the
+    reference for the witness-prime route: a square factor proves f
+    reducible, and otherwise the scan runs on a squarefree f."""
+    for g, mult in P.squarefree_decomposition(f)[1]:
+        if mult > 1:
+            return P.IrreducibilityCertificate("reducible", factor=g)
+    return F.certify(f)
+
+
+def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
+    """Yun is plain: its parts multiply back, and a single part (p, 1) means
+    the PRS gcd(p, p') is 1.  irreducibility_certificate calls it only when
+    the first witness prime not dividing lc(p) leaves p not squarefree mod
+    that prime, and then exactly once."""
     rng = random.Random(160)
-    prs_calls = []
     gcd = P.poly_gcd
-
-    def counting(f, g):
-        prs_calls.append(f.degree)
-        return gcd(f, g)
-
     for d in (1, 2, 7, 20, 60, 160):
         f = _random_monic(rng, d) * rng.choice((1, 2, 3))
         g = _random_monic(rng, max(1, d // 8))
         for h in (f, f * g * g, g * g * g * f) if d < 100 else (f, f * g * g):
             p = h.primitive_part()
             squarefree = gcd(p, p.derivative()).degree == 0  # the PRS route
-            monkeypatch.setattr(P, "poly_gcd", counting)
-            prs_calls.clear()
             content, parts = P.squarefree_decomposition(h)
-            monkeypatch.setattr(P, "poly_gcd", gcd)
             assert (parts == [(p, 1)]) == squarefree
-            assert (prs_calls == []) == squarefree
             prod = IntPoly((content,))
             for q, i in parts:
                 prod = prod * q**i
             assert prod == h
-    # p | lc(f): the mod-p image drops a degree, so the PRS route decides
-    f = IntPoly((1, 1, P._SQUAREFREE_PRIME))
-    assert P.squarefree_decomposition(f) == (1, [(f, 1)])
+            proved = _first_witness_proves_squarefree(p)
+            assert not proved or squarefree
+            yun_calls.clear()
+            c = irreducibility_certificate(p)
+            assert yun_calls == ([] if proved else [p.degree])
+            if not squarefree:
+                assert (c.status, c.witness_prime) == ("reducible", None)
+                assert c.factor == next(q for q, i in parts if i > 1)
+    # A witness prime dividing lc(f) is skipped: mod 2, (2t + 1)^2 is the
+    # unit 1, which would pass for squarefree; mod 3 it is (t + 2)^2.
+    f = IntPoly((1, 2)) ** 2
+    yun_calls.clear()
+    assert irreducibility_certificate(f) == P.IrreducibilityCertificate("reducible", factor=IntPoly((1, 2)))
+    assert yun_calls == [2]
+    # 2t^2 + t + 1 is squarefree mod 3, the first prime not dividing lc.
+    yun_calls.clear()
+    assert irreducibility_certificate(IntPoly((1, 1, 2))).status == "irreducible"
+    assert yun_calls == []
+    # t^2 + 1 = (t + 1)^2 mod 2, so Yun runs once; the scan then closes at 3.
+    yun_calls.clear()
+    assert irreducibility_certificate(parse_poly("t^2+1")).witness_prime == 3
+    assert yun_calls == [2]
+
+
+def _certificate_route_cases():
+    """Seeded primitive inputs: squares and cubes of random factors times a
+    cofactor, leading coefficients divisible by 2 and by 6, and squarefree
+    inputs whose first witness prime divides the discriminant."""
+    rng = random.Random(1976)
+
+    def factor(d, lc):
+        c = [rng.randint(-4, 4) for _ in range(d)] + [lc]
+        c[0] = c[0] or 1
+        return IntPoly(tuple(c))
+
+    cases = [parse_poly("t^2+1"), parse_poly("t^4+1"), parse_poly("t^2+t+1") * parse_poly("t^2+1"),
+             IntPoly((1, 1, 2)), IntPoly((1, 2)) ** 2, IntPoly((1, 6)) ** 3 * IntPoly((5, 0, 1))]
+    for _ in range(60):
+        lcs = [rng.choice((1, 1, 2, 3, 6)) for _ in range(3)]
+        g, h, k = (factor(rng.randint(1, 4), lc) for lc in lcs)
+        cases += [g * h, g * g * h, g**3 * k, g * g * h**3, (g * h * k) ** 2]
+    return [f.primitive_part() for f in cases]
+
+
+def test_certificate_matches_the_yun_first_route(yun_calls):
+    seen = {"no Yun": 0, "Yun, square": 0, "Yun, squarefree": 0, "2 | lc": 0, "6 | lc": 0}
+    for f in _certificate_route_cases():
+        expected = _yun_first_certificate(f)
+        yun_calls.clear()
+        assert irreducibility_certificate(f) == expected, f
+        assert len(yun_calls) == (0 if _first_witness_proves_squarefree(f) else 1), f
+        if yun_calls:
+            seen["Yun, square" if P.poly_gcd(f, f.derivative()).degree else "Yun, squarefree"] += 1
+        else:
+            seen["no Yun"] += 1
+        seen["2 | lc"] += f.leading % 2 == 0
+        seen["6 | lc"] += f.leading % 6 == 0
+    assert min(seen.values()) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
