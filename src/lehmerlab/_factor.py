@@ -1,8 +1,9 @@
 """Factoring over Z/p and Z/p^k behind polynomial.irreducibility_certificate.
 
-A squarefree proof at a witness prime (else one Yun decomposition), Musser's
-degree sets from one Frobenius matrix per prime, a Berlekamp split, a Hensel
-lift and Zassenhaus recombination.  Polynomials over Z/m are lists of
+A squarefree proof at one of the first two witness primes (else one Yun
+decomposition), Musser's degree sets from one Frobenius matrix per prime, a
+Berlekamp split, and Zassenhaus recombination over a Hensel tree lifted only
+as far as the degree being tried needs.  Polynomials over Z/m are lists of
 residues in [0, m), ascending, with no high zeros; every Z/m routine is here.
 Imported on first use, with numpy only by the Frobenius and Berlekamp steps.
 """
@@ -56,10 +57,22 @@ def _monic(a, m):
 
 
 def _gf_gcd(a, b, p):
-    """Monic gcd of a and b mod the prime p ([] when both vanish)."""
+    """Monic gcd of a and b mod the prime p ([] when both vanish).
+
+    Each Euclid step reduces the dividend by the divisor in place, one
+    pass over its top coefficients, with no quotient kept.
+    """
     a, b = _zm(a, p), _zm(b, p)
     while b:
-        a, b = b, _zm_divmod(a, b, p)[1]
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] * inv % p
+            if c:
+                a[k - db : k] = [(x - c * y) % p for x, y in zip(a[k - db : k], b)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return _monic(a, p) if a else a
 
 
@@ -237,20 +250,31 @@ def _hensel_step(f, g, h, s, t, m):
     return g, h, s, t
 
 
-def _hensel_lift(f, facs, p, big):
-    """Monic u_i with f = prod u_i mod big = p^(2^k), for monic f mod big
-    whose factors mod p are the pairwise coprime monic facs: split the
-    list in halves, lift the two products quadratically, recurse."""
+def _hensel_tree(facs, p):
+    """The factor tree of the pairwise coprime monic facs mod p (von zur
+    Gathen and Gerhard, Alg. 15.17): [u] for one factor u, else
+    [g, h, s, t, left, right], g and h the products of the two halves,
+    s g + t h = 1 mod p, and left and right the halves' trees."""
     if len(facs) == 1:
-        return [f]
+        return [facs[0]]
     k = len(facs) // 2
     g, h = _zm_prod(facs[:k], p), _zm_prod(facs[k:], p)
-    s, t = _gf_bezout(g, h, p)
-    m = p
-    while m < big:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m *= m
-    return _hensel_lift(g, facs[:k], p, big) + _hensel_lift(h, facs[k:], p, big)
+    return [g, h, *_gf_bezout(g, h, p), _hensel_tree(facs[:k], p), _hensel_tree(facs[k:], p)]
+
+
+def _lift_tree(f, node, m):
+    """One quadratic Hensel step, in place, of the tree node of f mod m,
+    for f monic mod m^2: its leaves then multiply to f mod m^2."""
+    if len(node) == 1:
+        node[0] = f
+        return
+    node[:4] = _hensel_step(f, *node[:4], m)
+    _lift_tree(node[0], node[4], m)
+    _lift_tree(node[1], node[5], m)
+
+
+def _leaves(node):
+    return [node[0]] if len(node) == 1 else _leaves(node[4]) + _leaves(node[5])
 
 
 def _subsets(degs, total, start=0):
@@ -271,18 +295,23 @@ def _mignotte_bound(f: IntPoly, d: int) -> int:
 
 def _zassenhaus(f, degset, p, facs):
     """Zassenhaus's recombination (J. Number Theory 1, 1969) of the factors
-    of f mod p lifted past twice |lc| times the Mignotte bound."""
+    of f mod p.  Before the subsets of each total t the factor tree is
+    lifted, one quadratic step at a time, only until the modulus passes
+    twice |lc| times the Mignotte bound for degree t (von zur Gathen and
+    Gerhard, §15.6): a factor of degree t, times lc(f)/lc(g), has its
+    coefficients below that bound over 2."""
     n, lc, f0 = f.degree, f.leading, f.coeffs[0]
-    bound = 2 * abs(lc) * _mignotte_bound(f, n - 1)
-    big = p
-    while big <= bound:
-        big *= big
-    inv = pow(lc, -1, big)
-    lifted = _hensel_lift([c * inv % big for c in f.coeffs], facs, p, big)
-    degs = [len(u) - 1 for u in lifted]
+    tree, big, lifted = _hensel_tree(facs, p), p, facs
+    degs = [len(u) - 1 for u in facs]
     for total in range(1, n // 2 + 1):
         if not degset >> total & 1:
             continue
+        bound = 2 * abs(lc) * _mignotte_bound(f, total)
+        while big <= bound:
+            m, big = big, big * big
+            inv = pow(lc, -1, big)
+            _lift_tree([c * inv % big for c in f.coeffs], tree, m)
+            lifted = _leaves(tree)
         for subset in _subsets(degs, total):
             # lc(f)/lc(g) * g(0) divides lc(f) * f(0) for a true factor g.
             c0 = lc * math.prod(lifted[i][0] for i in subset) % big
@@ -302,21 +331,21 @@ def certify(f: IntPoly) -> IrreducibilityCertificate:
     A prime p not dividing lc(f) with gcd(f, f') = 1 mod p proves f
     squarefree over Z: a square factor g^2 of f keeps its degree mod p, as
     lc(g) divides lc(f), so g mod p would divide that gcd.  Yun runs only
-    when the first such prime does not prove it, and only once.
+    when the first two such primes both leave f not squarefree mod p, and
+    only once.
     """
     n, df = f.degree, f.derivative().coeffs
-    degset, best, usable, proved = (1 << n + 1) - 1, None, 0, False
+    degset, best, usable, misses = (1 << n + 1) - 1, None, 0, 0
     for p in _scan_primes():
         if f.leading % p == 0:
             continue
         fm = _monic(_zm(f.coeffs, p), p)
-        squarefree_mod_p = len(_gf_gcd(fm, df, p)) == 1
-        if not (proved or squarefree_mod_p):
-            for g, mult in polynomial.squarefree_decomposition(f)[1]:
-                if mult > 1:
-                    return IrreducibilityCertificate("reducible", factor=g)
-        proved = True
-        if not squarefree_mod_p:
+        if len(_gf_gcd(fm, df, p)) > 1:
+            misses += 1
+            if misses == 2 and not usable:
+                for g, mult in polynomial.squarefree_decomposition(f)[1]:
+                    if mult > 1:
+                        return IrreducibilityCertificate("reducible", factor=g)
             continue
         q = _frobenius_matrix(fm, p)
         parts = _distinct_degree(fm, q, p)

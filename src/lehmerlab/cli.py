@@ -577,10 +577,15 @@ def _cmd_entropy(args) -> tuple:
 # Parser assembly
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree.  It reads no environment, so one parser
     serves every main() call in a process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(the whole argparse tree, {subcommand name: its own parser})."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json-only",
@@ -757,11 +762,27 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--no-accel", action="store_true", help="disable Aitken acceleration")
     budget_flag(q, "echoed as inputs.budget; does not limit entropy, which builds no words")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """The namespace the whole tree would give, from the subcommand's own
+    parser: that skips the top level's pass over argv.  The whole tree
+    parses again where argv[0] names no subcommand or arguments are left
+    over, so every error text and exit code is its own."""
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         try:
             if "tol" in vars(args) and args.tol is None:

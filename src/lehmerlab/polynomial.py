@@ -721,8 +721,9 @@ def _float64_step(coeffs, start):
 
     a holds the coefficients as floats, z the stepped centers (within a
     few ulps of simple roots; they are the centers certified) and moved
-    the largest |w_j| / max(1, |start_j|) of the step (nan where centers
-    coincide).  None when a coefficient is 2^53 or more.
+    the largest |w_j| / max(1, |start_j|) of the step (inf where a
+    correction is not a number, as where centers coincide).  None when a
+    coefficient is 2^53 or more.
     """
     import numpy as np
 
@@ -731,8 +732,13 @@ def _float64_step(coeffs, start):
     a = np.array(coeffs, dtype=float)
     z = start.astype(complex)
     w = _weierstrass_step(a, z)
-    with np.errstate(all="ignore"):
-        moved = float(np.max(np.abs(w) / np.maximum(1.0, np.abs(z))))
+    moved = 0.0
+    for wj, zj in zip(w.tolist(), z.tolist()):
+        try:
+            ratio = abs(wj) / max(1.0, abs(zj))
+        except OverflowError:  # |w_j| past the float64 range
+            ratio = math.inf
+        moved = math.inf if math.isnan(ratio) else max(moved, ratio)
     return a, z - w, moved
 
 
@@ -740,16 +746,16 @@ def _float64_disks(step, tol):
     """The float64 certificate at the centers of step, a _float64_step:
     (centers, radii), or None when a radius is not below tol/4 (a cluster,
     a multiple root, overflow)."""
-    import numpy as np
-
     a, z, _ = step
     hi, lo = _weierstrass_f64(a, z)
-    with np.errstate(all="ignore"):
+    n, radii = len(a) - 1, []
+    for h, l in zip(hi.tolist(), lo.tolist()):
         # (1 + 4u) absorbs the two roundings of n * hi / lo and its own.
-        radii = (len(a) - 1) * hi / lo * (1 + 4 * _U)
-    if np.all(radii < tol / 4):
-        return [complex(v) for v in z], [float(r) for r in radii]
-    return None
+        r = n * h / l * (1 + 4 * _U) if l else math.inf
+        if not r < tol / 4:
+            return None
+        radii.append(r)
+    return z.tolist(), radii
 
 
 def _certified_roots(coeffs, tol):
@@ -876,19 +882,20 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, near):
     root by that root rounded to float64, with its rounding distance.
 
     Only a disk that meets the real axis and is disjoint from every other
-    disk of g (no True in its row of near, their _overlaps matrix) is
-    tried: it holds exactly one root, so a rational q inside it with
-    g(q) = 0 is that root.  A rational root of the primitive g has a
-    denominator dividing lc(g), so it is the best approximation of the
-    center with denominator at most |lc(g)| once the radius is below
-    1/(2 lc^2).  For monic g that is an integer, and a disk whose center
-    lies more than its radius from the nearest integer is skipped: x -
-    round(x) is exact (Sterbenz).  Zero and float64-exact roots get
-    radius 0.  near is updated in place to the replaced disks, so later
-    disks are tested against them.
+    disk of g (no True in its row of near, their _overlaps matrix, or
+    None when no two of them meet) is tried: it holds exactly one root, so
+    a rational q inside it with g(q) = 0 is that root.  A rational root of
+    the primitive g has a denominator dividing lc(g), so it is the best
+    approximation of the center with denominator at most |lc(g)| once the
+    radius is below 1/(2 lc^2).  For monic g that is an integer, and a
+    disk whose center lies more than its radius from the nearest integer
+    is skipped: x - round(x) is exact (Sterbenz).  Zero and float64-exact
+    roots get radius 0.  near is updated in place to the replaced disks,
+    so later disks are tested against them.  Returns near, made where it
+    was None and a disk was replaced.
     """
     lc = abs(g.leading)
-    crowded = near.any(axis=1).tolist()
+    crowded = [False] * len(zs) if near is None else near.any(axis=1).tolist()
     for j in range(len(zs)):
         z, r = zs[j], radii[j]
         if abs(z.imag) > r or crowded[j] or (lc == 1 and abs(z.real - round(z.real)) > r):
@@ -899,8 +906,12 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, near):
             zs[j] = complex(q)  # correctly rounded
             dist = abs(Fraction(zs[j].real) - q)
             radii[j] = _up(dist) if dist else 0.0
-            near[:] = _overlaps(zs, radii)
+            if near is None:
+                near = _overlaps(zs, radii)
+            else:
+                near[:] = _overlaps(zs, radii)
             crowded = near.any(axis=1).tolist()
+    return near
 
 
 def _merge_clusters(zs, radii, near):
@@ -986,7 +997,7 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     near = _overlaps(*disks) if disks else None
     if near is not None and not near.any():
         zs, radii = disks  # p is squarefree
-        _recognize_rational_roots(p, zs, radii, near)
+        near = _recognize_rational_roots(p, zs, radii, None)
     else:
         zs, radii = [], []
         for g, mult in squarefree_decomposition(p)[1]:
@@ -996,7 +1007,8 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
                 zs.extend([z] * mult)
                 radii.extend([r] * mult)
         near = _overlaps(zs, radii)
-    radii = _merge_clusters(zs, radii, near)
+    if near is not None:  # None: disjoint disks, none replaced
+        radii = _merge_clusters(zs, radii, near)
     if any(r > tol for r in radii):
         raise PrecisionError("root clusters wider than the requested tolerance")
     order = sorted(range(len(zs)), key=lambda i: (-abs(zs[i]), zs[i].real, zs[i].imag))
@@ -1097,15 +1109,16 @@ def irreducibility_certificate(f: IntPoly) -> IrreducibilityCertificate:
     """Conclusive irreducibility test for a primitive f over Z.
 
     ``_factor.certify`` scans primes in order, skipping those that divide
-    lc(f) or leave f not squarefree mod p.  gcd(f, f') = 1 mod the first
-    prime not dividing lc(f) proves f squarefree; else one Yun
-    decomposition runs, and a square factor proves f reducible.  Musser's
-    degree sets (J. ACM 25, 1978) prove irreducibility, or after five
-    usable primes Zassenhaus recombination of the lifted factors gives a
-    least-degree, hence irreducible, factor or proves there is none.
-    Every step is deterministic.  The known limit is recombination: inputs
-    that split into many factors modulo every prime, like Swinnerton-Dyer
-    polynomials, try exponentially many subsets in the number of factors.
+    lc(f) or leave f not squarefree mod p.  gcd(f, f') = 1 mod a prime not
+    dividing lc(f) proves f squarefree; when the first two such primes
+    both fail, one Yun decomposition runs, and a square factor proves f
+    reducible.  Musser's degree sets (J. ACM 25, 1978) prove
+    irreducibility, or after five usable primes Zassenhaus recombination
+    of the lifted factors gives a least-degree, hence irreducible, factor
+    or proves there is none.  Every step is deterministic.  The known
+    limit is recombination: inputs that split into many factors modulo
+    every prime, like Swinnerton-Dyer polynomials, try exponentially many
+    subsets in the number of factors.
     """
     if f.degree < 1:
         raise ValueError("degree >= 1 required")
@@ -1148,7 +1161,9 @@ def parse_poly(text: str) -> IntPoly:
                 )
         return IntPoly(tuple(int(p) for p in coeffs))
     s = s.replace(" ", "").replace("**", "^")
-    terms = re.findall(r"[+-]?(?:\^[+-]|[^+-])+", s)  # a sign after ^ stays
+    # Every sign starts a term, but one after ^ stays in it; signs with no
+    # term after them form one, which _TERM_RE rejects.
+    terms = re.findall(r"[+-]*(?:\^[+-]|[^+-])+|[+-]+", s)
     out: dict[int, int] = {}
     for term in terms:
         m = _TERM_RE.match(term)

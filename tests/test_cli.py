@@ -108,6 +108,32 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-command", "--poly", "1,1"],  # an unknown subcommand
+        ["mahler", "--poly", "1,1", "extra"],  # an extra argument
+        ["mahler", "--poly", "1,1", "--bogus"],  # an unknown flag
+        ["mahler", "--tol", "1e-8"],  # a missing required flag
+        ["hankel", "--seq", "1,1,2,3", "--k", "two"],  # a bad int
+        ["-h"],
+        ["mahler", "-h"],
+        [],
+    ],
+)
+def test_malformed_invocations_match_the_whole_parser(argv, capsys):
+    """main parses with the subcommand's own parser; where that fails, the
+    stdout, stderr and exit code are those of the whole tree's parse."""
+    with pytest.raises(SystemExit) as whole:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == whole.value.code == (0 if "-h" in argv else 2)
+    assert capsys.readouterr() == expected
+    assert (expected.out if "-h" in argv else expected.err).startswith("usage: lehmerlab")
+
+
 def test_computation_error_exit_1(capsys):
     code, doc, _ = run_json(
         ["alexander", "--n", "3", "--braid", "s1", "--json-only"], capsys
@@ -148,6 +174,10 @@ def test_malformed_tokens_exit_1(capsys):
         # a sign after ^ belongs to the exponent's term
         (["mahler", "--poly=t^-1"], "negative exponents are not valid here"),
         (["mahler", "--poly=t^+2"], "cannot parse term 't^+2'"),
+        # a sign that no term follows is not dropped
+        (["mahler", "--poly=2t--1"], "cannot parse term '--1'"),
+        (["mahler", "--poly=t-"], "cannot parse term '-'"),
+        (["mahler", "--poly=t^2++1"], "cannot parse term '++1'"),
         (
             ["fit-recurrence", "--seq", "1,1,2,3,5,8,1/0"],
             "bad term '1/0': expected comma-separated integers, fractions "
@@ -157,6 +187,7 @@ def test_malformed_tokens_exit_1(capsys):
         code, doc, _ = run_json([*argv, "--json-only"], capsys)
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": message}
+    assert parse_poly("-t^2+1").coeffs == (1, 0, -1)
 
 
 def test_file_input(tmp_path, capsys):
@@ -321,6 +352,7 @@ def test_non_positive_counts_exit_1(capsys):
         code, doc, _ = run_json([*argv, "--json-only"], capsys)
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": message}
+    assert parse_poly("-t^2+1").coeffs == (1, 0, -1)
     with pytest.raises(ValueError, match="need n_terms >= 1"):
         net_trace(parse_poly("t^2-t-1"), 0)
 
@@ -880,12 +912,12 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
 
 
 def test_job_ab_times_one_tree_against_itself():
-    """tools/job_ab.py on one seed's perron jobs, src on both sides."""
+    """tools/job_ab.py --cold on one seed's perron jobs, src on both sides."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "tools", "job_ab.py"), src, src,
-         "--workload", "spectra", "--kinds", "perron", "--seeds", "3", "--passes", "2"],
+         "--workload", "spectra", "--kinds", "perron", "--seeds", "3", "--passes", "2", "--cold"],
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -435,6 +435,110 @@ def test_swinnerton_dyer_and_t4_plus_1_are_irreducible():
         assert c.witness_prime in F._WITNESS_PRIMES
 
 
+def _full_bound_hensel_lift(f, facs, p, big):
+    """The reference lift: f = prod u_i mod big, each half of the factor
+    list lifted from p to big before the halves are split again."""
+    if len(facs) == 1:
+        return [f]
+    k = len(facs) // 2
+    g, h = F._zm_prod(facs[:k], p), F._zm_prod(facs[k:], p)
+    s, t = F._gf_bezout(g, h, p)
+    m = p
+    while m < big:
+        g, h, s, t = F._hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _full_bound_hensel_lift(g, facs[:k], p, big) + _full_bound_hensel_lift(h, facs[k:], p, big)
+
+
+def _full_bound_zassenhaus(f, degset, p, facs):
+    """The reference recombination: every factor lifted once, past twice
+    |lc| times the Mignotte bound for degree n - 1, before any subset."""
+    n, lc, f0 = f.degree, f.leading, f.coeffs[0]
+    bound = 2 * abs(lc) * F._mignotte_bound(f, n - 1)
+    big = p
+    while big <= bound:
+        big *= big
+    inv = pow(lc, -1, big)
+    lifted = _full_bound_hensel_lift([c * inv % big for c in f.coeffs], facs, p, big)
+    degs = [len(u) - 1 for u in lifted]
+    for total in range(1, n // 2 + 1):
+        if not degset >> total & 1:
+            continue
+        for subset in F._subsets(degs, total):
+            c0 = lc * math.prod(lifted[i][0] for i in subset) % big
+            c0 -= big if 2 * c0 > big else 0
+            if lc * f0 and (not c0 or lc * f0 % c0):
+                continue
+            g = [lc * c % big for c in F._zm_prod([lifted[i] for i in subset], big)]
+            g = IntPoly(tuple(c - big if 2 * c > big else c for c in g)).primitive_part()
+            if f.try_div(g) is not None:
+                return P.IrreducibilityCertificate("reducible", factor=-g if g.leading < 0 else g)
+    return P.IrreducibilityCertificate("irreducible", witness_prime=p)
+
+
+def _recombination_cases():
+    """Seeded primitive inputs that reach recombination: products of two to
+    four random factors with leading coefficients 1, 2 and 6; two distinct
+    least-degree factors (linear, or quadratic with a non-square
+    discriminant) times a larger one, where the subset order picks the
+    factor; and inputs with many factors modulo every prime (cyclotomic
+    and Swinnerton-Dyer polynomials, alone and times random factors)."""
+    rng = random.Random(1517)
+
+    def factor(d, lc):
+        c = [rng.randint(-5, 5) for _ in range(d)] + [lc]
+        c[0] = c[0] or rng.choice((-1, 1))
+        return IntPoly(tuple(c))
+
+    def irreducible(d):
+        while True:
+            g = factor(d, rng.choice((1, 2, 3)))
+            disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0] * g.coeffs[-1]
+            if d == 1 or disc < 0 or math.isqrt(disc) ** 2 != disc:
+                return g
+
+    many = [cyclotomic(m) for m in (8, 12, 15, 16, 20, 21, 24, 28, 30, 36)]
+    many += [_swinnerton_dyer((2, 3)), _swinnerton_dyer((2, 5)), _swinnerton_dyer((3, 7)), _swinnerton_dyer((2, 3, 5))]
+    cases = list(many)
+    for i in range(150):
+        lc = (1, 2, 6)[i % 3]
+        fs = [factor(rng.randint(1, 6), rng.choice((1, lc))) for _ in range(rng.randint(2, 4))]
+        fs[0] = factor(fs[0].degree, lc)
+        cases.append(math.prod(fs, start=IntPoly((1,))))
+    for i in range(100):
+        d = 1 + i % 2
+        g1 = irreducible(d)
+        g2 = irreducible(d)
+        if g2 == g1 or g2 == -g1:
+            continue
+        cases.append(g1 * g2 * factor(rng.randint(d + 1, 7), rng.choice((1, 2, 6))))
+    for i in range(80):
+        other = rng.choice(many) if i % 2 else factor(rng.randint(1, 5), rng.choice((1, 2, 6)))
+        cases.append(rng.choice(many) * other)
+    return [f.primitive_part() for f in cases]
+
+
+def test_staged_lift_recombines_as_the_full_bound_lift(monkeypatch):
+    """_zassenhaus, lifting only as far as each total needs, returns the
+    certificate of the reference lift to the degree-(n - 1) bound, on the
+    same factors at the same prime."""
+    staged, calls = F._zassenhaus, []
+
+    def both(f, degset, p, facs):
+        c = staged(f, degset, p, facs)
+        assert c == _full_bound_zassenhaus(f, degset, p, facs), f
+        calls.append((c.status, f.leading % 2 == 0, f.leading % 6 == 0, len(facs)))
+        return c
+
+    monkeypatch.setattr(F, "_zassenhaus", both)
+    for f in _recombination_cases():
+        irreducibility_certificate(f)
+    assert len(calls) >= 300, len(calls)
+    assert sum(s == "irreducible" for s, *_ in calls) >= 10
+    assert sum(two for _, two, _, _ in calls) >= 30 and sum(six for _, _, six, _ in calls) >= 30
+    assert sum(k >= 6 for *_, k in calls) >= 30
+
+
 def test_is_reciprocal():
     assert is_reciprocal(parse_poly("t^2+3t+1"))
     assert not is_reciprocal(parse_poly("t-2"))
@@ -1017,10 +1121,10 @@ def yun_calls(monkeypatch):
     return calls
 
 
-def _first_witness_proves_squarefree(f):
-    """gcd(f, f') = 1 mod the first scanned prime not dividing lc(f)."""
-    q = next(q for q in F._scan_primes() if f.leading % q)
-    return len(F._gf_gcd(f.coeffs, f.derivative().coeffs, q)) == 1
+def _witness_primes_prove_squarefree(f):
+    """gcd(f, f') = 1 mod one of the first two scanned primes not dividing lc(f)."""
+    primes = (q for q in F._scan_primes() if f.leading % q)
+    return any(len(F._gf_gcd(f.coeffs, f.derivative().coeffs, next(primes))) == 1 for _ in range(2))
 
 
 def _yun_first_certificate(f):
@@ -1036,8 +1140,8 @@ def _yun_first_certificate(f):
 def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
     """Yun is plain: its parts multiply back, and a single part (p, 1) means
     the PRS gcd(p, p') is 1.  irreducibility_certificate calls it only when
-    the first witness prime not dividing lc(p) leaves p not squarefree mod
-    that prime, and then exactly once."""
+    the first two witness primes not dividing lc(p) both leave p not
+    squarefree mod that prime, and then exactly once."""
     rng = random.Random(160)
     gcd = P.poly_gcd
     for d in (1, 2, 7, 20, 60, 160):
@@ -1052,7 +1156,7 @@ def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
             for q, i in parts:
                 prod = prod * q**i
             assert prod == h
-            proved = _first_witness_proves_squarefree(p)
+            proved = _witness_primes_prove_squarefree(p)
             assert not proved or squarefree
             yun_calls.clear()
             c = irreducibility_certificate(p)
@@ -1061,7 +1165,8 @@ def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
                 assert (c.status, c.witness_prime) == ("reducible", None)
                 assert c.factor == next(q for q, i in parts if i > 1)
     # A witness prime dividing lc(f) is skipped: mod 2, (2t + 1)^2 is the
-    # unit 1, which would pass for squarefree; mod 3 it is (t + 2)^2.
+    # unit 1, which would pass for squarefree; mod 3 it is (t + 2)^2 and mod
+    # 5 (t + 3)^2, so Yun runs once.
     f = IntPoly((1, 2)) ** 2
     yun_calls.clear()
     assert irreducibility_certificate(f) == P.IrreducibilityCertificate("reducible", factor=IntPoly((1, 2)))
@@ -1070,10 +1175,11 @@ def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
     yun_calls.clear()
     assert irreducibility_certificate(IntPoly((1, 1, 2))).status == "irreducible"
     assert yun_calls == []
-    # t^2 + 1 = (t + 1)^2 mod 2, so Yun runs once; the scan then closes at 3.
+    # t^2 + 1 = (t + 1)^2 mod 2 but is squarefree mod 3, the second prime:
+    # no Yun, and the scan closes at 3.
     yun_calls.clear()
     assert irreducibility_certificate(parse_poly("t^2+1")).witness_prime == 3
-    assert yun_calls == [2]
+    assert yun_calls == []
 
 
 def _certificate_route_cases():
@@ -1102,7 +1208,7 @@ def test_certificate_matches_the_yun_first_route(yun_calls):
         expected = _yun_first_certificate(f)
         yun_calls.clear()
         assert irreducibility_certificate(f) == expected, f
-        assert len(yun_calls) == (0 if _first_witness_proves_squarefree(f) else 1), f
+        assert len(yun_calls) == (0 if _witness_primes_prove_squarefree(f) else 1), f
         if yun_calls:
             seen["Yun, square" if P.poly_gcd(f, f.derivative()).degree else "Yun, squarefree"] += 1
         else:

@@ -1,7 +1,7 @@
 """Time two source trees on the same benchmark jobs, in one process.
 
     python3 tools/job_ab.py OLD_SRC NEW_SRC --workload W --kinds K[,K...]
-                            [--seeds 3 11 12] [--passes 7]
+                            [--seeds 3 11 12] [--passes 7] [--cold]
 
 OLD_SRC and NEW_SRC are directories that hold a ``lehmerlab`` package, such
 as ``src`` of two checkouts.  Both packages are loaded into this process
@@ -10,7 +10,11 @@ side that runs.  The jobs are rounds 0-2 of each seed of workload W whose
 kind is in K, taken from perfbench/jobs.py (read, never changed).  Every
 pass runs each job through ``cli.main`` once per side, the first side
 alternating from pass to pass.  The first pass also pays for imports and
-first calls, so at least two passes are needed.
+first calls, so at least two passes are needed.  With --cold the
+benchmark's reference loop (``reference_loop`` of perfbench/run.py, read,
+never changed) runs before every timed job, outside its span, as in the
+benchmark: it evicts the caches, so each job pays its numpy, LAPACK and
+argparse paths cold.  Warm passes understate a change to those costs.
 
 For each family (job kind and first job property) prints the job count,
 the mean over its jobs of each side's fastest pass in ms, and the change
@@ -58,9 +62,12 @@ class Side:
         for name in self.modules:
             del sys.modules[name]
 
-    def time(self, argv):
-        """Seconds of one cli.main(argv), its stdout discarded."""
+    def time(self, argv, before=None):
+        """Seconds of one cli.main(argv), its stdout discarded; before(),
+        if given, runs first, untimed."""
         with self, contextlib.redirect_stdout(io.StringIO()):
+            if before is not None:
+                before()
             start = time.perf_counter()
             try:
                 self.cli.main(argv)
@@ -93,6 +100,7 @@ def main(argv=None):
     p.add_argument("--kinds", required=True, help="comma-separated job kinds")
     p.add_argument("--seeds", type=int, nargs="+", default=[3, 11, 12])
     p.add_argument("--passes", type=int, default=7)
+    p.add_argument("--cold", action="store_true", help="run the benchmark's reference loop before every job")
     args = p.parse_args(argv)
     if args.passes < 2:
         p.error("--passes must be at least 2")
@@ -101,11 +109,14 @@ def main(argv=None):
         p.error(f"no {args.kinds} jobs in workload {args.workload}")
     families, argvs = zip(*found)
     sides = (Side(args.old_src), Side(args.new_src))
+    before = None
+    if args.cold:
+        from run import reference_loop as before
     best = [[math.inf, math.inf] for _ in argvs]
     for k in range(args.passes):
         for j, a in enumerate(argvs):
             for i in (0, 1) if k % 2 == 0 else (1, 0):
-                best[j][i] = min(best[j][i], sides[i].time(a))
+                best[j][i] = min(best[j][i], sides[i].time(a, before))
     print(f"{'family':<28} {'jobs':>4} {'old_ms':>9} {'new_ms':>9} {'change':>8}")
     for family in sorted(set(families)):
         rows = [b for f, b in zip(families, best) if f == family]
