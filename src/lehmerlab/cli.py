@@ -184,6 +184,15 @@ def _write_json(o, out: list, nl: str) -> None:
             out.append("[]")
             return
         inner = nl + "  "
+        texts = []
+        for v in o:
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                break
+            texts.append(text(v))
+        else:  # all scalars: one join
+            out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+            return
         sep = "[" + inner
         for v in o:
             out.append(sep)
@@ -199,8 +208,12 @@ def _write_json(o, out: list, nl: str) -> None:
         for key in sorted(o):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(o[key], out, inner)
+            text = _SCALAR_TEXT.get(type(o[key]))
+            if text is not None:  # a scalar value, written without a call
+                out.append(sep + _encode_str(key) + ": " + text(o[key]))
+            else:
+                out.append(sep + _encode_str(key) + ": ")
+                _write_json(o[key], out, inner)
             sep = "," + inner
         out.append(nl + "}")
     else:
@@ -585,9 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers():
-    """(the whole argparse tree, {subcommand name: its own parser})."""
+    """(the whole argparse tree, {subcommand name: (its func, {option
+    string: the Action that add_argument returned})})."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    json_only = common.add_argument(
         "--json-only",
         action="store_true",
         help="suppress the human summary on stderr",
@@ -600,185 +614,221 @@ def _parsers():
         'e.g. --poly="-1,-1,1".  @path reads any value from a file.',
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
+    table = {}
 
     def add(name, func, help_text):
+        """The subcommand's add_argument, recording each Action it returns."""
         q = sub.add_parser(name, parents=[common], help=help_text)
         q.set_defaults(func=func)
-        return q
+        actions = {"--json-only": json_only}
+        table[name] = (func, actions)
 
-    def poly_flag(q):
-        q.add_argument(
+        def flag(*args, **kwargs):
+            action = q.add_argument(*args, **kwargs)
+            actions.update(dict.fromkeys(action.option_strings, action))
+
+        return flag
+
+    def poly_flag(flag):
+        flag(
             "--poly",
             required=True,
             help="coefficients 'c0,c1,...' (ascending) or an expression like "
             "'t^10 + t^9 - t^7 - ... + 1'; @path reads a file",
         )
 
-    def seq_flag(q):
-        q.add_argument(
+    def seq_flag(flag):
+        flag(
             "--seq", required=True, help="comma-separated terms, a_1 first; @path reads a file"
         )
 
-    def matrix_flag(q):
-        q.add_argument(
+    def matrix_flag(flag):
+        flag(
             "--matrix", required=True, help="JSON rows, e.g. '[[2,1],[1,1]]'; @path reads a file"
         )
 
-    def braid_flags(q):
-        q.add_argument(
+    def braid_flags(flag):
+        flag(
             "--braid",
             required=True,
             help="braid word like 's1 s2^-1 T^2' (T = full twist); @path reads a file",
         )
-        q.add_argument("--n", type=int, required=True, help="number of strands")
+        flag("--n", type=int, required=True, help="number of strands")
 
-    def growth_flags(q):
-        q.add_argument("--k-max", type=int, default=3, help="largest k (default %(default)d)")
-        q.add_argument(
+    def growth_flags(flag):
+        flag("--k-max", type=int, default=3, help="largest k (default %(default)d)")
+        flag(
             "--window", type=int, default=DEFAULT_WINDOW, help="estimator window (default %(default)d)"
         )
-        q.add_argument("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)")
+        flag("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)")
 
-    def endo_flag(q):
-        q.add_argument(
+    def endo_flag(flag):
+        flag(
             "--endo", required=True, help="images like 'a -> a b a; b -> a b'; @path reads a file"
         )
 
-    def tol_flag(q):
-        q.add_argument(
+    def tol_flag(flag):
+        flag(
             "--tol",
             type=_tol_arg,
             default=None,
             help=f"root-isolation tolerance (default {DEFAULT_TOL:g}, or LEHMERLAB_TOL)",
         )
 
-    def budget_flag(q, text="work cap for free-group rewriting of words with inverse letters"):
-        q.add_argument(
+    def budget_flag(flag, text="work cap for free-group rewriting of words with inverse letters"):
+        flag(
             "--budget",
             type=_budget_arg,
             default=DEFAULT_BUDGET,
             help=text + " (default %(default)d)",
         )
 
-    q = add("mahler", _cmd_mahler, "Mahler measure of an integer polynomial")
-    poly_flag(q)
-    tol_flag(q)
+    flag = add("mahler", _cmd_mahler, "Mahler measure of an integer polynomial")
+    poly_flag(flag)
+    tol_flag(flag)
 
-    q = add(
+    flag = add(
         "poly-check",
         _cmd_poly_check,
         "reciprocality, cyclotomic-product, power-substitution and irreducibility checks",
     )
-    poly_flag(q)
+    poly_flag(flag)
 
-    q = add("hankel", _cmd_hankel, "Hankel determinants H_{n,k} of a sequence")
-    seq_flag(q)
-    q.add_argument("--k", type=int, required=True, help="determinant size")
-    q.add_argument("--n", type=int, default=None, help="starting index (omit for all n)")
+    flag = add("hankel", _cmd_hankel, "Hankel determinants H_{n,k} of a sequence")
+    seq_flag(flag)
+    flag("--k", type=int, required=True, help="determinant size")
+    flag("--n", type=int, default=None, help="starting index (omit for all n)")
 
-    q = add("growth", _cmd_growth, "generalized growth rates GR^(k) of a sequence")
-    seq_flag(q)
-    growth_flags(q)
-    tol_flag(q)
+    flag = add("growth", _cmd_growth, "generalized growth rates GR^(k) of a sequence")
+    seq_flag(flag)
+    growth_flags(flag)
+    tol_flag(flag)
 
-    q = add("fit-recurrence", _cmd_fit_recurrence, "minimal linear recurrence of a sequence")
-    seq_flag(q)
-    q.add_argument("--d-max", type=int, default=None, help="degree cap (default: terms/3)")
+    flag = add("fit-recurrence", _cmd_fit_recurrence, "minimal linear recurrence of a sequence")
+    seq_flag(flag)
+    flag("--d-max", type=int, default=None, help="degree cap (default: terms/3)")
 
-    q = add("lefschetz", _cmd_lefschetz, "Lefschetz numbers of an integer matrix action")
-    matrix_flag(q)
-    q.add_argument("--iters", type=int, default=16, help="number of terms (default %(default)d)")
-    q.add_argument(
+    flag = add("lefschetz", _cmd_lefschetz, "Lefschetz numbers of an integer matrix action")
+    matrix_flag(flag)
+    flag("--iters", type=int, default=16, help="number of terms (default %(default)d)")
+    flag(
         "--boundary",
         action="store_true",
         help="surface with boundary: L_n = 1 - tr A^n (default 2 - tr A^n)",
     )
-    tol_flag(q)
+    tol_flag(flag)
 
-    q = add("net-trace", _cmd_net_trace, "Moebius-inverted power sums of a polynomial's roots")
-    poly_flag(q)
-    q.add_argument("--iters", type=int, default=20, help="number of terms (default %(default)d)")
+    flag = add("net-trace", _cmd_net_trace, "Moebius-inverted power sums of a polynomial's roots")
+    poly_flag(flag)
+    flag("--iters", type=int, default=20, help="number of terms (default %(default)d)")
 
-    q = add("perron", _cmd_perron, "Perron conditions: integrality, dominant real root, net traces")
-    poly_flag(q)
-    q.add_argument("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
-    tol_flag(q)
+    flag = add("perron", _cmd_perron, "Perron conditions: integrality, dominant real root, net traces")
+    poly_flag(flag)
+    flag("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
+    tol_flag(flag)
 
-    q = add("padding", _cmd_padding, "cyclotomic factor making all net traces nonnegative")
-    poly_flag(q)
-    q.add_argument("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
-    q.add_argument("--search-bound", type=int, default=24, help="largest cyclotomic index tried")
-    q.add_argument("--max-degree", type=int, default=12, help="largest total padding degree")
-    q.add_argument("--max-mult", type=int, default=3, help="largest multiplicity per index")
-    tol_flag(q)
+    flag = add("padding", _cmd_padding, "cyclotomic factor making all net traces nonnegative")
+    poly_flag(flag)
+    flag("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
+    flag("--search-bound", type=int, default=24, help="largest cyclotomic index tried")
+    flag("--max-degree", type=int, default=12, help="largest total padding degree")
+    flag("--max-mult", type=int, default=3, help="largest multiplicity per index")
+    tol_flag(flag)
 
-    q = add("primitivity", _cmd_primitivity, "primitivity of a nonnegative integer matrix")
-    matrix_flag(q)
+    flag = add("primitivity", _cmd_primitivity, "primitivity of a nonnegative integer matrix")
+    matrix_flag(flag)
 
-    q = add("fg-iterate", _cmd_fg_iterate, "exact word lengths |phi^n(w)| under an endomorphism")
-    endo_flag(q)
-    q.add_argument("--word", default=None, help="word to iterate (default: every generator)")
-    q.add_argument("--iters", type=int, default=10, help="number of iterates (default %(default)d)")
-    budget_flag(q)
+    flag = add("fg-iterate", _cmd_fg_iterate, "exact word lengths |phi^n(w)| under an endomorphism")
+    endo_flag(flag)
+    flag("--word", default=None, help="word to iterate (default: every generator)")
+    flag("--iters", type=int, default=10, help="number of iterates (default %(default)d)")
+    budget_flag(flag)
 
-    q = add("fg-growth", _cmd_fg_growth, "generalized growth rates of an endomorphism")
-    endo_flag(q)
-    growth_flags(q)
-    q.add_argument("--iters", type=int, default=16, help="length terms used (default %(default)d)")
-    q.add_argument(
+    flag = add("fg-growth", _cmd_fg_growth, "generalized growth rates of an endomorphism")
+    endo_flag(flag)
+    growth_flags(flag)
+    flag("--iters", type=int, default=16, help="length terms used (default %(default)d)")
+    flag(
         "--sum",
         action="store_true",
         help="analyze the summed length sequence instead of per-generator maxima",
     )
-    budget_flag(q)
+    budget_flag(flag)
 
-    q = add("fg-from-matrix", _cmd_fg_from_matrix, "positive endomorphism read off a nonnegative matrix")
-    matrix_flag(q)
+    flag = add("fg-from-matrix", _cmd_fg_from_matrix, "positive endomorphism read off a nonnegative matrix")
+    matrix_flag(flag)
 
-    q = add(
+    flag = add(
         "f2-positive-aut",
         _cmd_f2_positive_aut,
         "positive automorphism of the rank-2 free group with a given abelianization",
     )
-    matrix_flag(q)
+    matrix_flag(flag)
 
-    q = add("burau", _cmd_burau, "reduced Burau matrix of a braid word")
-    braid_flags(q)
+    flag = add("burau", _cmd_burau, "reduced Burau matrix of a braid word")
+    braid_flags(flag)
 
-    q = add("alexander", _cmd_alexander, "reduced Alexander polynomial of a braid closure")
-    braid_flags(q)
+    flag = add("alexander", _cmd_alexander, "reduced Alexander polynomial of a braid closure")
+    braid_flags(flag)
 
-    q = add("lehmer-gap", _cmd_lehmer_gap, "Mahler measure of det(Burau - I)")
-    braid_flags(q)
-    tol_flag(q)
+    flag = add("lehmer-gap", _cmd_lehmer_gap, "Mahler measure of det(Burau - I)")
+    braid_flags(flag)
+    tol_flag(flag)
 
-    q = add(
+    flag = add(
         "entropy",
         _cmd_entropy,
         "entropy estimate from the growth of curves under the braid (Dynnikov coordinates)",
     )
-    braid_flags(q)
-    q.add_argument("--iters", type=int, default=12, help="iterates used (default %(default)d)")
-    q.add_argument("--no-accel", action="store_true", help="disable Aitken acceleration")
-    budget_flag(q, "echoed as inputs.budget; does not limit entropy, which builds no words")
+    braid_flags(flag)
+    flag("--iters", type=int, default=12, help="iterates used (default %(default)d)")
+    flag("--no-accel", action="store_true", help="disable Aitken acceleration")
+    budget_flag(flag, "echoed as inputs.budget; does not limit entropy, which builds no words")
 
-    return parser, sub.choices
+    return parser, table
+
+
+def _read_flags(argv):
+    """The whole tree's namespace for argv, from the flag table; None unless
+    argv[0] is a subcommand and the rest gives its required flags and others
+    at most once, each exact, as --flag=value, --flag value (value not
+    starting with '-') or a bare store_true flag, values nonempty and typed."""
+    entry = _parsers()[1].get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, actions = entry
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        action = actions.get(name)
+        if action is None or action.dest in given or (eq and action.nargs == 0):
+            return None
+        if action.nargs == 0:  # a bare store_true flag
+            given[action.dest] = action.const
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or (not eq and value[0] == "-"):
+            return None
+        try:
+            given[action.dest] = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    args = argparse.Namespace(command=argv[0])
+    for action in actions.values():
+        if action.required and action.dest not in given:
+            return None
+        setattr(args, action.dest, given.get(action.dest, action.default))
+    args.func = func
+    return args
 
 
 def _parse_args(argv):
-    """The namespace the whole tree would give, from the subcommand's own
-    parser: that skips the top level's pass over argv.  The whole tree
-    parses again where argv[0] names no subcommand or arguments are left
-    over, so every error text and exit code is its own."""
-    parser, subparsers = _parsers()
+    """The flag table's reading of argv, else the whole tree's parse: every
+    usage error, help text and abbreviation is argparse's own."""
     argv = sys.argv[1:] if argv is None else argv
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return _read_flags(argv) or _parsers()[0].parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lehmerlab
+from lehmerlab import cli
 from lehmerlab.cli import _json_text, build_parser, main
 from lehmerlab.dynamics import net_trace
 from lehmerlab.polynomial import parse_poly
@@ -119,11 +121,18 @@ def test_usage_error_exit_2(capsys):
         ["-h"],
         ["mahler", "-h"],
         [],
+        ["mahler", "--poly", "1,1", "--json-only=1"],  # a value for store_true
+        ["mahler", "--poly"],  # a flag with no value
+        ["mahler", "--poly", "-1,1"],  # a value starting with '-', space form
+        ["mahler", "--poly", "1,1", "--"],
+        ["hankel", "--seq", "1,1,2,3", "--k", "2", "--n", "x"],  # a bad int, --n
+        ["mahler", "--poly", "1,1", "--json-only", "stray"],  # a stray positional
     ],
 )
 def test_malformed_invocations_match_the_whole_parser(argv, capsys):
-    """main parses with the subcommand's own parser; where that fails, the
-    stdout, stderr and exit code are those of the whole tree's parse."""
+    """main reads argv from the subcommand's flag table; where the table
+    refuses it, the stdout, stderr and exit code are those of the whole
+    tree's parse."""
     with pytest.raises(SystemExit) as whole:
         build_parser().parse_args(argv)
     expected = capsys.readouterr()
@@ -797,6 +806,83 @@ def test_growth_layer_stdout_is_pinned(capsys):
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_golden_argv_take_the_flag_table(monkeypatch, capsys):
+    """Every pinned argv is read from the flag table: with argparse's parse
+    made to raise, each still gives its pinned exit code and stdout, while a
+    malformed argv still reaches the whole tree."""
+
+    class Parsed(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    with open(GOLDEN) as fh:
+        cases = json.load(fh)
+    assert len(cases) == 29
+    for case in cases:
+        code = main(case["argv"])
+        out, _ = capsys.readouterr()
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+    with pytest.raises(Parsed):
+        main(["mahler", "--poly", "1,1", "--json-only=1"])
+
+
+def _flag_values(rng, action):
+    """A nonempty value the action's type accepts, drawn at random."""
+    if action.type is int:
+        return str(rng.randint(-5, 40))
+    if action.type is cli._tol_arg:
+        return rng.choice(["1e-8", "0.5", "3", "2.5e-12"])
+    if action.type is cli._budget_arg:
+        return rng.choice(["0", "7", "10000000"])
+    assert action.type is None
+    return rng.choice(
+        ["1,1", "-1,-1,1", "a -> a b; b -> a", "s1 s2^-1 T^2", "[[2, 1], [1, 1]]",
+         "x=y=z", "@data.txt", "t^10 + t^9 - 1", " lead", "a@b", "^"]
+    )
+
+
+def test_flag_reader_matches_argparse():
+    """For seeded argv of every subcommand (flags in random order, both value
+    forms, optional and store_true flags present or absent), the flag table
+    reads the namespace the whole tree parses; argv it must hand on (an
+    abbreviation, a repeated flag, a value starting with '-' in the space
+    form, an empty value) reach argparse and parse as argparse parses them."""
+    table = cli._parsers()[1]
+    assert set(table) == set(ENVELOPE_CASES)
+    rng = random.Random(24)
+    for name, (_, actions) in sorted(table.items()):
+        for _ in range(40):
+            tokens = []
+            for flag, action in actions.items():
+                if not action.required and rng.random() < 0.4:
+                    continue
+                if action.nargs == 0:
+                    tokens.append([flag])
+                    continue
+                value = _flag_values(rng, action)
+                if value.startswith("-") or rng.random() < 0.5:
+                    tokens.append([f"{flag}={value}"])
+                else:
+                    tokens.append([flag, value])
+            rng.shuffle(tokens)
+            argv = [name, *(t for pair in tokens for t in pair)]
+            args = cli._read_flags(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+    endo = ["fg-iterate", "--endo", "a -> a b; b -> a"]
+    for argv in (
+        [*endo, "--it", "3"],
+        [*endo, "--iters", "3", "--iters", "5"],
+        ["hankel", "--seq", "1,1,2,3", "--k", "2", "--n", "-3"],
+        [*endo, "--word="],
+    ):
+        assert cli._read_flags(argv) is None, argv
+        assert vars(cli._parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -900,7 +986,8 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs, src on both sides."""
+    """tools/cli_diff.py on one seed's benchmark jobs, src on both sides,
+    each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
     proc = subprocess.run(
@@ -908,7 +995,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["513 jobs", "0 differ"]
+    assert proc.stdout.splitlines() == ["513 jobs, 1026 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():
@@ -926,3 +1013,18 @@ def test_job_ab_times_one_tree_against_itself():
     families = ["perron cyclotomic", "perron random", "perron reciprocal", "perron repeated"]
     assert [" ".join(row.split()[:2]) for row in rows] == families
     assert sum(int(row.split()[2]) for row in rows) == 24
+
+
+def test_job_ab_times_every_kind_without_kinds():
+    """tools/job_ab.py without --kinds times every job kind of the workload."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "job_ab.py"), src, src,
+         "--workload", "endo_growth", "--seeds", "3", "--passes", "2"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _, *rows = proc.stdout.splitlines()
+    kinds = ["f2-positive-aut", "fg-from-matrix", "fg-growth", "fg-iterate"]
+    assert [row.split()[0] for row in rows] == kinds

@@ -6,11 +6,13 @@ OLD_SRC and NEW_SRC are directories that hold a ``lehmerlab`` package, such
 as ``src`` of two checkouts.  The jobs are rounds 0-2 of each seed
 of the spectra, braids and endo_growth workloads, taken from
 perfbench/jobs.py (read, never changed).  Each side runs every job through
-``lehmerlab.cli.main`` in one subprocess of its own.
+``lehmerlab.cli.main`` in one subprocess of its own, once as the benchmark
+gives it and once without --json-only, so the summary lines on stderr are
+compared too.
 
-Prints the job count, each argv whose exit code or stdout differs between
-the sides, and the number that differ; exits 1 on any difference and 0
-when none.
+Prints the job and run counts, each argv whose exit code, stdout or stderr
+differs between the sides, and the number that differ; exits 1 on any
+difference and 0 when none.
 """
 
 import argparse
@@ -40,7 +42,7 @@ def job_argvs(seeds):
 
 
 def run_side(src, argvs):
-    """[exit code, stdout] of every argv, from one subprocess on src."""
+    """[exit code, stdout, stderr] of every argv, from one subprocess on src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
@@ -53,7 +55,7 @@ def run_side(src, argvs):
 
 
 def worker():
-    """Read argvs as JSON on stdin; write [code, stdout] pairs as JSON."""
+    """Read argvs as JSON on stdin; write [code, stdout, stderr] as JSON."""
     from lehmerlab import cli
 
     src = os.path.realpath(os.environ["PYTHONPATH"])
@@ -61,15 +63,15 @@ def worker():
         raise SystemExit(f"lehmerlab was imported from {cli.__file__}, not from {src}")
     out = []
     for argv in json.load(sys.stdin):
-        buf = io.StringIO()
+        buf, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(buf):
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
         except SystemExit as exc:
             code = f"exit {exc.code}"
         except Exception as exc:  # a traceback is a difference to report
             code = f"traceback {type(exc).__name__}: {exc}"
-        out.append([code, buf.getvalue()])
+        out.append([code, buf.getvalue(), err.getvalue()])
     json.dump(out, sys.stdout)
 
 
@@ -79,10 +81,11 @@ def main(argv=None):
     p.add_argument("new_src")
     p.add_argument("--seeds", type=int, nargs="+", default=[3, 11, 12])
     args = p.parse_args(argv)
-    argvs = job_argvs(args.seeds)
+    given = job_argvs(args.seeds)
+    argvs = given + [[t for t in a if t != "--json-only"] for a in given]
     old = run_side(args.old_src, argvs)
     new = run_side(args.new_src, argvs)
-    print(f"{len(argvs)} jobs")
+    print(f"{len(given)} jobs, {len(argvs)} runs")
     differ = [a for a, x, y in zip(argvs, old, new) if x != y]
     for a in differ:
         print("differs:", json.dumps(a))

@@ -1,20 +1,21 @@
 """Time two source trees on the same benchmark jobs, in one process.
 
-    python3 tools/job_ab.py OLD_SRC NEW_SRC --workload W --kinds K[,K...]
+    python3 tools/job_ab.py OLD_SRC NEW_SRC --workload W [--kinds K[,K...]]
                             [--seeds 3 11 12] [--passes 7] [--cold]
 
 OLD_SRC and NEW_SRC are directories that hold a ``lehmerlab`` package, such
 as ``src`` of two checkouts.  Both packages are loaded into this process
 and swapped in and out of ``sys.modules``, so lazy imports resolve to the
 side that runs.  The jobs are rounds 0-2 of each seed of workload W whose
-kind is in K, taken from perfbench/jobs.py (read, never changed).  Every
-pass runs each job through ``cli.main`` once per side, the first side
-alternating from pass to pass.  The first pass also pays for imports and
-first calls, so at least two passes are needed.  With --cold the
-benchmark's reference loop (``reference_loop`` of perfbench/run.py, read,
-never changed) runs before every timed job, outside its span, as in the
-benchmark: it evicts the caches, so each job pays its numpy, LAPACK and
-argparse paths cold.  Warm passes understate a change to those costs.
+kind is in K, or of every kind when --kinds is not given, taken from
+perfbench/jobs.py (read, never changed).  Every pass runs each job through
+``cli.main`` once per side, the first side alternating from pass to pass.
+The first pass also pays for imports and first calls, so at least two
+passes are needed.  With --cold the benchmark's reference loop
+(``reference_loop`` of perfbench/run.py, read, never changed) runs before
+every timed job, outside its span, as in the benchmark: it evicts the
+caches, so each job pays its numpy, LAPACK and argparse paths cold.  Warm
+passes understate a change to those costs.
 
 For each family (job kind and first job property) prints the job count,
 the mean over its jobs of each side's fastest pass in ms, and the change
@@ -77,7 +78,8 @@ class Side:
 
 
 def family_jobs(workload, kinds, seeds):
-    """[(family, argv)] of the workload's jobs whose kind is in kinds."""
+    """[(family, argv)] of the workload's jobs whose kind is in kinds, or
+    of all its jobs when kinds is None."""
     import jobs
 
     return [
@@ -85,7 +87,7 @@ def family_jobs(workload, kinds, seeds):
         for seed in seeds
         for index in range(3)
         for job in jobs.make_round(workload, seed, index)
-        if job.kind in kinds
+        if kinds is None or job.kind in kinds
     ]
 
 
@@ -97,14 +99,15 @@ def main(argv=None):
     p.add_argument("old_src")
     p.add_argument("new_src")
     p.add_argument("--workload", required=True, choices=sorted(jobs.ROUNDS))
-    p.add_argument("--kinds", required=True, help="comma-separated job kinds")
+    p.add_argument("--kinds", help="comma-separated job kinds (default: every kind)")
     p.add_argument("--seeds", type=int, nargs="+", default=[3, 11, 12])
     p.add_argument("--passes", type=int, default=7)
     p.add_argument("--cold", action="store_true", help="run the benchmark's reference loop before every job")
     args = p.parse_args(argv)
     if args.passes < 2:
         p.error("--passes must be at least 2")
-    found = family_jobs(args.workload, set(args.kinds.split(",")), args.seeds)
+    kinds = None if args.kinds is None else set(args.kinds.split(","))
+    found = family_jobs(args.workload, kinds, args.seeds)
     if not found:
         p.error(f"no {args.kinds} jobs in workload {args.workload}")
     families, argvs = zip(*found)
