@@ -29,7 +29,7 @@ print("A =", A.rows)
 print("char(A) =", char_poly(A))
 
 L = lefschetz_seq(A, True, 12)
-print("L_n =", [int(v) for v in L.terms])
+print("L_n =", list(L.ints))
 
 growth = max_growth_exact(L, 3)
 measure = mahler_measure(char_poly(A)).value

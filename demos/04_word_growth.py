@@ -25,16 +25,16 @@ from lehmerlab import (
 # The simplest interesting example: a -> a^3, b -> b^2.
 phi = parse_endo("a -> a^3; b -> b^2")
 print("phi:", "a -> a^3; b -> b^2")
-print("|phi^n(a)|:", [int(v) for v in iterate_lengths(phi, 1, 10).terms])
-print("|phi^n(b)|:", [int(v) for v in iterate_lengths(phi, 2, 10).terms])
+print("|phi^n(a)|:", list(iterate_lengths(phi, 1, 10).ints))
+print("|phi^n(b)|:", list(iterate_lengths(phi, 2, 10).ints))
 
 # The same map in the basis (ab, b) mixes the generators.  Lengths pick
 # up cross terms, but stay exact out to length 2 * 3^25 + 2^25 - 2.
 psi = parse_endo("a -> a b^-1 a b^-1 a b; b -> b^2")
 lengths = iterate_lengths(psi, 1, 25)
 print()
-print("conjugated basis, first terms:", [int(v) for v in lengths.terms[:6]])
-print("term 25 has", lengths.terms[-1], "letters")
+print("conjugated basis, first terms:", list(lengths.ints[:6]))
+print("term 25 has", lengths.ints[-1], "letters")
 
 # Growth rates see through the basis change: the profile is the same.
 rep = endo_growth_report(psi, k_max=4, n_terms=16)

@@ -423,7 +423,7 @@ def entropy_estimate(
     _check_terms(n_terms)
     phi = artin_endo(BraidWord(beta.n, _core(beta)))
     per = [
-        _generator_ratios(g, [int(x) for x in seq.terms], accel)
+        _generator_ratios(g, seq.ints, accel)
         for g, seq in enumerate(generator_lengths(phi, n_terms, budget), 1)
     ]
     return _largest(per, accel)

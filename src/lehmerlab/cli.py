@@ -347,8 +347,9 @@ def _cmd_fit_recurrence(args) -> tuple:
     d_max = args.d_max if args.d_max is not None else max(1, a.n_terms // 3)
     rec = fit_min_poly(a, d_max)
     inputs = {"seq": [_num(v) for v in a.terms], "d_max": d_max}
-    disp = format_poly(rec.char_int()) if rec.char_is_integral() else str(rec.char)
-    return inputs, _rec_obj(rec), [f"minimal polynomial: {disp}"]
+    obj = _rec_obj(rec)
+    disp = obj["char_display"] or ", ".join(map(str, obj["char"]))
+    return inputs, obj, [f"minimal polynomial: {disp}"]
 
 
 def _cmd_lefschetz(args) -> tuple:
@@ -363,7 +364,7 @@ def _cmd_lefschetz(args) -> tuple:
         "tol": args.tol,
     }
     result = {
-        "lefschetz": [_num(v) for v in seq.terms],
+        "lefschetz": list(seq.ints),
         "char": _poly_obj(char),
         "mahler_char": m.value,
     }
@@ -379,7 +380,7 @@ def _cmd_net_trace(args) -> tuple:
     nets = net_traces(f, args.iters)
     first_bad = next((i + 1 for i, v in enumerate(nets) if v < 0), None)
     inputs = {"poly": _poly_obj(f), "n_terms": args.iters}
-    result = {"net_traces": [_num(v) for v in nets], "first_negative_n": first_bad}
+    result = {"net_traces": nets, "first_negative_n": first_bad}
     tail = "all nonnegative" if first_bad is None else f"first negative at n = {first_bad}"
     return inputs, result, [f"net traces for n = 1..{args.iters}: {tail}"]
 
@@ -416,7 +417,7 @@ def _cmd_padding(args) -> tuple:
             {
                 "phi": _poly_obj(pad.phi),
                 "indices": list(pad.indices),
-                "net": [_num(v) for v in pad.net],
+                "net": list(pad.net),
             }
         )
     inputs = {
@@ -453,12 +454,12 @@ def _cmd_fg_iterate(args) -> tuple:
     if args.word is not None:
         w = parse_word(_read_arg(args.word), rank=phi.rank)
         seq = iterate_lengths(phi, w, args.iters, budget=args.budget)
-        result = {"word": format_word(w), "lengths": [_num(v) for v in seq.terms]}
+        result = {"word": format_word(w), "lengths": list(seq.ints)}
         summary = [f"|phi^n({format_word(w)})| for n = 1..{args.iters}"]
     else:
         seqs = generator_lengths(phi, args.iters, budget=args.budget)
         per = {
-            format_word(Word.gen(phi.rank, g)): [_num(v) for v in seq.terms]
+            format_word(Word.gen(phi.rank, g)): list(seq.ints)
             for g, seq in enumerate(seqs, 1)
         }
         result = {"per_generator": per}
@@ -706,7 +707,7 @@ def _parsers():
 
     flag = add("fit-recurrence", _cmd_fit_recurrence, "minimal linear recurrence of a sequence")
     seq_flag(flag)
-    flag("--d-max", type=int, default=None, help="degree cap (default: terms/3)")
+    flag("--d-max", type=int, default=None, help="degree cap (default: max(1, terms // 3))")
 
     flag = add("lefschetz", _cmd_lefschetz, "Lefschetz numbers of an integer matrix action")
     matrix_flag(flag)

@@ -94,7 +94,7 @@ def trace_powers(a: IntMatrix | IntPoly, n_terms: int) -> ExactSeq:
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     char = a if isinstance(a, IntPoly) else char_poly(a)
-    return ExactSeq.of(newton_power_sums(char, n_terms))
+    return ExactSeq(newton_power_sums(char, n_terms))
 
 
 def lefschetz_seq(
@@ -103,17 +103,13 @@ def lefschetz_seq(
     """L_n = 1 - tr A^n for surfaces with boundary, 2 - tr A^n without;
     ``a`` is A or its characteristic polynomial, as for ``trace_powers``."""
     base = 1 if has_boundary else 2
-    return ExactSeq.of([base - t for t in trace_powers(a, n_terms).terms])
+    return ExactSeq([base - t for t in trace_powers(a, n_terms).ints])
 
 
 def signed_trace_seq(system: SignedShiftSystem, n_terms: int) -> ExactSeq:
     """F_n as the signed sum of power traces across the system's matrices."""
-    parts = [
-        (sign, trace_powers(m, n_terms).terms) for sign, m in system.terms
-    ]
-    return ExactSeq.of(
-        [sum(sign * ts[i] for sign, ts in parts) for i in range(n_terms)]
-    )
+    parts = [(sign, trace_powers(m, n_terms).ints) for sign, m in system.terms]
+    return ExactSeq([sum(sign * ts[i] for sign, ts in parts) for i in range(n_terms)])
 
 
 def moebius(n: int) -> int:

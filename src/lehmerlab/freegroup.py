@@ -147,9 +147,7 @@ def iterate_lengths(
         raise ValueError("rank mismatch")
     if w.is_positive() and _is_positive(phi):
         e = [w.exponent_sum(i) for i in range(1, phi.rank + 1)]
-        return ExactSeq.of(
-            [sum(map(operator.mul, u, e)) for u in _length_rows(phi, n_terms)]
-        )
+        return ExactSeq([sum(map(operator.mul, u, e)) for u in _length_rows(phi, n_terms)])
     return _block_lengths(phi, (w,), n_terms, budget)[0]
 
 
@@ -165,7 +163,7 @@ def generator_lengths(
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     if _is_positive(phi):
-        return tuple(ExactSeq.of(col) for col in zip(*_length_rows(phi, n_terms)))
+        return tuple(map(ExactSeq, zip(*_length_rows(phi, n_terms))))
     gens = [Word.gen(phi.rank, g) for g in range(1, phi.rank + 1)]
     return _block_lengths(phi, gens, n_terms, budget)
 
@@ -181,7 +179,7 @@ def _block_lengths(phi: Endo, words, n_terms: int, budget: int):
         for _ in range(n_terms):
             w = apply_endo_blocks(images, w, Budget(budget))
             lengths.append(w.length())
-        seqs.append(ExactSeq.of(lengths))
+        seqs.append(ExactSeq(lengths))
     return tuple(seqs)
 
 
@@ -235,8 +233,8 @@ def growth_report_sum(
 ) -> GrowthReport:
     """Growth report of the single sequence sum_i |phi^n(g_i)|."""
     _check_report_args(k_max, window, d_max)
-    per_gen = [s.terms for s in generator_lengths(phi, n_terms, budget)]
-    summed = ExactSeq.of([sum(col) for col in zip(*per_gen)])
+    per_gen = [s.ints for s in generator_lengths(phi, n_terms, budget)]
+    summed = ExactSeq([sum(col) for col in zip(*per_gen)])
     return seq_growth_reports((summed,), k_max, window=window, d_max=d_max)[0]
 
 

@@ -1050,25 +1050,18 @@ def mahler_measure(f: IntPoly, tol: float = DEFAULT_TOL) -> MahlerResult:
     return MahlerResult(value, lower, upper, exact, rl)
 
 
-def _as_fractions(values) -> tuple[Fraction, ...]:
-    """The values as Fractions; those that already are are kept as they are."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-
-def clear_fractions(values) -> tuple[tuple[int, ...], int]:
-    """(D*v_1, ..., D*v_n) as integers, and D, the lcm of the denominators
-    of the rationals v_i; D = 1 when every v_i is an integer."""
-    fs = _as_fractions(values)
+def clear_denominators(values) -> tuple[tuple[int, ...], int]:
+    """(D*v_1, ..., D*v_n) as integers and D, the lcm of the denominators of
+    the rationals v_i, in lowest terms.  Integers (anything ``operator.index``
+    takes: ints, bools, numpy integers) give themselves and D = 1, and no
+    Fraction is built; any other value is read as ``Fraction(v)``."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values)), 1
+    except TypeError:
+        fs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     d = math.lcm(*(f.denominator for f in fs))
-    if d == 1:
-        return tuple(f.numerator for f in fs), 1
     return tuple(f.numerator * (d // f.denominator) for f in fs), d
-
-
-def clear_denominators(coeffs) -> tuple[IntPoly, int]:
-    """(D*f, D) for rational coefficients of f, D the lcm of their denominators."""
-    ints, d = clear_fractions(coeffs)
-    return IntPoly(ints), d
 
 
 def mahler_of_fraction_poly(coeffs, tol: float = DEFAULT_TOL) -> float:
@@ -1077,10 +1070,10 @@ def mahler_of_fraction_poly(coeffs, tol: float = DEFAULT_TOL) -> float:
     Clears denominators: M(f) = M(D*f) / D for the lcm D, since the measure
     is multiplicative and M(constant) = |constant|.
     """
-    f, d = clear_denominators(coeffs)
-    if not f:
+    ints, d = clear_denominators(coeffs)
+    if not any(ints):
         raise ValueError("zero polynomial")
-    return mahler_measure(f, tol).value / d
+    return mahler_measure(IntPoly(ints), tol).value / d
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Sequences are 1-indexed rationals (terms[0] is a_1).  Everything except the
 floating-point growth estimates is exact, and all of it runs on plain
-integers: each sequence keeps one integer view D*a (``ExactSeq.scaled``, D
-the lcm of the denominators), and H_{n,k}(D*a) = D^k H_{n,k}(a).  A whole
+integers: a sequence is stored only as its integer view D*a (``ExactSeq``'s
+``ints`` and ``den``, D the lcm of the denominators; an integer sequence
+has D = 1 and no Fraction), and H_{n,k}(D*a) = D^k H_{n,k}(a).  A whole
 table of Hankel determinants, every start n and every size up to k, is one
 number wall over that view (Lunnon, J. Integer Sequences 4, 2001): row k+1
 comes from rows k and k-1 by the Desnanot-Jacobi identity, with one exact
@@ -16,15 +17,14 @@ recurrence comes back as Fractions.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, bareiss_det, clear_denominators
-from .polynomial import _as_fractions, clear_fractions, mahler_of_fraction_poly, roots
+from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, bareiss_det
+from .polynomial import clear_denominators, mahler_of_fraction_poly, roots
 
 DEFAULT_WINDOW = 8
 
@@ -35,37 +35,47 @@ class NoRecurrenceFound(Exception):
 
 @dataclass(frozen=True)
 class ExactSeq:
-    """Finite prefix a_1 ... a_N of a sequence, stored as exact rationals."""
+    """Finite prefix a_1 ... a_N of a rational sequence, stored as its
+    integer view: a_n = ints[n-1] / den, in lowest terms (den >= 1 and
+    gcd(den, *ints) = 1), so equal sequences compare equal."""
 
-    terms: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _as_fractions(self.terms))
-        if not self.terms:
+        ints = _int_list(self.ints, "term a_{}", 1)
+        den = _int_arg(self.den, "den")
+        if not ints:
             raise ValueError("a sequence needs at least one term")
+        if den < 1:
+            raise ValueError(f"den = {den} must be at least 1")
+        g = math.gcd(den, *ints) if den > 1 else 1
+        if g > 1:
+            ints, den = [v // g for v in ints], den // g
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def of(cls, values) -> "ExactSeq":
-        return cls(tuple(values))
+        """The sequence of the values: ints, or anything Fraction reads."""
+        return cls(*clear_denominators(values))
+
+    @property
+    def terms(self) -> tuple:
+        """The terms themselves: the ints when den is 1, Fractions otherwise."""
+        if self.den == 1:
+            return self.ints
+        return tuple(Fraction(v, self.den) for v in self.ints)
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self.ints)
 
-    def get(self, n: int) -> Fraction:
+    def get(self, n: int) -> Fraction | int:
         """1-indexed access, matching a_n."""
-        if not 1 <= n <= len(self.terms):
-            raise IndexError(f"index {n} outside 1..{len(self.terms)}")
+        if not 1 <= n <= len(self.ints):
+            raise IndexError(f"index {n} outside 1..{len(self.ints)}")
         return self.terms[n - 1]
-
-    def is_integral(self) -> bool:
-        return self.scaled[1] == 1
-
-    @functools.cached_property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """(ints, D): the terms times D as integers, D the lcm of their
-        denominators.  Computed on first use and kept."""
-        return clear_fractions(self.terms)
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,8 @@ class Recurrence:
     init: tuple[Fraction, ...]
 
     def __post_init__(self):
-        char = _as_fractions(self.char)
-        init = _as_fractions(self.init)
+        char = tuple(map(Fraction, self.char))
+        init = tuple(map(Fraction, self.init))
         if not char or char[-1] != 1:
             raise ValueError("characteristic polynomial must be monic")
         if len(init) != len(char) - 1:
@@ -131,8 +141,7 @@ def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
         raise ValueError(f"Hankel window (n={n}, k={k}) exceeds {a.n_terms} terms")
     if k == 0:
         return Fraction(1)
-    ints, den = a.scaled
-    return Fraction(_hankel_int(ints, n, k), den**k)
+    return Fraction(_hankel_int(a.ints, n, k), a.den**k)
 
 
 def _hankel_int(ints, n: int, k: int) -> int:
@@ -177,9 +186,8 @@ def hankel_values(a: ExactSeq, k: int):
         raise ValueError(
             f"a Hankel window of size k={k} needs {2 * k - 1} terms, have {a.n_terms}"
         )
-    ints, den = a.scaled
-    scale = den**k
-    return [(n, Fraction(h, scale)) for n, h in enumerate(_number_wall(ints, k)[k], 1)]
+    scale = a.den**k
+    return [(n, Fraction(h, scale)) for n, h in enumerate(_number_wall(a.ints, k)[k], 1)]
 
 
 def growth_rate(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW) -> float:
@@ -213,7 +221,7 @@ def _window_estimates(a: ExactSeq, k_max: int, window: int, k_min: int = 0):
     k_max's last window on (from a_1 when that row is shorter).  The wall
     holds D^k H_{n,k}(a); only rows k_min..k_max are read as floats.
     """
-    ints, den = a.scaled
+    ints, den = a.ints, a.den
     rows = _number_wall(ints[max(0, len(ints) - 2 * k_max + 2 - window) :], k_max)
     out = []
     for k in range(k_min, k_max + 1):
@@ -287,7 +295,7 @@ def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurren
             f"need at least {2 * d_max + margin} terms to fit degree {d_max}, "
             f"have {a.n_terms}"
         )
-    ts, _ = a.scaled
+    ts = a.ints
     # c is an integer multiple of the connection polynomial 1 + c_1 x + ...
     # + c_L x^L, with c_0 a_n + c_1 a_{n-1} + ... + c_L a_{n-L} = 0 for
     # L <= n < N; b is c as it was before L last changed, b_disc the
@@ -328,7 +336,7 @@ def seq_from_recurrence(r: Recurrence, n_terms: int) -> ExactSeq:
     out = list(r.init[:n_terms])
     while len(out) < n_terms:
         out.append(-sum(r.char[i] * out[len(out) - d + i] for i in range(d)))
-    return ExactSeq(tuple(out))
+    return ExactSeq.of(out)
 
 
 @dataclass(frozen=True)
@@ -351,8 +359,8 @@ def growth_rates_from_char(char, k_max: int, tol: float = DEFAULT_TOL):
     GR^(k) is the product of the k largest root moduli (with multiplicity),
     the first k of ``roots``, and 0 beyond the degree.
     """
-    f, _ = clear_denominators(char)
-    mags = [abs(z) for z, _ in roots(f, tol)]
+    ints, _ = clear_denominators(char)
+    mags = [abs(z) for z, _ in roots(IntPoly(ints), tol)]
     out = [1.0]
     for k in range(1, k_max + 1):
         out.append(out[-1] * mags[k - 1] if k <= len(mags) else 0.0)
@@ -459,8 +467,8 @@ class TailComparison:
 def _outside_roots(rec: Recurrence, tol: float):
     """Centers of the certified roots outside the unit circle, in ``roots``
     order."""
-    f, _ = clear_denominators(rec.char)
-    return tuple(z for z, r in roots(f, tol) if abs(z) - r > 1)
+    ints, _ = clear_denominators(rec.char)
+    return tuple(z for z, r in roots(IntPoly(ints), tol) if abs(z) - r > 1)
 
 
 def tail_equivalence(
@@ -499,9 +507,9 @@ def eventually_periodic(a: ExactSeq, min_evidence: int = 3) -> Periodicity | Non
     """
     if min_evidence < 1:
         raise ValueError("min_evidence must be >= 1")
-    if not a.is_integral():
+    if a.den != 1:
         raise ValueError("periodicity detection expects integer terms")
-    ts = a.terms
+    ts = a.ints
     n = len(ts)
     for p in range(1, n // min_evidence + 1):
         q = 0
@@ -525,9 +533,10 @@ _TERM_RE = re.compile(
 )
 
 
-def _terms(text: str) -> list[Fraction]:
+def _terms(text: str) -> list[int | Fraction]:
     """Comma-separated terms, each matched against an ASCII pattern so that
-    a bad one is named instead of read by Fraction's wider grammar."""
+    a bad one is named instead of read by Fraction's wider grammar; an
+    integer term stays an int."""
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
     out = []
     for p in parts:
@@ -537,7 +546,7 @@ def _terms(text: str) -> list[Fraction]:
                 f"bad term {p!r}: expected comma-separated integers, fractions "
                 "p/q with q > 0 or decimals, such as 1,-2/3,1.5"
             )
-        out.append(Fraction(int(p)) if match.group(1) else Fraction(p))
+        out.append(int(p) if match.group(1) else Fraction(p))
     return out
 
 
@@ -546,7 +555,7 @@ def parse_seq(text: str) -> ExactSeq:
     terms = _terms(text)
     if not terms:
         raise ValueError("empty sequence")
-    return ExactSeq(tuple(terms))
+    return ExactSeq.of(terms)
 
 
 def parse_recurrence(text: str) -> Recurrence:

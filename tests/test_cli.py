@@ -245,6 +245,14 @@ def test_fit_recurrence(capsys):
     assert doc["result"]["char"] == [-1, -1, 1]
     assert doc["result"]["char_display"] == "t^2-t-1"
     assert doc["result"]["init"] == [1, 1]
+    _, _, err = run_json(["fit-recurrence", "--seq", "1,1,2,3,5,8,13,21,34"], capsys)
+    assert err == "minimal polynomial: t^2-t-1\n"
+    # A rational characteristic polynomial reads as the JSON spells it.
+    code, doc, err = run_json(["fit-recurrence", "--seq=1/2,1/4,1/8,1/16"], capsys)
+    assert code == 0
+    assert doc["result"]["char"] == ["-1/2", 1]
+    assert doc["result"]["char_display"] is None
+    assert err == "minimal polynomial: -1/2, 1\n"
 
 
 def test_growth_entries(capsys):
@@ -1028,3 +1036,50 @@ def test_job_ab_times_every_kind_without_kinds():
     _, *rows = proc.stdout.splitlines()
     kinds = ["f2-positive-aut", "fg-from-matrix", "fg-growth", "fg-iterate"]
     assert [row.split()[0] for row in rows] == kinds
+
+
+def test_integer_routes_build_no_fraction(monkeypatch):
+    """Integer sequences stay ints from producer to JSON: not one Fraction
+    is built on these routes."""
+    from lehmerlab.braid import BraidWord, entropy_estimate
+    from lehmerlab.dynamics import (
+        IntMatrix, SignedShiftSystem, lefschetz_seq, signed_trace_seq, trace_powers,
+    )
+    from lehmerlab.freegroup import generator_lengths, iterate_lengths, parse_endo
+    from lehmerlab.sequence import parse_seq
+
+    a = IntMatrix(((1, 1), (1, 0)))
+    b = IntMatrix(((2, 1, 0), (0, 1, 1), (1, 0, 3)))
+    positive = parse_endo("a -> a b; b -> a")
+    cancelling = parse_endo("a -> a b a^-1; b -> b a")
+    routes = {
+        "parse_seq": lambda: parse_seq("1,1,2,3,5").terms == (1, 1, 2, 3, 5),
+        "trace_powers": lambda: trace_powers(a, 6).terms == (1, 3, 4, 7, 11, 18),
+        "lefschetz_seq": lambda: lefschetz_seq(b, True, 6).terms[0] == -5,
+        "signed_trace_seq": lambda: signed_trace_seq(
+            SignedShiftSystem(((1, b), (-1, a))), 6
+        ).terms[0] == 5,
+        "iterate_lengths": lambda: [
+            iterate_lengths(phi, 1, 8).terms[:2] for phi in (positive, cancelling)
+        ] == [(2, 3), (3, 8)],
+        "generator_lengths": lambda: [
+            [s.terms[0] for s in generator_lengths(phi, 8)] for phi in (positive, cancelling)
+        ] == [[2, 1], [3, 2]],
+        "entropy_estimate": lambda: entropy_estimate(BraidWord(3, (1, -2)), 8).gr1 > 2,
+        "fg-iterate": lambda: main(
+            ["fg-iterate", "--endo", "a -> a b; b -> a", "--iters", "12", "--json-only"]
+        ) == 0,
+    }
+    real = Fraction.__new__
+    counts = {}
+    for name, route in routes.items():
+        counts[name] = 0
+
+        def counted(cls, *args, _name=name, **kwargs):
+            counts[_name] += 1
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        assert route(), name
+        monkeypatch.undo()
+    assert counts == dict.fromkeys(routes, 0)

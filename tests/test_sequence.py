@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lehmerlab.polynomial import IntPoly, poly_from_roots
+from lehmerlab.polynomial import IntPoly, clear_denominators, poly_from_roots
 from lehmerlab.sequence import (
     ExactSeq,
     NoRecurrenceFound,
@@ -568,14 +569,31 @@ def test_fraction_free_fit_matches_fraction_bm():
 
 
 def test_scaled_view_clears_denominators_once():
+    """ExactSeq keeps only its integer view: ints and den, in lowest terms,
+    cleared by polynomial.clear_denominators."""
     a = ExactSeq.of([Fraction(1, 2), Fraction(-2, 3), 4, 0])
-    assert a.scaled == ((3, -4, 24, 0), 6)
-    assert a.scaled is a.scaled
-    assert not a.is_integral()
-    b = ExactSeq.of([3, -1, 0])
-    assert b.scaled == ((3, -1, 0), 1) and b.is_integral()
-    half = Fraction(1, 2)
-    assert ExactSeq.of([half]).terms[0] is half
+    assert (a.ints, a.den) == ((3, -4, 24, 0), 6)
+    assert a.terms == (Fraction(1, 2), Fraction(-2, 3), 4, 0)
+    for values, ints in (
+        ([3, -1, 0], (3, -1, 0)),
+        ([True, False, 2], (1, 0, 2)),
+        ([np.int64(3), np.int8(-1), 0], (3, -1, 0)),
+    ):
+        b = ExactSeq.of(values)
+        assert (b.ints, b.den) == (ints, 1)
+        assert all(type(v) is int for v in b.ints)
+        assert b.terms is b.ints
+    c = ExactSeq.of([0.5, "2/3", "-1", 1.25])
+    assert (c.ints, c.den) == ((6, 8, -12, 15), 12)
+    assert ExactSeq.of([1, 2]) == ExactSeq.of([Fraction(1), Fraction(2)])
+    assert ExactSeq.of([1, 2]).ints == clear_denominators([1, 2])[0]
+    d = ExactSeq((2, 4), 2)
+    assert (d.ints, d.den) == ((1, 2), 1) and d == ExactSeq.of([1, 2])
+    assert ExactSeq((0, 6), 4) == ExactSeq.of([0, Fraction(3, 2)])
+    for ints, den in (((Fraction(1, 2),), 1), ((1.0,), 1), (("1",), 1), ((1,), 0),
+                      ((1,), -2), ((1,), 1.5), ((), 1)):
+        with pytest.raises(ValueError):
+            ExactSeq(ints, den)
 
 
 def test_hankel_on_rational_sequences_matches_cofactor_oracle():
@@ -656,7 +674,7 @@ def test_number_wall_matches_bareiss_windows(monkeypatch):
         return real(ints, n, k)
 
     for family, a in _wall_cases(random.Random(1901)):
-        ints, _ = a.scaled
+        ints = a.ints
         monkeypatch.setattr(S, "_hankel_int", counted)
         rows = S._number_wall(ints, 8)
         monkeypatch.setattr(S, "_hankel_int", real)

@@ -4,8 +4,9 @@
 
 OLD_SRC and NEW_SRC are directories that hold a ``lehmerlab`` package, such
 as ``src`` of two checkouts.  The jobs are rounds 0-2 of each seed
-of the spectra, braids and endo_growth workloads, taken from
-perfbench/jobs.py (read, never changed).  Each side runs every job through
+of the spectra, braids and endo_growth workloads, the job list of
+tools/job_ab.py (``family_jobs``, from perfbench/jobs.py, read, never
+changed).  Each side runs every job through
 ``lehmerlab.cli.main`` in one subprocess of its own, once as the benchmark
 gives it and once without --json-only, so the summary lines on stderr are
 compared too.
@@ -23,22 +24,17 @@ import os
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("spectra", "braids", "endo_growth")
 
 
 def job_argvs(seeds):
-    sys.path.insert(0, PERFBENCH)
-    import jobs
+    """The argv of every job of the three workloads, from the job list
+    tools/job_ab.py times."""
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    import job_ab
 
-    return [
-        job.argv
-        for workload in WORKLOADS
-        for seed in seeds
-        for index in range(3)
-        for job in jobs.make_round(workload, seed, index)
-    ]
+    sys.path.insert(0, job_ab.PERFBENCH)
+    return [argv for w in WORKLOADS for _, argv in job_ab.family_jobs(w, None, seeds)]
 
 
 def run_side(src, argvs):
