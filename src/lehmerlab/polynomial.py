@@ -4,7 +4,8 @@ Coefficients are stored in ascending order of degree, so ``IntPoly((1, 0, -2))``
 is ``1 - 2*t^2``.  All ring arithmetic is exact over Z (or Q where division
 requires it); floating point only enters through the numeric root finder,
 which returns certified error radii alongside every approximation.  The
-companion-matrix roots from ``np.roots`` are certified in float64 by
+eigenvalues of the companion matrix (built as ``np.roots`` builds it, so the
+starts are np.roots's to the bit) are certified in float64 by
 Weierstrass disks whose radii are rigorous under rounding; when that bound
 fails, the same correction is iterated at dyadic centers, whose disks are
 certified in exact integer arithmetic.  Pairwise disjoint disks prove the
@@ -699,19 +700,28 @@ def _weierstrass_step(a, z):
 
 
 def _eigenvalues(coeffs):
-    """np.roots of the integer coefficients (ascending), or fixed starts where it fails.
+    """np.roots of the integer coefficients (ascending) over lc, or fixed
+    starts where it fails, from the companion matrix np.roots builds.
 
-    np.roots gets c / lc: CPython's int true division is correctly rounded,
-    so each entry equals float(Fraction(c, lc)).
+    Each c / lc is float(Fraction(c, lc)): CPython's int true division is
+    correctly rounded.  As in np.roots, zero constant terms are stripped
+    and their zero roots come last, and the matrix has -p[1:] / p[0] as
+    row 0 (p descending, p[0] = 1) and ones on the subdiagonal.
     """
     import numpy as np
 
     n, lc = len(coeffs) - 1, coeffs[-1]
     try:
-        start = np.roots([c / lc for c in reversed(coeffs)])
-        if len(start) != n:
-            raise ValueError
-    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        p = [c / lc for c in coeffs]
+        zeros = next(i for i, v in enumerate(p) if v)
+        m = n - zeros
+        a = np.zeros((m, m))
+        a.flat[m :: m + 1] = 1
+        a[:1] = [-v for v in reversed(p[zeros:-1])]
+        start = np.linalg.eigvals(a)
+        if zeros:
+            start = np.concatenate((start, np.zeros(zeros, start.dtype)))
+    except (OverflowError, np.linalg.LinAlgError):
         start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
     return start
 
@@ -765,7 +775,7 @@ def _certified_roots(coeffs, tol):
     connected component of m disks D(z_j, r_j) holds exactly m roots:
     r_j >= n|W_j| for the Weierstrass corrections
     W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
-    Carstensen).  The order of work: the np.roots eigenvalues
+    Carstensen).  The order of work: the companion eigenvalues
     (_eigenvalues), one float64 Weierstrass step (_float64_step) and the
     float64 certificate (_float64_disks); when that fails (a coefficient
     of 2^53 or more, a cluster, overflow) _weierstrass_exact iterates the
@@ -877,6 +887,22 @@ def _overlaps(zs, radii):
     return near
 
 
+def _disjoint(zs, radii) -> bool:
+    """not _overlaps(zs, radii).any(), on Python floats (abs(complex) is the
+    same C hypot), sweeping the disks by real part: once
+    (Re z_j - Re z_i)(1 - 8u) > r_i + max r, disk i meets neither disk j nor
+    any later one, since hypot(dx, dy) >= |dx|."""
+    disks = sorted(zip(zs, radii), key=lambda d: d[0].real)
+    r_max, shrink = max(radii), 1 - 8 * _U
+    for i, (zi, ri) in enumerate(disks):
+        for zj, rj in disks[i + 1 :]:
+            if (zj.real - zi.real) * shrink > ri + r_max:
+                break
+            if abs(zi - zj) * shrink <= ri + rj:
+                return False
+    return True
+
+
 def _recognize_rational_roots(g: IntPoly, zs, radii, near):
     """Replace, in place, each certified disk of g that holds a rational
     root by that root rounded to float64, with its rounding distance.
@@ -954,12 +980,12 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
 
     The order of work, on the primitive part p of f with lc(p) > 0:
 
-    1. The np.roots eigenvalues of p, one float64 Weierstrass step and the
+    1. The companion eigenvalues of p, one float64 Weierstrass step and the
        float64 certificate of _certified_roots, with no exact escalation.
        The certificate is skipped when the step moved an eigenvalue by
        more than _CLUSTER_STEP, the mark of a multiple root or a cluster.
     2. If every radius is below tol/4 and the n disks are pairwise
-       disjoint (no True in their _overlaps matrix), p is squarefree, and
+       disjoint (_disjoint, a sweep by real part), p is squarefree, and
        the Yun decomposition is skipped.  Proof: the disks contain the
        Gerschgorin discs of a matrix whose characteristic polynomial is
        p/lc (Carstensen), so each connected component of m disks holds m
@@ -994,8 +1020,7 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     step = _float64_step(coeffs, _eigenvalues(coeffs))
     quiet = step is not None and step[2] <= _CLUSTER_STEP
     disks = _float64_disks(step, tol) if quiet else None
-    near = _overlaps(*disks) if disks else None
-    if near is not None and not near.any():
+    if disks and _disjoint(*disks):
         zs, radii = disks  # p is squarefree
         near = _recognize_rational_roots(p, zs, radii, None)
     else:
@@ -1062,18 +1087,6 @@ def clear_denominators(values) -> tuple[tuple[int, ...], int]:
         fs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     d = math.lcm(*(f.denominator for f in fs))
     return tuple(f.numerator * (d // f.denominator) for f in fs), d
-
-
-def mahler_of_fraction_poly(coeffs, tol: float = DEFAULT_TOL) -> float:
-    """Mahler measure of a rational-coefficient polynomial.
-
-    Clears denominators: M(f) = M(D*f) / D for the lcm D, since the measure
-    is multiplicative and M(constant) = |constant|.
-    """
-    ints, d = clear_denominators(coeffs)
-    if not any(ints):
-        raise ValueError("zero polynomial")
-    return mahler_measure(IntPoly(ints), tol).value / d
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ comes from rows k and k-1 by the Desnanot-Jacobi identity, with one exact
 integer division per entry.  A single window, or an entry whose divisor is
 0, is one Bareiss determinant (``polynomial.bareiss_det``).  Recurrence
 fitting is one fraction-free Berlekamp-Massey pass over the view, since
-scaling a sequence changes none of its recurrences.  Only the fitted
-recurrence comes back as Fractions.
+scaling a sequence changes none of its recurrences; the fitted
+``Recurrence`` is kept on integers too.
 """
 
 from __future__ import annotations
@@ -23,14 +23,25 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, bareiss_det
-from .polynomial import clear_denominators, mahler_of_fraction_poly, roots
+from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, _strip, bareiss_det
+from .polynomial import clear_denominators, mahler_measure, roots
 
 DEFAULT_WINDOW = 8
 
 
 class NoRecurrenceFound(Exception):
     """No linear recurrence of the allowed degree fits all supplied terms."""
+
+
+def _lowest(ints, den):
+    """ints / den in lowest terms: (tuple of ints, den), for den >= 1."""
+    g = math.gcd(den, *ints) if den > 1 else 1
+    return (tuple(v // g for v in ints), den // g) if g > 1 else (tuple(ints), den)
+
+
+def _ratios(ints, den) -> tuple:
+    """ints / den: the ints themselves when den is 1, Fractions otherwise."""
+    return ints if den == 1 else tuple(Fraction(v, den) for v in ints)
 
 
 @dataclass(frozen=True)
@@ -49,11 +60,8 @@ class ExactSeq:
             raise ValueError("a sequence needs at least one term")
         if den < 1:
             raise ValueError(f"den = {den} must be at least 1")
-        g = math.gcd(den, *ints) if den > 1 else 1
-        if g > 1:
-            ints, den = [v // g for v in ints], den // g
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "den", den)
+        ints, den = _lowest(ints, den)
+        vars(self).update(ints=ints, den=den)
 
     @classmethod
     def of(cls, values) -> "ExactSeq":
@@ -62,10 +70,8 @@ class ExactSeq:
 
     @property
     def terms(self) -> tuple:
-        """The terms themselves: the ints when den is 1, Fractions otherwise."""
-        if self.den == 1:
-            return self.ints
-        return tuple(Fraction(v, self.den) for v in self.ints)
+        """The terms themselves, as ``_ratios``."""
+        return _ratios(self.ints, self.den)
 
     @property
     def n_terms(self) -> int:
@@ -78,34 +84,51 @@ class ExactSeq:
         return self.terms[n - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Recurrence:
-    """Monic recurrence: char coefficients ascending (char[-1] == 1), exact."""
+    """Recurrence(char, init) from a monic rational char and init, stored on
+    integers: char = coeffs / lc for one primitive vector coeffs (ascending,
+    lc = coeffs[-1] > 0) and init = ints / den in lowest terms."""
 
-    char: tuple[Fraction, ...]
-    init: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+    ints: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        char = tuple(map(Fraction, self.char))
-        init = tuple(map(Fraction, self.init))
-        if not char or char[-1] != 1:
+    def __init__(self, char, init):
+        cs, lc = clear_denominators(char)
+        ints, den = clear_denominators(init)
+        if not cs or cs[-1] != lc:
             raise ValueError("characteristic polynomial must be monic")
-        if len(init) != len(char) - 1:
+        if len(ints) != len(cs) - 1:
             raise ValueError("init length must equal the recurrence degree")
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "init", init)
+        vars(self).update(coeffs=cs, ints=ints, den=den)
+
+    @classmethod
+    def _of(cls, coeffs, ints, den) -> "Recurrence":
+        """The recurrence of a primitive vector with lc > 0 and init ints / den."""
+        rec, (ints, den) = object.__new__(cls), _lowest(ints, den)
+        vars(rec).update(coeffs=tuple(coeffs), ints=ints, den=den)
+        return rec
 
     @property
     def degree(self) -> int:
-        return len(self.char) - 1
+        return len(self.coeffs) - 1
+
+    @property
+    def char(self) -> tuple:
+        return _ratios(self.coeffs, self.coeffs[-1])
+
+    @property
+    def init(self) -> tuple:
+        return _ratios(self.ints, self.den)
 
     def char_is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.char)
+        return self.coeffs[-1] == 1
 
     def char_int(self) -> IntPoly:
-        if not self.char_is_integral():
+        if self.coeffs[-1] != 1:
             raise ValueError("characteristic polynomial has non-integer coefficients")
-        return IntPoly(tuple(int(c) for c in self.char))
+        return IntPoly(self.coeffs)
 
     def rational_form(self):
         """Numerator and denominator of sum a_n t^n read 0-based from init.
@@ -114,17 +137,9 @@ class Recurrence:
         characteristic polynomial (constant term 1), so that
         sum_{n>=0} a_n t^n = numer(t) / denom(t) with a_0 = first init term.
         """
-        d = self.degree
-        denom = tuple(self.char[d - j] for j in range(d + 1))
-        numer = []
-        for k in range(d):
-            b = Fraction(0)
-            for j in range(k + 1):
-                b += denom[j] * self.init[k - j]
-            numer.append(b)
-        while numer and numer[-1] == 0:
-            numer.pop()
-        return tuple(numer), denom
+        lc, rev, ints = self.coeffs[-1], self.coeffs[::-1], self.ints
+        numer = _strip(sum(map(operator.mul, rev, ints[k::-1])) for k in range(len(ints)))
+        return _ratios(numer, lc * self.den), _ratios(rev, lc)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +290,12 @@ def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurren
     The pass is fraction-free, over the integer view D*a, which satisfies
     exactly the recurrences of a.  Over Q the connection polynomial is
     updated as c <- c - (disc/b_disc) x^shift b, with c_0 = 1 and disc =
-    sum_{i<=L} c_i a_{n-i}.  Here c and b are integer vectors, c = lam*c_Q
-    and b = mu*b_Q for nonzero lam and mu; the discrepancies computed from
-    them are then lam*disc_Q and mu*b_disc_Q, so they vanish at the same
-    steps, and the update c <- b_disc*c - disc*x^shift*b gives
-    lam*mu*b_disc_Q times the new c_Q, a nonzero multiple again.  Dividing
-    by the content keeps the integers small and the multiple nonzero.  So
-    the same steps run, L changes at the same n, and c/c_0 at the end is
-    the c of the Q-version: the same Recurrence comes out.
+    sum_{i<=L} c_i a_{n-i}.  Here c = lam*c_Q and b = mu*b_Q are integer
+    vectors, lam and mu nonzero, so the discrepancies lam*disc_Q and
+    mu*b_disc_Q vanish at the same steps, and c <- b_disc*c - disc*x^shift*b
+    is lam*mu*b_disc_Q times the new c_Q; dividing by the content keeps it
+    small.  So L changes at the same n, and the primitive form of the last
+    c, with c_0 > 0, is the Recurrence's coeffs reversed.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
@@ -323,20 +336,21 @@ def fit_min_poly(a: ExactSeq, d_max: int, margin: int | None = None) -> Recurren
             shift += 1
         c = new
     c = c[: length + 1] + [0] * (length + 1 - len(c))
-    return Recurrence(
-        tuple(Fraction(v, c[0]) for v in reversed(c)), a.terms[:length]
-    )
+    g = math.gcd(*c) if c[0] > 0 else -math.gcd(*c)
+    return Recurrence._of([v // g for v in reversed(c)], a.ints[:length], a.den)
 
 
 def seq_from_recurrence(r: Recurrence, n_terms: int) -> ExactSeq:
-    """Forward iteration a_{n+d} = -(c_{d-1} a_{n+d-1} + ... + c_0 a_n)."""
-    d = r.degree
+    """Forward iteration lc a_{n+d} = -(c_{d-1} a_{n+d-1} + ... + c_0 a_n) on
+    e_n = lc^n den a_n (0-based): e_{n+d} = -sum_i c_i lc^(d-1-i) e_{n+i}."""
+    d, lc, top = r.degree, r.coeffs[-1], n_terms - 1
     if n_terms < d or n_terms < 1:
         raise ValueError("need n_terms >= max(degree, 1)")
-    out = list(r.init[:n_terms])
+    scaled = [c * lc ** (d - 1 - i) for i, c in enumerate(r.coeffs[:-1])]
+    out = [v * lc**n for n, v in enumerate(r.ints)]
     while len(out) < n_terms:
-        out.append(-sum(r.char[i] * out[len(out) - d + i] for i in range(d)))
-    return ExactSeq.of(out)
+        out.append(-sum(map(operator.mul, scaled, out[len(out) - d :])))
+    return ExactSeq([v * lc ** (top - n) for n, v in enumerate(out)], r.den * lc**top)
 
 
 @dataclass(frozen=True)
@@ -348,19 +362,16 @@ class MaxGrowth:
 def max_growth_exact(a: ExactSeq, d_max: int) -> MaxGrowth:
     """Mahler measure of the fitted minimal polynomial: max_k GR^(k) exactly."""
     rec = fit_min_poly(a, d_max)
-    if rec.degree == 0:
-        return MaxGrowth(1.0, rec)
-    return MaxGrowth(mahler_of_fraction_poly(rec.char), rec)
+    return MaxGrowth(mahler_measure(IntPoly(rec.coeffs)).value / rec.coeffs[-1], rec)
 
 
-def growth_rates_from_char(char, k_max: int, tol: float = DEFAULT_TOL):
-    """Exact-route GR^(k) for k = 0..k_max from a characteristic polynomial.
+def growth_rates_from_char(coeffs, k_max: int, tol: float = DEFAULT_TOL):
+    """Exact-route GR^(k) for k = 0..k_max from integer char coefficients.
 
     GR^(k) is the product of the k largest root moduli (with multiplicity),
     the first k of ``roots``, and 0 beyond the degree.
     """
-    ints, _ = clear_denominators(char)
-    mags = [abs(z) for z, _ in roots(IntPoly(ints), tol)]
+    mags = [abs(z) for z, _ in roots(IntPoly(coeffs), tol)]
     out = [1.0]
     for k in range(1, k_max + 1):
         out.append(out[-1] * mags[k - 1] if k <= len(mags) else 0.0)
@@ -431,7 +442,7 @@ def growth_reports(
     t^4 - t^3 - t^2 - t - 1); nothing is kept beyond the call.
     """
     _check_report_args(k_max, window, d_max)
-    exact_by_char: dict[tuple[Fraction, ...], list[float]] = {}
+    exact_by_char: dict[tuple[int, ...], list[float]] = {}
     reports = []
     for a in seqs:
         try:
@@ -440,9 +451,9 @@ def growth_reports(
             rec = None
         exact = [1.0] + [None] * k_max
         if rec is not None:
-            if rec.char not in exact_by_char:
-                exact_by_char[rec.char] = growth_rates_from_char(rec.char, k_max, tol)
-            exact = exact_by_char[rec.char]
+            if rec.coeffs not in exact_by_char:
+                exact_by_char[rec.coeffs] = growth_rates_from_char(rec.coeffs, k_max, tol)
+            exact = exact_by_char[rec.coeffs]
         entries = [
             GrowthEntry(k, est, spread, x, window)
             for k, ((est, spread), x) in enumerate(
@@ -464,21 +475,13 @@ class TailComparison:
     agree: bool
 
 
-def _outside_roots(rec: Recurrence, tol: float):
-    """Centers of the certified roots outside the unit circle, in ``roots``
-    order."""
-    ints, _ = clear_denominators(rec.char)
-    return tuple(z for z, r in roots(IntPoly(ints), tol) if abs(z) - r > 1)
-
-
 def tail_equivalence(
     a: ExactSeq, b: ExactSeq, d_max: int, match_tol: float = 1e-7
 ) -> TailComparison:
-    """Compare certified outside-unit-circle root multisets of the two fits."""
-    ra = fit_min_poly(a, d_max)
-    rb = fit_min_poly(b, d_max)
-    za = _outside_roots(ra, DEFAULT_TOL)
-    zb = _outside_roots(rb, DEFAULT_TOL)
+    """Compare certified outside-unit-circle root multisets of the two fits:
+    the centers of the roots outside the unit circle, in ``roots`` order."""
+    fits = fit_min_poly(a, d_max), fit_min_poly(b, d_max)
+    za, zb = (tuple(z for z, r in roots(IntPoly(f.coeffs)) if abs(z) - r > 1) for f in fits)
     agree = len(za) == len(zb)
     if agree:
         remaining = list(zb)
@@ -566,7 +569,4 @@ def parse_recurrence(text: str) -> Recurrence:
         char_text, init_text = text.split(";")
     except ValueError as e:
         raise ValueError('recurrence spec must look like "charpoly;init"') from e
-    f = parse_poly(char_text)
-    if not f.is_monic:
-        raise ValueError("characteristic polynomial must be monic")
-    return Recurrence(f.coeffs, tuple(_terms(init_text)))
+    return Recurrence(parse_poly(char_text).coeffs, _terms(init_text))

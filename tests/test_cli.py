@@ -253,6 +253,11 @@ def test_fit_recurrence(capsys):
     assert doc["result"]["char"] == ["-1/2", 1]
     assert doc["result"]["char_display"] is None
     assert err == "minimal polynomial: -1/2, 1\n"
+    # A rational char over an integer init, and the zero sequence.
+    for seq, char, init in (("16,8,4,2,1", ["-1/2", 1], [16]), ("0,0,0,0,0,0", [1], [])):
+        code, doc, _ = run_json(["fit-recurrence", f"--seq={seq}", "--json-only"], capsys)
+        assert code == 0
+        assert (doc["result"]["char"], doc["result"]["init"]) == (char, init)
 
 
 def test_growth_entries(capsys):
@@ -994,8 +999,8 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs, src on both sides,
-    each job run with and without --json-only."""
+    """tools/cli_diff.py on one seed's benchmark jobs and its 19 contract
+    jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
     proc = subprocess.run(
@@ -1003,7 +1008,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["513 jobs, 1026 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["532 jobs, 1064 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():
@@ -1040,18 +1045,21 @@ def test_job_ab_times_every_kind_without_kinds():
 
 def test_integer_routes_build_no_fraction(monkeypatch):
     """Integer sequences stay ints from producer to JSON: not one Fraction
-    is built on these routes."""
+    is built on these routes, the fitted recurrence and its rates included."""
     from lehmerlab.braid import BraidWord, entropy_estimate
     from lehmerlab.dynamics import (
         IntMatrix, SignedShiftSystem, lefschetz_seq, signed_trace_seq, trace_powers,
     )
-    from lehmerlab.freegroup import generator_lengths, iterate_lengths, parse_endo
-    from lehmerlab.sequence import parse_seq
+    from lehmerlab.freegroup import generator_lengths, growth_report, iterate_lengths, parse_endo
+    from lehmerlab.sequence import fit_min_poly, growth_reports, parse_seq
 
     a = IntMatrix(((1, 1), (1, 0)))
     b = IntMatrix(((2, 1, 0), (0, 1, 1), (1, 0, 3)))
     positive = parse_endo("a -> a b; b -> a")
     cancelling = parse_endo("a -> a b a^-1; b -> b a")
+    tetranacci = "a -> a b; b -> a c; c -> a d; d -> a"
+    lengths = generator_lengths(positive, 16) + generator_lengths(parse_endo(tetranacci), 16)
+    chars = [(-1, -1, 1)] * 2 + [(-1, -1, -1, -1, 1)] * 4
     routes = {
         "parse_seq": lambda: parse_seq("1,1,2,3,5").terms == (1, 1, 2, 3, 5),
         "trace_powers": lambda: trace_powers(a, 6).terms == (1, 3, 4, 7, 11, 18),
@@ -1068,6 +1076,19 @@ def test_integer_routes_build_no_fraction(monkeypatch):
         "entropy_estimate": lambda: entropy_estimate(BraidWord(3, (1, -2)), 8).gr1 > 2,
         "fg-iterate": lambda: main(
             ["fg-iterate", "--endo", "a -> a b; b -> a", "--iters", "12", "--json-only"]
+        ) == 0,
+        "fit_min_poly": lambda: [fit_min_poly(s, 5).char for s in lengths] == chars,
+        "growth_reports": lambda: [
+            r.min_poly.char for r in growth_reports(lengths, 4)
+        ] == chars,
+        "freegroup.growth_report": lambda: growth_report(
+            parse_endo(tetranacci), 4, 16
+        ).maxima[1] > 1.92,
+        "fg-growth": lambda: main(
+            ["fg-growth", "--endo", tetranacci, "--iters", "16", "--json-only"]
+        ) == 0,
+        "growth": lambda: main(
+            ["growth", "--seq", "1,1,2,3,5,8,13,21,34,55,89,144", "--json-only"]
         ) == 0,
     }
     real = Fraction.__new__

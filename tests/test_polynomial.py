@@ -148,9 +148,12 @@ def test_mahler_examples():
 
 
 def test_mahler_fraction_scaling():
-    # M(t - 3/2) = 3/2 via denominator clearing
-    v = P.mahler_of_fraction_poly([Fraction(-3, 2), Fraction(1)])
-    assert v == pytest.approx(1.5, rel=1e-12)
+    # M(t - 3/2) = M(2t - 3) / 2 = 3/2, from the primitive integer char
+    from lehmerlab.sequence import ExactSeq, max_growth_exact
+
+    got = max_growth_exact(ExactSeq.of([Fraction(3, 2) ** k for k in range(10)]), 3)
+    assert got.min_poly.coeffs == (-3, 2)
+    assert got.value == pytest.approx(1.5, rel=1e-12)
 
 
 def test_cyclotomic_table():
@@ -1440,3 +1443,92 @@ def test_a_recognized_root_crowds_a_later_disk():
     P._recognize_rational_roots(g, zs, radii, near)
     assert zs == [0.2 + 0j, 0.20001 + 0j] and radii[1] == r1
     assert near[0, 1] and near.tolist() == P._overlaps(zs, radii).tolist()
+
+
+def _np_eigenvalues(coeffs):
+    """The float64 route's starts as np.roots gives them: the oracle of
+    _eigenvalues, which builds np.roots's companion matrix itself."""
+    n, lc = len(coeffs) - 1, coeffs[-1]
+    try:
+        start = np.roots([c / lc for c in reversed(coeffs)])
+        if len(start) != n:
+            raise ValueError
+    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
+    return start
+
+
+def _bits(x):
+    """The float64 bit patterns of an array, so that one ulp, a sign of zero
+    or a NaN shows."""
+    return np.ascontiguousarray(x).view(np.int64).tolist()
+
+
+def _touching(rng, zs, radii):
+    """The disks with the closest pair of centers set to touch exactly in
+    float64, or one ulp short of it, so no other pair meets, and maybe one
+    disk widened to the largest radius, so the sweep's cut-off is exercised."""
+    i, j = min(itertools.combinations(range(len(zs)), 2), key=lambda p: abs(zs[p[0]] - zs[p[1]]))
+    gap = abs(zs[i] - zs[j]) * (1 - 8 * P._U)
+    radii = list(radii)
+    radii[i] = radii[j] = gap / 2 if rng.random() < 0.5 else math.nextafter(gap / 2, 0.0)
+    big, wide = rng.randrange(len(zs)), rng.choice((0.0, 0.0, gap / 4, 4 * gap))
+    radii[big] = max(radii[big], wide)
+    return radii
+
+
+def test_float64_route_pieces_match_their_numpy_oracles():
+    """_eigenvalues agrees with np.roots bit for bit, and _disjoint with
+    _overlaps(...).any(), on seeded polynomials of degree 1-64: zero
+    constant terms, leading coefficients 2 and 3, coefficients of 2^53 and
+    more (the step returns None), c / lc past the float64 range (fixed
+    starts), clusters (the step moves past _CLUSTER_STEP) and near-touching
+    disks at degree 48-64."""
+    rng = random.Random(2026)
+    seen = dict.fromkeys(("zeros", "lc", "big", "fixed", "cluster", "disks", "meet", "apart"), 0)
+    for trial in range(2200):
+        d = rng.randint(1, 64)
+        f = _random_monic(rng, d)
+        kind = trial % 8
+        if kind == 1:
+            f = f.shifted(rng.randint(1, 3))
+            seen["zeros"] += 1
+        elif kind == 2:
+            f = f * rng.choice((2, 3)) + IntPoly((rng.randint(-5, 5),))
+            seen["lc"] += f.leading != 1
+        elif kind == 3:
+            big = rng.choice((1, -1)) * 2 ** rng.randint(53, 60)
+            f = f + IntPoly((0,) * rng.randrange(f.degree + 1) + (big,))
+        elif kind == 4 and trial % 16 == 4:
+            f = f + IntPoly((rng.choice((1, -1)) * 10**rng.randint(309, 400),))
+        elif kind == 5:
+            g = _random_monic(rng, rng.randint(1, 4))
+            f = g * g * _random_monic(rng, max(1, d - 2 * g.degree))
+        if not f or f.degree < 1:
+            continue
+        coeffs = list(f.coeffs)
+        start = P._eigenvalues(coeffs)
+        assert _bits(start) == _bits(_np_eigenvalues(coeffs)), f
+        try:
+            [c / f.leading for c in coeffs]
+        except OverflowError:
+            seen["fixed"] += 1
+        step = P._float64_step(coeffs, start)
+        if step is None:
+            assert max(map(abs, coeffs)) >= 2**53
+            seen["big"] += 1
+            continue
+        seen["cluster"] += step[2] > P._CLUSTER_STEP
+        disks = P._float64_disks(step, 1e-10)
+        if disks is None:
+            continue
+        seen["disks"] += 1
+        zs, radii = disks
+        assert P._disjoint(zs, radii) == (not P._overlaps(zs, radii).any()), f
+        if len(zs) >= 48:
+            for _ in range(4):
+                near = _touching(rng, zs, radii)
+                disjoint = P._disjoint(zs, near)
+                assert disjoint == (not P._overlaps(zs, near).any()), f
+                seen["apart" if disjoint else "meet"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -144,7 +144,14 @@ def test_fit_rational_sequence():
     a = ExactSeq.of([Fraction(3, 2) ** k for k in range(10)])
     rec = fit_min_poly(a, 3)
     assert rec.char == (Fraction(-3, 2), Fraction(1))
+    assert (rec.coeffs, rec.ints, rec.den) == ((-3, 2), (1,), 1)
     assert not rec.char_is_integral()
+    # Built from ints, Fractions or text, one recurrence: equal, same hash.
+    same = Recurrence(("-3/2", 1), (Fraction(2, 2),))
+    assert rec == same and hash(rec) == hash(same)
+    half = Recurrence((Fraction(-1), Fraction(1)), (Fraction(3, 6),))
+    assert half == Recurrence((-1, 1), ("1/2",)) and (half.ints, half.den) == ((1,), 2)
+    assert hash(half) == hash(Recurrence((-1, 1), ("1/2",)))
     with pytest.raises(ValueError):
         rec.char_int()
 
@@ -300,6 +307,11 @@ def test_parse_seq_and_recurrence():
     assert parse_seq("1, 1, 2").terms == (1, 1, 2)
     rec = parse_recurrence("t^2-t-1;1,1")
     assert seq_from_recurrence(rec, 6).terms == (1, 1, 2, 3, 5, 8)
+    # recurrence -> terms -> fitted recurrence is the identity, rational char included
+    texts = ("t^2-t-1;1,1", "t^3-2*t+5;1/2,-3,2/3", "t-4;7/6", "t^2+1;0,1")
+    rational = Recurrence((Fraction(1, 3), Fraction(-5, 2), 1), (2, Fraction(-1, 4)))
+    for rec in [parse_recurrence(text) for text in texts] + [rational]:
+        assert fit_min_poly(seq_from_recurrence(rec, 4 * rec.degree + 2), rec.degree) == rec
     with pytest.raises(ValueError):
         parse_recurrence("t^2-t-1")
     with pytest.raises(ValueError):

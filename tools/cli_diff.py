@@ -6,7 +6,7 @@ OLD_SRC and NEW_SRC are directories that hold a ``lehmerlab`` package, such
 as ``src`` of two checkouts.  The jobs are rounds 0-2 of each seed
 of the spectra, braids and endo_growth workloads, the job list of
 tools/job_ab.py (``family_jobs``, from perfbench/jobs.py, read, never
-changed).  Each side runs every job through
+changed), and then the fixed CONTRACT list.  Each side runs every job through
 ``lehmerlab.cli.main`` in one subprocess of its own, once as the benchmark
 gives it and once without --json-only, so the summary lines on stderr are
 compared too.
@@ -26,15 +26,43 @@ import sys
 
 WORKLOADS = ("spectra", "braids", "endo_growth")
 
+# Argv the benchmark rounds never produce: the five subcommands they never
+# run, and the Recurrence JSON they never reach (a rational char over an
+# integer and over a rational init, a degree-0 char, --d-max 0, a rational
+# growth, fg-growth --sum and --k-max 5).
+CONTRACT = [
+    ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
+    ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
+    ["net-trace", "--poly=-1,-1,1", "--iters", "8"],
+    ["padding", "--poly=t^3+t^2-22t-40"],
+    ["primitivity", "--matrix", "[[1,1],[1,0]]"],
+    ["primitivity", "--matrix", "[[0,1],[1,0]]"],
+    ["burau", "--n", "3", "--braid", "s1 s2^-1"],
+    ["fit-recurrence", "--seq=16,8,4,2,1"],
+    ["fit-recurrence", "--seq=1/2,1/4,1/8,1/16"],
+    ["fit-recurrence", "--seq=0,0,0,0,0,0"],
+    ["fit-recurrence", "--seq=0,0,0", "--d-max", "0"],
+    ["fit-recurrence", "--seq=3,3,3", "--d-max", "0"],
+    ["growth", "--seq", "1,1,2,3,5,8,13,21,34,55,89,144", "--d-max", "0"],
+    ["growth", "--seq=16,8,4,2,1,1/2,1/4,1/8,1/16,1/32,1/64,1/128", "--k-max", "2"],
+    ["growth", "--seq", "1/2,3/4,5/8,11/16,21/32,43/64,85/128,171/256,341/512,683/1024",
+     "--k-max", "2", "--window", "4"],
+    ["growth", "--seq", "1,3,2,5,4,7,6,9", "--k-max", "5", "--window", "3"],
+    ["fg-growth", "--endo", "a -> a b; b -> a c; c -> a d; d -> a", "--iters", "16", "--sum"],
+    ["fg-growth", "--endo", "a -> a b a^-1; b -> b a", "--iters", "12", "--k-max", "2", "--sum"],
+    ["fg-growth", "--endo", "a -> a b; b -> a", "--k-max", "5", "--window", "3"],
+]
+
 
 def job_argvs(seeds):
     """The argv of every job of the three workloads, from the job list
-    tools/job_ab.py times."""
+    tools/job_ab.py times, and of the CONTRACT list, each with --json-only."""
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     import job_ab
 
     sys.path.insert(0, job_ab.PERFBENCH)
-    return [argv for w in WORKLOADS for _, argv in job_ab.family_jobs(w, None, seeds)]
+    rounds = [argv for w in WORKLOADS for _, argv in job_ab.family_jobs(w, None, seeds)]
+    return rounds + [argv + ["--json-only"] for argv in CONTRACT]
 
 
 def run_side(src, argvs):
