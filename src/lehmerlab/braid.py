@@ -1,12 +1,17 @@
 """Braid words, the reduced Burau representation, Alexander polynomials of
 braid closures, and entropy estimation from the action on curves.
 
-Burau matrices are exact Laurent-polynomial matrices: each letter rewrites
-one column of the running product, held as plain integer coefficient lists,
-and a full twist T^k scales it by t^{nk}.  det(Burau - I) is one integer
-determinant after Kronecker substitution, through the core that
-``polynomial.poly_det`` uses too, and is shared by the Alexander polynomial
-and Lehmer gap.
+Burau matrices are exact Laurent-polynomial matrices.  The letters are
+freely reduced first; then each letter rewrites one column of the running
+product, whose entries are held as one integer each, their value at
+t = 2^b (Kronecker packing), so a letter costs three integer operations per
+entry.  The width b comes from a rigorous coefficient bound and the product
+is held times t^K (K the number of inverse letters), so every shift is exact
+(proofs in ``_burau_packed``); a full twist T^k scales the product by
+t^{nk}.  The digits are read once, at the end, by the balanced-digit helper
+of ``polynomial``.  det(Burau - I) is one integer determinant after
+Kronecker substitution, through the core that ``polynomial.poly_det`` uses
+too, and is shared by the Alexander polynomial and Lehmer gap.
 
 Entropy is estimated from Dynnikov coordinates: each letter acts on the
 integer coordinates of a curve by a piecewise-linear map, so an iterate
@@ -19,12 +24,13 @@ lengths, at a cost exponential in the iterate count.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 
 from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, generator_lengths
-from .polynomial import DEFAULT_TOL, LaurentPoly, _int_arg, _kronecker_det, mahler_measure
+from .polynomial import (
+    DEFAULT_TOL, LaurentPoly, _int_arg, _int_list, _kronecker_det, _unpack, mahler_measure,
+)
 
 __all__ = [
     "BraidWord",
@@ -60,12 +66,10 @@ class BraidWord:
         n = _int_arg(self.n, "strand count n")
         if n < 2:
             raise ValueError("braid groups need at least 2 strands")
-        letters = tuple(_int_arg(x, "letter") for x in self.letters)
-        for x in letters:
-            if x == 0 or abs(x) > n - 1:
-                raise ValueError(
-                    f"letter {x} outside generator range 1..{n - 1}"
-                )
+        letters = tuple(_int_list(self.letters, "letter"))
+        if letters and (min(letters) < 1 - n or max(letters) > n - 1 or 0 in letters):
+            x = next(x for x in letters if x == 0 or abs(x) > n - 1)
+            raise ValueError(f"letter {x} outside generator range 1..{n - 1}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(
@@ -106,29 +110,40 @@ class BraidWord:
 _BRAID_TOKEN = re.compile(r"(?:s([0-9]+)|(T)|([+-]?[0-9]+))(?:\^([+-]?[0-9]+))?")
 
 
+def _braid_token(tok: str) -> tuple[tuple[int, ...], int]:
+    """The letters and the twist power one token stands for."""
+    match = _BRAID_TOKEN.fullmatch(tok)
+    if match is None:
+        raise ValueError(
+            f"bad braid token {tok!r}: expected s<i>, s<i>^<e>, T^<k> "
+            "or a signed integer"
+        )
+    gen, full_twist, bare, exp = match.groups()
+    e = int(exp) if exp else 1
+    if full_twist:
+        return (), e
+    if bare is not None and e != 1:
+        raise ValueError(f"exponent syntax needs s-notation: {tok!r}")
+    i = int(gen if gen is not None else bare)
+    if i == 0:
+        raise ValueError("generator index 0 is not valid")
+    return (i if e > 0 else -i,) * abs(e), 0
+
+
 def parse_braid(text: str, n: int) -> BraidWord:
-    """Parse "s1 s2^-1 T^2" (or bare signed integers) into a braid word."""
+    """Parse "s1 s2^-1 T^2" (or bare signed integers) into a braid word, in
+    one pass over the tokens; each distinct token is parsed once, when it
+    first appears, so the first token in error raises."""
     letters: list[int] = []
     twist = 0
+    parsed: dict[str, tuple[tuple[int, ...], int]] = {}
     for tok in text.split():
-        match = _BRAID_TOKEN.fullmatch(tok)
-        if match is None:
-            raise ValueError(
-                f"bad braid token {tok!r}: expected s<i>, s<i>^<e>, T^<k> "
-                "or a signed integer"
-            )
-        gen, full_twist, bare, exp = match.groups()
-        e = int(exp) if exp else 1
-        if full_twist:
-            twist += e
-            continue
-        if bare is not None and e != 1:
-            raise ValueError(f"exponent syntax needs s-notation: {tok!r}")
-        i = int(gen if gen is not None else bare)
-        if i == 0:
-            raise ValueError("generator index 0 is not valid")
-        letters.extend([i if e > 0 else -i] * abs(e))
-    return BraidWord(n, tuple(letters), twist)
+        word = parsed.get(tok)
+        if word is None:
+            word = parsed[tok] = _braid_token(tok)
+        letters += word[0]
+        twist += word[1]
+    return BraidWord(n, letters, twist)
 
 
 def format_braid(b: BraidWord) -> str:
@@ -197,90 +212,104 @@ class BurauMat:
         )
 
 
-_ZERO_PAIR = (0, [])
-_NONE = float("inf")  # stands in for the degrees of a zero entry in min/max bounds
+def _free_reduce(letters) -> list[int]:
+    """The letters with every adjacent s_i s_i^-1 and s_i^-1 s_i cancelled,
+    in one stack pass.  Burau is a homomorphism, so the matrix is the same."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
 
 
-def _shift_diff_add(x, y, z, k: int):
-    """t^k * (x - y) + z on (min_deg, coeffs) pairs, in the same normal form
-    as LaurentPoly: no zero end coefficients, and (0, []) for zero.  Inputs
-    are never modified, so a result may share a list with them."""
-    (dx, cx), (dy, cy), (dz, cz) = x, y, z
-    if not cy:
-        if not cx:
-            return z
-        if not cz:
-            return dx + k, cx
-    dx += k
-    dy += k
-    lo = min(dx if cx else _NONE, dy if cy else _NONE, dz if cz else _NONE)
-    hi = max(
-        dx + len(cx) if cx else -_NONE,
-        dy + len(cy) if cy else -_NONE,
-        dz + len(cz) if cz else -_NONE,
-    )
-    out = [0] * (hi - lo)
-    if cx:
-        out[dx - lo : dx - lo + len(cx)] = cx
-    if cy:
-        i = dy - lo
-        out[i : i + len(cy)] = map(operator.sub, out[i : i + len(cy)], cy)
-    if cz:
-        i = dz - lo
-        out[i : i + len(cz)] = map(operator.add, out[i : i + len(cz)], cz)
-    while out and out[-1] == 0:
-        out.pop()
-    if not out:
-        return _ZERO_PAIR
-    start = 0
-    while out[start] == 0:
-        start += 1
-    return lo + start, out[start:] if start else out
+def _burau_packed(beta: BraidWord) -> tuple[list[list[int]], int, int]:
+    """(cols, w, K): the reduced Burau matrix of the free-reduced letters,
+    times t^K, each entry held as one integer, its value at t = 2^(8w);
+    cols[j][i] is entry (i, j).  The twist is left out (T^k is t^{nk}).
+
+    Right-multiplying by s_i rewrites only column j = i - 1 (0-based): s_i
+    makes it t*(col_{j-1} - col_j) + col_{j+1}, and s_i^-1 makes it
+    t^-1*(col_{j+1} - col_j) + col_{j-1}, where a neighbour outside the
+    matrix counts as zero.  At t = X = 2^b, b = 8w, these are
+    ((L - M) << b) + R and ((R - M) >> b) + L.
+
+    Width: no coefficient of column j exceeds sup_j, where sup_j starts at
+    1 (the identity), is 0 outside the matrix, and each letter on column j
+    sets sup_j = sup_{j-1} + sup_j + sup_{j+1}; so no intermediate L - M or
+    R - M exceeds it either.  With b >= bitlen(max sup) + 2 every
+    coefficient of the matrix, and of the matrix minus t^e I, lies below
+    2^(b-2) < 2^(b-1) in absolute value, so each packed integer has the
+    polynomial's coefficients as its balanced base-X digits.
+
+    Offset: K is the number of inverse letters.  A prefix with k of them
+    gives entries of min degree >= -k: the identity has min degree 0, s_i
+    takes a min over degrees + 1 and degrees, and s_i^-1 over degrees - 1
+    and degrees.  So when the (k+1)-th inverse letter comes, t^K (R - M)
+    has min degree >= K - k >= 1, its packed value is divisible by X, and
+    the ``>> b`` is exact; every stored entry has min degree >= 0.
+    """
+    letters = _free_reduce(beta.letters)
+    m = beta.n - 1
+    sup = [0] + [1] * m + [0]
+    for x in letters:
+        i = abs(x)
+        sup[i] += sup[i - 1] + sup[i + 1]
+    w = (max(sup).bit_length() + 9) // 8
+    b = 8 * w
+    big_k = sum(x < 0 for x in letters)
+    one = 1 << (b * big_k)
+    zero = [0] * m
+    # Columns 1..m hold the product; columns 0 and m + 1 stay zero.
+    cols = [zero] + [[one if i == j else 0 for i in range(m)] for j in range(m)] + [zero]
+    for x in letters:
+        if x > 0:
+            left, mid, right = cols[x - 1 : x + 2]
+            cols[x] = [((l - c) << b) + r for l, c, r in zip(left, mid, right)]
+        else:
+            left, mid, right = cols[-x - 1 : 2 - x]
+            cols[-x] = [((r - c) >> b) + l for l, c, r in zip(left, mid, right)]
+    return cols[1:-1], w, big_k
 
 
 def reduced_burau(beta: BraidWord) -> BurauMat:
     """Reduced Burau matrix of the word, letters multiplied left to right.
 
-    Right-multiplying by s_i rewrites only column j = i - 1 (0-based):
-    s_i makes it t*(col_{j-1} - col_j) + col_{j+1}, and s_i^-1 makes it
-    t^-1*(col_{j+1} - col_j) + col_{j-1}, where a neighbour outside the
-    matrix counts as zero.  The columns are kept as plain (min_deg, coeffs)
-    pairs and each entry becomes a LaurentPoly once, at the end.  The full
-    twist maps to t^n times the identity, so T^k shifts every entry by
-    t^{nk} there.
+    The product is taken in packed integers (``_burau_packed``, where the
+    column rule, the coefficient bound and the t^K offset are proved) and
+    each entry's digits are read once, at the end.  The full twist maps to
+    t^n times the identity, so T^k shifts every entry by t^{nk}.
     """
-    m = beta.n - 1
-    zero = [_ZERO_PAIR] * m
-    # Columns 1..m hold the product; columns 0 and m + 1 stay zero.
-    cols = [zero]
-    cols += [[(0, [1]) if i == j else _ZERO_PAIR for i in range(m)] for j in range(m)]
-    cols.append(zero)
-    up, down = [1] * m, [-1] * m
-    for letter in beta.letters:
-        i = abs(letter)
-        left, mid, right = cols[i - 1 : i + 2]
-        if letter > 0:
-            cols[i] = list(map(_shift_diff_add, left, mid, right, up))
-        else:
-            cols[i] = list(map(_shift_diff_add, right, mid, left, down))
-    shift = beta.n * beta.full_twist_power
+    cols, w, big_k = _burau_packed(beta)
+    shift = beta.n * beta.full_twist_power - big_k
     return BurauMat(
         tuple(
-            tuple(LaurentPoly(c, d + shift) for d, c in row) for row in zip(*cols[1:-1])
+            tuple(LaurentPoly(c, low + shift) for low, c in (_unpack(v, w) for v in row))
+            for row in zip(*cols)
         )
     )
 
 
 def det_burau_minus_identity(beta: BraidWord) -> LaurentPoly:
-    """det(Burau - I), exact: every entry is shifted by one power of t that
-    clears negative exponents, its coefficients go straight into the
-    Kronecker core (``polynomial._kronecker_det``), and the determinant is
-    shifted back."""
-    rows = reduced_burau(beta).minus_identity().entries
-    low = min((v.min_deg for row in rows for v in row if v), default=0)
-    shift = max(0, -low)
-    det = _kronecker_det([[(v.min_deg + shift, v.coeffs) for v in row] for row in rows])
-    return LaurentPoly(det, -shift * len(rows))
+    """det(Burau - I), exact.  With B = t^s P, s = nk for T^k and P the packed
+    product t^K B0 of ``_burau_packed``, E = t^e (B - I) = t^(e - K + s) P
+    - t^e I with e = max(K - s, 0) has no negative exponent; it is formed
+    on the packed integers (its coefficients stay inside the width), read
+    into (min_deg, coeffs) pairs, shifted down by their common lowest
+    degree and handed to the Kronecker core (``polynomial._kronecker_det``);
+    the determinant is shifted back."""
+    cols, w, big_k = _burau_packed(beta)
+    s = beta.n * beta.full_twist_power
+    e, up = max(big_k - s, 0), max(s - big_k, 0) * 8 * w
+    one = 1 << (8 * w * e)
+    rows = [
+        [_unpack((v << up) - one if i == j else v << up, w) for j, v in enumerate(row)]
+        for i, row in enumerate(zip(*cols))
+    ]
+    low = min((d for row in rows for d, c in row if c), default=0)
+    det_low, det = _kronecker_det([[(d - low if c else 0, c) for d, c in row] for row in rows])
+    return LaurentPoly(det, det_low + len(rows) * (low - e))
 
 
 def alexander_from_det(det: LaurentPoly, n: int) -> LaurentPoly:

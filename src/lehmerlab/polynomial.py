@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -433,39 +435,92 @@ def bareiss_det(rows) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def _kronecker_det(rows) -> list[int]:
-    """Coefficients, ascending from t^0, of the determinant of a matrix whose
-    entries are (low, coeffs) pairs: t^low times the polynomial with
-    coefficients ``coeffs`` ascending, with low >= 0.
+# Balanced digits at t = 2^(8w): a polynomial whose coefficients c satisfy
+# -2^(8w-1) <= c < 2^(8w-1) is the integer sum c_i 2^(8wi), and back.  Adding
+# the bias sum 2^(8w-1) 2^(8wi) makes every digit c_i + 2^(8w-1) nonnegative,
+# so no digit borrows, and XOR with the bias then turns each into the w-byte
+# two's complement of c_i; both directions are one pass over the bytes.
+# Digits are read through the smallest native signed item of size >= w
+# (memoryview, on a little-endian machine), moved between the two strides by
+# w byte-slice copies, the sign filling the top bytes; digits of a native
+# size are written through array.  A wider digit is one int.from_bytes or
+# to_bytes call.
+_NATIVE = sorted((array(c).itemsize, c) for c in "bhiq") if sys.byteorder == "little" else []
+_SLOT = (
+    {w: next(item for item in _NATIVE if item[0] >= w) for w in range(1, _NATIVE[-1][0] + 1)}
+    if _NATIVE
+    else {}
+)
+_SIGN_FILL = bytes(255 * (i >> 7) for i in range(256))
 
-    Every coefficient of the determinant is at most the product of the row
-    sums of coefficient 1-norms in absolute value, so below 2^(B-1).  Each
-    entry is packed at t = 2^B by Horner steps of B-bit shifts, one integer
-    determinant is taken, and its balanced base-2^B digits are the
-    coefficients.
+
+def _bias(n: int, w: int) -> int:
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs, w: int) -> int:
+    """sum_i coeffs[i] * 2^(8wi), for -2^(8w-1) <= coeffs[i] < 2^(8w-1).
+    Up to 16 coefficients Horner steps are cheaper than the bytes pass."""
+    n = len(coeffs)
+    if n <= 16:
+        acc, b = 0, 8 * w
+        for c in reversed(coeffs):
+            acc = (acc << b) + c
+        return acc
+    if w in _SLOT and _SLOT[w][0] == w:
+        raw = array(_SLOT[w][1], coeffs).tobytes()
+    else:
+        raw = b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+    bias = _bias(n, w)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(v: int, w: int) -> tuple[int, list[int]]:
+    """(low, digits) with v = sum_i digits[i] * 2^(8w(low + i)): the balanced
+    base-2^(8w) digits of v, each in [-2^(8w-1), 2^(8w-1)), without the low
+    zero digits and with a nonzero top digit; (0, []) for v = 0."""
+    if not v:
+        return 0, []
+    b = 8 * w
+    low = ((v & -v).bit_length() - 1) // b
+    v >>= b * low
+    n = (v.bit_length() + 1) // b + 1  # a digit count D has bit length >= b(D - 1) - 1
+    bias = _bias(n, w)
+    raw = ((v + bias) ^ bias).to_bytes(n * w, "little")
+    if w in _SLOT:
+        size, code = _SLOT[w]
+        if size != w:
+            narrow, raw = raw, bytearray(n * size)
+            for k in range(w):
+                raw[k::size] = narrow[k::w]
+            fill = narrow[w - 1 :: w].translate(_SIGN_FILL)
+            for k in range(w, size):
+                raw[k::size] = fill
+        digits = memoryview(raw).cast(code).tolist()
+    else:
+        digits = [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, n * w, w)]
+    while not digits[-1]:
+        digits.pop()
+    return low, digits
+
+
+def _kronecker_det(rows) -> tuple[int, list[int]]:
+    """The determinant of a matrix whose entries are (low, coeffs) pairs,
+    t^low times the polynomial with coefficients ``coeffs`` ascending, with
+    low >= 0; returned as ``_unpack`` returns it, t^low times digits.
+
+    Every coefficient of the determinant, and of every entry of a matrix
+    with no zero row, is at most the product of the row sums of coefficient
+    1-norms in absolute value, so below 2^(B-1) with B its bit length plus
+    one.  Each entry is packed at t = 2^(8w) with 8w >= B, one integer
+    determinant is taken, and its balanced digits are the coefficients.
     """
-    bound = math.prod(sum(abs(c) for _, p in row for c in p) for row in rows)
-    bits = bound.bit_length() + 1
-    packed = []
-    for row in rows:
-        out = []
-        for low, p in row:
-            acc = 0
-            for c in reversed(p):
-                acc = (acc << bits) + c
-            out.append(acc << (bits * low))
-        packed.append(out)
-    d = bareiss_det(packed)
-    base = 1 << bits
-    mask, half = base - 1, base >> 1
-    coeffs = []
-    while d:
-        digit = d & mask
-        if digit >= half:
-            digit -= base
-        coeffs.append(digit)
-        d = (d - digit) >> bits
-    return coeffs
+    bound = math.prod(sum(sum(map(abs, p)) for _, p in row) for row in rows)
+    if not bound:
+        return 0, []
+    w = (bound.bit_length() + 8) // 8
+    b = 8 * w
+    return _unpack(bareiss_det([[_pack(p, w) << (b * low) for low, p in row] for row in rows]), w)
 
 
 def poly_det(rows) -> IntPoly:
@@ -475,7 +530,8 @@ def poly_det(rows) -> IntPoly:
     >>> poly_det([[IntPoly((0, 1)), IntPoly((1,))], [IntPoly((1,)), IntPoly((0, 1))]]).coeffs
     (-1, 0, 1)
     """
-    return IntPoly(_kronecker_det([[(0, p.coeffs) for p in row] for row in rows]))
+    low, coeffs = _kronecker_det([[(0, p.coeffs) for p in row] for row in rows])
+    return IntPoly([0] * low + coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -913,9 +969,10 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, near):
     a rational q inside it with g(q) = 0 is that root.  A rational root of
     the primitive g has a denominator dividing lc(g), so it is the best
     approximation of the center with denominator at most |lc(g)| once the
-    radius is below 1/(2 lc^2).  For monic g that is an integer, and a
-    disk whose center lies more than its radius from the nearest integer
-    is skipped: x - round(x) is exact (Sterbenz).  Zero and float64-exact
+    radius is below 1/(2 lc^2).  For monic g that is an integer: a disk
+    whose center lies more than its radius from the nearest integer is
+    skipped (x - round(x) is exact, Sterbenz), and the rest is done in
+    integers, g(q) by integer Horner, with no Fraction.  Zero and float64-exact
     roots get radius 0.  near is updated in place to the replaced disks,
     so later disks are tested against them.  Returns near, made where it
     was None and a disk was replaced.
@@ -926,11 +983,21 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, near):
         z, r = zs[j], radii[j]
         if abs(z.imag) > r or crowded[j] or (lc == 1 and abs(z.real - round(z.real)) > r):
             continue
-        x = Fraction(z.real)
-        q = x.limit_denominator(lc)
-        if (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2 and g.evaluate(q) == 0:
+        if lc == 1:
+            # In integers, each float being n / 2^k: the integer nearest the
+            # center, ties down as limit_denominator(1) takes them, and the
+            # disk test over one power-of-two denominator d.
+            (a, da), (c, dc), (s, ds) = (v.as_integer_ratio() for v in (z.real, z.imag, r))
+            d = max(da, dc, ds)
+            q = (2 * a + da - 1) // (2 * da)
+            inside = (q * d - a * (d // da)) ** 2 + (c * (d // dc)) ** 2 <= (s * (d // ds)) ** 2
+        else:
+            x = Fraction(z.real)
+            q = x.limit_denominator(lc)
+            inside = (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2
+        if inside and g.evaluate(q) == 0:
             zs[j] = complex(q)  # correctly rounded
-            dist = abs(Fraction(zs[j].real) - q)
+            dist = abs((int if lc == 1 else Fraction)(zs[j].real) - q)
             radii[j] = _up(dist) if dist else 0.0
             if near is None:
                 near = _overlaps(zs, radii)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -66,6 +67,70 @@ def test_parse_braid_names_the_bad_token(text):
     assert str(exc.value) == (
         f"bad braid token {bad!r}: expected s<i>, s<i>^<e>, T^<k> or a signed integer"
     )
+
+
+_ORACLE_TOKEN = re.compile(r"(?:s([0-9]+)|(T)|([+-]?[0-9]+))(?:\^([+-]?[0-9]+))?")
+
+
+def _parse_braid_oracle(text: str, n: int) -> BraidWord:
+    """The per-token parser: one fullmatch per whitespace-separated token,
+    its letters appended in order."""
+    letters: list[int] = []
+    twist = 0
+    for tok in text.split():
+        match = _ORACLE_TOKEN.fullmatch(tok)
+        if match is None:
+            raise ValueError(
+                f"bad braid token {tok!r}: expected s<i>, s<i>^<e>, T^<k> "
+                "or a signed integer"
+            )
+        gen, full_twist, bare, exp = match.groups()
+        e = int(exp) if exp else 1
+        if full_twist:
+            twist += e
+            continue
+        if bare is not None and e != 1:
+            raise ValueError(f"exponent syntax needs s-notation: {tok!r}")
+        i = int(gen if gen is not None else bare)
+        if i == 0:
+            raise ValueError("generator index 0 is not valid")
+        letters.extend([i if e > 0 else -i] * abs(e))
+    return BraidWord(n, tuple(letters), twist)
+
+
+def _outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_braid_matches_per_token_oracle():
+    """parse_braid gives the per-token parser's word or its first error, word
+    for word and message for message, on seeded texts mixing s<i>^<e>,
+    T^k, bare signed integers, repeated tokens, odd whitespace and every
+    error class: a bad token, an exponent on a bare integer, index 0, a
+    letter out of range, and two of them in either order."""
+    rng = random.Random(1887)
+    good = ["s1", "s2", "s3^-1", "s2^2", "s1^0", "s01", "s3^+2", "T", "T^-2", "T^3",
+            "T^0", "1", "-2", "+3", "3^1", "-1^+1", "s4"]
+    bad = ["x1", "s1^", "T^", "(s1", "s1^2^3", "1_0", "s\u00b2", "s-1", "t^2", "2^2",
+           "-3^-1", "s0", "0", "-0^1", "0^2", "-0^-3", "s0^2", "s9", "-9",
+           "s7^-1"]
+    spaces = [" ", "  ", "\t", "\n", " \u3000", "\x1f"]
+    texts = ["", " ", "s1 s1^-1", "T^2", "s1 0 x1", "x1 s1 0", "2^2 s0", "s0 2^2", "s9 x1"]
+    for _ in range(600):
+        pool = good + bad if rng.random() < 0.5 else good
+        toks = [rng.choice(pool) for _ in range(rng.randint(0, 25))]
+        texts.append(rng.choice(spaces[:2]) * rng.randint(0, 1)
+                     + "".join(t + rng.choice(spaces) for t in toks))
+    kinds = set()
+    for text in texts:
+        for n in (3, 5):
+            want = _outcome(_parse_braid_oracle, text, n)
+            assert _outcome(parse_braid, text, n) == want, (text, n)
+            kinds.add(want.split(" ")[0] if isinstance(want, str) else "word")
+    assert kinds == {"word", "bad", "exponent", "generator", "letter"}
 
 
 def test_format_braid_roundtrip():
@@ -460,7 +525,8 @@ def _det_laurent_oracle(mat: BurauMat) -> LaurentPoly:
 
 def test_det_matches_polynomial_bareiss_oracle():
     """Kronecker substitution gives det(Burau - I) exactly as the polynomial
-    Bareiss elimination does, on 200 seeded words plus edge cases."""
+    Bareiss elimination does, on 200 seeded words plus edge cases and the
+    words of ``_long_and_reducing_words``."""
     rng = random.Random(1923)
     cases = [
         BraidWord(2),
@@ -471,6 +537,7 @@ def test_det_matches_polynomial_bareiss_oracle():
         BraidWord(4, (-1, -2, -3, -2, -1)),
         BraidWord(9, (-8, -7, -1, -3, -5) * 6, -1),
     ]
+    cases += [beta for beta, _ in _long_and_reducing_words(random.Random(1924), (450, 600))]
     for _ in range(200):
         n = rng.randint(2, 9)
         gens = list(range(1, n)) + [-i for i in range(1, n)]
@@ -515,14 +582,41 @@ def _assert_normalized(v: LaurentPoly):
         assert v.min_deg == 0, v
 
 
+def _long_and_reducing_words(rng, lengths):
+    """(word, reduced) pairs: one-signed words at n = 3 and 4 of the given
+    lengths, whose Burau coefficients pass 2^64, of either sign with a twist
+    of -2..2, and all-inverse words with T^-2, with reduced None; then words
+    that freely reduce to the identity or to one letter (w w^-1, w w^-1 s_i
+    and s_i with nested cancelling pairs), with the letters they reduce to."""
+    words = []
+    for n, length in zip((3, 4, 3, 4), lengths * 2):
+        sign = rng.choice((1, -1))
+        letters = tuple(sign * rng.randint(1, n - 1) for _ in range(length))
+        words.append((BraidWord(n, letters, rng.randint(-2, 2)), None))
+    for n in (3, 5, 8):
+        words.append((BraidWord(n, tuple(-rng.randint(1, n - 1) for _ in range(60)), -2), None))
+    for n in (2, 4, 7):
+        w = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(30)]
+        inv = [-x for x in reversed(w)]
+        i = rng.choice((1, -1)) * rng.randint(1, n - 1)
+        words += [
+            (BraidWord(n, tuple(w + inv), rng.randint(-2, 2)), ()),
+            (BraidWord(n, tuple(w + inv + [i])), (i,)),
+            (BraidWord(n, tuple([i] + w[:10] + inv[-10:] + w[10:] + inv[:-10]), 1), (i,)),
+        ]
+    return words
+
+
 def test_burau_lists_match_laurent_oracle():
     """reduced_burau agrees with the LaurentPoly column rule on seeded words,
     n = 2..12, length <= 200, twist -2..2, including one-signed words, whose
-    degrees drift away from 0, and words that cancel; every entry comes out
-    normalized.  det_burau_minus_identity agrees with poly_det on the oracle
-    matrix where the benchmark's alexander cells reach (length <= 2400 / n^2:
-    200 letters at n = 3, 16 at n = 12), since beyond that one determinant
-    takes up to a second."""
+    degrees drift away from 0, and words that cancel, and on the words of
+    ``_long_and_reducing_words`` and the powers of s1 s2^-1, whose
+    coefficients come within a few bits of the width's bound; every entry
+    comes out normalized.  det_burau_minus_identity agrees with poly_det on
+    the oracle matrix where the benchmark's alexander cells reach (length
+    <= 2400 / n^2: 200 letters at n = 3, 16 at n = 12), since beyond that
+    one determinant takes up to a second."""
     rng = random.Random(1313)
     cases = [BraidWord(n) for n in (2, 3, 7, 12)] + [
         BraidWord(5, (), 2),
@@ -531,6 +625,11 @@ def test_burau_lists_match_laurent_oracle():
         BraidWord(6, tuple(range(-5, 0)) * 40, 2),
         BraidWord(3, (1, 2) * 100, -2),
     ]
+    long_words = _long_and_reducing_words(random.Random(1314), (400, 1000))
+    cases += [beta for beta, _ in long_words]
+    # Powers of the pseudo-Anosov s1 s2^-1, whose coefficients stay within
+    # a few bits of the per-column bound, which meets every residue mod 8.
+    cases += [BraidWord(3, (1, -2) * k) for k in range(1, 41)]
     for _ in range(80):
         n = rng.randint(2, 12)
         signs = rng.choice(((1,), (-1,), (1, -1)))
@@ -556,3 +655,12 @@ def test_burau_lists_match_laurent_oracle():
         assert det == LaurentPoly(expect.coeffs, -shift * len(rows)), beta
         _assert_normalized(det)
     assert checked >= 40
+    # The long one-signed words pass 2^64; a cancelling word has the matrix
+    # of the letters it reduces to.
+    for beta, reduced in long_words:
+        mat = reduced_burau(beta)
+        if reduced is None:
+            if len(beta.letters) >= 400:
+                assert max(abs(c) for row in mat.entries for v in row for c in v.coeffs) > 2**64
+        else:
+            assert mat == reduced_burau(BraidWord(beta.n, reduced, beta.full_twist_power)), beta

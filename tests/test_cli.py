@@ -999,7 +999,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 19 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 23 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1008,7 +1008,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["532 jobs, 1064 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["536 jobs, 1072 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():
@@ -1086,6 +1086,11 @@ def test_integer_routes_build_no_fraction(monkeypatch):
         ).maxima[1] > 1.92,
         "fg-growth": lambda: main(
             ["fg-growth", "--endo", tetranacci, "--iters", "16", "--json-only"]
+        ) == 0,
+        # |phi^n(b)| = 2^n: the char t - 2 has an integer root, recognized
+        # exactly by the monic route of _recognize_rational_roots.
+        "fg-growth integer root": lambda: main(
+            ["fg-growth", "--endo", "a -> a b; b -> b a", "--iters", "12", "--json-only"]
         ) == 0,
         "growth": lambda: main(
             ["growth", "--seq", "1,1,2,3,5,8,13,21,34,55,89,144", "--json-only"]

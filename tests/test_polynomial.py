@@ -721,6 +721,30 @@ def test_poly_det_edge_cases():
                     assert poly_det([[f]]) == f
 
 
+def test_pack_and_unpack_balanced_digits():
+    """_pack and _unpack, the digit helper of the Kronecker determinant and
+    the Burau product, at widths that are native item sizes (1, 2, 4, 8
+    bytes), read through a wider item (3, 5, 7) and past 8 bytes (9, 16,
+    17): the digits +-(2^(b-1) - 1) and -2^(b-1), runs of zero digits at
+    either end and inside, and a negative top digit, against the sum they
+    stand for."""
+    rng = random.Random(2027)
+    for w in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17):
+        b = 8 * w
+        top = 2 ** (b - 1) - 1
+        digit_pool = (top, -top, -top - 1, 1, -1, 0, 0, 0)
+        cases = [[], [0, 0], [-1], [top], [-top], [-top - 1], [0, 0, top, 0, 0, 0, -top],
+                 [top] * 5 + [-1], [-top] * 3 + [0] * 4 + [-top - 1]]
+        for _ in range(60):
+            cases.append([rng.choice(digit_pool) for _ in range(rng.randint(1, 40))])
+        for digits in cases:
+            v = P._pack(digits, w)
+            assert v == sum(d << (b * i) for i, d in enumerate(digits)), (w, digits)
+            nz = [i for i, d in enumerate(digits) if d]
+            expect = (nz[0], digits[nz[0] : nz[-1] + 1]) if nz else (0, [])
+            assert P._unpack(v, w) == expect, (w, digits)
+
+
 def test_poly_det_matches_cofactor_expansion():
     rng = random.Random(1936)
     for _ in range(150):

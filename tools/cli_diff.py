@@ -26,10 +26,16 @@ import sys
 
 WORKLOADS = ("spectra", "braids", "endo_growth")
 
+# A 300-letter all-inverse 3-strand word with T^-2: every Burau column
+# shift is a right shift, and the twist lowers every degree.
+INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) + " T^-2"
+
 # Argv the benchmark rounds never produce: the five subcommands they never
-# run, and the Recurrence JSON they never reach (a rational char over an
+# run, the Recurrence JSON they never reach (a rational char over an
 # integer and over a rational init, a degree-0 char, --d-max 0, a rational
-# growth, fg-growth --sum and --k-max 5).
+# growth, fg-growth --sum and --k-max 5), and Burau words they never draw
+# (all-inverse with T^-2, a word that cancels to the identity, whose
+# determinant vanishes, and a one-signed 4-strand word).
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -38,6 +44,10 @@ CONTRACT = [
     ["primitivity", "--matrix", "[[1,1],[1,0]]"],
     ["primitivity", "--matrix", "[[0,1],[1,0]]"],
     ["burau", "--n", "3", "--braid", "s1 s2^-1"],
+    ["burau", "--n", "3", "--braid", INVERSE_WORD],
+    ["alexander", "--n", "3", "--braid", INVERSE_WORD],
+    ["alexander", "--n", "3", "--braid", "s1 s2 s2^-1 s1^-1"],
+    ["lehmer-gap", "--n", "4", "--braid", "s1 s2 s3 s1 s2 s2 s3 s1 s3 s2 s1 s1 s3"],
     ["fit-recurrence", "--seq=16,8,4,2,1"],
     ["fit-recurrence", "--seq=1/2,1/4,1/8,1/16"],
     ["fit-recurrence", "--seq=0,0,0,0,0,0"],
