@@ -5,7 +5,9 @@ decomposition), Musser's degree sets from one Frobenius matrix per prime, a
 Berlekamp split, and Zassenhaus recombination over a Hensel tree lifted only
 as far as the degree being tried needs.  Polynomials over Z/m are lists of
 residues in [0, m), ascending, with no high zeros; every Z/m routine is here.
-Imported on first use, with numpy only by the Frobenius and Berlekamp steps.
+Products over Z/m are one integer product by Kronecker substitution, and
+the Frobenius matrix comes by doubling in whole-array products.  Imported on
+first use, with numpy only by the Frobenius and Berlekamp steps.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 
 from . import polynomial  # squarefree_decomposition, read at call time
-from .polynomial import IntPoly, IrreducibilityCertificate
+from .polynomial import IntPoly, IrreducibilityCertificate, _pack, _unpack
 
 # Primes scanned in order by certify, which stops after _MUSSER_PRIMES of
 # them that leave f squarefree: that bounds its cost only.
@@ -85,13 +87,16 @@ def _zm_lin(a, b, m, c=1):
 
 
 def _zm_mul(a, b, m):
+    """a b mod m, for residues in [0, m), by Kronecker substitution: every
+    coefficient of the product over Z is at most min(len a, len b) (m - 1)^2,
+    so with one spare bit it is a nonnegative digit below 2^(8w - 1), and
+    one integer product packed at 2^(8w) gives them all (``_pack``,
+    ``_unpack``)."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + len(b)] = [o + x * y for o, y in zip(out[i : i + len(b)], b)]
-    return _zm(out, m)
+    w = (min(len(a), len(b)) * (m - 1) ** 2).bit_length() // 8 + 1
+    low, digits = _unpack(_pack(a, w) * _pack(b, w), w)
+    return _zm([0] * low + digits, m)
 
 
 def _zm_prod(polys, m):
@@ -115,67 +120,100 @@ def _gf_bezout(g, h, p):
     return s, t
 
 
-def _frobenius_matrix(fm, p):
-    """Berlekamp's matrix of monic f mod p: row i holds x^(i p) mod f.
-
-    x^p comes by repeated squaring and row i as row i-1 times x^p.  Row j
-    of ``high`` holds x^(n+j) mod f, so a product of two residues reduces
-    with one matrix product.  Entries stay below p, so every sum of
-    products stays below n p^2, far inside int64.
+def _x_powers(fm, p):
+    """Rows x^j mod f for j < 2n, of monic f mod p of degree n, as int64: the
+    identity, then x^(n + j + k) = x^(n + j) x^k for j < k by doubling, a
+    shift by k with the overflow reduced by the rows of x^n .. x^(n+k-1).
+    Rows n .. 2n - 2 reduce any product of two residues.  Entries stay
+    below p and each product sums at most n of them times one below p, so
+    every sum here and in the callers stays below n p^2, far inside int64.
     """
     import numpy as np
 
     n = len(fm) - 1
-    low = np.array(fm[:n], dtype=np.int64)
-    high = np.zeros((max(n - 1, 0), n), dtype=np.int64)
-    row = -low % p
-    for j in range(n - 1):
-        high[j] = row
-        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
-
-    def mulmod(a, b):
-        c = np.convolve(a, b) % p
-        return (c[:n] + c[n:] @ high) % p
-
-    one = np.zeros(n, dtype=np.int64)
-    one[0] = 1
-    base = np.roll(one, 1) if n > 1 else -low % p  # x mod f
-    xp, e = one, p
-    while e:
-        if e & 1:
-            xp = mulmod(xp, base)
-        base = mulmod(base, base)
-        e >>= 1
-    rows = [one]
-    for _ in range(n - 1):
-        rows.append(mulmod(rows[-1], xp))
-    return np.array(rows)
+    t = np.zeros((2 * n, n), dtype=np.int64)
+    t[:n] = np.eye(n, dtype=np.int64)
+    t[n] = -np.array(fm[:n], dtype=np.int64) % p
+    high, k = t[n:], 1
+    while k < n:
+        block, out = high[: min(k, n - k)], high[k : 2 * k]
+        out[:, k:] = block[:, : n - k]
+        out += block[:, n - k :] @ high[:k]
+        out %= p
+        k *= 2
+    return t
 
 
-def _distinct_degree(fm, q, p):
-    """[(d, product of the degree-d factors)] of squarefree monic f mod p.
+def _frobenius_matrix(t, p):
+    """Berlekamp's matrix of monic f mod p, from its ``_x_powers`` table t:
+    row i holds x^(i p) mod f.
 
-    x^(p^d) mod f is x^(p^(d-1)) times Berlekamp's matrix, and the
-    degree-d part is gcd(x^(p^d) - x, what is left of f).
+    By doubling, in whole-array products: rows k+1 .. 2k are rows 1 .. k
+    times row k.  A block of residues times one residue g is the block
+    times the Toeplitz matrix of g (one row per shift, from one gather),
+    whose columns of degree >= n reduce with one product by rows n .. 2n-2
+    of t.  x^p is row p of t for p < 2n, else comes by repeated squaring.
+    """
+    import numpy as np
+
+    n = t.shape[1]
+    shifts = np.arange(n - 1, -1, -1)[:, None] + np.arange(2 * n - 1)
+    pad = np.zeros(n - 1, dtype=np.int64)
+
+    def mulmod(rows, g):
+        c = rows @ np.concatenate((pad, g, pad))[shifts] % p
+        return (c[..., :n] + c[..., n:] @ t[n:-1]) % p
+
+    q = t[:n].copy()
+    if p < 2 * n:  # never for n = 1, as p >= 2
+        q[1] = t[p]
+    elif n > 1:
+        xp = t[1]
+        for bit in bin(p)[3:]:
+            xp = mulmod(xp, xp)
+            if bit == "1":
+                xp = mulmod(xp, t[1])
+        q[1] = xp
+    k = 1
+    while k + 1 < n:
+        q[k + 1 : 2 * k + 1] = mulmod(q[1 : min(k, n - 1 - k) + 1], q[k])
+        k *= 2
+    return q
+
+
+def _distinct_degree(fm, q, t, p):
+    """[(d, product of the degree-d factors)] of squarefree monic f mod p,
+    d ascending, from Berlekamp's matrix q and the ``_x_powers`` table t.
+
+    x^(p^d) mod f is x^(p^(d-1)) times q, and a factor of degree e divides
+    x^(p^d) - x exactly when e | d.  So one gcd of f with the product of
+    x^(p^d) - x over d <= n/2 (products reduced by t) is g, the product of
+    the factors of degree <= n/2, and f / g has at most one factor.  The
+    degree-d part is gcd(x^(p^d) - x, what is left of g), for d ascending
+    while 2d is at most the degree of what is left, which then has at most
+    one factor.  Most gcds thus take a g of small degree, not f.
     """
     import numpy as np
 
     n = len(fm) - 1
-    parts, h = [], fm
-    v = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        v[1] = 1
-    d = 0
+    v, prod, steps = t[1], t[0], []
+    for _ in range(n // 2):
+        v = v @ q % p
+        step = v.copy()
+        step[1] = (step[1] - 1) % p
+        steps.append(step.tolist())
+        c = np.convolve(prod, step) % p
+        prod = (c[:n] + c[n:] @ t[n:-1]) % p
+    g = _gf_gcd(fm, prod.tolist(), p)
+    parts, h, d = [], g, 0
     while 2 * (d + 1) <= len(h) - 1:
         d += 1
-        v = v @ q % p
-        g = _gf_gcd(h, _zm_lin(v.tolist(), [0, 1], p, -1), p)
-        if len(g) > 1:
-            parts.append((d, g))
-            h = _zm_divmod(h, g, p)[0]
-    if len(h) > 1:
-        parts.append((len(h) - 1, h))
-    return parts
+        part = _gf_gcd(h, steps[d - 1], p)
+        if len(part) > 1:
+            parts.append((d, part))
+            h = _zm_divmod(h, part, p)[0]
+    rest = _zm_divmod(fm, g, p)[0]
+    return parts + [(len(u) - 1, u) for u in (h, rest) if len(u) > 1]
 
 
 def _berlekamp_basis(q, p):
@@ -347,8 +385,9 @@ def certify(f: IntPoly) -> IrreducibilityCertificate:
                     if mult > 1:
                         return IrreducibilityCertificate("reducible", factor=g)
             continue
-        q = _frobenius_matrix(fm, p)
-        parts = _distinct_degree(fm, q, p)
+        t = _x_powers(fm, p)
+        q = _frobenius_matrix(t, p)
+        parts = _distinct_degree(fm, q, t, p)
         sums = 1
         for d, g in parts:
             for _ in range((len(g) - 1) // d):

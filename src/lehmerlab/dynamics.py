@@ -158,20 +158,34 @@ def _power_traces(spectrum, n_terms: int):
     return [sum(z**k for z in vals) for k in range(1, n_terms + 1)]
 
 
+def _moebius_table(n: int) -> list[int]:
+    """[0, mu(1), ..., mu(n)] by the sieve of Eratosthenes: each prime p
+    flips the sign at its multiples and zeroes the multiples of p^2."""
+    mu = [0] + [1] * n
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p::p] = bytes([1]) * (n // p)
+            mu[p::p] = [-v for v in mu[p::p]]
+            mu[p * p :: p * p] = [0] * (n // (p * p))
+    return mu
+
+
 def net_traces(spectrum, n_terms: int) -> list:
-    """tr_n = sum over k | n of mu(n/k) tr(Lambda^k), for n = 1..N."""
+    """tr_n = sum over k | n of mu(n/k) tr(Lambda^k), for n = 1..N.
+
+    Each tr(Lambda^k) is added at the multiples n = m k with mu(m) != 0, k
+    ascending, so every tr_n sums its terms in the order of its divisors.
+    """
     if n_terms < 1:
         raise ValueError("need n_terms >= 1")
     ps = _power_traces(spectrum, n_terms)
-    out = []
-    for n in range(1, n_terms + 1):
-        total = 0
-        for k in range(1, n + 1):
-            if n % k == 0:
-                mu = moebius(n // k)
-                if mu:
-                    total += mu * ps[k - 1]
-        out.append(total)
+    mu = _moebius_table(n_terms)
+    out = [0] * n_terms
+    for k, pk in enumerate(ps, 1):
+        for m in range(1, n_terms // k + 1):
+            if mu[m]:
+                out[m * k - 1] += mu[m] * pk
     return out
 
 

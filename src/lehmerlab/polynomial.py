@@ -239,9 +239,45 @@ def poly_from_roots(rs) -> IntPoly:
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd in Z[t] with positive leading coefficient.
 
-    Primitive polynomial remainder sequence (Brown, J. ACM 18, 1971): each
-    step takes the pseudo-remainder over Z and divides out its content.
+    The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
+    7, 1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    Thm 7.7) on the primitive parts a and b: evaluate both at xi = 2^(8w),
+    with xi > 2 min(|a|, |b|) + 2 in the max norm, take one integer gcd
+    gamma, and read its balanced base-xi digits (``_unpack``) as a
+    polynomial G with G(xi) = gamma.  If pp(G) divides a and b it is their
+    gcd.  For h = gcd(a, b) = pp(G) k, k primitive, h(xi) divides gamma =
+    cont(G) pp(G)(xi), so k(xi) divides cont(G), and |cont(G)| <= xi/2.  A
+    root r of k is a root of a and of b, so |r| < 1 + min(|a|, |b|) <= xi/2
+    (Cauchy's bound), and a nonconstant k would have |k(xi)| >=
+    prod |xi - r| > xi/2.  So k = 1.  When pp(G) does not divide both, w
+    widens by one byte, at most three times, and then the primitive
+    remainder sequence ``_prs_gcd`` decides.
     """
+    a, b = f.primitive_part(), g.primitive_part()
+    if not a or not b:
+        h = a or b
+        return -h if h and h.leading < 0 else h
+    if not a.degree or not b.degree:
+        return IntPoly((1,))
+    na, nb = max(map(abs, a.coeffs)), max(map(abs, b.coeffs))
+    w0 = -(-(2 * min(na, nb) + 2).bit_length() // 8)
+    for w in range(w0, w0 + 4):
+        # Inputs with a coefficient outside the digit range take Horner's rule.
+        xi, big = 1 << 8 * w, 1 << 8 * w - 1
+        va = _pack(a.coeffs, w) if na < big else a.evaluate(xi)
+        vb = _pack(b.coeffs, w) if nb < big else b.evaluate(xi)
+        low, digits = _unpack(math.gcd(va, vb), w)
+        h = IntPoly([0] * low + digits).primitive_part()
+        # gamma > 0, so the top digit, and h's leading coefficient, is positive.
+        if not h.degree or (a.try_div(h) is not None and b.try_div(h) is not None):
+            return h
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """poly_gcd by the primitive polynomial remainder sequence (Brown, J.
+    ACM 18, 1971): each step takes the pseudo-remainder over Z and divides
+    out its content."""
     a, b = f.primitive_part().coeffs, g.primitive_part().coeffs
     if len(a) < len(b):
         a, b = b, a
@@ -264,9 +300,10 @@ def squarefree_decomposition(f: IntPoly):
     """Yun decomposition (SYMSAC 1976): (content, [(g_i, i)]) with f =
     content * prod g_i^i, the g_i primitive, squarefree, pairwise coprime.
 
-    Every gcd is ``poly_gcd``'s remainder sequence.  Callers prove f
-    squarefree first where they can: ``roots`` by disjoint disks, and
-    ``irreducibility_certificate`` at a witness prime.
+    Every gcd is ``poly_gcd``'s heuristic gcd (the remainder sequence only
+    where it fails).  Callers prove f squarefree first where they can:
+    ``roots`` by disjoint disks, and ``irreducibility_certificate`` at a
+    witness prime.
     """
     if not f:
         raise ValueError("zero polynomial")
@@ -709,7 +746,11 @@ def _weierstrass_f64(a, z):
     roundings where it enters (|z|, |p|, two products, three sums), 8 in
     each later step (|z|, a product, a sum), 1 in |p| + E and 2 in
     forming 1 + gamma and multiplying by it: at most 8n + 12 over the n
-    steps.  The product of lo commits one rounding per difference, at
+    steps.  The Horner values at all centers are one (n + 1) x m array,
+    row k after k steps; their moduli are one np.abs, the terms one
+    expression, and E runs in place.  Each element comes from the same
+    operations, in the same order, as one step at a time, so hi is the
+    same to the bit and the count stands.  The product of lo commits one rounding per difference, at
     most 3 per complex product, 1 for lc, 6 for its modulus and 2 for
     1 - gamma: at most 4n + 5.
     """
@@ -719,15 +760,19 @@ def _weierstrass_f64(a, z):
     g = 8 * (n + 2) * _U / (1 - 8 * (n + 2) * _U)
     with np.errstate(all="ignore"):
         az = np.abs(z)
-        p = np.full(len(z), a[-1], dtype=complex)
+        p = np.empty((n + 1, len(z)), dtype=complex)
+        p[0] = a[-1]
+        for k, c in enumerate(a[-2::-1], 1):
+            row = p[k]
+            np.multiply(p[k - 1], z, out=row)
+            row += c
         pa = np.abs(p)
+        terms = 3 * _U * az * pa[:-1] + 2 * _U * pa[1:] + _ETA
         err = np.zeros(len(z))
-        for c in a[-2::-1]:
-            p = p * z + c
-            qa = np.abs(p)
-            err = az * err + (3 * _U * az * pa + 2 * _U * qa + _ETA)
-            pa = qa
-        hi = (pa + err) * (1 + g)
+        for term in terms:
+            err *= az
+            err += term
+        hi = (pa[-1] + err) * (1 + g)
         d = z[:, None] - z[None, :]
         np.fill_diagonal(d, 1)
         # lc goes in first, so the mask below covers the whole product.

@@ -999,7 +999,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 23 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 28 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1008,7 +1008,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["536 jobs, 1072 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["541 jobs, 1082 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():

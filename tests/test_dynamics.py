@@ -145,6 +145,38 @@ def test_net_trace_singleton_and_numeric_route():
         assert x == pytest.approx(e, abs=1e-6)
 
 
+def _divisor_net_traces(spectrum, n_terms):
+    """net_traces by the direct formula: every k <= n tested as a divisor
+    of n, one moebius(n // k) per divisor."""
+    if isinstance(spectrum, IntPoly):
+        ps = newton_power_sums(spectrum, n_terms)
+    else:
+        ps = [sum(z**k for z in spectrum) for k in range(1, n_terms + 1)]
+    out = []
+    for n in range(1, n_terms + 1):
+        total = 0
+        for k in range(1, n + 1):
+            if n % k == 0 and moebius(n // k):
+                total += moebius(n // k) * ps[k - 1]
+        out.append(total)
+    return out
+
+
+def test_net_traces_match_the_divisor_formula():
+    """The sieve route gives the same integers, and the same float bits on
+    explicit spectra (each tr_n adds its terms in the same order)."""
+    rng = random.Random(200)
+    for trial in range(24):
+        f = IntPoly(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 8))) + (1,))
+        n_terms = rng.choice((1, 2, 3, 12, 50, 97, 200))
+        assert net_traces(f, n_terms) == _divisor_net_traces(f, n_terms), (f, n_terms)
+        spectrum = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(rng.randint(1, 6))]
+        if trial % 3 == 0:
+            spectrum = [z.real for z in spectrum]
+        got, want = net_traces(spectrum, n_terms), _divisor_net_traces(spectrum, n_terms)
+        assert repr(got) == repr(want), (spectrum, n_terms)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_net_trace_additivity(seed):

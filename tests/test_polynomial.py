@@ -534,12 +534,155 @@ def test_staged_lift_recombines_as_the_full_bound_lift(monkeypatch):
         return c
 
     monkeypatch.setattr(F, "_zassenhaus", both)
+    # Every Z/m product of the lifts, the Bezout steps and the subset
+    # products, against list convolution.
+    products, mul = [], F._zm_mul
+
+    def checked(a, b, m):
+        c = mul(a, b, m)
+        assert c == _list_zm_mul(a, b, m), (a, b, m)
+        products.append(m)
+        return c
+
+    monkeypatch.setattr(F, "_zm_mul", checked)
     for f in _recombination_cases():
         irreducibility_certificate(f)
     assert len(calls) >= 300, len(calls)
     assert sum(s == "irreducible" for s, *_ in calls) >= 10
     assert sum(two for _, two, _, _ in calls) >= 30 and sum(six for _, _, six, _ in calls) >= 30
     assert sum(k >= 6 for *_, k in calls) >= 30
+    assert len(products) >= 10000 and max(products).bit_length() > 64, (len(products), max(products).bit_length())
+
+
+def _convolution_frobenius_matrix(fm, p):
+    """Berlekamp's matrix one row at a time: x^p by repeated squaring and
+    row i as row i-1 times x^p, each product an np.convolve whose columns
+    of degree >= n reduce by the rows of x^n .. x^(2n-2) mod f."""
+    n = len(fm) - 1
+    low = np.array(fm[:n], dtype=np.int64)
+    high = np.zeros((max(n - 1, 0), n), dtype=np.int64)
+    row = -low % p
+    for j in range(n - 1):
+        high[j] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
+
+    def mulmod(a, b):
+        c = np.convolve(a, b) % p
+        return (c[:n] + c[n:] @ high) % p
+
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = 1
+    base = np.roll(one, 1) if n > 1 else -low % p
+    xp, e = one, p
+    while e:
+        if e & 1:
+            xp = mulmod(xp, base)
+        base = mulmod(base, base)
+        e >>= 1
+    rows = [one]
+    for _ in range(n - 1):
+        rows.append(mulmod(rows[-1], xp))
+    return np.array(rows)
+
+
+def _list_zm_mul(a, b, m):
+    """a b mod m by list convolution, one row of products per entry of a."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        out[i : i + len(b)] = [o + x * y for o, y in zip(out[i : i + len(b)], b)]
+    return F._zm(out, m)
+
+
+def _one_gcd_per_degree(fm, q, p):
+    """The distinct-degree split with one gcd of what is left of f with
+    x^(p^d) - x per degree d, while 2d <= its degree."""
+    n = len(fm) - 1
+    parts, h = [], fm
+    v = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        v[1] = 1
+    d = 0
+    while 2 * (d + 1) <= len(h) - 1:
+        d += 1
+        v = v @ q % p
+        g = F._gf_gcd(h, F._zm_lin(v.tolist(), [0, 1], p, -1), p)
+        if len(g) > 1:
+            parts.append((d, g))
+            h = F._zm_divmod(h, g, p)[0]
+    if len(h) > 1:
+        parts.append((len(h) - 1, h))
+    return parts
+
+
+def test_frobenius_matrix_and_distinct_degree_match_their_oracles(monkeypatch):
+    """Berlekamp's matrix against the convolution oracle and the
+    distinct-degree split against one gcd per degree: every prime p up to
+    997 at degrees 1-70 (p below, at and above 2n), products of small
+    factors mod p, and every matrix certify builds, among them at p = 101
+    for leading coefficients that all 25 witness primes divide."""
+    rng = random.Random(997)
+    primes = [q for q in range(2, 998) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    splits = set()
+
+    def check(fm, p):
+        q = F._frobenius_matrix(F._x_powers(fm, p), p)
+        assert (q == _convolution_frobenius_matrix(fm, p)).all(), (fm, p)
+        if len(F._gf_gcd(fm, F._zm([i * c for i, c in enumerate(fm)][1:], p), p)) == 1:
+            parts = F._distinct_degree(fm, q, F._x_powers(fm, p), p)
+            assert parts == _one_gcd_per_degree(fm, q, p), (fm, p)
+            splits.add(tuple(d for d, _ in parts))
+
+    for p in primes:
+        # x^p is row p of the table for p < 2n, else repeated squaring.
+        edges = [(p - 1) // 2, (p + 1) // 2] if p < 140 else []
+        for n in [rng.randint(1, 12), rng.randint(13, 70)] + [e for e in edges if e]:
+            check([rng.randrange(p) for _ in range(n)] + [1], p)
+    for _ in range(300):
+        p = rng.choice(primes[:10])
+        fm = [1]
+        for _ in range(rng.randint(1, 8)):
+            fm = F._zm_mul(fm, [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1], p)
+        check(fm, p)
+    assert len(splits) >= 100, len(splits)
+    seen, frobenius = [], F._frobenius_matrix
+
+    def checked(t, p):
+        q = frobenius(t, p)
+        fm = (-t[t.shape[1]] % p).tolist() + [1]
+        assert (q == _convolution_frobenius_matrix(fm, p)).all(), (fm, p)
+        seen.append(p)
+        return q
+
+    monkeypatch.setattr(F, "_frobenius_matrix", checked)
+    lc = math.prod(F._WITNESS_PRIMES)
+    for f in (IntPoly((1, lc)), IntPoly((1, 1, 0, 0, 0, 0, lc)), IntPoly((-1, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, lc))):
+        assert irreducibility_certificate(f).status == "irreducible", f
+    for f in _oracle_cases()[:40]:
+        irreducibility_certificate(f)
+    assert seen.count(101) >= 3 and len(set(seen)) >= 8, seen
+
+
+def test_zm_mul_matches_the_list_convolution():
+    """Kronecker products mod m against list convolution, for moduli up to
+    2^200, residues drawn at random and all m - 1 (every product digit at
+    its bound), lengths 1-40: the product bound's bit length takes every
+    residue mod 8, so the width crosses each byte boundary."""
+    rng = random.Random(200)
+    top_bits = set()
+    for bits in range(1, 201):
+        for _ in range(3):
+            m = rng.randint(2 ** (bits - 1), 2**bits) if bits > 1 else 2
+            la, lb = rng.randint(1, 40), rng.randint(1, 40)
+            for full in (False, True):
+                a = [m - 1] * la if full else F._zm([rng.randrange(m) for _ in range(la)], m)
+                b = [m - 1] * lb if full else F._zm([rng.randrange(m) for _ in range(lb)], m)
+                assert F._zm_mul(a, b, m) == _list_zm_mul(a, b, m), (a, b, m)
+                assert F._zm_mul(b, [], m) == [] == F._zm_mul([], a, m)
+                if full:
+                    top_bits.add((min(la, lb) * (m - 1) ** 2).bit_length() % 8)
+    assert top_bits == set(range(8)), top_bits
 
 
 def test_is_reciprocal():
@@ -806,7 +949,22 @@ def _fraction_try_div(f, g):
     return IntPoly(tuple(int(q) for q in quo))
 
 
-def test_poly_gcd_and_try_div_match_fraction_oracles():
+def _heuristic_gcd_cases(rng):
+    """Seeded pairs h a', h b' with b' = t^k - 1 and a' = b' + D t, D =
+    2^(8k) - 1: gcd(a', b') = 1, but D divides a'(xi) and b'(xi) at every
+    xi = 2^(8w), so gcd(a(xi), b(xi)) = D |h(xi)|, whose digits are D h
+    only where D |h| is below xi/2.  The norm of h b' sets the first width."""
+    cases = []
+    for _ in range(60):
+        h = IntPoly(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))) + (rng.choice((1, 2)),))
+        k = rng.randint(1, 6)
+        b = IntPoly((-1,) + (0,) * (k - 1) + (1,))
+        a = b + IntPoly((0, 2 ** (8 * k) - 1))
+        cases.append((h * a * rng.choice((1, -3)), h * b))
+    return cases
+
+
+def test_poly_gcd_and_try_div_match_fraction_oracles(monkeypatch):
     rng = random.Random(1971)
 
     def rand_poly(lo, hi):
@@ -830,15 +988,35 @@ def test_poly_gcd_and_try_div_match_fraction_oracles():
         elif kind == 2:  # negative leading coefficients
             f, g = -(f * h) if f else f, -(g * h) if g else g
         cases.append((f, g))
+    # At t = 256, one byte short of the width for norm 255, t - 255 is 1.
+    t255 = IntPoly((-255, 1))
+    cases += [(t255 * IntPoly((2, 1)), t255 * IntPoly((-3, 1))), (t255 * t255, t255 * IntPoly((7, 0, 1)))]
+    cases += _heuristic_gcd_cases(rng)
+    # The widths each poly_gcd call tries (one _unpack per width) and its
+    # remainder-sequence fallbacks.
+    widths, fallbacks, unpack, prs = [], [], P._unpack, P._prs_gcd
+    monkeypatch.setattr(P, "_unpack", lambda v, w: widths.append(w) or unpack(v, w))
+    monkeypatch.setattr(P, "_prs_gcd", lambda f, g: fallbacks.append(f) or prs(f, g))
+    tries = {"first": 0, "retry": 0, "fallback": 0}
     for f, g in cases:
         expected = _fraction_euclid_gcd(f, g)
-        assert P.poly_gcd(f, g) == expected, (f, g)
-        assert P.poly_gcd(g, f) == expected, (f, g)
+        assert prs(f, g) == expected, (f, g)
+        for x, y in ((f, g), (g, f)):
+            del widths[:], fallbacks[:]
+            assert P.poly_gcd(x, y) == expected, (x, y)
+            if fallbacks:
+                assert len(widths) == 4 and widths == list(range(widths[0], widths[0] + 4)), (x, y)
+                tries["fallback"] += 1
+            elif len(widths) > 1:
+                tries["retry"] += 1
+            else:
+                tries["first"] += len(widths)
         if g:
             assert f.try_div(g) == _fraction_try_div(f, g), (f, g)
             assert (f * g).try_div(g) == f, (f, g)
             if expected:
                 assert f.try_div(expected) == _fraction_try_div(f, expected), (f, g)
+    assert min(tries.values()) >= 20, tries
     with pytest.raises(ZeroDivisionError):
         IntPoly((1, 1)).try_div(IntPoly())
 
@@ -1556,3 +1734,68 @@ def test_float64_route_pieces_match_their_numpy_oracles():
                 assert disjoint == (not P._overlaps(zs, near).any()), f
                 seen["apart" if disjoint else "meet"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _stepwise_weierstrass_f64(a, z):
+    """_weierstrass_f64 one Horner step at a time, ten ufunc calls per
+    coefficient: the oracle of its whole-array passes."""
+    n = len(a) - 1
+    g = 8 * (n + 2) * P._U / (1 - 8 * (n + 2) * P._U)
+    with np.errstate(all="ignore"):
+        az = np.abs(z)
+        p = np.full(len(z), a[-1], dtype=complex)
+        pa = np.abs(p)
+        err = np.zeros(len(z))
+        for c in a[-2::-1]:
+            p = p * z + c
+            qa = np.abs(p)
+            err = az * err + (3 * P._U * az * pa + 2 * P._U * qa + P._ETA)
+            pa = qa
+        hi = (pa + err) * (1 + g)
+        d = z[:, None] - z[None, :]
+        np.fill_diagonal(d, 1)
+        d[:, 0] *= a[-1]
+        partial = np.cumprod(d, axis=1)
+        mags = np.abs(partial)
+        normal = (np.isfinite(mags) & (mags >= P._TINY)).all(axis=1)
+        lo = np.where(normal, mags[:, -1] * (1 - g), 0.0)
+    return hi, lo
+
+
+def test_float64_bound_matches_the_stepwise_loop():
+    """hi and lo bit for bit (a NaN matching any NaN) on seeded polynomials
+    of degree 1-160: zero constant terms, coefficients near 2^53, leading
+    coefficients up to 2^52, and centers whose Horner values overflow to
+    inf or NaN, and centers scaled up until products overflow."""
+    rng = random.Random(160)
+    seen = dict.fromkeys(("zeros", "2^53", "inf", "nan"), 0)
+    for trial in range(900):
+        d = rng.randint(1, 160) if trial % 4 else rng.randint(1, 12)
+        coeffs = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice((1, 2, -3, 2**52 - 1))]
+        kind = trial % 6
+        if kind == 1:
+            k = rng.randint(1, d)
+            coeffs[:k] = [0] * k
+            seen["zeros"] += 1
+        elif kind == 2:
+            coeffs[rng.randrange(d + 1)] = rng.choice((1, -1)) * (2**53 - rng.randint(1, 2**20))
+            seen["2^53"] += 1
+        a = np.array(coeffs, dtype=float)
+        z = np.roots(a[::-1]).astype(complex)
+        if len(z) != d:
+            continue
+        if kind == 3:
+            z[rng.randrange(d)] = complex(rng.choice((1e200, 1e300)), rng.uniform(-1, 1))
+        elif kind == 4:
+            z[rng.randrange(d)] = complex(rng.choice((np.inf, -np.inf)), rng.choice((0.0, np.inf, 1.0)))
+        elif kind == 5:
+            z = z * 2.0 ** rng.randint(6, 12)
+        hi, lo = P._weierstrass_f64(a, z)
+        want_hi, want_lo = _stepwise_weierstrass_f64(a, z)
+        for got, want in ((hi, want_hi), (lo, want_lo)):
+            nan = np.isnan(want)
+            assert (np.isnan(got) == nan).all(), (coeffs, z)
+            assert _bits(got[~nan]) == _bits(want[~nan]), (coeffs, z)
+        seen["inf"] += bool(np.isinf(want_hi).any())
+        seen["nan"] += bool(np.isnan(want_hi).any())
+    assert min(seen.values()) >= 10, seen

@@ -35,7 +35,13 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # integer and over a rational init, a degree-0 char, --d-max 0, a rational
 # growth, fg-growth --sum and --k-max 5), and Burau words they never draw
 # (all-inverse with T^-2, a word that cancels to the identity, whose
-# determinant vanishes, and a one-signed 4-strand word).
+# determinant vanishes, and a one-signed 4-strand word).  The rounds draw
+# poly-check only at degree 20-24 and mahler repeated factors with small
+# coefficients, so also: the Swinnerton-Dyer octic, which splits into at
+# least four factors modulo every prime; two distinct irreducible cubics
+# times a sextic, where the prime taken can decide which cubic is printed;
+# Phi_7 times Lehmer's polynomial; t * prod(witness primes) + 1, whose
+# witness prime is 101; and a square factor with coefficients near 10^3.
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -61,6 +67,11 @@ CONTRACT = [
     ["fg-growth", "--endo", "a -> a b; b -> a c; c -> a d; d -> a", "--iters", "16", "--sum"],
     ["fg-growth", "--endo", "a -> a b a^-1; b -> b a", "--iters", "12", "--k-max", "2", "--sum"],
     ["fg-growth", "--endo", "a -> a b; b -> a", "--k-max", "5", "--window", "3"],
+    ["poly-check", "--poly=576,0,-960,0,352,0,-40,0,1"],
+    ["poly-check", "--poly=2,4,2,-3,-4,-1,3,3,0,-3,-1,0,1"],
+    ["poly-check", "--poly=1,2,2,1,0,-1,-2,-4,-5,-4,-2,-1,0,1,2,2,1"],
+    ["poly-check", "--poly=1,2305567963945518424753102147331756070"],
+    ["mahler", "--poly=578,-1819,936,1160,-1114,996,-62,1"],
 ]
 
 
