@@ -281,7 +281,7 @@ def _cmd_mahler(args) -> tuple:
     r = mahler_measure(f, tol=args.tol)
     inputs = {"poly": _poly_obj(f), "tol": args.tol}
     result = {"mahler": r.value, "lower": r.lower, "upper": r.upper, "exact": r.exact}
-    return inputs, result, [f"M({format_poly(f)}) = {r.value:.12f}"]
+    return inputs, result, [f"M({inputs['poly']['display']}) = {r.value:.12f}"]
 
 
 def _cmd_poly_check(args) -> tuple:
@@ -398,7 +398,7 @@ def _cmd_perron(args) -> tuple:
         "perron_candidate": chk.is_perron_candidate,
     }
     verdict = "passes" if chk.is_perron_candidate else "fails"
-    return inputs, result, [f"{format_poly(f)} {verdict} the Perron conditions"]
+    return inputs, result, [f"{inputs['poly']['display']} {verdict} the Perron conditions"]
 
 
 def _cmd_padding(args) -> tuple:

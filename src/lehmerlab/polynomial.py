@@ -4,16 +4,18 @@ Coefficients are stored in ascending order of degree, so ``IntPoly((1, 0, -2))``
 is ``1 - 2*t^2``.  All ring arithmetic is exact over Z (or Q where division
 requires it); floating point only enters through the numeric root finder,
 which returns certified error radii alongside every approximation.  The
-eigenvalues of the companion matrix (built as ``np.roots`` builds it, so the
-starts are np.roots's to the bit) are certified in float64 by
-Weierstrass disks whose radii are rigorous under rounding; when that bound
-fails, the same correction is iterated at dyadic centers, whose disks are
-certified in exact integer arithmetic.  Pairwise disjoint disks prove the
-polynomial squarefree, so the Yun decomposition runs only where they do not,
-as in irreducibility_certificate it runs only where a witness prime does not.
-Rational roots, zero included, are recognized exactly inside their isolated
-disks.  numpy is imported on the first root certification, not with this
-module, so code that computes no root never loads it.
+eigenvalues of the companion matrix (built as ``np.roots`` builds it and
+passed to the LAPACK gufunc behind ``np.linalg.eigvals``, so the starts are
+np.roots's to the bit) are certified in float64 by Weierstrass disks whose
+radii are rigorous under rounding, in one pass per polynomial under one
+``np.errstate``; when that bound fails, the same correction is iterated at
+dyadic centers, whose disks are certified in exact integer arithmetic.
+Pairwise disjoint disks prove the polynomial squarefree, so the Yun
+decomposition runs only where they do not, as in irreducibility_certificate
+it runs only where a witness prime does not.  Rational roots, zero
+included, are recognized exactly inside their isolated disks.  numpy is
+imported on the first root certification, not with this module, so code
+that computes no root never loads it.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class IntPoly:
 
     def primitive_part(self) -> "IntPoly":
         c = self.content()
-        return IntPoly(tuple(v // c for v in self.coeffs)) if c else self
+        return IntPoly(tuple(v // c for v in self.coeffs)) if c > 1 else self
 
     def divmod_q(self, other):
         """Quotient and remainder over Q, as tuples of Fractions."""
@@ -253,12 +255,20 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     widens by one byte, at most three times, and then the primitive
     remainder sequence ``_prs_gcd`` decides.
     """
+    return _gcd_cofactors(f, g)[0]
+
+
+def _gcd_cofactors(f: IntPoly, g: IntPoly):
+    """(h, a / h, b / h): h = poly_gcd(f, g) and the cofactors of the
+    primitive parts a and b of f and g.  GCDHEU's divisibility test yields
+    them; where f or g is 0 or the remainder sequence decides, they are
+    None, and where both are 0, so is h."""
     a, b = f.primitive_part(), g.primitive_part()
     if not a or not b:
         h = a or b
-        return -h if h and h.leading < 0 else h
+        return (-h if h and h.leading < 0 else h), None, None
     if not a.degree or not b.degree:
-        return IntPoly((1,))
+        return IntPoly((1,)), a, b
     na, nb = max(map(abs, a.coeffs)), max(map(abs, b.coeffs))
     w0 = -(-(2 * min(na, nb) + 2).bit_length() // 8)
     for w in range(w0, w0 + 4):
@@ -269,9 +279,13 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
         low, digits = _unpack(math.gcd(va, vb), w)
         h = IntPoly([0] * low + digits).primitive_part()
         # gamma > 0, so the top digit, and h's leading coefficient, is positive.
-        if not h.degree or (a.try_div(h) is not None and b.try_div(h) is not None):
-            return h
-    return _prs_gcd(a, b)
+        if not h.degree:
+            return h, a, b
+        qa = a.try_div(h)
+        qb = None if qa is None else b.try_div(h)
+        if qb is not None:
+            return h, qa, qb
+    return _prs_gcd(a, b), None, None
 
 
 def _prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -301,7 +315,10 @@ def squarefree_decomposition(f: IntPoly):
     content * prod g_i^i, the g_i primitive, squarefree, pairwise coprime.
 
     Every gcd is ``poly_gcd``'s heuristic gcd (the remainder sequence only
-    where it fails).  Callers prove f squarefree first where they can:
+    where it fails), taken through ``_gcd_cofactors``: its divisibility
+    test yields the quotients by the gcd that each step needs, so only the
+    remainder sequence leaves them to a division.  Callers prove f
+    squarefree first where they can:
     ``roots`` by disjoint disks, and ``irreducibility_certificate`` at a
     witness prime.
     """
@@ -312,19 +329,24 @@ def squarefree_decomposition(f: IntPoly):
     p = f.primitive_part() if sign > 0 else -f.primitive_part()
     if p.degree == 0:
         return content, []
-    g = poly_gcd(p, p.derivative())
+
+    def split(w, z):
+        # (h, w / h, z / h), h = poly_gcd(w, z), for w primitive, as p and
+        # every cofactor of a primitive gcd are; z / h is cont(z) times the
+        # cofactor of pp(z).
+        h, w_h, z_h = _gcd_cofactors(w, z)
+        if w_h is None:
+            return h, w.exact_div(h), z.exact_div(h)
+        return h, w_h, z_h * z.content()
+
+    g, w, y = split(p, p.derivative())
     if g.degree == 0:
         return content, [(p, 1)]
-    parts = []
-    w = p.exact_div(g)
-    z = p.derivative().exact_div(g) - w.derivative()
-    i = 1
+    parts, i = [], 1
     while w.degree > 0:
-        h = poly_gcd(w, z)
+        h, w, y = split(w, y - w.derivative())
         if h.degree > 0:
             parts.append((h, i))
-        w = w.exact_div(h)
-        z = z.exact_div(h) - w.derivative()
         i += 1
     return content, parts
 
@@ -746,58 +768,74 @@ def _weierstrass_f64(a, z):
     roundings where it enters (|z|, |p|, two products, three sums), 8 in
     each later step (|z|, a product, a sum), 1 in |p| + E and 2 in
     forming 1 + gamma and multiplying by it: at most 8n + 12 over the n
-    steps.  The Horner values at all centers are one (n + 1) x m array,
-    row k after k steps; their moduli are one np.abs, the terms one
+    steps.  The Horner values at all centers are the rows of
+    _horner_and_products; their moduli are one np.abs, the terms one
     expression, and E runs in place.  Each element comes from the same
     operations, in the same order, as one step at a time, so hi is the
-    same to the bit and the count stands.  The product of lo commits one rounding per difference, at
-    most 3 per complex product, 1 for lc, 6 for its modulus and 2 for
-    1 - gamma: at most 4n + 5.
+    same to the bit and the count stands.  The product of lo commits one
+    rounding per difference, at most 3 per complex product, 1 for lc, 6
+    for its modulus and 2 for 1 - gamma: at most 4n + 5.
     """
     import numpy as np
 
     n = len(a) - 1
     g = 8 * (n + 2) * _U / (1 - 8 * (n + 2) * _U)
-    with np.errstate(all="ignore"):
-        az = np.abs(z)
-        p = np.empty((n + 1, len(z)), dtype=complex)
-        p[0] = a[-1]
-        for k, c in enumerate(a[-2::-1], 1):
-            row = p[k]
-            np.multiply(p[k - 1], z, out=row)
-            row += c
-        pa = np.abs(p)
-        terms = 3 * _U * az * pa[:-1] + 2 * _U * pa[1:] + _ETA
-        err = np.zeros(len(z))
-        for term in terms:
-            err *= az
-            err += term
-        hi = (pa[-1] + err) * (1 + g)
-        d = z[:, None] - z[None, :]
-        np.fill_diagonal(d, 1)
-        # lc goes in first, so the mask below covers the whole product.
-        d[:, 0] *= a[-1]
-        partial = np.cumprod(d, axis=1)
-        mags = np.abs(partial)
-        normal = (np.isfinite(mags) & (mags >= _TINY)).all(axis=1)
-        lo = np.where(normal, mags[:, -1] * (1 - g), 0.0)
+    p, partial = _horner_and_products(a, z)
+    az, pa = np.abs(z), np.abs(p)
+    terms = 3 * _U * az * pa[:-1] + 2 * _U * pa[1:] + _ETA
+    err = np.zeros(len(z))
+    for term in terms:
+        err *= az
+        err += term
+    hi = (pa[-1] + err) * (1 + g)
+    mags = np.abs(partial)
+    normal = (np.isfinite(mags) & (mags >= _TINY)).all(axis=1)
+    lo = np.where(normal, mags[:, -1] * (1 - g), 0.0)
     return hi, lo
+
+
+def _horner_and_products(a, z):
+    """Horner's rule for the coefficients a (ascending) at the float64
+    centers z, and the products lc * prod_{k != j} (z_j - z_k), in float64
+    with no bound: (p, partial).
+
+    Row k of p, (n + 1) x m, holds the Horner values after k steps, so row
+    n holds f(z).  Row j of partial holds the running products of
+    lc * (z_j - z_0), z_j - z_1, ..., with 1 in place of z_j - z_j, so its
+    last column is the whole product, and lc entering first lets one mask
+    cover every partial product.  The Horner steps run in place, adding
+    the coefficients as they come (Python floats or numpy scalars give the
+    same bits).
+    """
+    import numpy as np
+
+    m = len(z)
+    p = np.empty((len(a), m), dtype=complex)
+    prev = p[0]
+    prev[...] = a[-1]
+    for row, c in zip(p[1:], a[-2::-1]):
+        np.multiply(prev, z, out=row)
+        row += c
+        prev = row
+    d = np.subtract.outer(z, z)
+    d.flat[:: m + 1] = 1
+    d[:, 0] *= a[-1]
+    return p, np.multiply.accumulate(d, axis=1)
 
 
 def _weierstrass_step(a, z):
     """The Weierstrass corrections w_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k))
     at float64 centers z, computed in float64 from the coefficients a
     (ascending), with no bound."""
+    p, partial = _horner_and_products(a, z)
+    return p[-1] / partial[:, -1]
+
+
+def _fixed_starts(n):
+    """The starts taken where the companion eigenvalues cannot be had."""
     import numpy as np
 
-    with np.errstate(all="ignore"):
-        p = np.full(len(z), a[-1], dtype=complex)
-        for c in a[-2::-1]:
-            p = p * z + c
-        d = z[:, None] - z[None, :]
-        np.fill_diagonal(d, 1)
-        d[:, 0] *= a[-1]
-        return p / np.cumprod(d, axis=1)[:, -1]
+    return np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
 
 
 def _eigenvalues(coeffs):
@@ -805,43 +843,55 @@ def _eigenvalues(coeffs):
     starts where it fails, from the companion matrix np.roots builds.
 
     Each c / lc is float(Fraction(c, lc)): CPython's int true division is
-    correctly rounded.  As in np.roots, zero constant terms are stripped
-    and their zero roots come last, and the matrix has -p[1:] / p[0] as
-    row 0 (p descending, p[0] = 1) and ones on the subdiagonal.
+    correctly rounded; past the float64 range the starts are fixed.  As in
+    np.roots, zero constant terms are stripped and their zero roots come
+    last, and the matrix has -p[1:] / p[0] as row 0 (p descending, p[0] =
+    1) and ones on the subdiagonal.  Its eigenvalues come from the LAPACK
+    gufunc that np.linalg.eigvals wraps, called as eigvals calls it (the
+    same bits, without the wrapper's checks and errstate): a NaN output is
+    LAPACK's non-convergence, where eigvals raises LinAlgError, and takes
+    the fixed starts.  As in eigvals, the array is real when every
+    eigenvalue is.
     """
     import numpy as np
+    from numpy.linalg import _umath_linalg
 
     n, lc = len(coeffs) - 1, coeffs[-1]
     try:
         p = [c / lc for c in coeffs]
-        zeros = next(i for i, v in enumerate(p) if v)
-        m = n - zeros
-        a = np.zeros((m, m))
-        a.flat[m :: m + 1] = 1
-        a[:1] = [-v for v in reversed(p[zeros:-1])]
-        start = np.linalg.eigvals(a)
-        if zeros:
-            start = np.concatenate((start, np.zeros(zeros, start.dtype)))
-    except (OverflowError, np.linalg.LinAlgError):
-        start = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(n)])
+    except OverflowError:
+        return _fixed_starts(n)
+    zeros = next(i for i, v in enumerate(p) if v)
+    m = n - zeros
+    a = np.zeros((m, m))
+    a.flat[m :: m + 1] = 1
+    a[:1] = [-v for v in reversed(p[zeros:-1])]
+    start = _umath_linalg.eigvals(a, signature="d->D")
+    imag = start.imag.tolist()
+    if not any(imag):
+        start = start.real
+    elif any(map(math.isnan, imag)):
+        return _fixed_starts(n)
+    if zeros:
+        start = np.concatenate((start, np.zeros(zeros, start.dtype)))
     return start
 
 
 def _float64_step(coeffs, start):
     """One float64 Weierstrass step from the eigenvalues start: (a, z, moved).
 
-    a holds the coefficients as floats, z the stepped centers (within a
-    few ulps of simple roots; they are the centers certified) and moved
-    the largest |w_j| / max(1, |start_j|) of the step (inf where a
-    correction is not a number, as where centers coincide).  None when a
-    coefficient is 2^53 or more.
+    a holds the coefficients as Python floats, z the stepped centers
+    (within a few ulps of simple roots; they are the centers certified)
+    and moved the largest |w_j| / max(1, |start_j|) of the step (inf where
+    a correction is not a number, as where centers coincide).  None when
+    a coefficient is 2^53 or more.
     """
     import numpy as np
 
     if max(map(abs, coeffs)) >= 2**53:
         return None
-    a = np.array(coeffs, dtype=float)
-    z = start.astype(complex)
+    a = list(map(float, coeffs))
+    z = np.asarray(start, dtype=complex)
     w = _weierstrass_step(a, z)
     moved = 0.0
     for wj, zj in zip(w.tolist(), z.tolist()):
@@ -869,6 +919,29 @@ def _float64_disks(step, tol):
     return z.tolist(), radii
 
 
+def _float64_pass(coeffs, tol, cluster_step=math.inf):
+    """The float64 route of an integer polynomial (coefficients
+    ascending): (start, disks).
+
+    The stages: the companion eigenvalues start (_eigenvalues), one
+    float64 Weierstrass step from them (_float64_step) and, unless a
+    coefficient is 2^53 or more or the step moved an eigenvalue by more
+    than cluster_step, the float64 certificate disks (_float64_disks; None
+    where it fails or is not run).  They open no np.errstate of their own
+    and run under this one, which silences numpy's warnings on overflow
+    and on LAPACK's non-convergence; the stages read both from the values,
+    so a stage called alone gives the same values, with those warnings.
+    """
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        start = _eigenvalues(coeffs)
+        step = _float64_step(coeffs, start)
+        if step is None or not step[2] <= cluster_step:
+            return start, None
+        return start, _float64_disks(step, tol)
+
+
 def _certified_roots(coeffs, tol):
     """Certified roots of a squarefree integer polynomial.
 
@@ -876,17 +949,16 @@ def _certified_roots(coeffs, tol):
     connected component of m disks D(z_j, r_j) holds exactly m roots:
     r_j >= n|W_j| for the Weierstrass corrections
     W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
-    Carstensen).  The order of work: the companion eigenvalues
-    (_eigenvalues), one float64 Weierstrass step (_float64_step) and the
-    float64 certificate (_float64_disks); when that fails (a coefficient
-    of 2^53 or more, a cluster, overflow) _weierstrass_exact iterates the
-    same correction from the same eigenvalues at dyadic centers and
-    certifies it in exact integers.  roots() takes the same steps on the
-    primitive part of its input before any squarefree split.
+    Carstensen).  The order of work: the float64 pass (_float64_pass: the
+    companion eigenvalues, one float64 Weierstrass step and the float64
+    certificate); when the certificate fails (a coefficient of 2^53 or
+    more, a cluster, overflow) _weierstrass_exact iterates the same
+    correction from the same eigenvalues at dyadic centers and certifies
+    it in exact integers.  roots() runs the same pass on the primitive
+    part of its input before any squarefree split.
     """
-    start = _eigenvalues(coeffs)
-    step = _float64_step(coeffs, start)
-    return (step and _float64_disks(step, tol)) or _weierstrass_exact(coeffs, tol, start)
+    start, disks = _float64_pass(coeffs, tol)
+    return disks or _weierstrass_exact(coeffs, tol, start)
 
 
 def _weierstrass_exact(coeffs, tol, start):
@@ -948,7 +1020,10 @@ def _weierstrass_exact(coeffs, tol, start):
                 dx, dy = Fraction(x, one) - Fraction(z.real), Fraction(y, one) - Fraction(z.imag)
                 d = dx * dx + dy * dy
                 dists.append(d)
-                radii.append(_up((nws[j] + _isqrt_up(d.numerator << 2 * s, d.denominator)) / (1 << s)))
+                try:
+                    radii.append(_up((nws[j] + _isqrt_up(d.numerator << 2 * s, d.denominator)) / (1 << s)))
+                except OverflowError:
+                    raise PrecisionError("root disk radii left the float64 range") from None
             if all(r < tol / 4 for r in radii):
                 return centers, radii
             for j in range(n):
@@ -982,9 +1057,9 @@ def _overlaps(zs, radii):
     import numpy as np
 
     z, r = np.array(zs, dtype=complex), np.array(radii)
-    d = z[:, None] - z[None, :]
-    near = np.hypot(d.real, d.imag) * (1 - 8 * _U) <= r[:, None] + r[None, :]
-    np.fill_diagonal(near, False)
+    d = np.subtract.outer(z, z)
+    near = np.hypot(d.real, d.imag) * (1 - 8 * _U) <= np.add.outer(r, r)
+    near.flat[:: len(zs) + 1] = False
     return near
 
 
@@ -1059,10 +1134,8 @@ def _merge_clusters(zs, radii, near):
     The shared radius carries a margin of a few units of roundoff, as the
     overlap test does, so disks are merged whenever they might meet.
     """
-    import numpy as np
-
-    pairs = np.argwhere(np.triu(near)).tolist()
-    if not pairs:
+    rows, cols = near.nonzero()  # each pair twice, once per order
+    if not len(rows):
         return radii
     parent = list(range(len(zs)))
 
@@ -1072,7 +1145,7 @@ def _merge_clusters(zs, radii, near):
             i = parent[i]
         return i
 
-    for i, j in pairs:
+    for i, j in zip(rows.tolist(), cols.tolist()):
         parent[find(i)] = find(j)
     out = list(radii)
     groups = {}
@@ -1092,8 +1165,9 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
 
     The order of work, on the primitive part p of f with lc(p) > 0:
 
-    1. The companion eigenvalues of p, one float64 Weierstrass step and the
-       float64 certificate of _certified_roots, with no exact escalation.
+    1. The float64 pass of _certified_roots (_float64_pass: the companion
+       eigenvalues of p, one float64 Weierstrass step and the float64
+       certificate), with no exact escalation.
        The certificate is skipped when the step moved an eigenvalue by
        more than _CLUSTER_STEP, the mark of a multiple root or a cluster.
     2. If every radius is below tol/4 and the n disks are pairwise
@@ -1128,10 +1202,7 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     p = f.primitive_part()
     if p.leading < 0:
         p = -p
-    coeffs = list(p.coeffs)
-    step = _float64_step(coeffs, _eigenvalues(coeffs))
-    quiet = step is not None and step[2] <= _CLUSTER_STEP
-    disks = _float64_disks(step, tol) if quiet else None
+    disks = _float64_pass(list(p.coeffs), tol, _CLUSTER_STEP)[1]
     if disks and _disjoint(*disks):
         zs, radii = disks  # p is squarefree
         near = _recognize_rational_roots(p, zs, radii, None)

@@ -968,6 +968,12 @@ def test_growth_past_float64_exits_1_naming_the_limit(capsys):
     }
 
 
+def test_mahler_past_float64_exits_1_naming_the_limit(capsys):
+    code, doc, _ = run_json(["mahler", f"--poly={10**400},0,1", "--json-only"], capsys)
+    assert code == 1
+    assert doc["error"] == {"type": "PrecisionError", "message": "root disk radii left the float64 range"}
+
+
 @pytest.mark.parametrize(
     "cmd",
     [
@@ -999,7 +1005,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 28 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 35 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1008,7 +1014,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["541 jobs, 1082 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["548 jobs, 1096 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():

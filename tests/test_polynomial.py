@@ -1193,7 +1193,8 @@ def _assert_bounds_hold(f, z):
     below, at each float64 center itself, against 60-digit evaluation.
     Returns lo."""
     a = np.array(f.coeffs, dtype=float)
-    hi, lo = P._weierstrass_f64(a, z)
+    with np.errstate(all="ignore"):  # as _float64_pass runs it
+        hi, lo = P._weierstrass_f64(a, z)
     desc = list(f.coeffs[::-1])
     with mpmath.workdps(60):
         zm = [mpmath.mpc(v) for v in z]
@@ -1313,6 +1314,15 @@ def test_tol_below_float64_resolution_names_the_limit():
     assert roots(IntPoly((-(10**7 + 1), 1024)), 1e-300).radii == (0.0,)
 
 
+def test_radii_past_the_float64_range_raise_precision_error():
+    """c / lc of t^2 + 10^400 overflows, so the escalation starts from the
+    fixed starts, and its disks about the roots +-10^200 i grow past the
+    float64 range: a PrecisionError naming that range, not the OverflowError
+    of the radius division."""
+    with pytest.raises(PrecisionError, match="^root disk radii left the float64 range$"):
+        roots(IntPoly((10**400, 0, 1)))
+
+
 @pytest.fixture
 def yun_calls(monkeypatch):
     """The degree of every squarefree_decomposition call, however reached."""
@@ -1342,11 +1352,13 @@ def _yun_first_certificate(f):
     return F.certify(f)
 
 
-def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
+def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls, monkeypatch):
     """Yun is plain: its parts multiply back, and a single part (p, 1) means
-    the PRS gcd(p, p') is 1.  irreducibility_certificate calls it only when
-    the first two witness primes not dividing lc(p) both leave p not
-    squarefree mod that prime, and then exactly once."""
+    the PRS gcd(p, p') is 1; with every gcd left to the remainder sequence,
+    which yields no cofactors, the parts are the same.
+    irreducibility_certificate calls it only when the first two witness
+    primes not dividing lc(p) both leave p not squarefree mod that prime,
+    and then exactly once."""
     rng = random.Random(160)
     gcd = P.poly_gcd
     for d in (1, 2, 7, 20, 60, 160):
@@ -1357,6 +1369,9 @@ def test_squarefree_proof_mod_p_matches_the_prs_route(yun_calls):
             squarefree = gcd(p, p.derivative()).degree == 0  # the PRS route
             content, parts = P.squarefree_decomposition(h)
             assert (parts == [(p, 1)]) == squarefree
+            with monkeypatch.context() as m:
+                m.setattr(P, "_gcd_cofactors", lambda a, b: (P._prs_gcd(a, b), None, None))
+                assert P.squarefree_decomposition(h) == (content, parts)
             prod = IntPoly((content,))
             for q, i in parts:
                 prod = prod * q**i
@@ -1430,8 +1445,10 @@ def test_certificate_matches_the_yun_first_route(yun_calls):
 def _yun_first_roots(f, tol=P.DEFAULT_TOL):
     """roots() with the Yun decomposition first, the reference for the
     certificate-first route: per squarefree part, np.roots starts from
-    Fractions, a float64 step and certificate or else the exact escalation,
-    then scalar pair scans for rational recognition and cluster merging."""
+    Fractions, a float64 step and certificate (the numpy oracles
+    _numpy_weierstrass_step and _stepwise_weierstrass_f64) or else the
+    exact escalation, then scalar pair scans for rational recognition and
+    cluster merging."""
     zs, radii = [], []
     for g, mult in P.squarefree_decomposition(f)[1]:
         coeffs, n = list(g.coeffs), g.degree
@@ -1445,8 +1462,8 @@ def _yun_first_roots(f, tol=P.DEFAULT_TOL):
         if max(map(abs, coeffs)) < 2**53:
             a = np.array(coeffs, dtype=float)
             z = start.astype(complex)
-            z -= P._weierstrass_step(a, z)
-            hi, lo = P._weierstrass_f64(a, z)
+            z -= _numpy_weierstrass_step(a, z)
+            hi, lo = _stepwise_weierstrass_f64(a, z)
             with np.errstate(all="ignore"):
                 rs = n * hi / lo * (1 + 4 * P._U)
             if np.all(rs < tol / 4):
@@ -1679,15 +1696,88 @@ def _touching(rng, zs, radii):
     return radii
 
 
-def test_float64_route_pieces_match_their_numpy_oracles():
-    """_eigenvalues agrees with np.roots bit for bit, and _disjoint with
-    _overlaps(...).any(), on seeded polynomials of degree 1-64: zero
-    constant terms, leading coefficients 2 and 3, coefficients of 2^53 and
-    more (the step returns None), c / lc past the float64 range (fixed
-    starts), clusters (the step moves past _CLUSTER_STEP) and near-touching
-    disks at degree 48-64."""
+def _numpy_weierstrass_step(a, z):
+    """The float64 Weierstrass step one numpy call at a time, a new array
+    per Horner step, np.fill_diagonal and np.cumprod: the oracle of
+    _weierstrass_step."""
+    with np.errstate(all="ignore"):
+        p = np.full(len(z), a[-1], dtype=complex)
+        for c in a[-2::-1]:
+            p = p * z + c
+        d = z[:, None] - z[None, :]
+        np.fill_diagonal(d, 1)
+        d[:, 0] *= a[-1]
+        return p / np.cumprod(d, axis=1)[:, -1]
+
+
+def _stagewise_float64_pass(coeffs, tol):
+    """_float64_pass(coeffs, tol) from its oracles, one stage at a time:
+    np.roots's starts (_np_eigenvalues), the step from an array of
+    coefficients (_numpy_weierstrass_step), the stepwise bound
+    (_stepwise_weierstrass_f64) and the radii on Python floats.  Returns
+    (start, moved, disks), moved None where the step is not taken."""
+    start = _np_eigenvalues(coeffs)
+    if max(map(abs, coeffs)) >= 2**53:
+        return start, None, None
+    a = np.array(coeffs, dtype=float)
+    z = start.astype(complex)
+    w = _numpy_weierstrass_step(a, z)
+
+    def ratio(wj, zj):
+        try:
+            r = abs(wj) / max(1.0, abs(zj))
+        except OverflowError:
+            return math.inf
+        return math.inf if math.isnan(r) else r
+
+    moved = max(map(ratio, w.tolist(), z.tolist()))
+    z = z - w
+    hi, lo = _stepwise_weierstrass_f64(a, z)
+    n = len(coeffs) - 1
+    radii = [n * h / l * (1 + 4 * P._U) if l else math.inf for h, l in zip(hi.tolist(), lo.tolist())]
+    return start, moved, (z.tolist(), radii) if all(r < tol / 4 for r in radii) else None
+
+
+def _companion(coeffs):
+    """np.roots's companion matrix of monic coefficients (ascending)."""
+    m = len(coeffs) - 1
+    a = np.zeros((m, m))
+    a.flat[m :: m + 1] = 1
+    a[:1] = [-float(c) for c in reversed(coeffs[:-1])]
+    return a
+
+
+def test_float64_route_pieces_match_their_numpy_oracles(monkeypatch):
+    """The float64 pass against the stages it replaced, bit for bit, on
+    seeded polynomials of degree 1-64: zero constant terms, leading
+    coefficients 2 and 3, coefficients of 2^53 and more (the step returns
+    None), c / lc past the float64 range (fixed starts), clusters (the step
+    moves past _CLUSTER_STEP) and near-touching disks at degree 48-64.
+    _eigenvalues agrees with np.roots (dtype included), the starts, centers,
+    radii and route decisions of _float64_pass with _stagewise_float64_pass
+    at both cluster steps it is run with, and _disjoint with
+    _overlaps(...).any().  LAPACK's gufunc agrees with np.linalg.eigvals on
+    companions of size 0-64 with real and complex spectra, and a NaN from
+    it takes the fixed starts."""
+    from numpy.linalg import _umath_linalg
+
     rng = random.Random(2026)
-    seen = dict.fromkeys(("zeros", "lc", "big", "fixed", "cluster", "disks", "meet", "apart"), 0)
+    seen = dict.fromkeys(("real", "complex"), 0)
+    for n in range(65):
+        for real in (False, True):
+            if real:  # distinct integer roots, far enough apart for a real spectrum
+                f = poly_from_roots(rng.sample(range(-80, 81), n))
+            else:
+                f = _random_monic(rng, n) if n else IntPoly((1,))
+            a = _companion(f.coeffs)
+            got, want = _umath_linalg.eigvals(a, signature="d->D"), np.linalg.eigvals(a)
+            if want.dtype == float:
+                assert not got.imag.any() and _bits(got.real) == _bits(want), f
+                seen["real"] += 1
+            else:
+                assert _bits(got) == _bits(want), f
+                seen["complex"] += 1
+    seen.update(dict.fromkeys(("zeros", "t^k", "lc", "big", "fixed", "cluster", "disks", "meet", "apart"), 0))
     for trial in range(2200):
         d = rng.randint(1, 64)
         f = _random_monic(rng, d)
@@ -1706,22 +1796,33 @@ def test_float64_route_pieces_match_their_numpy_oracles():
         elif kind == 5:
             g = _random_monic(rng, rng.randint(1, 4))
             f = g * g * _random_monic(rng, max(1, d - 2 * g.degree))
+        elif kind == 6 and trial % 16 == 6:
+            f = IntPoly((0,) * rng.randint(1, 4) + (rng.randint(1, 3),))
+            seen["t^k"] += 1
         if not f or f.degree < 1:
             continue
         coeffs = list(f.coeffs)
         start = P._eigenvalues(coeffs)
-        assert _bits(start) == _bits(_np_eigenvalues(coeffs)), f
+        want_start, moved, want = _stagewise_float64_pass(coeffs, 1e-10)
+        assert _bits(start) == _bits(want_start) and start.dtype == want_start.dtype, f
+        # roots() certifies only where the step stayed below _CLUSTER_STEP;
+        # _certified_roots always does.
+        quiet = moved is not None and moved <= P._CLUSTER_STEP
+        full, first = P._float64_pass(coeffs, 1e-10), P._float64_pass(coeffs, 1e-10, P._CLUSTER_STEP)
+        for (got_start, got), expect in ((full, want), (first, want if quiet else None)):
+            assert _bits(got_start) == _bits(want_start) and (got is None) == (expect is None), f
+            if got is not None:
+                assert _bits(np.array(got)) == _bits(np.array(expect)), f
         try:
             [c / f.leading for c in coeffs]
         except OverflowError:
             seen["fixed"] += 1
-        step = P._float64_step(coeffs, start)
-        if step is None:
+        if moved is None:
             assert max(map(abs, coeffs)) >= 2**53
             seen["big"] += 1
             continue
-        seen["cluster"] += step[2] > P._CLUSTER_STEP
-        disks = P._float64_disks(step, 1e-10)
+        seen["cluster"] += moved > P._CLUSTER_STEP
+        disks = full[1]
         if disks is None:
             continue
         seen["disks"] += 1
@@ -1734,6 +1835,15 @@ def test_float64_route_pieces_match_their_numpy_oracles():
                 assert disjoint == (not P._overlaps(zs, near).any()), f
                 seen["apart" if disjoint else "meet"] += 1
     assert min(seen.values()) >= 20, seen
+    # LAPACK's non-convergence: eigvals raises LinAlgError, the gufunc gives NaN.
+    monkeypatch.setattr(_umath_linalg, "eigvals", lambda a, signature: np.full(len(a), complex(math.nan, math.nan)))
+    for coeffs in ([-1, -1, 1], [0, 0, 2, 0, 3], list(lehmer_polynomial().coeffs)):
+        fixed = np.array([complex(0.4 * k + 0.4, 0.9) for k in range(len(coeffs) - 1)])
+        assert _bits(P._eigenvalues(coeffs)) == _bits(fixed)
+        assert _bits(P._float64_pass(coeffs, 1e-10)[0]) == _bits(fixed)
+    golden = (1 + 5**0.5) / 2
+    rl = roots(IntPoly((-1, -1, 1)))
+    assert abs(rl.roots[0] - golden) <= rl.radii[0] + 1e-15 and abs(rl.roots[1] + 1 / golden) <= rl.radii[1] + 1e-15
 
 
 def _stepwise_weierstrass_f64(a, z):
@@ -1790,7 +1900,8 @@ def test_float64_bound_matches_the_stepwise_loop():
             z[rng.randrange(d)] = complex(rng.choice((np.inf, -np.inf)), rng.choice((0.0, np.inf, 1.0)))
         elif kind == 5:
             z = z * 2.0 ** rng.randint(6, 12)
-        hi, lo = P._weierstrass_f64(a, z)
+        with np.errstate(all="ignore"):  # as _float64_pass runs it
+            hi, lo = P._weierstrass_f64(a, z)
         want_hi, want_lo = _stepwise_weierstrass_f64(a, z)
         for got, want in ((hi, want_hi), (lo, want_lo)):
             nan = np.isnan(want)

@@ -42,6 +42,11 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # times a sextic, where the prime taken can decide which cubic is printed;
 # Phi_7 times Lehmer's polynomial; t * prod(witness primes) + 1, whose
 # witness prime is 101; and a square factor with coefficients near 10^3.
+# The float64 root pass, one input per branch: zero roots, an all-real
+# spectrum with rational roots, the Yun route with a merged cluster, the
+# exact escalation, a coefficient of 2^53 or more, c / lc past the float64
+# range (fixed starts, and disks past that range) and a tol too fine for
+# float64.
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -72,6 +77,13 @@ CONTRACT = [
     ["poly-check", "--poly=1,2,2,1,0,-1,-2,-4,-5,-4,-2,-1,0,1,2,2,1"],
     ["poly-check", "--poly=1,2305567963945518424753102147331756070"],
     ["mahler", "--poly=578,-1819,936,1160,-1114,996,-62,1"],
+    ["mahler", "--poly=0,0,0,-1,-1,1"],
+    ["mahler", "--poly=-6,11,-6,1"],
+    ["mahler", "--poly=1,0,-2,0,1"],
+    ["mahler", "--poly=-2,40,-200,0,0,0,0,0,0,0,1"],
+    ["mahler", "--poly=9007199254740993,0,1"],
+    ["mahler", f"--poly={10**400},0,1"],
+    ["mahler", "--poly=-1,-1,1", "--tol", "1e-300"],
 ]
 
 
