@@ -76,6 +76,8 @@ class Endo:
 
     def __post_init__(self):
         object.__setattr__(self, "rank", _int_arg(self.rank, "rank"))
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
         if len(self.images) != self.rank:
             raise ValueError("need exactly one image per generator")
         if any(w.rank != self.rank for w in self.images):

@@ -942,27 +942,8 @@ def _float64_pass(coeffs, tol, cluster_step=math.inf):
         return start, _float64_disks(step, tol)
 
 
-def _certified_roots(coeffs, tol):
-    """Certified roots of a squarefree integer polynomial.
-
-    Returns float64 centers z_j and radii r_j < tol/4 such that every
-    connected component of m disks D(z_j, r_j) holds exactly m roots:
-    r_j >= n|W_j| for the Weierstrass corrections
-    W_j = f(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess and Hadeler;
-    Carstensen).  The order of work: the float64 pass (_float64_pass: the
-    companion eigenvalues, one float64 Weierstrass step and the float64
-    certificate); when the certificate fails (a coefficient of 2^53 or
-    more, a cluster, overflow) _weierstrass_exact iterates the same
-    correction from the same eigenvalues at dyadic centers and certifies
-    it in exact integers.  roots() runs the same pass on the primitive
-    part of its input before any squarefree split.
-    """
-    start, disks = _float64_pass(coeffs, tol)
-    return disks or _weierstrass_exact(coeffs, tol, start)
-
-
 def _weierstrass_exact(coeffs, tol, start):
-    """The escalation route of _certified_roots: centers z_j = (x_j + i y_j) / 2^p.
+    """The escalation route of roots: centers z_j = (x_j + i y_j) / 2^p.
 
     In-place Weierstrass (Durand-Kerner) steps z_j <- z_j - W_j from start run in fixed
     point, each product dropping p bits, at p = e + 128, e + 256, ..., e + 4096 until every
@@ -1044,48 +1025,35 @@ def _weierstrass_exact(coeffs, tol, start):
     raise PrecisionError(f"root certification failed at tol={tol}")
 
 
-def _overlaps(zs, radii):
-    """Boolean matrix of the disks i != j that might meet:
-    |z_i - z_j| * (1 - 8u) <= r_i + r_j.
+def _near_pairs(zs, radii):
+    """The pairs (i, j), i != j, of disks D(z_i, r_i) and D(z_j, r_j) that
+    might meet, each pair once: |z_i - z_j| * (1 - 8u) <= r_i + r_j.
 
     The margin of a few units of roundoff makes "might": a pair that
     fails the test is disjoint, since the computed distance is within
-    3u of the true one and the computed sum within u of r_i + r_j.
-    np.hypot is the C hypot that abs(complex) calls, so each entry is the
-    scalar test's result; np.abs of a complex can differ by an ulp or two.
+    3u of the true one and the computed sum within u of r_i + r_j.  The
+    disks are swept by real part on Python floats (abs(complex) is the
+    C hypot): once (Re z_j - Re z_i)(1 - 8u) > r_i + max r, disk i meets
+    neither disk j nor any later one, since hypot(dx, dy) >= |dx|.
     """
-    import numpy as np
-
-    z, r = np.array(zs, dtype=complex), np.array(radii)
-    d = np.subtract.outer(z, z)
-    near = np.hypot(d.real, d.imag) * (1 - 8 * _U) <= np.add.outer(r, r)
-    near.flat[:: len(zs) + 1] = False
-    return near
-
-
-def _disjoint(zs, radii) -> bool:
-    """not _overlaps(zs, radii).any(), on Python floats (abs(complex) is the
-    same C hypot), sweeping the disks by real part: once
-    (Re z_j - Re z_i)(1 - 8u) > r_i + max r, disk i meets neither disk j nor
-    any later one, since hypot(dx, dy) >= |dx|."""
-    disks = sorted(zip(zs, radii), key=lambda d: d[0].real)
-    r_max, shrink = max(radii), 1 - 8 * _U
-    for i, (zi, ri) in enumerate(disks):
-        for zj, rj in disks[i + 1 :]:
+    disks = sorted(zip(zs, radii, range(len(zs))), key=lambda d: d[0].real)
+    r_max, shrink = max(radii, default=0.0), 1 - 8 * _U
+    pairs = []
+    for k, (zi, ri, i) in enumerate(disks):
+        for zj, rj, j in disks[k + 1 :]:
             if (zj.real - zi.real) * shrink > ri + r_max:
                 break
             if abs(zi - zj) * shrink <= ri + rj:
-                return False
-    return True
+                pairs.append((i, j))
+    return pairs
 
 
-def _recognize_rational_roots(g: IntPoly, zs, radii, near):
+def _recognize_rational_roots(g: IntPoly, zs, radii, pairs):
     """Replace, in place, each certified disk of g that holds a rational
     root by that root rounded to float64, with its rounding distance.
 
-    Only a disk that meets the real axis and is disjoint from every other
-    disk of g (no True in its row of near, their _overlaps matrix, or
-    None when no two of them meet) is tried: it holds exactly one root, so
+    Only a disk that meets the real axis and is in none of pairs (the
+    _near_pairs of zs and radii) is tried: it holds exactly one root, so
     a rational q inside it with g(q) = 0 is that root.  A rational root of
     the primitive g has a denominator dividing lc(g), so it is the best
     approximation of the center with denominator at most |lc(g)| once the
@@ -1093,15 +1061,15 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, near):
     whose center lies more than its radius from the nearest integer is
     skipped (x - round(x) is exact, Sterbenz), and the rest is done in
     integers, g(q) by integer Horner, with no Fraction.  Zero and float64-exact
-    roots get radius 0.  near is updated in place to the replaced disks,
-    so later disks are tested against them.  Returns near, made where it
-    was None and a disk was replaced.
+    roots get radius 0.  The disks are swept again after each replacement,
+    so later disks are tested against the replaced ones.  Returns the
+    pairs of the disks as they are left.
     """
     lc = abs(g.leading)
-    crowded = [False] * len(zs) if near is None else near.any(axis=1).tolist()
+    crowded = {i for pair in pairs for i in pair}
     for j in range(len(zs)):
         z, r = zs[j], radii[j]
-        if abs(z.imag) > r or crowded[j] or (lc == 1 and abs(z.real - round(z.real)) > r):
+        if abs(z.imag) > r or j in crowded or (lc == 1 and abs(z.real - round(z.real)) > r):
             continue
         if lc == 1:
             # In integers, each float being n / 2^k: the integer nearest the
@@ -1119,23 +1087,19 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, near):
             zs[j] = complex(q)  # correctly rounded
             dist = abs((int if lc == 1 else Fraction)(zs[j].real) - q)
             radii[j] = _up(dist) if dist else 0.0
-            if near is None:
-                near = _overlaps(zs, radii)
-            else:
-                near[:] = _overlaps(zs, radii)
-            crowded = near.any(axis=1).tolist()
-    return near
+            pairs = _near_pairs(zs, radii)
+            crowded = {i for pair in pairs for i in pair}
+    return pairs
 
 
-def _merge_clusters(zs, radii, near):
-    """Union the overlapping certification disks (the True pairs of near,
-    their _overlaps matrix); members share the cluster radius.
+def _merge_clusters(zs, radii, pairs):
+    """Union the certification disks of pairs, those that might meet (their
+    _near_pairs); members share the cluster radius.
 
     The shared radius carries a margin of a few units of roundoff, as the
     overlap test does, so disks are merged whenever they might meet.
     """
-    rows, cols = near.nonzero()  # each pair twice, once per order
-    if not len(rows):
+    if not pairs:
         return radii
     parent = list(range(len(zs)))
 
@@ -1145,7 +1109,7 @@ def _merge_clusters(zs, radii, near):
             i = parent[i]
         return i
 
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    for i, j in pairs:
         parent[find(i)] = find(j)
     out = list(radii)
     groups = {}
@@ -1165,25 +1129,31 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
 
     The order of work, on the primitive part p of f with lc(p) > 0:
 
-    1. The float64 pass of _certified_roots (_float64_pass: the companion
-       eigenvalues of p, one float64 Weierstrass step and the float64
-       certificate), with no exact escalation.
+    1. The float64 pass (_float64_pass: the companion eigenvalues of p,
+       one float64 Weierstrass step and the float64 certificate), with no
+       exact escalation.
        The certificate is skipped when the step moved an eigenvalue by
        more than _CLUSTER_STEP, the mark of a multiple root or a cluster.
-    2. If every radius is below tol/4 and the n disks are pairwise
-       disjoint (_disjoint, a sweep by real part), p is squarefree, and
-       the Yun decomposition is skipped.  Proof: the disks contain the
-       Gerschgorin discs of a matrix whose characteristic polynomial is
-       p/lc (Carstensen), so each connected component of m disks holds m
-       roots counted with multiplicity; a disk alone holds one root, and
-       that root is simple.  So all n roots are simple.
+    2. If every radius is below tol/4 and no two of the n disks might meet
+       (_near_pairs, a sweep by real part), p is squarefree, and the Yun
+       decomposition is skipped.  Proof: the disks contain the Gerschgorin
+       discs of a matrix whose characteristic polynomial is p/lc
+       (Carstensen), so each connected component of m disks holds m roots
+       counted with multiplicity; a disk alone holds one root, and that
+       root is simple.  So all n roots are simple.
     3. Otherwise multiple roots are separated exactly (Yun decomposition),
-       and each squarefree part is certified by _certified_roots: the
-       float64 certificate, or, where it fails, Weierstrass steps in fixed
-       point from the same eigenvalues, which give dyadic centers whose
-       disks are certified in exact integer arithmetic.
+       and each squarefree part g is certified: float64 centers z_j and
+       radii r_j < tol/4 such that every connected component of m disks
+       D(z_j, r_j) holds exactly m roots, r_j >= n|W_j| for the Weierstrass
+       corrections W_j = g(z_j) / (lc * prod_{k != j} (z_j - z_k)) (Braess
+       and Hadeler; Carstensen).  The float64 pass gives them; where its
+       certificate fails (a coefficient of 2^53 or more, a cluster,
+       overflow) _weierstrass_exact iterates the same correction from the
+       same eigenvalues at dyadic centers and certifies it in exact
+       integers.
     4. Rational roots, zero included, are recognized exactly inside their
-       isolated disks, and overlapping disks are merged into clusters.
+       isolated disks, and the disks that might meet are merged into
+       clusters.
 
     Every radius is a proven bound about its float64 center.  A tol that
     no float64 center can meet raises PrecisionError naming the float64
@@ -1203,20 +1173,21 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     if p.leading < 0:
         p = -p
     disks = _float64_pass(list(p.coeffs), tol, _CLUSTER_STEP)[1]
-    if disks and _disjoint(*disks):
+    if disks and not _near_pairs(*disks):
         zs, radii = disks  # p is squarefree
-        near = _recognize_rational_roots(p, zs, radii, None)
+        pairs = _recognize_rational_roots(p, zs, radii, [])
     else:
         zs, radii = [], []
         for g, mult in squarefree_decomposition(p)[1]:
-            az, ar = _certified_roots(list(g.coeffs), tol)
-            _recognize_rational_roots(g, az, ar, _overlaps(az, ar))
+            coeffs = list(g.coeffs)
+            start, disks = _float64_pass(coeffs, tol)
+            az, ar = disks or _weierstrass_exact(coeffs, tol, start)
+            _recognize_rational_roots(g, az, ar, _near_pairs(az, ar))
             for z, r in zip(az, ar):
                 zs.extend([z] * mult)
                 radii.extend([r] * mult)
-        near = _overlaps(zs, radii)
-    if near is not None:  # None: disjoint disks, none replaced
-        radii = _merge_clusters(zs, radii, near)
+        pairs = _near_pairs(zs, radii)
+    radii = _merge_clusters(zs, radii, pairs)
     if any(r > tol for r in radii):
         raise PrecisionError("root clusters wider than the requested tolerance")
     order = sorted(range(len(zs)), key=lambda i: (-abs(zs[i]), zs[i].real, zs[i].imag))

@@ -146,17 +146,18 @@ class Recurrence:
 # Hankel determinants
 
 
-def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction:
-    """Exact k x k Hankel determinant with (i, j) entry a_{n+i+j-2}."""
+def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction | int:
+    """Exact k x k Hankel determinant with (i, j) entry a_{n+i+j-2}: an
+    int when a.den**k is 1, a Fraction otherwise."""
     if n < 1:
         raise ValueError(f"Hankel start index n={n} must be at least 1")
     if k < 0:
         raise ValueError(f"Hankel determinant size k={k} must be nonnegative")
     if n + 2 * k - 2 > a.n_terms:
         raise ValueError(f"Hankel window (n={n}, k={k}) exceeds {a.n_terms} terms")
-    if k == 0:
-        return Fraction(1)
-    return Fraction(_hankel_int(a.ints, n, k), a.den**k)
+    h = _hankel_int(a.ints, n, k) if k else 1
+    scale = a.den**k
+    return h if scale == 1 else Fraction(h, scale)
 
 
 def _hankel_int(ints, n: int, k: int) -> int:
@@ -189,7 +190,8 @@ def _number_wall(ints, k_max: int) -> list[list[int]]:
 
 
 def hankel_values(a: ExactSeq, k: int):
-    """All admissible (n, H_{n,k}) pairs for the stored prefix.
+    """All admissible (n, H_{n,k}) pairs for the stored prefix, H_{n,k} an
+    int when a.den**k is 1 and a Fraction otherwise, as ``hankel_det``.
 
     Row k of one number wall (``_number_wall``): each entry comes from rows
     k-1 and k-2 by the Desnanot-Jacobi identity, with a Bareiss determinant
@@ -201,8 +203,7 @@ def hankel_values(a: ExactSeq, k: int):
         raise ValueError(
             f"a Hankel window of size k={k} needs {2 * k - 1} terms, have {a.n_terms}"
         )
-    scale = a.den**k
-    return [(n, Fraction(h, scale)) for n, h in enumerate(_number_wall(a.ints, k)[k], 1)]
+    return list(enumerate(_ratios(_number_wall(a.ints, k)[k], a.den**k), 1))
 
 
 def growth_rate(a: ExactSeq, k: int, window: int = DEFAULT_WINDOW) -> float:
@@ -255,7 +256,7 @@ def _window_spread(row, k: int, last: int, scale: int, window: int):
     wall row that ends at n = last and holds scale * H_{n,k}(a), scale = D^k.
 
     |H_{n,k}(a)|^(1/n) is exp((log p - log q) / n) for p/q = |h|/scale in
-    lowest terms, the numerator and denominator of the Fraction hankel_det
+    lowest terms, the numerator and denominator of the value hankel_det
     returns, so huge integers never overflow a float; an estimate past the
     float64 range raises OverflowError naming k and n."""
     vals = []

@@ -18,6 +18,7 @@ import lehmerlab
 from lehmerlab import cli
 from lehmerlab.cli import _json_text, build_parser, main
 from lehmerlab.dynamics import net_trace
+from lehmerlab.freegroup import Endo
 from lehmerlab.polynomial import parse_poly
 
 LEHMER_NEG_T = [1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1]
@@ -197,6 +198,22 @@ def test_malformed_tokens_exit_1(capsys):
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": message}
     assert parse_poly("-t^2+1").coeffs == (1, 0, -1)
+
+
+def test_empty_endomorphism_exits_1(capsys):
+    """An --endo with no rule is a map of rank 0, which every command
+    refuses with one message, as Endo(0, ()) does."""
+    for argv in (
+        ["fg-iterate", "--endo="],
+        ["fg-growth", "--endo="],
+        ["fg-growth", "--endo=;", "--sum"],
+        ["fg-iterate", "--endo=;", "--word", "1"],
+    ):
+        code, doc, _ = run_json([*argv, "--json-only"], capsys)
+        assert code == 1, argv
+        assert doc["error"] == {"type": "ValueError", "message": "rank must be at least 1"}, argv
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        Endo(0, ())
 
 
 def test_file_input(tmp_path, capsys):
@@ -1005,7 +1022,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 35 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 38 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1014,7 +1031,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["548 jobs, 1096 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["551 jobs, 1102 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():
@@ -1057,7 +1074,9 @@ def test_integer_routes_build_no_fraction(monkeypatch):
         IntMatrix, SignedShiftSystem, lefschetz_seq, signed_trace_seq, trace_powers,
     )
     from lehmerlab.freegroup import generator_lengths, growth_report, iterate_lengths, parse_endo
-    from lehmerlab.sequence import fit_min_poly, growth_reports, parse_seq
+    from lehmerlab.sequence import (
+        fit_min_poly, growth_reports, hankel_det, hankel_values, parse_seq,
+    )
 
     a = IntMatrix(((1, 1), (1, 0)))
     b = IntMatrix(((2, 1, 0), (0, 1, 1), (1, 0, 3)))
@@ -1100,6 +1119,15 @@ def test_integer_routes_build_no_fraction(monkeypatch):
         ) == 0,
         "growth": lambda: main(
             ["growth", "--seq", "1,1,2,3,5,8,13,21,34,55,89,144", "--json-only"]
+        ) == 0,
+        "hankel_values": lambda: [
+            hankel_values(parse_seq("1,1,2,3,5,8,13"), k)[:2] for k in (0, 2)
+        ] == [[(1, 1), (2, 1)], [(1, 1), (2, -1)]],
+        "hankel_det": lambda: [
+            hankel_det(parse_seq("1,1,2,3,5,8,13"), 2, k) for k in (0, 2)
+        ] == [1, -1],
+        "hankel": lambda: main(
+            ["hankel", "--seq", "1,1,2,3,5,8,13,21", "--k", "2", "--json-only"]
         ) == 0,
     }
     real = Fraction.__new__

@@ -1618,25 +1618,59 @@ def _scalar_overlaps(zs, radii):
     ]
 
 
+def _pair_matrix(n, pairs):
+    """The boolean matrix of pairs, each unordered pair checked to come once."""
+    assert len({frozenset(p) for p in pairs}) == len(pairs) and all(i != j for i, j in pairs)
+    near = [[False] * n for _ in range(n)]
+    for i, j in pairs:
+        near[i][j] = near[j][i] = True
+    return near
+
+
 def test_overlap_matrix_matches_the_scalar_test():
-    """Including disks that touch exactly in float64, where <= decides."""
+    """_near_pairs against the scalar test on every pair, including disks
+    that touch exactly in float64, where <= decides, and one ulp short of
+    it; equal real parts, where the sweep's cut-off never fires; zero
+    radii; repeated disks, as Yun's multiplicities give them; pairs at the
+    8u margin; and n = 0, 1 and 64."""
     rng = random.Random(8)
-    for trial in range(60):
-        n = rng.randint(1, 24)
+    shrink = 1 - 8 * P._U
+    for trial in range(140):
+        n = rng.choice((0, 1, 64)) if trial % 7 == 6 else rng.randint(1, 24)
         zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
         radii = [abs(z) * rng.choice((1e-3, 1e-1, 0.5)) * rng.random() for z in zs]
-        if n > 1:
+        kind = trial % 5
+        if kind == 1:  # equal real parts, some radii zero
+            zs = [complex(zs[0].real, z.imag) for z in zs]
+            radii = [0.0 if rng.random() < 0.5 else r for r in radii]
+        elif kind == 2 and n:  # repeated disks, two of radius 0
+            m = rng.randint(1, 4)
+            zs = [z for z in zs for _ in range(m)][:n]
+            radii = [r for r in radii for _ in range(m)][:n]
+            radii[0] = radii[min(1, n - 1)] = 0.0
+        elif kind == 3:  # disks 2k and 2k + 1 at the 8u margin, or one ulp short of it
+            for i in range(0, n - 1, 2):
+                gap = abs(zs[i] - zs[i + 1]) * shrink
+                radii[i], radii[i + 1] = (gap, 0.0) if i % 4 else (math.nextafter(gap, 0.0), 0.0)
+        if n > 1 and kind != 2:
             # disk 0 touches disk 1 exactly: r_0 + r_1 is the computed scaled distance
-            gap = abs(zs[0] - zs[1]) * (1 - 8 * P._U)
+            gap = abs(zs[0] - zs[1]) * shrink
             radii[0], radii[1] = gap / 2, gap / 2
             if trial % 3 == 1:  # one ulp of gap short of touching
                 radii[0] = radii[1] = math.nextafter(gap / 2, 0.0)
             elif trial % 3 == 2:
                 radii[0], radii[1] = gap, 0.0
-        near = P._overlaps(zs, radii)
-        assert near.tolist() == _scalar_overlaps(zs, radii)
+        near = _pair_matrix(n, P._near_pairs(zs, radii))
+        assert near == _scalar_overlaps(zs, radii), trial
         if n > 1:
-            assert near[0, 1] == (trial % 3 != 1)
+            assert near[0][1] == (zs[0] == zs[1] if kind == 2 else trial % 3 != 1)
+    # At the margin: the pair meets exactly when r_0 + r_1 reaches the scaled distance.
+    zs = [0j, complex(1.0, 1e-3)]
+    gap = abs(zs[0] - zs[1]) * shrink
+    for r0, meets in ((gap, True), (math.nextafter(gap, 0.0), False)):
+        assert P._near_pairs(zs, [r0, 0.0]) == ([(0, 1)] if meets else [])
+        assert _scalar_overlaps(zs, [r0, 0.0])[0][1] == meets
+    assert P._near_pairs([], []) == [] and P._near_pairs([1j], [1.0]) == []
 
 
 def test_monic_integer_on_a_disk_edge_is_recognized():
@@ -1645,7 +1679,7 @@ def test_monic_integer_on_a_disk_edge_is_recognized():
     g, r = IntPoly((-3, 1)), 2.0**-10
     for radius, recognized in ((r, True), (math.nextafter(r, 0.0), False)):
         zs, radii = [complex(3 + r)], [radius]
-        P._recognize_rational_roots(g, zs, radii, P._overlaps(zs, radii))
+        assert P._recognize_rational_roots(g, zs, radii, P._near_pairs(zs, radii)) == []
         assert (zs, radii) == (([3 + 0j], [0.0]) if recognized else ([complex(3 + r)], [radius]))
 
 
@@ -1653,15 +1687,15 @@ def test_a_recognized_root_crowds_a_later_disk():
     """float64 rounds 1/5 up, so the disk of the recognized root reaches past
     the old disk's edge and meets the disk of 20001/100000, which the old
     disk missed.  That later disk is then not isolated and keeps its radius,
-    and near follows the replaced disks."""
+    and the pairs returned follow the replaced disks."""
     g = IntPoly((-1, 5)) * IntPoly((-20001, 100000))
     x0, r1 = 0.2 - 2.0**-40, 9.999999999971134e-06
     zs, radii = [complex(x0), 0.20001 + 0j], [P._up(Fraction(1, 5) - Fraction(x0)), r1]
-    near = P._overlaps(zs, radii)
-    assert not near.any()
-    P._recognize_rational_roots(g, zs, radii, near)
+    pairs = P._near_pairs(zs, radii)
+    assert pairs == [] and _scalar_overlaps(zs, radii) == [[False] * 2] * 2
+    pairs = P._recognize_rational_roots(g, zs, radii, pairs)
     assert zs == [0.2 + 0j, 0.20001 + 0j] and radii[1] == r1
-    assert near[0, 1] and near.tolist() == P._overlaps(zs, radii).tolist()
+    assert pairs == [(0, 1)] and _pair_matrix(2, pairs) == _scalar_overlaps(zs, radii)
 
 
 def _np_eigenvalues(coeffs):
@@ -1755,10 +1789,10 @@ def test_float64_route_pieces_match_their_numpy_oracles(monkeypatch):
     moves past _CLUSTER_STEP) and near-touching disks at degree 48-64.
     _eigenvalues agrees with np.roots (dtype included), the starts, centers,
     radii and route decisions of _float64_pass with _stagewise_float64_pass
-    at both cluster steps it is run with, and _disjoint with
-    _overlaps(...).any().  LAPACK's gufunc agrees with np.linalg.eigvals on
-    companions of size 0-64 with real and complex spectra, and a NaN from
-    it takes the fixed starts."""
+    at both cluster steps it is run with, and _near_pairs with the scalar
+    test on every pair (_scalar_overlaps).  LAPACK's gufunc agrees with
+    np.linalg.eigvals on companions of size 0-64 with real and complex
+    spectra, and a NaN from it takes the fixed starts."""
     from numpy.linalg import _umath_linalg
 
     rng = random.Random(2026)
@@ -1805,8 +1839,8 @@ def test_float64_route_pieces_match_their_numpy_oracles(monkeypatch):
         start = P._eigenvalues(coeffs)
         want_start, moved, want = _stagewise_float64_pass(coeffs, 1e-10)
         assert _bits(start) == _bits(want_start) and start.dtype == want_start.dtype, f
-        # roots() certifies only where the step stayed below _CLUSTER_STEP;
-        # _certified_roots always does.
+        # roots() certifies p only where the step stayed below _CLUSTER_STEP,
+        # and each Yun part always.
         quiet = moved is not None and moved <= P._CLUSTER_STEP
         full, first = P._float64_pass(coeffs, 1e-10), P._float64_pass(coeffs, 1e-10, P._CLUSTER_STEP)
         for (got_start, got), expect in ((full, want), (first, want if quiet else None)):
@@ -1827,13 +1861,13 @@ def test_float64_route_pieces_match_their_numpy_oracles(monkeypatch):
             continue
         seen["disks"] += 1
         zs, radii = disks
-        assert P._disjoint(zs, radii) == (not P._overlaps(zs, radii).any()), f
+        assert _pair_matrix(len(zs), P._near_pairs(zs, radii)) == _scalar_overlaps(zs, radii), f
         if len(zs) >= 48:
             for _ in range(4):
                 near = _touching(rng, zs, radii)
-                disjoint = P._disjoint(zs, near)
-                assert disjoint == (not P._overlaps(zs, near).any()), f
-                seen["apart" if disjoint else "meet"] += 1
+                pairs = P._near_pairs(zs, near)
+                assert _pair_matrix(len(zs), pairs) == _scalar_overlaps(zs, near), f
+                seen["meet" if pairs else "apart"] += 1
     assert min(seen.values()) >= 20, seen
     # LAPACK's non-convergence: eigvals raises LinAlgError, the gufunc gives NaN.
     monkeypatch.setattr(_umath_linalg, "eigvals", lambda a, signature: np.full(len(a), complex(math.nan, math.nan)))

@@ -46,7 +46,10 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # spectrum with rational roots, the Yun route with a merged cluster, the
 # exact escalation, a coefficient of 2^53 or more, c / lc past the float64
 # range (fixed starts, and disks past that range) and a tol too fine for
-# float64.
+# float64.  The disk bookkeeping after it: (t-1)(t+1)(t-2)(t^2-2), three
+# rational roots replaced on the disjoint route; (2t-1)(3t+2)(t^2+t+1),
+# the non-monic recognition; and (t-1)^2(t+2)(t^2-2), rational roots, one
+# double, beside irrational ones on the Yun route.
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -84,6 +87,9 @@ CONTRACT = [
     ["mahler", "--poly=9007199254740993,0,1"],
     ["mahler", f"--poly={10**400},0,1"],
     ["mahler", "--poly=-1,-1,1", "--tol", "1e-300"],
+    ["mahler", "--poly=-4,2,6,-3,-2,1"],
+    ["mahler", "--poly=-2,-1,5,7,6"],
+    ["mahler", "--poly=-4,6,2,-5,0,1"],
 ]
 
 
