@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, generator_lengths
 from .polynomial import (
-    DEFAULT_TOL, LaurentPoly, _int_arg, _int_list, _kronecker_det, _unpack, mahler_measure,
+    DEFAULT_TOL, LaurentPoly, _int_arg, _int_list, _kronecker_det, _Record, _unpack, mahler_measure,
 )
 
 __all__ = [
@@ -51,30 +50,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """Word in the braid group B_n: generator letters plus a formal central
     full-twist power (letter i > 0 is the i-th generator, i < 0 its inverse).
     The strand count, letters and twist power must be integers; anything
     else raises ValueError."""
 
     n: int
-    letters: tuple[int, ...] = ()
-    full_twist_power: int = 0
+    letters: tuple[int, ...]
+    full_twist_power: int
 
-    def __post_init__(self):
-        n = _int_arg(self.n, "strand count n")
+    def __init__(self, n, letters=(), full_twist_power=0):
+        n = _int_arg(n, "strand count n")
         if n < 2:
             raise ValueError("braid groups need at least 2 strands")
-        letters = tuple(_int_list(self.letters, "letter"))
+        letters = tuple(_int_list(letters, "letter"))
         if letters and (min(letters) < 1 - n or max(letters) > n - 1 or 0 in letters):
             x = next(x for x in letters if x == 0 or abs(x) > n - 1)
             raise ValueError(f"letter {x} outside generator range 1..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(
-            self, "full_twist_power", _int_arg(self.full_twist_power, "full_twist_power")
-        )
+        full_twist_power = _int_arg(full_twist_power, "full_twist_power")
+        vars(self).update(n=n, letters=letters, full_twist_power=full_twist_power)
 
     def expanded_letters(self) -> tuple[int, ...]:
         """Letters with the full twist spelled out as (s_{n-1}...s_1)^n."""
@@ -161,16 +156,15 @@ _ZERO = LaurentPoly()
 _ONE = LaurentPoly((1,))
 
 
-@dataclass(frozen=True)
-class BurauMat:
+class BurauMat(_Record):
     """Square matrix of Laurent polynomials."""
 
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
-    def __post_init__(self):
-        m = len(self.entries)
-        if any(len(row) != m for row in self.entries):
+    def __init__(self, entries):
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("matrix must be square")
+        vars(self)["entries"] = entries
 
     @property
     def size(self) -> int:
@@ -370,8 +364,7 @@ def artin_endo(beta: BraidWord) -> Endo:
     return phi
 
 
-@dataclass(frozen=True)
-class GeneratorRatios:
+class GeneratorRatios(_Record):
     """One generator's growth-rate estimate, its last three raw ratios and
     their spread.  The spread is a convergence diagnostic of this
     generator's ratios; it does not bound the error of the estimate, nor
@@ -383,8 +376,7 @@ class GeneratorRatios:
     spread: float
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(_Record):
     """Largest per-generator growth-rate estimate plus diagnostics."""
 
     gr1: float

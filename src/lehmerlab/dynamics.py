@@ -8,27 +8,26 @@ identities, with no power of A formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, cyclotomic, euler_phi, poly_det
+from .polynomial import (
+    DEFAULT_TOL, IntPoly, _int_arg, _int_list, _Record, cyclotomic, euler_phi, poly_det,
+)
 from .polynomial import roots as poly_roots
 from .sequence import ExactSeq
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Record):
     """Square integer matrix stored as a tuple of row tuples."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, rows):
         rows = tuple(
             tuple(_int_list(row, f"matrix entry [{i}][{{}}]"))
-            for i, row in enumerate(self.rows)
+            for i, row in enumerate(rows)
         )
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square with dimension >= 1")
-        object.__setattr__(self, "rows", rows)
+        vars(self)["rows"] = rows
 
     @classmethod
     def identity(cls, m: int) -> "IntMatrix":
@@ -68,19 +67,18 @@ class IntMatrix:
         return all(v >= 0 for row in self.rows for v in row)
 
 
-@dataclass(frozen=True)
-class SignedShiftSystem:
+class SignedShiftSystem(_Record):
     """Signed collection of square matrices; sizes may differ per term."""
 
     terms: tuple[tuple[int, IntMatrix], ...]
 
-    def __post_init__(self):
-        terms = tuple((_int_arg(s, "sign"), m) for s, m in self.terms)
+    def __init__(self, terms):
+        terms = tuple((_int_arg(s, "sign"), m) for s, m in terms)
         if not terms:
             raise ValueError("a signed system needs at least one term")
         if any(s not in (-1, 1) for s, _ in terms):
             raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "terms", terms)
+        vars(self)["terms"] = terms
 
 
 def trace_powers(a: IntMatrix | IntPoly, n_terms: int) -> ExactSeq:
@@ -199,18 +197,19 @@ def net_trace(spectrum, n: int):
 
 
 def _dominant_real(f: IntPoly, tol: float) -> bool:
-    """Certified check that one real root strictly dominates all others:
-    the first root in ``roots`` order has the largest modulus."""
+    """Certified check that one real, positive root strictly dominates all
+    others: the first root in ``roots`` order has the largest modulus.
+    Positivity is checked on its own, since at degree 1 there is no other
+    root to force it."""
     if f.degree <= 0:
         return False
     (z1, r1), *rest = poly_roots(f, tol)
-    if abs(z1.imag) > r1:
+    if abs(z1.imag) > r1 or z1.real - r1 <= 0:
         return False
     return all(z1.real - r1 > abs(z) + r for z, r in rest)
 
 
-@dataclass(frozen=True)
-class PerronCheck:
+class PerronCheck(_Record):
     integer_coeffs: bool
     dominant_real: bool
     net_traces_ok_up_to_n: int
@@ -250,8 +249,7 @@ def perron_check(f: IntPoly, n_net: int = 50, tol: float = DEFAULT_TOL) -> Perro
     )
 
 
-@dataclass(frozen=True)
-class PaddingResult:
+class PaddingResult(_Record):
     phi: IntPoly
     indices: tuple[int, ...]
     net: tuple[int, ...]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 from ._blockword import (
     BlockWord,
@@ -33,7 +32,7 @@ from ._blockword import (
     reduce,
 )
 from .dynamics import IntMatrix
-from .polynomial import _int_arg
+from .polynomial import _int_arg, _Record
 from .sequence import DEFAULT_WINDOW, ExactSeq, GrowthReport
 from .sequence import _check_report_args
 from .sequence import growth_reports as seq_growth_reports
@@ -67,21 +66,21 @@ __all__ = [
 Word = BlockWord
 
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(_Record):
     """Endomorphism of a free group: the image word of each generator."""
 
     rank: int
     images: tuple[Word, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", _int_arg(self.rank, "rank"))
-        if self.rank < 1:
+    def __init__(self, rank, images):
+        rank = _int_arg(rank, "rank")
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        if len(self.images) != self.rank:
+        if len(images) != rank:
             raise ValueError("need exactly one image per generator")
-        if any(w.rank != self.rank for w in self.images):
+        if any(w.rank != rank for w in images):
             raise ValueError("image rank mismatch")
+        vars(self).update(rank=rank, images=images)
 
     @classmethod
     def identity(cls, rank: int) -> "Endo":
@@ -185,8 +184,7 @@ def _block_lengths(phi: Endo, words, n_terms: int, budget: int):
     return tuple(seqs)
 
 
-@dataclass(frozen=True)
-class EndoGrowthReport:
+class EndoGrowthReport(_Record):
     """Per-generator growth reports plus the per-k maxima over generators."""
 
     per_generator: tuple[GrowthReport, ...]
@@ -267,8 +265,7 @@ def abelianization(phi: Endo) -> IntMatrix:
 # Rank-2 positive automorphisms (continued-fraction descent)
 
 
-@dataclass(frozen=True)
-class F2Descent:
+class F2Descent(_Record):
     endo: Endo
     swapped: bool
     ds: tuple[int, ...]

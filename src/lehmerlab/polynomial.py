@@ -25,7 +25,6 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,8 +64,56 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+_NO_DEFAULT = object()
+
+
+class _Record:
+    """Immutable record compared by value, the base of the package's value
+    and result types.  Its fields are the names its class body annotates,
+    in order, after those of its bases, and a field's default is the value
+    the class body assigns to it.  ``==`` holds only between instances of
+    one class with equal fields, equal records hash equally, ``repr``
+    spells out every field, and assigning or deleting an attribute raises
+    AttributeError.  A class that validates its fields writes its own
+    ``__init__``, storing them through ``vars(self)``.
+    """
+
+    _fields = _defaults = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = tuple(getattr(cls, n, _NO_DEFAULT) for n in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        """The fields by position, then by keyword, then from their defaults."""
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            k = len(args)
+            args += tuple(map(kwargs.pop, names[k:], self._defaults[k:]))
+            if kwargs or len(args) != len(names) or any(a is _NO_DEFAULT for a in args):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        vars(self).update(zip(names, args))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(map(vars(self).__getitem__, self._fields)))
+
+    def __repr__(self):
+        d = vars(self)
+        return f"{type(self).__qualname__}({', '.join(f'{n}={d[n]!r}' for n in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntPoly(_Record):
     """Dense integer polynomial, coefficients ascending.  A coefficient
     that is not an integer (ints, bools and numpy integers are) raises
     ValueError.
@@ -78,11 +125,10 @@ class IntPoly:
     8
     """
 
-    coeffs: tuple[int, ...] = ()
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        c = _strip(_int_list(self.coeffs, "coefficient of t^{}"))
-        object.__setattr__(self, "coeffs", c)
+    def __init__(self, coeffs=()):
+        vars(self)["coeffs"] = _strip(_int_list(coeffs, "coefficient of t^{}"))
 
     @property
     def degree(self) -> int:
@@ -355,17 +401,16 @@ def squarefree_decomposition(f: IntPoly):
 # Laurent polynomials
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(_Record):
     """Integer Laurent polynomial: coeffs ascending from t^min_deg;
     non-integer coefficients raise ValueError, as for IntPoly."""
 
-    coeffs: tuple[int, ...] = ()
-    min_deg: int = 0
+    coeffs: tuple[int, ...]
+    min_deg: int
 
-    def __post_init__(self):
-        m = _int_arg(self.min_deg, "min_deg")
-        c = _int_list(self.coeffs, "coefficient of t^{}", m)
+    def __init__(self, coeffs=(), min_deg=0):
+        m = _int_arg(min_deg, "min_deg")
+        c = _int_list(coeffs, "coefficient of t^{}", m)
         while c and c[-1] == 0:
             c.pop()
         while c and c[0] == 0:
@@ -373,8 +418,7 @@ class LaurentPoly:
             m += 1
         if not c:
             m = 0
-        object.__setattr__(self, "coeffs", tuple(c))
-        object.__setattr__(self, "min_deg", m)
+        vars(self).update(coeffs=tuple(c), min_deg=m)
 
     @classmethod
     def from_int(cls, f: IntPoly, shift: int = 0) -> "LaurentPoly":
@@ -706,8 +750,7 @@ def lehmer_polynomial() -> IntPoly:
 # Certified roots and Mahler measure
 
 
-@dataclass(frozen=True)
-class RootList:
+class RootList(_Record):
     """Root approximations with per-root certified disk radii.
 
     Every true root (with multiplicity) lies in the disk of the given
@@ -1194,8 +1237,7 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
     return RootList(tuple(zs[i] for i in order), tuple(radii[i] for i in order))
 
 
-@dataclass(frozen=True)
-class MahlerResult:
+class MahlerResult(_Record):
     value: float
     lower: float
     upper: float
@@ -1247,8 +1289,7 @@ def clear_denominators(values) -> tuple[tuple[int, ...], int]:
 # Irreducibility certificates
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(_Record):
     """Verdict of irreducibility_certificate over Z; never inconclusive.
 
     ``status`` is 'irreducible' or 'reducible'.  For 'irreducible',

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, _strip, bareiss_det
+from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, _Record, _strip, bareiss_det
 from .polynomial import clear_denominators, mahler_measure, roots
 
 DEFAULT_WINDOW = 8
@@ -44,18 +43,17 @@ def _ratios(ints, den) -> tuple:
     return ints if den == 1 else tuple(Fraction(v, den) for v in ints)
 
 
-@dataclass(frozen=True)
-class ExactSeq:
+class ExactSeq(_Record):
     """Finite prefix a_1 ... a_N of a rational sequence, stored as its
     integer view: a_n = ints[n-1] / den, in lowest terms (den >= 1 and
     gcd(den, *ints) = 1), so equal sequences compare equal."""
 
     ints: tuple[int, ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self):
-        ints = _int_list(self.ints, "term a_{}", 1)
-        den = _int_arg(self.den, "den")
+    def __init__(self, ints, den=1):
+        ints = _int_list(ints, "term a_{}", 1)
+        den = _int_arg(den, "den")
         if not ints:
             raise ValueError("a sequence needs at least one term")
         if den < 1:
@@ -84,8 +82,7 @@ class ExactSeq:
         return self.terms[n - 1]
 
 
-@dataclass(frozen=True, init=False)
-class Recurrence:
+class Recurrence(_Record):
     """Recurrence(char, init) from a monic rational char and init, stored on
     integers: char = coeffs / lc for one primitive vector coeffs (ascending,
     lc = coeffs[-1] > 0) and init = ints / den in lowest terms."""
@@ -354,8 +351,7 @@ def seq_from_recurrence(r: Recurrence, n_terms: int) -> ExactSeq:
     return ExactSeq([v * lc ** (top - n) for n, v in enumerate(out)], r.den * lc**top)
 
 
-@dataclass(frozen=True)
-class MaxGrowth:
+class MaxGrowth(_Record):
     value: float
     min_poly: Recurrence
 
@@ -379,17 +375,20 @@ def growth_rates_from_char(coeffs, k_max: int, tol: float = DEFAULT_TOL):
     return out
 
 
-@dataclass(frozen=True)
-class GrowthEntry:
+class GrowthEntry(_Record):
     k: int
     estimate: float | None
     spread: float | None
     exact: float | None
     window: int
 
+    def __init__(self, k, estimate, spread, exact, window):
+        # Written out, not bound by _Record.__init__: one is built per k of
+        # every growth report.
+        vars(self).update(k=k, estimate=estimate, spread=spread, exact=exact, window=window)
 
-@dataclass(frozen=True)
-class GrowthReport:
+
+class GrowthReport(_Record):
     entries: tuple[GrowthEntry, ...]
     min_poly: Recurrence | None
 
@@ -469,8 +468,7 @@ def growth_reports(
 # Tail comparison and periodicity
 
 
-@dataclass(frozen=True)
-class TailComparison:
+class TailComparison(_Record):
     outside_a: tuple[complex, ...]
     outside_b: tuple[complex, ...]
     agree: bool
@@ -497,8 +495,7 @@ def tail_equivalence(
     return TailComparison(za, zb, agree)
 
 
-@dataclass(frozen=True)
-class Periodicity:
+class Periodicity(_Record):
     preperiod: int
     period: int
 

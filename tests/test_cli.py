@@ -707,7 +707,8 @@ def test_numpy_loaded_only_by_root_certification():
     script = (
         "import json, sys\n"
         "def loaded():\n"
-        "    return ['numpy' in sys.modules, 'lehmerlab._factor' in sys.modules]\n"
+        "    generated = 'dataclasses' in sys.modules or 'inspect' in sys.modules\n"
+        "    return ['numpy' in sys.modules, 'lehmerlab._factor' in sys.modules, generated]\n"
         "import lehmerlab\n"
         "states = [loaded()]\n"
         "import lehmerlab.cli as cli\n"
@@ -736,12 +737,13 @@ def test_numpy_loaded_only_by_root_certification():
     )
     assert proc.returncode == 0, proc.stderr
     states = json.loads(proc.stdout.splitlines()[-1])
-    # import, parser, then five subcommands that compute no root
-    assert states[:7] == [[False, False]] * 7
+    # import, parser, then five subcommands that compute no root; no
+    # code is generated at import, so dataclasses and inspect stay out
+    assert states[:7] == [[False, False, False]] * 7
     # (t + 1)^2 (t^2 + 1): Yun finds the square, and no Frobenius matrix is built
-    assert states[7] == [False, True]
-    assert states[8] == [True, True]  # mahler certifies roots
-    assert states[9] == [True, True]  # poly-check factors
+    assert states[7] == [False, True, False]
+    assert states[8][:2] == [True, True]  # mahler certifies roots
+    assert states[9][:2] == [True, True]  # poly-check factors
 
 
 def test_poly_check_is_deterministic_without_random():
@@ -1022,7 +1024,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 38 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 43 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1031,7 +1033,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["551 jobs, 1102 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["556 jobs, 1112 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():
@@ -1064,6 +1066,23 @@ def test_job_ab_times_every_kind_without_kinds():
     _, *rows = proc.stdout.splitlines()
     kinds = ["f2-positive-aut", "fg-from-matrix", "fg-growth", "fg-iterate"]
     assert [row.split()[0] for row in rows] == kinds
+
+
+def test_setup_ab_times_one_tree_against_itself():
+    """tools/setup_ab.py with 2 pairs, src on both sides."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "setup_ab.py"), src, src, "--pairs", "2"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["tree", "setup_s", "q1", "q3", "start_ms", "ref_ms"]
+    assert [row.split()[0] for row in rows] == ["old", "new"]
+    for row in rows:
+        setup_s, q1, q3, start_ms, ref_ms = map(float, row.split()[1:])
+        assert 0 < q1 <= setup_s <= q3 and start_ms > 0 and ref_ms > 0
 
 
 def test_integer_routes_build_no_fraction(monkeypatch):

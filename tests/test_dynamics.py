@@ -227,6 +227,21 @@ def test_cyclotomic_padding_requires_dominant_real():
         cyclotomic_padding(parse_poly("t^2+1"))
 
 
+@pytest.mark.parametrize("c", range(-3, 4))
+def test_degree_one_root_dominates_only_when_positive(c):
+    """t - c has the one root c, which no other root can outweigh: it is a
+    dominant real root, as the benchmark oracle reads one, iff c > 0."""
+    f = IntPoly((-c, 1))
+    check = perron_check(f)
+    assert check.dominant_real is (c > 0)
+    assert check.is_perron_candidate is (c > 0)
+    if c > 0:
+        assert cyclotomic_padding(f) == PaddingResult(IntPoly((1,)), (), tuple(net_traces(f, 50)))
+    else:
+        with pytest.raises(ValueError, match="dominant real root"):
+            cyclotomic_padding(f)
+
+
 @pytest.mark.parametrize("poly", ["-1,0,2", "0", "2,3", "-t^3+t+1"])
 def test_cyclotomic_padding_requires_monic(poly, monkeypatch, capsys):
     """A non-monic f is refused before any root is computed; the CLI exits
@@ -261,7 +276,8 @@ def test_cyclotomic_padding_rejects_bounds_below_1(bound, value):
 
 def test_dominant_real_reads_the_first_root():
     """The dominant root is the first of ``roots``; the oracle scans for
-    the largest modulus and compares every other root, as before."""
+    the largest modulus, requires it real and positive, and compares every
+    other root."""
     from lehmerlab.dynamics import _dominant_real
     from lehmerlab.polynomial import roots
 
@@ -270,7 +286,8 @@ def test_dominant_real_reads_the_first_root():
         idx = max(range(len(pairs)), key=lambda i: abs(pairs[i][0]))
         z1, r1 = pairs[idx]
         rest = pairs[:idx] + pairs[idx + 1 :]
-        return abs(z1.imag) <= r1 and all(z1.real - r1 > abs(z) + r for z, r in rest)
+        return (abs(z1.imag) <= r1 and z1.real - r1 > 0
+                and all(z1.real - r1 > abs(z) + r for z, r in rest))
 
     rng = random.Random(2022)
     verdicts = set()

@@ -49,7 +49,9 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # float64.  The disk bookkeeping after it: (t-1)(t+1)(t-2)(t^2-2), three
 # rational roots replaced on the disjoint route; (2t-1)(3t+2)(t^2+t+1),
 # the non-monic recognition; and (t-1)^2(t+2)(t^2-2), rational roots, one
-# double, beside irrational ones on the Yun route.
+# double, beside irrational ones on the Yun route.  Degree 1, where no
+# other root forces the dominant one positive: t, t + 2 and t + 1, whose
+# one root is not a positive real.
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -90,6 +92,11 @@ CONTRACT = [
     ["mahler", "--poly=-4,2,6,-3,-2,1"],
     ["mahler", "--poly=-2,-1,5,7,6"],
     ["mahler", "--poly=-4,6,2,-5,0,1"],
+    ["perron", "--poly=0,1"],
+    ["perron", "--poly=2,1"],
+    ["padding", "--poly=1,1"],
+    ["padding", "--poly=0,1"],
+    ["padding", "--poly=2,1"],
 ]
 
 
