@@ -359,8 +359,8 @@ def _zassenhaus(f, degset, p, facs):
             g = [lc * c % big for c in _zm_prod([lifted[i] for i in subset], big)]
             g = IntPoly(tuple(c - big if 2 * c > big else c for c in g)).primitive_part()
             if f.try_div(g) is not None:
-                return IrreducibilityCertificate("reducible", factor=-g if g.leading < 0 else g)
-    return IrreducibilityCertificate("irreducible", witness_prime=p)
+                return IrreducibilityCertificate("reducible", None, -g if g.leading < 0 else g)
+    return IrreducibilityCertificate("irreducible", p, None)
 
 
 def certify(f: IntPoly) -> IrreducibilityCertificate:
@@ -383,7 +383,7 @@ def certify(f: IntPoly) -> IrreducibilityCertificate:
             if misses == 2 and not usable:
                 for g, mult in polynomial.squarefree_decomposition(f)[1]:
                     if mult > 1:
-                        return IrreducibilityCertificate("reducible", factor=g)
+                        return IrreducibilityCertificate("reducible", None, g)
             continue
         t = _x_powers(fm, p)
         q = _frobenius_matrix(t, p)
@@ -394,7 +394,7 @@ def certify(f: IntPoly) -> IrreducibilityCertificate:
                 sums |= sums << d
         degset &= sums
         if degset == 1 | 1 << n:
-            return IrreducibilityCertificate("irreducible", witness_prime=p)
+            return IrreducibilityCertificate("irreducible", p, None)
         count = sum((len(g) - 1) // d for d, g in parts)
         if best is None or count < best[0]:
             best = (count, p, q, parts)

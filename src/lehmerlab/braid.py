@@ -413,12 +413,7 @@ def _generator_ratios(g: int, terms: list[int], accel: bool) -> GeneratorRatios:
 
 def _largest(per: list[GeneratorRatios], accel: bool) -> EntropyEstimate:
     best = max(per, key=lambda r: r.estimate)
-    return EntropyEstimate(
-        gr1=best.estimate,
-        log_gr1=math.log(best.estimate),
-        accelerated=accel,
-        per_generator=tuple(per),
-    )
+    return EntropyEstimate(best.estimate, math.log(best.estimate), accel, tuple(per))
 
 
 def _check_terms(n_terms: int) -> None:

@@ -839,6 +839,13 @@ def main(argv=None) -> int:
             if "tol" in vars(args) and args.tol is None:
                 args.tol = _env_tol()
             inputs, result, summary = args.func(args)
+            try:
+                text = _json_text({"command": args.command, "inputs": inputs, "result": result})
+            except ValueError:  # int.__repr__ past sys.get_int_max_str_digits()
+                raise ValueError(
+                    f"a result integer exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+                    "for integer string conversion; PYTHONINTMAXSTRDIGITS=0 lifts it"
+                ) from None
         except (
             ValueError,
             ArithmeticError,
@@ -851,8 +858,7 @@ def main(argv=None) -> int:
             print(_json_text(error))
             code = 1
         else:
-            doc = {"command": args.command, "inputs": inputs, "result": result}
-            print(_json_text(doc))
+            print(text)
             if not args.json_only:
                 for line in summary:
                     print(line, file=sys.stderr)

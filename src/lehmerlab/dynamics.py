@@ -8,6 +8,8 @@ identities, with no power of A formed.
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 from .polynomial import (
     DEFAULT_TOL, IntPoly, _int_arg, _int_list, _Record, cyclotomic, euler_phi, poly_det,
 )
@@ -240,38 +242,13 @@ def perron_check(f: IntPoly, n_net: int = 50, tol: float = DEFAULT_TOL) -> Perro
     nets = net_traces(f, n_net)
     first_bad = next((i + 1 for i, v in enumerate(nets) if v < 0), None)
     ok_up_to = n_net if first_bad is None else first_bad - 1
-    return PerronCheck(
-        integer_coeffs=True,
-        dominant_real=dominant,
-        net_traces_ok_up_to_n=ok_up_to,
-        net_traces_checked=n_net,
-        first_negative_net=first_bad,
-    )
+    return PerronCheck(True, dominant, ok_up_to, n_net, first_bad)
 
 
 class PaddingResult(_Record):
     phi: IntPoly
     indices: tuple[int, ...]
     net: tuple[int, ...]
-
-
-def _index_multisets(total: int, bound: int, max_mult: int):
-    """Nondecreasing index tuples with phi-degrees summing to total."""
-
-    def gen(min_d, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for d in range(min_d, bound + 1):
-            w = euler_phi(d)
-            if w > remaining:
-                continue
-            for rest in gen(d, remaining - w):
-                tup = (d,) + rest
-                if tup.count(d) <= max_mult:
-                    yield tup
-
-    yield from gen(1, total)
 
 
 def cyclotomic_padding(
@@ -285,10 +262,16 @@ def cyclotomic_padding(
     """First cyclotomic product making all net traces of f*Phi nonnegative.
 
     Enumeration is deterministic: increasing total degree, then
-    lexicographic in the sorted index multiset.  Net traces add over
-    disjoint spectra, so each candidate costs one vector sum.  None means
-    nothing was found within the search bounds, not a disproof; a bound
-    below 1 or a non-monic f raises ValueError before any root work.
+    lexicographic in the sorted index multiset, at most max_mult copies of
+    an index.  Net traces add over products, and net_n(Phi_d) = n mu(d/n)
+    if n | d, else 0: t^e - 1 = prod_{d | e} Phi_d has net_n = e [n = e],
+    a cyclic permutation of e points, and Moebius inversion over the
+    divisors of d gives the form.  So each candidate's vector is its
+    parent's plus n mu(d/n) at the divisors n of its last index d, one
+    vector sum per candidate.  No index d <= search_bound moves a net_n
+    with n > search_bound, so a negative one there returns None at once.
+    None means nothing was found within the search bounds, not a disproof;
+    a bound below 1 or a non-monic f raises ValueError before any root work.
     """
     for name, bound in (("n_net", n_net), ("search_bound", search_bound),
                         ("max_degree", max_degree), ("max_mult", max_mult)):
@@ -301,21 +284,39 @@ def cyclotomic_padding(
     base = net_traces(f, n_net)
     if all(v >= 0 for v in base):
         return PaddingResult(IntPoly((1,)), (), tuple(base))
-    vecs = {
-        d: net_traces(cyclotomic(d), n_net) for d in range(1, search_bound + 1)
-    }
+    head, tail = base[:search_bound], tuple(base[search_bound:])
+    if any(v < 0 for v in tail):
+        return None
+    mu = _moebius_table(search_bound)
+    steps = [
+        (d, euler_phi(d), [(n - 1, n * mu[d // n]) for n in range(1, min(d, n_net) + 1)
+                           if d % n == 0 and mu[d // n]])
+        for d in range(1, search_bound + 1)
+    ]
+
+    def first(indices, net, low, degree):
+        """The first (indices + rest, net traces) with all traces >= 0, rest
+        nondecreasing from index low with phi-degrees summing to degree,
+        in lexicographic order; None if there is none."""
+        for d, w, step in steps[low - 1 :]:
+            if w > degree or indices.count(d) == max_mult:
+                continue
+            padded = list(net)
+            for i, v in step:
+                padded[i] += v
+            if w < degree:
+                hit = first(indices + (d,), padded, d, degree - w)
+                if hit:
+                    return hit
+            elif all(x >= 0 for x in padded):
+                return indices + (d,), padded
+        return None
+
     for total in range(1, max_degree + 1):
-        for combo in _index_multisets(total, search_bound, max_mult):
-            padded = list(base)
-            for d in combo:
-                v = vecs[d]
-                for i in range(n_net):
-                    padded[i] += v[i]
-            if all(x >= 0 for x in padded):
-                phi = IntPoly((1,))
-                for d in combo:
-                    phi = phi * cyclotomic(d)
-                return PaddingResult(phi, combo, tuple(padded))
+        hit = first((), head, 1, total)
+        if hit:
+            phi = prod((cyclotomic(d) for d in hit[0]), start=IntPoly((1,)))
+            return PaddingResult(phi, hit[0], tuple(hit[1]) + tail)
     return None
 
 
@@ -324,32 +325,35 @@ def cyclotomic_padding(
 
 
 def primitivity(a: IntMatrix) -> bool:
-    """True iff some power A^N is entrywise positive, N <= (m-1)^2 + 1."""
+    """True iff A is primitive: its graph, u -> v where a_uv > 0, is
+    strongly connected with period 1.
+
+    With l the breadth-first levels from vertex 0, the period is the gcd g
+    over the edges u -> v of l(u) + 1 - l(v).  On a cycle the terms
+    telescope to its length, so g divides the period; each term is the
+    difference of two walk lengths from 0 to v, so the period divides g.
+    O(m^2) in all.  A 1x1 zero matrix has no edge, so g = gcd() = 0.
+    """
     if not a.is_nonnegative():
         raise ValueError("primitivity is defined for nonnegative matrices")
-    m = a.dim
-    full = (1 << m) - 1
-    adj = [
-        sum(1 << j for j, v in enumerate(row) if v > 0) for row in a.rows
-    ]
-    cur = list(adj)
-    bound = (m - 1) ** 2 + 1
-    for _ in range(bound):
-        if all(mask == full for mask in cur):
-            return True
-        cur = [_or_rows(adj, mask) for mask in cur]
-    return False
+    succ = [[v for v, x in enumerate(row) if x > 0] for row in a.rows]
+    pred = [[u for u, x in enumerate(col) if x > 0] for col in zip(*a.rows)]
+    level = _levels(succ)
+    if len(level) < a.dim or len(_levels(pred)) < a.dim:
+        return False
+    return gcd(*(level[u] + 1 - level[v] for u, vs in enumerate(succ) for v in vs)) == 1
 
 
-def _or_rows(adj, mask):
-    out = 0
-    j = 0
-    while mask:
-        if mask & 1:
-            out |= adj[j]
-        mask >>= 1
-        j += 1
-    return out
+def _levels(succ) -> dict[int, int]:
+    """Breadth-first level of each vertex reached from vertex 0."""
+    level = {0: 0}
+    queue = [0]
+    for u in queue:
+        for v in succ[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
@@ -370,34 +374,25 @@ def companion_matrix(f: IntPoly) -> IntMatrix:
     return IntMatrix(tuple(tuple(r) for r in rows))
 
 
-def _valuation(f: IntPoly) -> int:
-    for i, c in enumerate(f.coeffs):
-        if c != 0:
-            return i
-    return 0
-
-
 def verify_kor_instance(a: IntMatrix, p: IntPoly, phi: IntPoly) -> bool:
-    """True iff A is primitive and char(A) == t^l * p * Phi for some l >= 0."""
+    """True iff A is primitive and char(A) == t^l * p * Phi, where
+    l = deg char(A) - deg(p * Phi) >= 0."""
     if not a.is_nonnegative():
         raise ValueError("expected a nonnegative matrix")
     c = char_poly(a)
     target = p * phi
-    if target.degree < 0 or not target.coeffs:
-        return False
-    vc, vt = _valuation(c), _valuation(target)
-    if vc < vt:
-        return False
-    if IntPoly(c.coeffs[vc:]) != IntPoly(target.coeffs[vt:]):
-        return False
-    return primitivity(a)
+    l = c.degree - target.degree
+    return bool(target) and l >= 0 and c == target.shifted(l) and primitivity(a)
 
 
 def parse_matrix(text: str) -> IntMatrix:
     """JSON array of arrays of integers, e.g. "[[0,1],[1,1]]"."""
     import json
 
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # nested past json's limit: not an array of arrays
+        data = None
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix must be a JSON array of arrays")
     for i, row in enumerate(data):

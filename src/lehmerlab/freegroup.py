@@ -311,12 +311,7 @@ def positive_f2_aut(a: IntMatrix) -> F2Descent:
     if swapped:
         sigma = Endo(2, (Word.gen(2, 2), Word.gen(2, 1)))
         phi = Endo(2, (apply(sigma, phi.images[1]), apply(sigma, phi.images[0])))
-    return F2Descent(
-        endo=phi,
-        swapped=swapped,
-        ds=tuple(ds),
-        columns=tuple(zip(ps, qs)),
-    )
+    return F2Descent(phi, swapped, tuple(ds), tuple(zip(ps, qs)))
 
 
 def nielsen_verify_basis(u: Word, v: Word) -> bool:

@@ -519,7 +519,7 @@ def eventually_periodic(a: ExactSeq, min_evidence: int = 3) -> Periodicity | Non
                 q = i + 1
                 break
         if n - q >= min_evidence * p:
-            return Periodicity(preperiod=q, period=p)
+            return Periodicity(q, p)
     return None
 
 

@@ -162,6 +162,64 @@ def test_non_integer_matrix_exit_1(capsys):
     assert "1.5" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("cmd", ["primitivity", "lefschetz", "fg-from-matrix", "f2-positive-aut"])
+def test_matrix_nested_past_json_recursion_limit_exit_1(cmd, capsys):
+    """json.loads raises RecursionError on deep nesting; parse_matrix turns
+    it into the ValueError of any other input that is not an array of arrays."""
+    depth = 2000
+    code, doc, _ = run_json([cmd, "--matrix", "[" * depth + "]" * depth, "--json-only"], capsys)
+    assert code == 1
+    assert doc["error"] == {"type": "ValueError", "message": "matrix must be a JSON array of arrays"}
+
+
+def _big_hankel_argv(tmp_path):
+    """hankel of 10^2200, 0, 10^2200 at k = 2: H = 10^4400, past the 4300
+    digits CPython writes by default."""
+    path = tmp_path / "seq.txt"
+    path.write_text(f"{10**2200},0,{10**2200}")
+    return ["hankel", "--seq", f"@{path}", "--k", "2", "--json-only"]
+
+
+def _cli_env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
+def test_result_integer_past_digit_limit_exit_1(tmp_path, capsys):
+    """The document is written inside the error handler, so an integer too
+    long for int.__repr__ gives the exit-1 error object, not a traceback."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (_big_hankel_argv(tmp_path),
+                     ["fg-iterate", "--endo", "a -> a a; b -> b", "--iters", "14290", "--json-only"]):
+            code, doc, err = run_json(argv, capsys)
+            assert code == 1 and err == ""
+            assert doc["error"]["type"] == "ValueError"
+            message = doc["error"]["message"]
+            assert "(4300 digits)" in message and "PYTHONINTMAXSTRDIGITS" in message
+    finally:
+        sys.set_int_max_str_digits(limit)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lehmerlab", *_big_hankel_argv(tmp_path)],
+        capture_output=True, text=True, env=_cli_env(PYTHONINTMAXSTRDIGITS="4300"), timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["message"] == message
+
+
+def test_result_integer_past_digit_limit_with_limit_lifted(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lehmerlab", *_big_hankel_argv(tmp_path)],
+        capture_output=True, text=True, env=_cli_env(PYTHONINTMAXSTRDIGITS="0"), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"values": [\n      1' + "0" * 4400 + "\n    ]" in proc.stdout
+
+
 def test_bad_polynomial_exit_1(capsys):
     code, doc, _ = run_json(["mahler", "--poly", "1,oops,3", "--json-only"], capsys)
     assert code == 1
@@ -1024,7 +1082,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 43 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 49 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1033,7 +1091,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["556 jobs, 1112 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["562 jobs, 1124 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():

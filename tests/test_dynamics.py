@@ -28,6 +28,7 @@ from lehmerlab.dynamics import (
 )
 from lehmerlab.polynomial import (
     IntPoly,
+    cyclotomic,
     lehmer_polynomial,
     mahler_measure,
     parse_poly,
@@ -329,7 +330,16 @@ def test_verify_kor_examples():
     assert not verify_kor_instance(k3, parse_poly("t-2"), IntPoly((1,)))
     # char(A) = t*(t^2-2t-2): the shift exponent is found automatically
     a0 = IntMatrix(((1, 1, 1), (1, 1, 1), (1, 1, 0)))
-    assert verify_kor_instance(a0, parse_poly("t^2-2t-2"), IntPoly((1,)))
+    assert verify_kor_instance(a0, parse_poly("t^2-2t-2"), IntPoly((1,)))  # l = 1
+    assert verify_kor_instance(a0, parse_poly("t^3-2t^2-2t"), IntPoly((1,)))  # l = 0
+    assert not verify_kor_instance(a0, parse_poly("t^4-2t^3-2t^2"), IntPoly((1,)))  # l = -1
+    assert not verify_kor_instance(a0, parse_poly("t^2-2t-1"), IntPoly((1,)))
+    assert not verify_kor_instance(a0, -parse_poly("t^2-2t-2"), IntPoly((1,)))
+    assert not verify_kor_instance(a0, IntPoly(()), IntPoly((1,)))  # p = 0
+    # char = t^2 (t - 2) matches, but the graph is not strongly connected
+    reducible = IntMatrix(((1, 1, 0), (1, 1, 0), (1, 1, 0)))
+    assert char_poly(reducible) == parse_poly("t^3-2t^2")
+    assert not verify_kor_instance(reducible, parse_poly("t-2"), IntPoly((1,)))
 
 
 def test_parse_matrix():
@@ -451,3 +461,135 @@ def test_char_poly_matches_faddeev_leverrier_oracle():
         assert char_poly(a) == _faddeev_leverrier_oracle(a), a
     assert char_poly(cases[2]).coeffs == (0,) * 5 + (1,)
     assert char_poly(cases[4]).coeffs == (0,) * 4 + (1,)
+
+
+def _wielandt_oracle(a: IntMatrix) -> bool:
+    """Wielandt: A is primitive iff A^((m-1)^2 + 1) is entrywise positive."""
+    m = a.dim
+    return all(v > 0 for row in a.power((m - 1) ** 2 + 1).rows for v in row)
+
+
+def _chain_matrix(m: int, chord: bool) -> IntMatrix:
+    """The m-cycle 0 -> 1 -> ... -> m-1 -> 0, plus the chord m-1 -> 1: with
+    it, Wielandt's matrix, whose exponent is exactly (m-1)^2 + 1."""
+    rows = [[int(j == (i + 1) % m) for j in range(m)] for i in range(m)]
+    if chord and m > 1:
+        rows[m - 1][1] = 1
+    return IntMatrix(rows)
+
+
+def test_primitivity_matches_wielandt_oracle():
+    rng = random.Random(1950)
+    cases = []
+    for m in range(1, 9):
+        for _ in range(40):
+            p = rng.random()
+            cases.append(IntMatrix([[int(rng.random() < p) * rng.randint(1, 3) for _ in range(m)]
+                                    for _ in range(m)]))
+        for _ in range(5):
+            perm = rng.sample(range(m), m)
+            cases.append(IntMatrix([[int(j == perm[i]) for j in range(m)] for i in range(m)]))
+        for _ in range(10):
+            k = rng.randint(1, m)  # rows [k:] never reach columns [:k]
+            cases.append(IntMatrix([[int(not (i >= k > j) and rng.random() < 0.7) for j in range(m)]
+                                    for i in range(m)]))
+        cases += [_chain_matrix(m, False), _chain_matrix(m, True)]
+    verdicts = [primitivity(a) for a in cases]
+    assert verdicts == [_wielandt_oracle(a) for a in cases]
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+    assert primitivity(_chain_matrix(100, True))
+    assert not primitivity(_chain_matrix(100, False))
+
+
+def test_net_traces_of_cyclotomic_closed_form():
+    """net_n(Phi_d) = n mu(d/n) if n | d, else 0."""
+    for d in range(1, 61):
+        expected = [n * moebius(d // n) if d % n == 0 else 0 for n in range(1, 61)]
+        assert net_traces(cyclotomic(d), 60) == expected, d
+
+
+def _padding_oracle(f, n_net=50, search_bound=24, max_degree=12, max_mult=3):
+    """The enumeration cyclotomic_padding replaced, for an f with a dominant
+    real root: every index multiset in order, each padded from scratch."""
+    from lehmerlab.polynomial import euler_phi
+
+    def gen(min_d, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for d in range(min_d, search_bound + 1):
+            w = euler_phi(d)
+            if w > remaining:
+                continue
+            for rest in gen(d, remaining - w):
+                tup = (d,) + rest
+                if tup.count(d) <= max_mult:
+                    yield tup
+
+    base = net_traces(f, n_net)
+    if all(v >= 0 for v in base):
+        return PaddingResult(IntPoly((1,)), (), tuple(base))
+    vecs = {d: net_traces(cyclotomic(d), n_net) for d in range(1, search_bound + 1)}
+    for total in range(1, max_degree + 1):
+        for combo in gen(1, total):
+            padded = list(base)
+            for d in combo:
+                for i in range(n_net):
+                    padded[i] += vecs[d][i]
+            if all(x >= 0 for x in padded):
+                phi = IntPoly((1,))
+                for d in combo:
+                    phi = phi * cyclotomic(d)
+                return PaddingResult(phi, combo, tuple(padded))
+    return None
+
+
+def test_cyclotomic_padding_matches_enumeration_oracle():
+    rng = random.Random(2000)
+    fs = [parse_poly(text) for text in
+          ("t^5+t^3-2t^2-3t-3", "t^3+t^2-22t-40", "t^3-t^2+t-2", "t^2-t-1")]
+    while len(fs) < 40:
+        f = IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(2, 9))) + (1,))
+        if perron_check(f, n_net=1).dominant_real and min(net_traces(f, 50)) < 0:
+            fs.append(f)
+    bounds = [{}, {"max_mult": 1}, {"search_bound": 16, "max_degree": 8},
+              {"n_net": 10, "search_bound": 40}]
+    kinds = set()
+    for f in fs:
+        for b in bounds:
+            got = cyclotomic_padding(f, **b)
+            assert got == _padding_oracle(f, **b), (f, b)
+            kinds.add("none" if got is None else "identity" if not got.indices else "padded")
+    assert kinds == {"none", "identity", "padded"}
+
+
+def _kor_oracle(a: IntMatrix, p: IntPoly, phi: IntPoly) -> bool:
+    """The valuation comparison verify_kor_instance replaced: char(A) and
+    p * Phi agree once the powers of t dividing each are stripped, and
+    char(A) has at least as many."""
+    def valuation(f):
+        return next((i for i, c in enumerate(f.coeffs) if c), 0)
+
+    c, target = char_poly(a), p * phi
+    if not target:
+        return False
+    vc, vt = valuation(c), valuation(target)
+    return (vc >= vt and IntPoly(c.coeffs[vc:]) == IntPoly(target.coeffs[vt:])
+            and primitivity(a))
+
+
+def test_verify_kor_matches_valuation_oracle():
+    rng = random.Random(34)
+    one, verdicts = IntPoly((1,)), []
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        a = IntMatrix([[rng.choice((0, 0, 1, 2)) for _ in range(m)] for _ in range(m)])
+        c = char_poly(a)
+        v = next(i for i, x in enumerate(c.coeffs) if x)
+        stripped = IntPoly(c.coeffs[v:])
+        for p, phi in [(c, one), (stripped, one), (stripped.shifted(1), one), (IntPoly(()), one),
+                       (stripped, parse_poly("t+1")), (c + IntPoly((1,)), one)]:
+            got = verify_kor_instance(a, p, phi)
+            assert got == _kor_oracle(a, p, phi), (a, p, phi)
+            verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -51,7 +51,11 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # the non-monic recognition; and (t-1)^2(t+2)(t^2-2), rational roots, one
 # double, beside irrational ones on the Yun route.  Degree 1, where no
 # other root forces the dominant one positive: t, t + 2 and t + 1, whose
-# one root is not a positive real.
+# one root is not a positive real.  Primitivity by the period: a 6-cycle
+# with one chord (primitive, exponent 26), a reducible Jordan block, and
+# the 1x1 zero and one.  Padding that ends in None at once, on a negative
+# net trace past search_bound (n = 25), and a search with --max-mult 1 and
+# --search-bound 6.
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -97,6 +101,13 @@ CONTRACT = [
     ["padding", "--poly=1,1"],
     ["padding", "--poly=0,1"],
     ["padding", "--poly=2,1"],
+    ["primitivity", "--matrix",
+     "[[0,1,0,0,0,0],[0,0,1,0,0,0],[0,0,0,1,0,0],[0,0,0,0,1,0],[0,0,0,0,0,1],[1,1,0,0,0,0]]"],
+    ["primitivity", "--matrix", "[[1,1],[0,1]]"],
+    ["primitivity", "--matrix", "[[0]]"],
+    ["primitivity", "--matrix", "[[1]]"],
+    ["padding", "--poly=-3,-3,-2,1,0,1"],
+    ["padding", "--poly=t^3+t^2-22t-40", "--max-mult", "1", "--search-bound", "6"],
 ]
 
 
