@@ -24,11 +24,11 @@ lengths, at a cost exponential in the iterate count.
 from __future__ import annotations
 
 import math
-import re
 
 from .freegroup import DEFAULT_BUDGET, Endo, Word, apply, compose, generator_lengths
 from .polynomial import (
-    DEFAULT_TOL, LaurentPoly, _int_arg, _int_list, _kronecker_det, _Record, _unpack, mahler_measure,
+    DEFAULT_TOL, LaurentPoly, _int_arg, _int_list, _kronecker_det, _LazyPattern, _Record, _unpack,
+    mahler_measure,
 )
 
 __all__ = [
@@ -102,7 +102,7 @@ class BraidWord(_Record):
         return format_braid(self)
 
 
-_BRAID_TOKEN = re.compile(r"(?:s([0-9]+)|(T)|([+-]?[0-9]+))(?:\^([+-]?[0-9]+))?")
+_BRAID_TOKEN = _LazyPattern(r"(?:s([0-9]+)|(T)|([+-]?[0-9]+))(?:\^([+-]?[0-9]+))?")
 
 
 def _braid_token(tok: str) -> tuple[tuple[int, ...], int]:

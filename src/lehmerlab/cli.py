@@ -15,11 +15,9 @@ one note on stderr; it is read, and noted, only when it would be used.
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from ._blockword import BudgetError
 from .braid import (
@@ -134,7 +132,10 @@ def _env_tol() -> float:
         return DEFAULT_TOL
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+try:  # json.encoder's ASCII escaper, without importing json
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _encode_str
 
 
 def _json_text(doc) -> str:
@@ -224,8 +225,13 @@ def _write_json(o, out: list, nl: str) -> None:
 
 
 def _num(x):
-    """JSON-safe exact numbers: integral Fractions as int, others as string."""
-    if isinstance(x, Fraction):
+    """JSON-safe exact numbers: integral Fractions as int, others as string.
+    A Fraction exists only once fractions is imported, so an integer path
+    does not import it to test for one."""
+    if type(x) is int:
+        return x
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return int(x) if x.denominator == 1 else str(x)
     if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
@@ -591,6 +597,67 @@ def _cmd_entropy(args) -> tuple:
 # Parser assembly
 
 
+class _OnLookup(dict):
+    """A dict whose keys are all set from the start, where the value None
+    stands for one not built yet: the first lookup of such a key, by []
+    or get, stores and returns build(key)."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        if value is None:
+            value = self[key] = self._build(key)
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+class _LazySubparsers(argparse._SubParsersAction):
+    """argparse's subparsers action, each parser built on first lookup.
+
+    ``register(name, help_text, build)`` lists the name and its help line
+    at once, so the top-level help, argparse's choice check and its
+    invalid-choice message read every name.  The first lookup of the name
+    in the name -> parser map stores build(prog), with the prog that
+    add_parser would give.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._builders = {}
+        self._name_parser_map = self.choices = _OnLookup(
+            lambda name: self._builders[name](f"{self._prog_prefix} {name}")
+        )
+
+    def register(self, name, help_text, build):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help_text))
+        self._builders[name] = build
+        self.choices[name] = None
+
+
+class _Subcommand(argparse._ActionsContainer):
+    """A subcommand's handler ``func`` and its flags, as the Actions that
+    add_argument makes on a parser, made without one: ``actions`` maps
+    each option string, --json-only's included, to its Action.  The flag
+    table reads them, and the subcommand's parser, built only when
+    argparse needs it, takes this container as a parent."""
+
+    def __init__(self, func, json_only, flags):
+        super().__init__(
+            description=None, prefix_chars="-", argument_default=None, conflict_handler="error"
+        )
+        self.register("type", None, lambda text: text)  # as ArgumentParser registers it
+        self.func = func
+        self.actions = {"--json-only": json_only}
+        for args, kwargs in flags:
+            action = self.add_argument(*args, **kwargs)
+            self.actions.update(dict.fromkeys(action.option_strings, action))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree.  It reads no environment, so one parser
     serves every main() call in a process."""
@@ -599,8 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers():
-    """(the whole argparse tree, {subcommand name: (its func, {option
-    string: the Action that add_argument returned})})."""
+    """(the whole argparse tree, {subcommand name: its _Subcommand}).  A
+    subcommand's entry is built when the flag table or argparse first looks
+    it up, and its parser when argparse does."""
     common = argparse.ArgumentParser(add_help=False)
     json_only = common.add_argument(
         "--json-only",
@@ -614,177 +682,183 @@ def _parsers():
         epilog="Values starting with '-' need the --flag=value form, "
         'e.g. --poly="-1,-1,1".  @path reads any value from a file.',
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    table = {}
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="subcommand", action=_LazySubparsers
+    )
+    specs = {}
+    table = _OnLookup(lambda name: _Subcommand(*specs[name]))
 
-    def add(name, func, help_text):
-        """The subcommand's add_argument, recording each Action it returns."""
-        q = sub.add_parser(name, parents=[common], help=help_text)
-        q.set_defaults(func=func)
-        actions = {"--json-only": json_only}
-        table[name] = (func, actions)
+    def flag(*args, **kwargs):
+        """One add_argument call, made when the subcommand is first looked up."""
+        return args, kwargs
 
-        def flag(*args, **kwargs):
-            action = q.add_argument(*args, **kwargs)
-            actions.update(dict.fromkeys(action.option_strings, action))
+    def add(name, func, help_text, *flags):
+        """Register a subcommand, its handler and its flags."""
 
-        return flag
+        def subparser(prog):
+            q = argparse.ArgumentParser(prog=prog, parents=[common, table[name]])
+            q.set_defaults(func=func)
+            return q
 
-    def poly_flag(flag):
-        flag(
-            "--poly",
-            required=True,
-            help="coefficients 'c0,c1,...' (ascending) or an expression like "
-            "'t^10 + t^9 - t^7 - ... + 1'; @path reads a file",
-        )
+        specs[name] = func, json_only, flags
+        table[name] = None
+        sub.register(name, help_text, subparser)
 
-    def seq_flag(flag):
-        flag(
-            "--seq", required=True, help="comma-separated terms, a_1 first; @path reads a file"
-        )
-
-    def matrix_flag(flag):
-        flag(
-            "--matrix", required=True, help="JSON rows, e.g. '[[2,1],[1,1]]'; @path reads a file"
-        )
-
-    def braid_flags(flag):
+    poly = flag(
+        "--poly",
+        required=True,
+        help="coefficients 'c0,c1,...' (ascending) or an expression like "
+        "'t^10 + t^9 - t^7 - ... + 1'; @path reads a file",
+    )
+    seq = flag("--seq", required=True, help="comma-separated terms, a_1 first; @path reads a file")
+    matrix = flag("--matrix", required=True, help="JSON rows, e.g. '[[2,1],[1,1]]'; @path reads a file")
+    braid = (
         flag(
             "--braid",
             required=True,
             help="braid word like 's1 s2^-1 T^2' (T = full twist); @path reads a file",
-        )
-        flag("--n", type=int, required=True, help="number of strands")
-
-    def growth_flags(flag):
-        flag("--k-max", type=int, default=3, help="largest k (default %(default)d)")
+        ),
+        flag("--n", type=int, required=True, help="number of strands"),
+    )
+    growth = (
+        flag("--k-max", type=int, default=3, help="largest k (default %(default)d)"),
         flag(
             "--window", type=int, default=DEFAULT_WINDOW, help="estimator window (default %(default)d)"
-        )
-        flag("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)")
+        ),
+        flag("--d-max", type=int, default=None, help="recurrence degree cap (default: terms/3)"),
+    )
+    endo = flag("--endo", required=True, help="images like 'a -> a b a; b -> a b'; @path reads a file")
+    tol = flag(
+        "--tol",
+        type=_tol_arg,
+        default=None,
+        help=f"root-isolation tolerance (default {DEFAULT_TOL:g}, or LEHMERLAB_TOL)",
+    )
 
-    def endo_flag(flag):
+    budget = flag(
+        "--budget",
+        type=_budget_arg,
+        default=DEFAULT_BUDGET,
+        help="work cap for free-group rewriting of words with inverse letters (default %(default)d)",
+    )
+
+    add("mahler", _cmd_mahler, "Mahler measure of an integer polynomial", poly, tol)
+    add(
+        "poly-check",
+        _cmd_poly_check,
+        "reciprocality, cyclotomic-product, power-substitution and irreducibility checks",
+        poly,
+    )
+    add(
+        "hankel",
+        _cmd_hankel,
+        "Hankel determinants H_{n,k} of a sequence",
+        seq,
+        flag("--k", type=int, required=True, help="determinant size"),
+        flag("--n", type=int, default=None, help="starting index (omit for all n)"),
+    )
+    add("growth", _cmd_growth, "generalized growth rates GR^(k) of a sequence", seq, *growth, tol)
+    add(
+        "fit-recurrence",
+        _cmd_fit_recurrence,
+        "minimal linear recurrence of a sequence",
+        seq,
+        flag("--d-max", type=int, default=None, help="degree cap (default: max(1, terms // 3))"),
+    )
+    add(
+        "lefschetz",
+        _cmd_lefschetz,
+        "Lefschetz numbers of an integer matrix action",
+        matrix,
+        flag("--iters", type=int, default=16, help="number of terms (default %(default)d)"),
         flag(
-            "--endo", required=True, help="images like 'a -> a b a; b -> a b'; @path reads a file"
-        )
-
-    def tol_flag(flag):
+            "--boundary",
+            action="store_true",
+            help="surface with boundary: L_n = 1 - tr A^n (default 2 - tr A^n)",
+        ),
+        tol,
+    )
+    add(
+        "net-trace",
+        _cmd_net_trace,
+        "Moebius-inverted power sums of a polynomial's roots",
+        poly,
+        flag("--iters", type=int, default=20, help="number of terms (default %(default)d)"),
+    )
+    n_net = flag("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
+    add(
+        "perron",
+        _cmd_perron,
+        "Perron conditions: integrality, dominant real root, net traces",
+        poly,
+        n_net,
+        tol,
+    )
+    add(
+        "padding",
+        _cmd_padding,
+        "cyclotomic factor making all net traces nonnegative",
+        poly,
+        n_net,
+        flag("--search-bound", type=int, default=24, help="largest cyclotomic index tried"),
+        flag("--max-degree", type=int, default=12, help="largest total padding degree"),
+        flag("--max-mult", type=int, default=3, help="largest multiplicity per index"),
+        tol,
+    )
+    add("primitivity", _cmd_primitivity, "primitivity of a nonnegative integer matrix", matrix)
+    add(
+        "fg-iterate",
+        _cmd_fg_iterate,
+        "exact word lengths |phi^n(w)| under an endomorphism",
+        endo,
+        flag("--word", default=None, help="word to iterate (default: every generator)"),
+        flag("--iters", type=int, default=10, help="number of iterates (default %(default)d)"),
+        budget,
+    )
+    add(
+        "fg-growth",
+        _cmd_fg_growth,
+        "generalized growth rates of an endomorphism",
+        endo,
+        *growth,
+        flag("--iters", type=int, default=16, help="length terms used (default %(default)d)"),
         flag(
-            "--tol",
-            type=_tol_arg,
-            default=None,
-            help=f"root-isolation tolerance (default {DEFAULT_TOL:g}, or LEHMERLAB_TOL)",
-        )
-
-    def budget_flag(flag, text="work cap for free-group rewriting of words with inverse letters"):
+            "--sum",
+            action="store_true",
+            help="analyze the summed length sequence instead of per-generator maxima",
+        ),
+        budget,
+    )
+    add(
+        "fg-from-matrix",
+        _cmd_fg_from_matrix,
+        "positive endomorphism read off a nonnegative matrix",
+        matrix,
+    )
+    add(
+        "f2-positive-aut",
+        _cmd_f2_positive_aut,
+        "positive automorphism of the rank-2 free group with a given abelianization",
+        matrix,
+    )
+    add("burau", _cmd_burau, "reduced Burau matrix of a braid word", *braid)
+    add("alexander", _cmd_alexander, "reduced Alexander polynomial of a braid closure", *braid)
+    add("lehmer-gap", _cmd_lehmer_gap, "Mahler measure of det(Burau - I)", *braid, tol)
+    add(
+        "entropy",
+        _cmd_entropy,
+        "entropy estimate from the growth of curves under the braid (Dynnikov coordinates)",
+        *braid,
+        flag("--iters", type=int, default=12, help="iterates used (default %(default)d)"),
+        flag("--no-accel", action="store_true", help="disable Aitken acceleration"),
         flag(
             "--budget",
             type=_budget_arg,
             default=DEFAULT_BUDGET,
-            help=text + " (default %(default)d)",
-        )
-
-    flag = add("mahler", _cmd_mahler, "Mahler measure of an integer polynomial")
-    poly_flag(flag)
-    tol_flag(flag)
-
-    flag = add(
-        "poly-check",
-        _cmd_poly_check,
-        "reciprocality, cyclotomic-product, power-substitution and irreducibility checks",
+            help="echoed as inputs.budget; does not limit entropy, which builds no words "
+            "(default %(default)d)",
+        ),
     )
-    poly_flag(flag)
-
-    flag = add("hankel", _cmd_hankel, "Hankel determinants H_{n,k} of a sequence")
-    seq_flag(flag)
-    flag("--k", type=int, required=True, help="determinant size")
-    flag("--n", type=int, default=None, help="starting index (omit for all n)")
-
-    flag = add("growth", _cmd_growth, "generalized growth rates GR^(k) of a sequence")
-    seq_flag(flag)
-    growth_flags(flag)
-    tol_flag(flag)
-
-    flag = add("fit-recurrence", _cmd_fit_recurrence, "minimal linear recurrence of a sequence")
-    seq_flag(flag)
-    flag("--d-max", type=int, default=None, help="degree cap (default: max(1, terms // 3))")
-
-    flag = add("lefschetz", _cmd_lefschetz, "Lefschetz numbers of an integer matrix action")
-    matrix_flag(flag)
-    flag("--iters", type=int, default=16, help="number of terms (default %(default)d)")
-    flag(
-        "--boundary",
-        action="store_true",
-        help="surface with boundary: L_n = 1 - tr A^n (default 2 - tr A^n)",
-    )
-    tol_flag(flag)
-
-    flag = add("net-trace", _cmd_net_trace, "Moebius-inverted power sums of a polynomial's roots")
-    poly_flag(flag)
-    flag("--iters", type=int, default=20, help="number of terms (default %(default)d)")
-
-    flag = add("perron", _cmd_perron, "Perron conditions: integrality, dominant real root, net traces")
-    poly_flag(flag)
-    flag("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
-    tol_flag(flag)
-
-    flag = add("padding", _cmd_padding, "cyclotomic factor making all net traces nonnegative")
-    poly_flag(flag)
-    flag("--n-net", type=int, default=50, help="net traces checked (default %(default)d)")
-    flag("--search-bound", type=int, default=24, help="largest cyclotomic index tried")
-    flag("--max-degree", type=int, default=12, help="largest total padding degree")
-    flag("--max-mult", type=int, default=3, help="largest multiplicity per index")
-    tol_flag(flag)
-
-    flag = add("primitivity", _cmd_primitivity, "primitivity of a nonnegative integer matrix")
-    matrix_flag(flag)
-
-    flag = add("fg-iterate", _cmd_fg_iterate, "exact word lengths |phi^n(w)| under an endomorphism")
-    endo_flag(flag)
-    flag("--word", default=None, help="word to iterate (default: every generator)")
-    flag("--iters", type=int, default=10, help="number of iterates (default %(default)d)")
-    budget_flag(flag)
-
-    flag = add("fg-growth", _cmd_fg_growth, "generalized growth rates of an endomorphism")
-    endo_flag(flag)
-    growth_flags(flag)
-    flag("--iters", type=int, default=16, help="length terms used (default %(default)d)")
-    flag(
-        "--sum",
-        action="store_true",
-        help="analyze the summed length sequence instead of per-generator maxima",
-    )
-    budget_flag(flag)
-
-    flag = add("fg-from-matrix", _cmd_fg_from_matrix, "positive endomorphism read off a nonnegative matrix")
-    matrix_flag(flag)
-
-    flag = add(
-        "f2-positive-aut",
-        _cmd_f2_positive_aut,
-        "positive automorphism of the rank-2 free group with a given abelianization",
-    )
-    matrix_flag(flag)
-
-    flag = add("burau", _cmd_burau, "reduced Burau matrix of a braid word")
-    braid_flags(flag)
-
-    flag = add("alexander", _cmd_alexander, "reduced Alexander polynomial of a braid closure")
-    braid_flags(flag)
-
-    flag = add("lehmer-gap", _cmd_lehmer_gap, "Mahler measure of det(Burau - I)")
-    braid_flags(flag)
-    tol_flag(flag)
-
-    flag = add(
-        "entropy",
-        _cmd_entropy,
-        "entropy estimate from the growth of curves under the braid (Dynnikov coordinates)",
-    )
-    braid_flags(flag)
-    flag("--iters", type=int, default=12, help="iterates used (default %(default)d)")
-    flag("--no-accel", action="store_true", help="disable Aitken acceleration")
-    budget_flag(flag, "echoed as inputs.budget; does not limit entropy, which builds no words")
 
     return parser, table
 
@@ -797,7 +871,7 @@ def _read_flags(argv):
     entry = _parsers()[1].get(argv[0]) if argv else None
     if entry is None:
         return None
-    func, actions = entry
+    actions = entry.actions
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -821,7 +895,7 @@ def _read_flags(argv):
         if action.required and action.dest not in given:
             return None
         setattr(args, action.dest, given.get(action.dest, action.default))
-    args.func = func
+    args.func = entry.func
     return args
 
 

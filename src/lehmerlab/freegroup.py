@@ -21,7 +21,6 @@ route builds no words and charges no budget.
 from __future__ import annotations
 
 import operator
-import re
 
 from ._blockword import (
     BlockWord,
@@ -32,7 +31,7 @@ from ._blockword import (
     reduce,
 )
 from .dynamics import IntMatrix
-from .polynomial import _int_arg, _Record
+from .polynomial import _int_arg, _LazyPattern, _Record
 from .sequence import DEFAULT_WINDOW, ExactSeq, GrowthReport
 from .sequence import _check_report_args
 from .sequence import growth_reports as seq_growth_reports
@@ -348,7 +347,7 @@ def _gen_name(g: int, rank: int) -> str:
     return f"g{g}"
 
 
-_WORD_TOKEN = re.compile(r"([a-z]|g[0-9]+)(?:\^([+-]?[0-9]+))?")
+_WORD_TOKEN = _LazyPattern(r"([a-z]|g[0-9]+)(?:\^([+-]?[0-9]+))?")
 
 
 def _parse_gen(token: str) -> int:

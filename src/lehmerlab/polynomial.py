@@ -24,8 +24,6 @@ import math
 import operator
 import re
 import sys
-from array import array
-from fractions import Fraction
 from functools import lru_cache
 
 DEFAULT_TOL = 1e-10
@@ -55,6 +53,20 @@ def _int_list(values, name: str, first: int = 0) -> list[int]:
         for i, v in enumerate(values, first):
             _int_arg(v, name.format(i))
         raise
+
+
+class _LazyPattern:
+    """``re.compile(text)``, compiled on the first call of one of its
+    methods; each method is then bound on the instance, so later calls cost
+    what the compiled pattern's own do."""
+
+    def __init__(self, text: str):
+        self._text = text
+
+    def __getattr__(self, name):
+        method = getattr(re.compile(self._text), name)
+        setattr(self, name, method)
+        return method
 
 
 def _strip(coeffs):
@@ -221,6 +233,8 @@ class IntPoly(_Record):
         other = _as_poly(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
+        from fractions import Fraction
+
         rem = [Fraction(c) for c in self.coeffs]
         quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
         d, lead = other.degree, Fraction(other.leading)
@@ -548,7 +562,11 @@ def bareiss_det(rows) -> int:
 # w byte-slice copies, the sign filling the top bytes; digits of a native
 # size are written through array.  A wider digit is one int.from_bytes or
 # to_bytes call.
-_NATIVE = sorted((array(c).itemsize, c) for c in "bhiq") if sys.byteorder == "little" else []
+_NATIVE = (
+    sorted((memoryview(bytes(8)).cast(c).itemsize, c) for c in "bhiq")
+    if sys.byteorder == "little"
+    else []
+)
 _SLOT = (
     {w: next(item for item in _NATIVE if item[0] >= w) for w in range(1, _NATIVE[-1][0] + 1)}
     if _NATIVE
@@ -571,7 +589,9 @@ def _pack(coeffs, w: int) -> int:
             acc = (acc << b) + c
         return acc
     if w in _SLOT and _SLOT[w][0] == w:
-        raw = array(_SLOT[w][1], coeffs).tobytes()
+        import array
+
+        raw = array.array(_SLOT[w][1], coeffs).tobytes()
     else:
         raw = b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
     bias = _bias(n, w)
@@ -1010,6 +1030,8 @@ def _weierstrass_exact(coeffs, tol, start):
                 pr, pi = (pr * dx - pi * dy) >> shift, (pr * dy + pi * dx) >> shift
         return fr, fi, pr, pi
 
+    from fractions import Fraction
+
     extra = max(0, -min(math.frexp(abs(z))[1] for z in start))
     p = 128 + extra
     xs = [round(Fraction(z.real) * 2**p) for z in start]
@@ -1123,12 +1145,14 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, pairs):
             q = (2 * a + da - 1) // (2 * da)
             inside = (q * d - a * (d // da)) ** 2 + (c * (d // dc)) ** 2 <= (s * (d // ds)) ** 2
         else:
+            from fractions import Fraction
+
             x = Fraction(z.real)
             q = x.limit_denominator(lc)
             inside = (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2
         if inside and g.evaluate(q) == 0:
             zs[j] = complex(q)  # correctly rounded
-            dist = abs((int if lc == 1 else Fraction)(zs[j].real) - q)
+            dist = abs(type(q)(zs[j].real) - q)  # q is an int or a Fraction
             radii[j] = _up(dist) if dist else 0.0
             pairs = _near_pairs(zs, radii)
             crowded = {i for pair in pairs for i in pair}
@@ -1280,6 +1304,8 @@ def clear_denominators(values) -> tuple[tuple[int, ...], int]:
     try:
         return tuple(map(operator.index, values)), 1
     except TypeError:
+        from fractions import Fraction
+
         fs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     d = math.lcm(*(f.denominator for f in fs))
     return tuple(f.numerator * (d // f.denominator) for f in fs), d
@@ -1335,8 +1361,8 @@ def irreducibility_certificate(f: IntPoly) -> IrreducibilityCertificate:
 # Text formats
 
 
-_COEFF_RE = re.compile(r"[+-]?[0-9]+")
-_TERM_RE = re.compile(
+_COEFF_RE = _LazyPattern(r"[+-]?[0-9]+")
+_TERM_RE = _LazyPattern(
     r"^([+-]?)([0-9]+)?\*?([tx])(?:\^(-?[0-9]+))?$|^([+-]?[0-9]+)$"
 )
 
@@ -1353,9 +1379,9 @@ def parse_poly(text: str) -> IntPoly:
     if not s:
         raise ValueError("empty polynomial")
     if "t" not in s and "x" not in s:
-        coeffs = [p.strip() for p in s.split(",")]
+        coeffs, fullmatch = [p.strip() for p in s.split(",")], _COEFF_RE.fullmatch
         for p in coeffs:
-            if not _COEFF_RE.fullmatch(p):
+            if not fullmatch(p):
                 raise ValueError(
                     f"bad coefficient {p!r}: expected comma-separated signed "
                     "integers such as 1,0,-2"
@@ -1366,8 +1392,9 @@ def parse_poly(text: str) -> IntPoly:
     # term after them form one, which _TERM_RE rejects.
     terms = re.findall(r"[+-]*(?:\^[+-]|[^+-])+|[+-]+", s)
     out: dict[int, int] = {}
+    match = _TERM_RE.match
     for term in terms:
-        m = _TERM_RE.match(term)
+        m = match(term)
         if not m:
             raise ValueError(f"cannot parse term {term!r}")
         if m.group(5) is not None:

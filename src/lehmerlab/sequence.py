@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
-import re
-from fractions import Fraction
 
-from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, _Record, _strip, bareiss_det
-from .polynomial import clear_denominators, mahler_measure, roots
+from .polynomial import DEFAULT_TOL, IntPoly, _int_arg, _int_list, _LazyPattern, _Record, _strip
+from .polynomial import bareiss_det, clear_denominators, mahler_measure, roots
 
 DEFAULT_WINDOW = 8
 
@@ -40,7 +38,11 @@ def _lowest(ints, den):
 
 def _ratios(ints, den) -> tuple:
     """ints / den: the ints themselves when den is 1, Fractions otherwise."""
-    return ints if den == 1 else tuple(Fraction(v, den) for v in ints)
+    if den == 1:
+        return ints
+    from fractions import Fraction
+
+    return tuple(Fraction(v, den) for v in ints)
 
 
 class ExactSeq(_Record):
@@ -154,7 +156,11 @@ def hankel_det(a: ExactSeq, n: int, k: int) -> Fraction | int:
         raise ValueError(f"Hankel window (n={n}, k={k}) exceeds {a.n_terms} terms")
     h = _hankel_int(a.ints, n, k) if k else 1
     scale = a.den**k
-    return h if scale == 1 else Fraction(h, scale)
+    if scale == 1:
+        return h
+    from fractions import Fraction
+
+    return Fraction(h, scale)
 
 
 def _hankel_int(ints, n: int, k: int) -> int:
@@ -529,7 +535,7 @@ def eventually_periodic(a: ExactSeq, min_evidence: int = 3) -> Periodicity | Non
 
 # The first alternative is a plain integer, which int reads faster than
 # Fraction reads a string.
-_TERM_RE = re.compile(
+_TERM_RE = _LazyPattern(
     r"[+-]?(?:([0-9]+)|[0-9]+/0*[1-9][0-9]*|[0-9]+\.?[0-9]*|\.[0-9]+)"
 )
 
@@ -539,15 +545,20 @@ def _terms(text: str) -> list[int | Fraction]:
     a bad one is named instead of read by Fraction's wider grammar; an
     integer term stays an int."""
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
-    out = []
+    out, fullmatch = [], _TERM_RE.fullmatch
     for p in parts:
-        match = _TERM_RE.fullmatch(p)
+        match = fullmatch(p)
         if not match:
             raise ValueError(
                 f"bad term {p!r}: expected comma-separated integers, fractions "
                 "p/q with q > 0 or decimals, such as 1,-2/3,1.5"
             )
-        out.append(int(p) if match.group(1) else Fraction(p))
+        if match.group(1):
+            out.append(int(p))
+        else:
+            import fractions
+
+            out.append(fractions.Fraction(p))
     return out
 
 

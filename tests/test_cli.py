@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import json
 import math
@@ -804,6 +805,65 @@ def test_numpy_loaded_only_by_root_certification():
     assert states[9][:2] == [True, True]  # poly-check factors
 
 
+def test_cold_start_loads_only_what_the_command_uses():
+    """Import plus build_parser() loads none of fractions, decimal, json and
+    array and builds no subcommand; a well-formed argv builds its own flag
+    table entry and no parser, an argv that argparse reads builds its own
+    parser and no other; integer jobs load no fractions, a rational
+    sequence does, and a --matrix loads json."""
+    script = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def recording(self, *a, **k):\n"
+        "    built.append(k.get('prog'))\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = recording\n"
+        "import lehmerlab.cli as cli\n"
+        "def state():\n"
+        "    modules = [m for m in ('fractions', 'decimal', 'json', 'array') if m in sys.modules]\n"
+        "    entries = [n for n, e in dict.items(cli._parsers()[1]) if e is not None]\n"
+        "    state = [modules, built[:], entries]\n"
+        "    built.clear()\n"
+        "    return state\n"
+        "cli.build_parser()\n"
+        "states = [state()]\n"
+        "for argv in (\n"
+        "    ['fg-iterate', '--endo', 'a -> a b; b -> a', '--iters', '8'],\n"
+        "    ['alexander', '--n', '3', '--braid', 's1 s2^-1 T^2'],\n"
+        "    ['entropy', '--n', '3', '--braid', 's1 s2^-1'],\n"
+        "    ['hankel', '--seq', '1,1,2,3,5,8,13,21', '--k', '2'],\n"
+        "    ['fg-iterate', '--endo', 'a -> a b; b -> a', '--it', '5'],\n"
+        "    ['growth', '--seq', '1/2,1/3,1/4,1/5,1/6,1/7,1/8,1/9'],\n"
+        "    ['primitivity', '--matrix', '[[1,1],[1,0]]'],\n"
+        "):\n"
+        "    assert cli.main([*argv, '--json-only']) == 0, argv\n"
+        "    states.append(state())\n"
+        "print(repr(states))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    states = ast.literal_eval(proc.stdout.splitlines()[-1])
+    # the common parent of the subcommands and the top-level parser
+    assert states[0] == [[], [None, "lehmerlab"], []]
+    built = [b for _, b, _ in states[1:]]
+    # only the abbreviated --it reaches argparse, which builds that parser
+    assert built == [[], [], [], [], ["lehmerlab fg-iterate"], [], []]
+    entries = [set(e) for _, _, e in states[1:]]
+    kinds = ["fg-iterate", "alexander", "entropy", "hankel", "fg-iterate", "growth", "primitivity"]
+    assert entries == [set(kinds[: i + 1]) for i in range(len(kinds))]
+    modules = [m for m, _, _ in states[1:]]
+    assert all("fractions" not in m and "json" not in m for m in modules[:5])
+    assert {"fractions", "decimal"} <= set(modules[5]) and "json" not in modules[5]
+    assert "json" in modules[6]
+
+
 def test_poly_check_is_deterministic_without_random():
     # Lehmer's polynomial times t^14 - 3t^5 + 2t + 5: squarefree, so the
     # factor comes from the Hensel lift and recombination.
@@ -943,7 +1003,8 @@ def test_flag_reader_matches_argparse():
     table = cli._parsers()[1]
     assert set(table) == set(ENVELOPE_CASES)
     rng = random.Random(24)
-    for name, (_, actions) in sorted(table.items()):
+    for name in sorted(table):
+        actions = table[name].actions
         for _ in range(40):
             tokens = []
             for flag, action in actions.items():
@@ -1082,7 +1143,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 49 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 74 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1091,7 +1152,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["562 jobs, 1124 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["587 jobs, 1174 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():
@@ -1127,20 +1188,31 @@ def test_job_ab_times_every_kind_without_kinds():
 
 
 def test_setup_ab_times_one_tree_against_itself():
-    """tools/setup_ab.py with 2 pairs, src on both sides."""
+    """tools/setup_ab.py with 2 pairs, src on both sides, with the
+    per-module table of --modules."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "tools", "setup_ab.py"), src, src, "--pairs", "2"],
+        [sys.executable, os.path.join(root, "tools", "setup_ab.py"), src, src,
+         "--pairs", "2", "--modules"],
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    header, *rows = lines[: lines.index("")]
     assert header.split() == ["tree", "setup_s", "q1", "q3", "start_ms", "ref_ms"]
     assert [row.split()[0] for row in rows] == ["old", "new"]
     for row in rows:
         setup_s, q1, q3, start_ms, ref_ms = map(float, row.split()[1:])
         assert 0 < q1 <= setup_s <= q3 and start_ms > 0 and ref_ms > 0
+    header, *rows = lines[lines.index("") + 1 :]
+    assert header.split() == ["module", "old_us", "new_us"]
+    names = [row.rsplit(None, 2)[0] for row in rows]
+    assert {"lehmerlab.cli", "lehmerlab.polynomial", "argparse"} <= set(names)
+    assert "fractions" not in names and "json" not in names
+    assert names[-2:] == ["(imports)", "(rest of the start)"]
+    for row in rows[:-1]:
+        assert float(row.split()[-2]) >= 0 and float(row.split()[-1]) >= 0
 
 
 def test_integer_routes_build_no_fraction(monkeypatch):

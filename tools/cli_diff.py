@@ -55,7 +55,15 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # with one chord (primitive, exponent 26), a reducible Jordan block, and
 # the 1x1 zero and one.  Padding that ends in None at once, on a negative
 # net trace past search_bound (n = 25), and a search with --max-mult 1 and
-# --search-bound 6.
+# --search-bound 6.  Last, argv that the flag table hands to argparse, so
+# its help and usage text are compared: the top-level help, no subcommand,
+# an invalid choice, each subcommand's help, a missing required flag, an
+# unknown flag, an abbreviated flag and a value of the wrong type.
+SUBCOMMANDS = [
+    "mahler", "poly-check", "hankel", "growth", "fit-recurrence", "lefschetz", "net-trace",
+    "perron", "padding", "primitivity", "fg-iterate", "fg-growth", "fg-from-matrix",
+    "f2-positive-aut", "burau", "alexander", "lehmer-gap", "entropy",
+]
 CONTRACT = [
     ["hankel", "--seq", "1,1,2,3,5,8,13,21,34,55", "--k", "2"],
     ["hankel", "--seq=1/2,-1/3,3/4,2,-5/6,1/7,4,-1/2,2/9", "--k", "2", "--n", "3"],
@@ -108,6 +116,14 @@ CONTRACT = [
     ["primitivity", "--matrix", "[[1]]"],
     ["padding", "--poly=-3,-3,-2,1,0,1"],
     ["padding", "--poly=t^3+t^2-22t-40", "--max-mult", "1", "--search-bound", "6"],
+    ["--help"],
+    [],
+    ["no-such-command", "--poly", "1,1"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["mahler", "--tol", "1e-8"],
+    ["mahler", "--poly", "1,1", "--bogus"],
+    ["fg-iterate", "--endo", "a -> a b; b -> a", "--it", "3"],
+    ["hankel", "--seq", "1,1,2,3", "--k", "two"],
 ]
 
 
