@@ -64,3 +64,10 @@ print("mirror word gives the same Alexander polynomial")
 # And for reference, the degree-10 polynomial evaluated the ordinary way.
 L_neg = parse_poly("1,-1,0,1,-1,1,-1,1,0,-1,1")
 assert abs(mahler_measure(L_neg).value - lehmer_gap(beta)) < 1e-12
+
+# Every root of 2t^4 - 5t^3 + 7t^2 - 5t + 2, this 4-strand knot's Alexander
+# polynomial, has modulus 1, so its measure is the leading coefficient, 2,
+# exactly: no root is computed.
+knot = parse_braid("s1 s1^-1 s1^-1 s3 s3 s2 s2 s3^-1 s1^-1 s3^-1 s1^-1 s1^-1 s3 s2 s1^-1 s1 s1", 4)
+print("M(2t^4 - 5t^3 + 7t^2 - 5t + 2) =", lehmer_gap(knot))
+assert lehmer_gap(knot) == reduced_alexander(knot).coeffs[-1] == 2

@@ -13,6 +13,12 @@ of ``polynomial``.  det(Burau - I) is one integer determinant after
 Kronecker substitution, through the core that ``polynomial.poly_det`` uses
 too, and is shared by the Alexander polynomial and Lehmer gap.
 
+The Lehmer gap M(det(Burau - I)) is exact when every root of the
+determinant has modulus 1, as for a constant or cyclotomic Alexander
+polynomial: ``_circle.all_on_circle`` decides that in integers (reciprocity,
+the trace substitution t + 1/t, Descartes' rule, a Sturm sequence), and the
+gap is then |lc|.  Only the other determinants take certified roots.
+
 Entropy is estimated from Dynnikov coordinates: each letter acts on the
 integer coordinates of a curve by a piecewise-linear map, so an iterate
 costs one integer update per letter (``dynnikov_entropy``).  The induced
@@ -327,14 +333,27 @@ def reduced_alexander(beta: BraidWord) -> LaurentPoly:
 
 
 def gap_from_det(det: LaurentPoly, tol: float) -> float:
-    """Mahler measure of det(Burau - I); monomial factors contribute nothing."""
+    """Mahler measure of det(Burau - I); monomial factors contribute nothing.
+
+    When every root has modulus 1, which ``_circle.all_on_circle`` decides
+    in integers (the trace substitution and a Sturm sequence), the measure
+    is exactly |lc| and no root is computed, so tol goes unused; otherwise
+    it is ``mahler_measure(f, tol).value``, from certified roots."""
     if not det:
         raise ValueError("determinant vanishes; Mahler measure undefined")
-    return mahler_measure(det.canonical().to_int_poly(), tol=tol).value
+    # The count is compiled on first use, not at package import.
+    from ._circle import all_on_circle
+
+    f = det.canonical().to_int_poly()
+    if all_on_circle(f):
+        return float(abs(f.leading))
+    return mahler_measure(f, tol=tol).value
 
 
 def lehmer_gap(beta: BraidWord, tol: float = DEFAULT_TOL) -> float:
-    """Mahler measure of det(Burau - I) for the braid."""
+    """Mahler measure of det(Burau - I) for the braid: exactly |lc| when
+    every root is on the unit circle, else from certified roots within tol
+    (``gap_from_det``)."""
     return gap_from_det(det_burau_minus_identity(beta), tol)
 
 

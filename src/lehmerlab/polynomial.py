@@ -348,25 +348,37 @@ def _gcd_cofactors(f: IntPoly, g: IntPoly):
     return _prs_gcd(a, b), None, None
 
 
+def _prs(a, b):
+    """The primitive polynomial remainder sequence a, b, r_2, ... of two
+    ascending coefficient lists with len(a) >= len(b) (Brown, J. ACM 18,
+    1971).  Each r_k is the pseudo-remainder of the two members before it,
+    taken with a power of |lc| of the second as multiplier, negated and
+    divided by its positive content: a positive multiple of Sturm's negated
+    remainder, so the signs of a Sturm sequence are kept.  The last member
+    is gcd(a, b) up to a constant."""
+    yield a
+    while b:
+        yield b
+        r, d, lead = list(a), len(b) - 1, b[-1]
+        s, m = (1, lead) if lead > 0 else (-1, -lead)
+        while len(r) > d:
+            q, k = s * r[-1], len(r) - 1 - d
+            r = [m * c for c in r[:-1]]
+            for i in range(d):
+                r[k + i] -= q * b[i]
+            while r and r[-1] == 0:
+                r.pop()
+        g = math.gcd(*r) if r else 1
+        a, b = b, [-(c // g) for c in r]
+
+
 def _prs_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """poly_gcd by the primitive polynomial remainder sequence (Brown, J.
-    ACM 18, 1971): each step takes the pseudo-remainder over Z and divides
-    out its content."""
+    """poly_gcd by the primitive polynomial remainder sequence ``_prs``."""
     a, b = f.primitive_part().coeffs, g.primitive_part().coeffs
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        r, d, lead = list(a), len(b) - 1, b[-1]
-        while len(r) > d:
-            q, k = r[-1], len(r) - 1 - d
-            r = [lead * c for c in r]
-            for i in range(d):
-                r[k + i] -= q * b[i]
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, IntPoly(r).primitive_part().coeffs
-    p = IntPoly(a)
+    *_, last = _prs(a, b)
+    p = IntPoly(last)
     return -p if p and p.leading < 0 else p
 
 

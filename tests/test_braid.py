@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from lehmerlab._circle import circle_count
 from lehmerlab.braid import (
     BraidWord,
     BurauMat,
@@ -15,6 +16,7 @@ from lehmerlab.braid import (
     dynnikov_entropy,
     entropy_estimate,
     format_braid,
+    gap_from_det,
     lehmer_gap,
     parse_braid,
     reduced_alexander,
@@ -22,7 +24,7 @@ from lehmerlab.braid import (
 )
 from lehmerlab.dynamics import IntMatrix
 from lehmerlab.freegroup import BudgetError, abelianization, apply, format_endo, parse_word
-from lehmerlab.polynomial import IntPoly, LaurentPoly, lehmer_polynomial, poly_det
+from lehmerlab.polynomial import DEFAULT_TOL, IntPoly, LaurentPoly, lehmer_polynomial, mahler_measure, poly_det
 
 
 def lehmer_neg_t() -> LaurentPoly:
@@ -258,6 +260,36 @@ def test_alexander_conjugation_invariance():
 def test_lehmer_gap_pretzel():
     gap = lehmer_gap(parse_braid("s1 s2^-1 T^2", 3))
     assert gap == pytest.approx(1.17628081825991, rel=1e-9)
+
+
+def test_gap_agrees_with_the_float_route_and_is_exact_on_the_circle():
+    """Seeded braids on n <= 7 strands, length <= 40, twists -2..2: the gap
+    is the float route's mahler_measure value to 1e-12 relative, and exactly
+    |lc| whenever the count puts every root of det(B - I) on the circle."""
+    rng = random.Random(36)
+    exact = inexact = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 40))]
+        det = det_burau_minus_identity(BraidWord(n, letters, rng.randint(-2, 2)))
+        if not det:
+            continue
+        f = det.canonical().to_int_poly()
+        gap = gap_from_det(det, DEFAULT_TOL)
+        assert gap == pytest.approx(mahler_measure(f).value, rel=1e-12, abs=0), f
+        if circle_count(f) == f.degree:
+            assert gap == float(abs(f.leading)), f
+            exact += 1
+        else:
+            inexact += 1
+    assert exact >= 30 and inexact >= 30, (exact, inexact)
+
+
+def test_gap_is_the_leading_coefficient_when_every_root_is_on_the_circle():
+    # det(B - I) = (2t^4 - 5t^3 + 7t^2 - 5t + 2)(1 + t + t^2 + t^3) up to a
+    # unit; the float route gives 2.000000000000001.
+    beta = parse_braid("s1 s1^-1 s1^-1 s3 s3 s2 s2 s3^-1 s1^-1 s3^-1 s1^-1 s1^-1 s3 s2 s1^-1 s1 s1", 4)
+    assert lehmer_gap(beta) == 2.0
 
 
 def test_artin_single_letter():

@@ -1143,7 +1143,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 74 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 79 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1152,7 +1152,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["587 jobs, 1174 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["592 jobs, 1184 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():

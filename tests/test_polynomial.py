@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lehmerlab import _circle as C
 from lehmerlab import _factor as F
 from lehmerlab import polynomial as P
 from lehmerlab.polynomial import (
@@ -1944,3 +1945,163 @@ def test_float64_bound_matches_the_stepwise_loop():
         seen["inf"] += bool(np.isinf(want_hi).any())
         seen["nan"] += bool(np.isnan(want_hi).any())
     assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# Roots on the unit circle: the integer count against a 50-digit mpmath oracle
+
+
+def _mp_circle_count(f: IntPoly) -> int:
+    """Roots of f on |z| = 1 with multiplicity: each squarefree part's
+    roots by mpmath.polyroots at 50 digits, on the circle when their
+    modulus is within 10^-30 of 1 (the integer inputs below keep every
+    other root at least 10^-6 away)."""
+    count = 0
+    for g, mult in P.squarefree_decomposition(f)[1]:
+        if g.degree == 0:
+            continue
+        with mpmath.workdps(50):
+            zs = mpmath.polyroots(g.coeffs[::-1], maxsteps=200, extraprec=100)
+            near = [abs(abs(z) - 1) for z in zs]
+        assert all(d < 1e-30 or d > 1e-6 for d in near), (g, near)
+        count += mult * sum(d < 1e-30 for d in near)
+    return count
+
+
+def _on_circle_factor(rng) -> IntPoly:
+    """a t^2 - b t + a with |b| < 2a: two conjugate roots of modulus 1,
+    non-monic for a > 1."""
+    a = rng.randint(1, 4)
+    return IntPoly((a, -rng.randint(1 - 2 * a, 2 * a - 1), a))
+
+
+def test_circle_count_pinned_values():
+    L = lehmer_polynomial()
+    assert C.circle_count(L) == 8 and not C.all_on_circle(L)
+    assert C.circle_count(cyclotomic(7)) == 6 and C.all_on_circle(cyclotomic(7))
+    assert C.circle_count(cyclotomic(15) * L) == 16
+    big = cyclotomic(105) * cyclotomic(210)
+    assert big.degree == 96 and C.circle_count(big) == 96 and C.all_on_circle(big)
+    # non-monic, every root on the circle: 2t^4 - 5t^3 + 7t^2 - 5t + 2
+    assert C.circle_count(IntPoly((2, -5, 7, -5, 2))) == 4
+    assert C.all_on_circle(IntPoly((2, -5, 7, -5, 2)))
+    # a root 0 is off the circle, a nonzero constant has no root at all
+    assert C.circle_count(IntPoly((0, 0, 1, 1))) == 1 and not C.all_on_circle(IntPoly((0, 1, 1)))
+    assert C.circle_count(IntPoly((-3,))) == 0 and C.all_on_circle(IntPoly((-3,)))
+    with pytest.raises(ValueError):
+        C.circle_count(IntPoly())
+    with pytest.raises(ValueError):
+        C.all_on_circle(IntPoly())
+
+
+def test_circle_count_on_cyclotomic_products_with_multiplicities():
+    rng = random.Random(36)
+    for _ in range(40):
+        f = IntPoly((1,))
+        for _ in range(rng.randint(1, 4)):
+            f = f * cyclotomic(rng.randint(1, 30)) ** rng.randint(1, 3)
+        assert C.circle_count(f) == f.degree and C.all_on_circle(f), f
+        # one factor with a root off the circle, times one on it
+        g = f * IntPoly((1, -3, 1)) * _on_circle_factor(rng)
+        assert C.circle_count(g) == f.degree + 2 == g.degree - 2 and not C.all_on_circle(g)
+    sample = [cyclotomic(12) ** 3 * cyclotomic(1) ** 2, cyclotomic(9) * cyclotomic(2) ** 3 * IntPoly((-1, 1, 1))]
+    for f in sample:
+        assert C.circle_count(f) == _mp_circle_count(f)
+
+
+def test_circle_count_on_salem_and_lehmer_type_polynomials():
+    salem = {
+        (1, -1, -1, -1, 1): 2,  # t^4 - t^3 - t^2 - t + 1
+        (1, 0, -1, -1, -1, 0, 1): 4,  # t^6 - t^4 - t^3 - t^2 + 1
+        (1, -1, 0, 0, -1, 0, 0, -1, 1): 6,
+        LEHMER_COEFFS: 8,
+        (1, 0, 0, -1, -1, -1, -1, -1, -1, -1, 0, 0, 1): 10,
+    }
+    for coeffs, want in salem.items():
+        f = IntPoly(coeffs)
+        assert C.circle_count(f) == want == _mp_circle_count(f) == f.degree - 2, coeffs
+        assert not C.all_on_circle(f)
+    # Lehmer-type: L(-t), L(t^2), L times Phi_d, and L squared
+    L = lehmer_polynomial()
+    for f, want in (
+        (IntPoly(c * (-1) ** i for i, c in enumerate(LEHMER_COEFFS)), 8),
+        (IntPoly(x for c in LEHMER_COEFFS for x in (c, 0)), 16),
+        (L * cyclotomic(6) * cyclotomic(10), 14),
+        (L * L, 16),
+    ):
+        assert C.circle_count(f) == want == _mp_circle_count(f), f
+        assert not C.all_on_circle(f)
+
+
+def test_circle_count_on_random_inputs_matches_the_oracle():
+    """Random reciprocal and non-reciprocal inputs, with roots at +-1, and
+    non-monic palindromes with every root on the circle."""
+    rng = random.Random(3601)
+    kinds = dict.fromkeys(("reciprocal", "antireciprocal", "plain", "on circle"), 0)
+    for trial in range(80):
+        kind = trial % 4
+        d = rng.randint(1, 6)
+        half = [rng.randint(-3, 3) for _ in range(d)] + [rng.randint(1, 3)]
+        if kind == 0:
+            f = IntPoly(half[::-1] + half[1:])
+        elif kind == 1:
+            f = IntPoly([-c for c in half[::-1]] + half)
+        elif kind == 2:
+            f = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 10))] + [rng.randint(1, 3)])
+        else:
+            f = IntPoly((1,))
+            for _ in range(rng.randint(1, 4)):
+                f = f * _on_circle_factor(rng)
+        f = f * IntPoly((-1, 1)) ** rng.randint(0, 2) * IntPoly((1, 1)) ** rng.randint(0, 2)
+        if not f or f.coeffs[0] == 0:
+            continue
+        kinds[("reciprocal", "antireciprocal", "plain", "on circle")[kind]] += 1
+        want = _mp_circle_count(f)
+        assert C.circle_count(f) == want, f
+        assert C.all_on_circle(f) == (want == f.degree), f
+    assert min(kinds.values()) >= 15, kinds
+
+
+def test_every_root_on_the_circle_iff_cyclotomic_for_monic_inputs():
+    """Kronecker: a monic integer polynomial with f(0) != 0 has every root
+    on the circle exactly when it is a product of cyclotomic polynomials."""
+    rng = random.Random(3602)
+    verdicts = {True: 0, False: 0}
+    for trial in range(300):
+        if trial % 2:
+            f = IntPoly((1,))
+            for _ in range(rng.randint(1, 3)):
+                f = f * cyclotomic(rng.randint(1, 40)) ** rng.randint(1, 2)
+            if trial % 6 == 1:
+                f = f * rng.choice((lehmer_polynomial(), IntPoly((1, -1, -1, -1, 1)), IntPoly((-1, 1, 1))))
+        else:  # a monic palindrome of odd or even degree
+            half = [1] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
+            f = IntPoly(half + half[::-1] if trial % 4 else half + half[-2::-1])
+        verdict = is_cyclotomic_product(f)
+        assert C.all_on_circle(f) == verdict == (C.circle_count(f) == f.degree), f
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_sturm_count_matches_the_oracle_on_random_polynomials():
+    """The Sturm count of distinct roots in (-2, 2), and the gcd(h, h') it
+    ends with, on random h with h(+-2) != 0, squares included.  Remainder
+    sequences that drop two degrees at once onto a negative leading
+    coefficient are where a sign could be lost."""
+    rng = random.Random(3603)
+    for _ in range(300):
+        h = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(2, 7))] + [rng.choice((-2, -1, 1, 2))])
+        if rng.random() < 0.3:
+            h = h * IntPoly((rng.randint(-2, 2), 1)) ** 2
+        if h.evaluate(2) == 0 or h.evaluate(-2) == 0:
+            continue
+        n, g = C._sturm(list(h.coeffs))
+        assert IntPoly(g).primitive_part().coeffs in {
+            c.coeffs for c in (P.poly_gcd(h, h.derivative()), -P.poly_gcd(h, h.derivative()))
+        }
+        want = 0
+        for part, _ in P.squarefree_decomposition(h)[1]:
+            with mpmath.workdps(50):
+                zs = mpmath.polyroots(part.coeffs[::-1], maxsteps=200, extraprec=100)
+                want += sum(abs(z.imag) < 1e-30 and abs(z.real) < 2 for z in zs)
+        assert n == want, h

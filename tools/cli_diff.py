@@ -30,6 +30,10 @@ WORKLOADS = ("spectra", "braids", "endo_growth")
 # shift is a right shift, and the twist lowers every degree.
 INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) + " T^-2"
 
+# A 200-letter 5-strand word whose closure is a knot, with a degree-58
+# det(B - I) that has roots off the unit circle.
+KNOT_WORD_5 = " ".join(f"s{1 + (i * i + i // 4) % 4}{'^-1' if (i * i + i // 2) % 3 else ''}" for i in range(200))
+
 # Argv the benchmark rounds never produce: the five subcommands they never
 # run, the Recurrence JSON they never reach (a rational char over an
 # integer and over a rational init, a degree-0 char, --d-max 0, a rational
@@ -58,7 +62,12 @@ INVERSE_WORD = " ".join(f"s{1 + (i * i + i // 7) % 2}^-1" for i in range(300)) +
 # --search-bound 6.  Last, argv that the flag table hands to argparse, so
 # its help and usage text are compared: the top-level help, no subcommand,
 # an invalid choice, each subcommand's help, a missing required flag, an
-# unknown flag, an abbreviated flag and a value of the wrong type.
+# unknown flag, an abbreviated flag and a value of the wrong type.  The
+# rounds draw lehmer-gap only on 3-5 strands and short words, so also:
+# Delta = 2t^4 - 5t^3 + 7t^2 - 5t + 2, every root on the circle, whose
+# float route printed 2.000000000000001; three trefoils, Delta =
+# (t^2 - t + 1)^3; a 6-strand knot, whose det has the factor t + 1, and
+# an 8-strand knot, both with every root on the circle; and KNOT_WORD_5.
 SUBCOMMANDS = [
     "mahler", "poly-check", "hankel", "growth", "fit-recurrence", "lefschetz", "net-trace",
     "perron", "padding", "primitivity", "fg-iterate", "fg-growth", "fg-from-matrix",
@@ -76,6 +85,14 @@ CONTRACT = [
     ["alexander", "--n", "3", "--braid", INVERSE_WORD],
     ["alexander", "--n", "3", "--braid", "s1 s2 s2^-1 s1^-1"],
     ["lehmer-gap", "--n", "4", "--braid", "s1 s2 s3 s1 s2 s2 s3 s1 s3 s2 s1 s1 s3"],
+    ["lehmer-gap", "--n", "4", "--braid",
+     "s1 s1^-1 s1^-1 s3 s3 s2 s2 s3^-1 s1^-1 s3^-1 s1^-1 s1^-1 s3 s2 s1^-1 s1 s1"],
+    ["lehmer-gap", "--n", "4", "--braid", "s1 s1 s1 s2 s2 s2 s3 s3 s3"],
+    ["lehmer-gap", "--n", "6", "--braid",
+     "s5^-1 s2 s2^-1 s5^-1 s5^-1 s5^-1 s4 s2 s5 s5 s4^-1 s5 s3 s4 s2 s3 s1"],
+    ["lehmer-gap", "--n", "8", "--braid",
+     "s3^-1 s2^-1 s6^-1 s3^-1 s5^-1 s2 s4 s2^-1 s5^-1 s4^-1 s7^-1 s3^-1 s5 s5^-1 s4 s6 s1^-1 s7^-1 s5 s3^-1 s7"],
+    ["lehmer-gap", "--n", "5", "--braid", KNOT_WORD_5],
     ["fit-recurrence", "--seq=16,8,4,2,1"],
     ["fit-recurrence", "--seq=1/2,1/4,1/8,1/16"],
     ["fit-recurrence", "--seq=0,0,0,0,0,0"],
