@@ -13,7 +13,9 @@ circle are the pairs e^{+-i theta} over the roots 2 cos theta of h in
 kept over Z by the signed primitive remainder sequence ``polynomial._prs``,
 counts the distinct roots of h there.
 
-Imported on first use, by ``braid.gap_from_det``.
+Imported on first use, by ``braid.gap_from_det`` and by
+``polynomial.is_cyclotomic_product``, which by Kronecker's theorem is
+``all_on_circle`` on a monic input.
 """
 
 from __future__ import annotations

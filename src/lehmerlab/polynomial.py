@@ -713,16 +713,11 @@ def cyclotomic(d: int) -> IntPoly:
 def is_cyclotomic_product(f: IntPoly) -> bool:
     """Exact test: is monic f a product of cyclotomic polynomials?
 
-    Graeffe root squaring (Bradford and Davenport, ISSAC '88): with
-    f(t) = E(t^2) + t*O(t^2) of degree n, G(f)(s) = (-1)^n (E(s)^2 - s*O(s)^2)
-    is monic with the squares of f's roots.  G(f) = f proves True: then
-    M(f) = M(f)^2, so M = 1 and, by Kronecker, every root is a root of
-    unity; a cyclotomic product gets there once every root has odd order,
-    as squaring permutes the primitive roots of an odd order.  A
-    coefficient of t^i above C(n, i) in modulus proves False, and it must
-    come: if M(f) > 1, M(G^k f) = M(f)^(2^k), while bounded coefficients
-    keep M <= ||G^k f||_2 <= C(2n, n)^(1/2) < 2^n (Landau), so by
-    Dobrowolski's lower bound on M(f) the loop ends after O(log n) steps.
+    By Kronecker's theorem (J. reine angew. Math. 53, 1857) a monic
+    integer polynomial whose roots all have modulus 1 has only roots of
+    unity as roots, so f is a cyclotomic product exactly when every root
+    lies on the unit circle, M(f) = 1; ``_circle.all_on_circle`` decides
+    that in integers.
 
     >>> is_cyclotomic_product(IntPoly((-1, 0, 1)) * IntPoly((1, 1, 1)))
     True
@@ -731,17 +726,10 @@ def is_cyclotomic_product(f: IntPoly) -> bool:
     """
     if not f or not f.is_monic:
         raise ValueError("is_cyclotomic_product expects a monic nonzero polynomial")
-    if f.coeffs[0] == 0:
-        return False
-    n = f.degree
-    while True:
-        even, odd = IntPoly(f.coeffs[0::2]), IntPoly(f.coeffs[1::2])
-        g = (even * even - (odd * odd).shifted(1)) * (-1) ** n
-        if g == f:
-            return True
-        if any(abs(c) > math.comb(n, i) for i, c in enumerate(g.coeffs)):
-            return False
-        f = g
+    # The count is compiled on first use, not at package import.
+    from ._circle import all_on_circle
+
+    return all_on_circle(f)
 
 
 def power_substitution_order(f: IntPoly) -> int:
@@ -1132,15 +1120,17 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, pairs):
     Only a disk that meets the real axis and is in none of pairs (the
     _near_pairs of zs and radii) is tried: it holds exactly one root, so
     a rational q inside it with g(q) = 0 is that root.  A rational root of
-    the primitive g has a denominator dividing lc(g), so it is the best
-    approximation of the center with denominator at most |lc(g)| once the
-    radius is below 1/(2 lc^2).  For monic g that is an integer: a disk
-    whose center lies more than its radius from the nearest integer is
-    skipped (x - round(x) is exact, Sterbenz), and the rest is done in
-    integers, g(q) by integer Horner, with no Fraction.  Zero and float64-exact
-    roots get radius 0.  The disks are swept again after each replacement,
-    so later disks are tested against the replaced ones.  Returns the
-    pairs of the disks as they are left.
+    the primitive g is m / lc for an integer m, lc = |lc(g)|, and m is the
+    integer nearest lc times the center once the radius is below 1 / (2 lc).
+    All of it is done in integers, each float being n / 2^k: m (ties down),
+    the disk test over one power-of-two denominator scaled by lc, and
+    lc^deg g(m / lc) by homogeneous Horner.  For monic g a disk whose
+    center lies more than its radius from the nearest integer is skipped
+    first (x - round(x) is exact, Sterbenz).  The new center is m / lc
+    correctly rounded, its radius the rounding distance rounded up; zero
+    and float64-exact roots get radius 0.  The disks are swept again after
+    each replacement, so later disks are tested against the replaced ones.
+    Returns the pairs of the disks as they are left.
     """
     lc = abs(g.leading)
     crowded = {i for pair in pairs for i in pair}
@@ -1148,24 +1138,19 @@ def _recognize_rational_roots(g: IntPoly, zs, radii, pairs):
         z, r = zs[j], radii[j]
         if abs(z.imag) > r or j in crowded or (lc == 1 and abs(z.real - round(z.real)) > r):
             continue
-        if lc == 1:
-            # In integers, each float being n / 2^k: the integer nearest the
-            # center, ties down as limit_denominator(1) takes them, and the
-            # disk test over one power-of-two denominator d.
-            (a, da), (c, dc), (s, ds) = (v.as_integer_ratio() for v in (z.real, z.imag, r))
-            d = max(da, dc, ds)
-            q = (2 * a + da - 1) // (2 * da)
-            inside = (q * d - a * (d // da)) ** 2 + (c * (d // dc)) ** 2 <= (s * (d // ds)) ** 2
-        else:
-            from fractions import Fraction
-
-            x = Fraction(z.real)
-            q = x.limit_denominator(lc)
-            inside = (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2
-        if inside and g.evaluate(q) == 0:
-            zs[j] = complex(q)  # correctly rounded
-            dist = abs(type(q)(zs[j].real) - q)  # q is an int or a Fraction
-            radii[j] = _up(dist) if dist else 0.0
+        (a, da), (c, dc), (s, ds) = (v.as_integer_ratio() for v in (z.real, z.imag, r))
+        d = max(da, dc, ds)
+        m = (2 * lc * a + da - 1) // (2 * da)
+        if (m * d - lc * a * (d // da)) ** 2 + (lc * c * (d // dc)) ** 2 > (lc * s * (d // ds)) ** 2:
+            continue
+        acc, scale = 0, 1
+        for coeff in reversed(g.coeffs):
+            acc, scale = acc * m + coeff * scale, scale * lc
+        if acc == 0:
+            x = m / lc  # correctly rounded
+            fa, fd = x.as_integer_ratio()
+            dist = abs(fa * lc - m * fd)
+            zs[j], radii[j] = complex(x), _up(dist / (fd * lc)) if dist else 0.0
             pairs = _near_pairs(zs, radii)
             crowded = {i for pair in pairs for i in pair}
     return pairs
@@ -1231,8 +1216,9 @@ def roots(f: IntPoly, tol: float = DEFAULT_TOL) -> RootList:
        same eigenvalues at dyadic centers and certifies it in exact
        integers.
     4. Rational roots, zero included, are recognized exactly inside their
-       isolated disks, and the disks that might meet are merged into
-       clusters.
+       isolated disks, in integers for every leading coefficient (the
+       candidate m / lc, m nearest lc times the center), and the disks that
+       might meet are merged into clusters.
 
     Every radius is a proven bound about its float64 center.  A tol that
     no float64 center can meet raises PrecisionError naming the float64

@@ -762,27 +762,22 @@ def test_mahler_leaves_mpmath_unimported():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_numpy_loaded_only_by_root_certification():
+def _loaded_after_each(argvs):
+    """[numpy, lehmerlab._factor, dataclasses or inspect, lehmerlab._circle]
+    in sys.modules after import, after build_parser() and after each argv,
+    in one fresh interpreter."""
     script = (
         "import json, sys\n"
         "def loaded():\n"
         "    generated = 'dataclasses' in sys.modules or 'inspect' in sys.modules\n"
-        "    return ['numpy' in sys.modules, 'lehmerlab._factor' in sys.modules, generated]\n"
+        "    return ['numpy' in sys.modules, 'lehmerlab._factor' in sys.modules, generated,\n"
+        "            'lehmerlab._circle' in sys.modules]\n"
         "import lehmerlab\n"
         "states = [loaded()]\n"
         "import lehmerlab.cli as cli\n"
         "cli.build_parser()\n"
         "states.append(loaded())\n"
-        "for argv in (\n"
-        "    ['fg-iterate', '--endo', 'a -> a b; b -> a', '--iters', '8'],\n"
-        "    ['alexander', '--n', '3', '--braid', 's1 s2^-1 T^2'],\n"
-        "    ['entropy', '--n', '3', '--braid', 's1 s2^-1'],\n"
-        "    ['burau', '--n', '3', '--braid', 's1 s2^-1'],\n"
-        "    ['hankel', '--seq', '1,1,2,3,5,8,13,21', '--k', '2'],\n"
-        "    ['poly-check', '--poly', '1,2,2,2,1'],\n"
-        "    ['mahler', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1'],\n"
-        "    ['poly-check', '--poly', '1,1,0,-1,-1,-1,-1,-1,0,1,1'],\n"
-        "):\n"
+        "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main([*argv, '--json-only']) == 0, argv\n"
         "    states.append(loaded())\n"
         "print(json.dumps(states))\n"
@@ -792,17 +787,36 @@ def test_numpy_loaded_only_by_root_certification():
         [os.path.dirname(os.path.dirname(lehmerlab.__file__)), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    states = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_loaded_only_by_root_certification():
+    lehmer = "1,1,0,-1,-1,-1,-1,-1,0,1,1"
+    states = _loaded_after_each([
+        ["fg-iterate", "--endo", "a -> a b; b -> a", "--iters", "8"],
+        ["alexander", "--n", "3", "--braid", "s1 s2^-1 T^2"],
+        ["entropy", "--n", "3", "--braid", "s1 s2^-1"],
+        ["burau", "--n", "3", "--braid", "s1 s2^-1"],
+        ["hankel", "--seq", "1,1,2,3,5,8,13,21", "--k", "2"],
+        ["poly-check", "--poly", "1,2,2,2,1"],
+        ["mahler", "--poly", lehmer],
+        ["poly-check", "--poly", lehmer],
+    ])
     # import, parser, then five subcommands that compute no root; no
     # code is generated at import, so dataclasses and inspect stay out
-    assert states[:7] == [[False, False, False]] * 7
-    # (t + 1)^2 (t^2 + 1): Yun finds the square, and no Frobenius matrix is built
-    assert states[7] == [False, True, False]
+    assert states[:7] == [[False, False, False, False]] * 7
+    # (t + 1)^2 (t^2 + 1): Yun finds the square, and no Frobenius matrix is
+    # built; the cyclotomic-product test compiles the unit-circle count
+    assert states[7] == [False, True, False, True]
     assert states[8][:2] == [True, True]  # mahler certifies roots
     assert states[9][:2] == [True, True]  # poly-check factors
+    # mahler alone certifies roots and counts none on the circle
+    states = _loaded_after_each([["mahler", "--poly", lehmer], ["poly-check", "--poly", lehmer]])
+    assert [s[3] for s in states] == [False, False, False, True]
 
 
 def test_cold_start_loads_only_what_the_command_uses():
@@ -1143,7 +1157,7 @@ def test_budget_0_is_valid(capsys):
 
 
 def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
-    """tools/cli_diff.py on one seed's benchmark jobs and its 79 contract
+    """tools/cli_diff.py on one seed's benchmark jobs and its 84 contract
     jobs, src on both sides, each job run with and without --json-only."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(lehmerlab.__file__))
@@ -1152,7 +1166,7 @@ def test_cli_diff_finds_no_difference_between_one_tree_and_itself():
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["592 jobs, 1184 runs", "0 differ"]
+    assert proc.stdout.splitlines() == ["597 jobs, 1194 runs", "0 differ"]
 
 
 def test_job_ab_times_one_tree_against_itself():

@@ -201,6 +201,25 @@ def _cyclotomic_scan_oracle(f):
     return g == IntPoly((1,))
 
 
+def _graeffe_oracle(f):
+    """The former ``is_cyclotomic_product``: Graeffe root squaring
+    (Bradford and Davenport, ISSAC '88).  With f(t) = E(t^2) + t O(t^2) of
+    degree n, G(f)(s) = (-1)^n (E(s)^2 - s O(s)^2) is monic with the
+    squares of f's roots; G(f) = f proves M(f) = M(f)^2 = 1, and a
+    coefficient of t^i above C(n, i) in modulus proves M(f) > 1."""
+    if f.coeffs[0] == 0:
+        return False
+    n = f.degree
+    while True:
+        even, odd = IntPoly(f.coeffs[0::2]), IntPoly(f.coeffs[1::2])
+        g = (even * even - (odd * odd).shifted(1)) * (-1) ** n
+        if g == f:
+            return True
+        if any(abs(c) > math.comb(n, i) for i, c in enumerate(g.coeffs)):
+            return False
+        f = g
+
+
 _NON_CYCLOTOMIC = (
     lehmer_polynomial(),
     parse_poly("t^4 - t^3 - t^2 - t + 1"),  # Salem
@@ -215,9 +234,9 @@ _NON_CYCLOTOMIC = (
 
 
 def test_is_cyclotomic_product_matches_scan_oracle():
-    """Graeffe iteration against the trial-division scan on seeded
-    products of cyclotomic factors with multiplicity, 2-power orders
-    among them, with and without a non-cyclotomic factor."""
+    """The unit-circle test against the trial-division scan and Graeffe
+    iteration on seeded products of cyclotomic factors with multiplicity,
+    2-power orders among them, with and without a non-cyclotomic factor."""
     cases = [
         IntPoly((1,)),
         cyclotomic(256),
@@ -241,6 +260,7 @@ def test_is_cyclotomic_product_matches_scan_oracle():
         cases.append(f)
     verdicts = [is_cyclotomic_product(f) for f in cases]
     assert verdicts == [_cyclotomic_scan_oracle(f) for f in cases]
+    assert verdicts == [_graeffe_oracle(f) for f in cases]
     assert len(cases) >= 400 and 100 <= sum(verdicts) <= len(cases) - 50
 
 
@@ -1699,6 +1719,115 @@ def test_a_recognized_root_crowds_a_later_disk():
     assert pairs == [(0, 1)] and _pair_matrix(2, pairs) == _scalar_overlaps(zs, radii)
 
 
+def _fraction_route_oracle(g, zs, radii, pairs):
+    """The former ``_recognize_rational_roots``: integers for monic g, and
+    for lc > 1 the best approximation of the center with denominator at
+    most lc, by ``Fraction.limit_denominator``, tested and evaluated in
+    Fractions."""
+    lc = abs(g.leading)
+    crowded = {i for pair in pairs for i in pair}
+    for j in range(len(zs)):
+        z, r = zs[j], radii[j]
+        if abs(z.imag) > r or j in crowded or (lc == 1 and abs(z.real - round(z.real)) > r):
+            continue
+        if lc == 1:
+            (a, da), (c, dc), (s, ds) = (v.as_integer_ratio() for v in (z.real, z.imag, r))
+            d = max(da, dc, ds)
+            q = (2 * a + da - 1) // (2 * da)
+            inside = (q * d - a * (d // da)) ** 2 + (c * (d // dc)) ** 2 <= (s * (d // ds)) ** 2
+        else:
+            x = Fraction(z.real)
+            q = x.limit_denominator(lc)
+            inside = (q - x) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2
+        if inside and g.evaluate(q) == 0:
+            zs[j] = complex(q)
+            dist = abs(type(q)(zs[j].real) - q)
+            radii[j] = P._up(dist) if dist else 0.0
+            pairs = P._near_pairs(zs, radii)
+            crowded = {i for pair in pairs for i in pair}
+    return pairs
+
+
+def _rational_root_cases(rng):
+    """Seeded (f, rational roots of f): leading coefficients lc in 2..720,
+    2^k up to 2^200, 10^30 and a few odd ones past 2^100, each with a root
+    a / lc, tiny for half of them, and roots whose denominators divide lc;
+    zero roots; repeated rational roots, which go through Yun; and
+    irrational roots within 1e-9 of a rational, with and without that
+    rational among the roots, the monic Mignotte polynomials among them."""
+    lcs = [rng.randint(2, 720) for _ in range(60)] + [2**k for k in (1, 5, 30, 52, 53, 54, 60, 100, 150, 200)]
+    lcs += [10**30] * 6 + [2**100 + 1, 2**200 + 1, 3 * 2**200]
+    others = (IntPoly((1,)), IntPoly((-2, 0, 1)), IntPoly((1, 1, 1)), IntPoly((-1, -1, 1)), IntPoly((3, 0, 0, 2)))
+    cases = []
+    for i, lc in enumerate(lcs):
+        kind = i % 3
+        a = rng.choice((1, -1)) * rng.randint(1, 3 * lc if i % 2 else 50)
+        f, rats = IntPoly((-a, lc)), [Fraction(a, lc)]
+        for _ in range(rng.randint(0, 2)):
+            b = math.gcd(lc, rng.randint(1, 720) * 2 ** rng.randint(0, 200) * 5 ** rng.randint(0, 30))
+            c = rng.randint(-4 * b, 4 * b)
+            f, rats = f * IntPoly((-c, b)), rats + [Fraction(c, b)]
+        if kind == 1:  # repeated roots, through Yun
+            f = f ** rng.randint(2, 3) * IntPoly((-rats[-1].numerator, rats[-1].denominator))
+        if kind == 2:  # an irrational pair within 1e-9 of a rational p / b
+            b, n = rng.randint(1, 30), 10**10
+            p = rng.randint(-3 * b, 3 * b)
+            f = f * IntPoly((n * n * p * p - 2, -2 * n * n * p * b, n * n * b * b))
+            if rng.random() < 0.5:
+                f, rats = f * IntPoly((-p, b)), rats + [Fraction(p, b)]
+        if rng.random() < 0.3:
+            f, rats = f * IntPoly((0, 1)) ** rng.randint(1, 2), rats + [Fraction(0)]
+        cases.append((f * rng.choice(others), rats))
+    for d, a in ((14, 10), (18, 10), (24, 5), (30, 5), (40, 3)):  # two roots near 1 / a
+        cases += [(_mignotte(d, a), []), (_mignotte(d, a) * IntPoly((-1, a)), [Fraction(1, a)])]
+    return cases
+
+
+def test_integer_rational_root_route_matches_the_fraction_route(monkeypatch):
+    """Every _recognize_rational_roots call that roots and mahler_measure
+    make on seeded inputs, all but Mignotte's non-monic, against the
+    former Fraction route on copies of its arguments: centers, radii and
+    pairs bit for bit.  The integer route tries m / lc with m nearest lc
+    times the center, which is the root once the radius is below
+    1 / (2 lc), where the Fraction route needed 1 / (2 lc^2); so it may
+    replace a disk the Fraction route left, and such a disk must then hold
+    its rational root, but never leave one the Fraction route replaced."""
+    real = P._recognize_rational_roots
+    stats = {"calls": 0, "lc>1": 0, "lc>1 replacing": 0, "differ": 0}
+    rats = []
+
+    def bits(zs, radii):
+        return [(z.real.hex(), z.imag.hex(), r.hex()) for z, r in zip(zs, radii)]
+
+    def inside(q, z, r):
+        return (q - Fraction(z.real)) ** 2 + Fraction(z.imag) ** 2 <= Fraction(r) ** 2
+
+    def checked(g, zs, radii, pairs):
+        before = bits(zs, radii)
+        oz, orad = list(zs), list(radii)
+        want = _fraction_route_oracle(g, oz, orad, list(pairs))
+        got = real(g, zs, radii, pairs)
+        new, old = bits(zs, radii), bits(oz, orad)
+        stats["calls"] += 1
+        stats["lc>1"] += abs(g.leading) > 1
+        stats["lc>1 replacing"] += abs(g.leading) > 1 and new != before
+        if (new, got) != (old, want):
+            stats["differ"] += 1
+            for j in range(len(zs)):
+                if new[j] != old[j]:
+                    assert old[j] == before[j], (g, j)
+                    assert any(inside(q, zs[j], radii[j]) and inside(q, oz[j], orad[j]) for q in rats), (g, j)
+        return got
+
+    monkeypatch.setattr(P, "_recognize_rational_roots", checked)
+    for f, roots_of_f in _rational_root_cases(random.Random(1128)):
+        rats[:] = roots_of_f
+        for tol in (1e-10, 1e-3):
+            roots(f, tol)
+        mahler_measure(f)
+    assert stats["lc>1 replacing"] >= 150, stats
+
+
 def _np_eigenvalues(coeffs):
     """The float64 route's starts as np.roots gives them: the oracle of
     _eigenvalues, which builds np.roots's companion matrix itself."""
@@ -2064,9 +2193,14 @@ def test_circle_count_on_random_inputs_matches_the_oracle():
 
 def test_every_root_on_the_circle_iff_cyclotomic_for_monic_inputs():
     """Kronecker: a monic integer polynomial with f(0) != 0 has every root
-    on the circle exactly when it is a product of cyclotomic polynomials."""
+    on the circle exactly when it is a product of cyclotomic polynomials.
+    The integer test is checked against Graeffe's fixed point, which
+    decides the same predicate by another road, on seeded monic inputs:
+    cyclotomic products with multiplicity, some times (t - 1)^a (t + 1)^b,
+    some times a factor off the circle, and monic palindromes."""
     rng = random.Random(3602)
     verdicts = {True: 0, False: 0}
+    cases = [cyclotomic(105) * cyclotomic(210)]
     for trial in range(300):
         if trial % 2:
             f = IntPoly((1,))
@@ -2074,13 +2208,47 @@ def test_every_root_on_the_circle_iff_cyclotomic_for_monic_inputs():
                 f = f * cyclotomic(rng.randint(1, 40)) ** rng.randint(1, 2)
             if trial % 6 == 1:
                 f = f * rng.choice((lehmer_polynomial(), IntPoly((1, -1, -1, -1, 1)), IntPoly((-1, 1, 1))))
+            elif trial % 6 == 3:
+                f = f * IntPoly((-1, 1)) ** rng.randint(0, 3) * IntPoly((1, 1)) ** rng.randint(1, 3)
         else:  # a monic palindrome of odd or even degree
             half = [1] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
             f = IntPoly(half + half[::-1] if trial % 4 else half + half[-2::-1])
-        verdict = is_cyclotomic_product(f)
+        cases.append(f)
+    for f in cases:
+        verdict = _graeffe_oracle(f)
         assert C.all_on_circle(f) == verdict == (C.circle_count(f) == f.degree), f
+        assert is_cyclotomic_product(f) == verdict, f
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_descartes_rule_rejects_before_any_sturm_sequence(monkeypatch):
+    """Descartes' rule alone rejects Salem, Lehmer-type and other reciprocal
+    polynomials with a root off the circle, so all_on_circle builds no
+    Sturm sequence for them; and it never rejects a product of factors
+    with every root on the circle, multiplicities and t -+ 1 included."""
+
+    def no_sturm(h):
+        raise AssertionError(f"Sturm sequence built for {h}")
+
+    monkeypatch.setattr(C, "_sturm", no_sturm)
+    L = lehmer_polynomial()
+    for f in (
+        L,
+        IntPoly((1, -1, -1, -1, 1)),
+        IntPoly((1, 0, -1, -1, -1, 0, 1)),
+        IntPoly((1, -3, 1)),
+        L * cyclotomic(15) * cyclotomic(30),
+        IntPoly((2, -5, 7, -5, 2)) * IntPoly((1, -3, 1)),
+    ):
+        assert not C.all_on_circle(f), f
+    rng = random.Random(3604)
+    for _ in range(60):
+        f = _on_circle_factor(rng) * IntPoly((-1, 1)) ** rng.randint(0, 2) * IntPoly((1, 1)) ** rng.randint(0, 2)
+        for _ in range(rng.randint(1, 4)):
+            f = f * cyclotomic(rng.randint(3, 60)) ** rng.randint(1, 3)
+        h = C._trace_poly(C._divide_unit_roots(f)[1])
+        assert C._may_all_lie_inside(h), f
 
 
 def test_sturm_count_matches_the_oracle_on_random_polynomials():

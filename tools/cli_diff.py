@@ -45,17 +45,21 @@ KNOT_WORD_5 = " ".join(f"s{1 + (i * i + i // 4) % 4}{'^-1' if (i * i + i // 2) %
 # least four factors modulo every prime; two distinct irreducible cubics
 # times a sextic, where the prime taken can decide which cubic is printed;
 # Phi_7 times Lehmer's polynomial; t * prod(witness primes) + 1, whose
-# witness prime is 101; and a square factor with coefficients near 10^3.
+# witness prime is 101; a square factor with coefficients near 10^3; and,
+# for the cyclotomic-product test, (t-1)^3 (t+1) Phi_12^2, the Salem
+# quartic t^4 - t^3 - t^2 - t + 1 and Phi_105 Phi_210.
 # The float64 root pass, one input per branch: zero roots, an all-real
 # spectrum with rational roots, the Yun route with a merged cluster, the
 # exact escalation, a coefficient of 2^53 or more, c / lc past the float64
 # range (fixed starts, and disks past that range) and a tol too fine for
 # float64.  The disk bookkeeping after it: (t-1)(t+1)(t-2)(t^2-2), three
 # rational roots replaced on the disjoint route; (2t-1)(3t+2)(t^2+t+1),
-# the non-monic recognition; and (t-1)^2(t+2)(t^2-2), rational roots, one
-# double, beside irrational ones on the Yun route.  Degree 1, where no
-# other root forces the dominant one positive: t, t + 2 and t + 1, whose
-# one root is not a positive real.  Primitivity by the period: a 6-cycle
+# the non-monic recognition; (t-1)^2(t+2)(t^2-2), rational roots, one
+# double, beside irrational ones on the Yun route; (3t-2)(t^2-t-1), a
+# rational root beside irrational ones; and (2t+1)^2 (t^3-2), a double
+# non-monic rational root through Yun.  Degree 1, where no other root
+# forces the dominant one positive: t, t + 2 and t + 1, whose one root is
+# not a positive real.  Primitivity by the period: a 6-cycle
 # with one chord (primitive, exponent 26), a reducible Jordan block, and
 # the 1x1 zero and one.  Padding that ends in None at once, on a negative
 # net trace past search_bound (n = 25), and a search with --max-mult 1 and
@@ -110,6 +114,11 @@ CONTRACT = [
     ["poly-check", "--poly=2,4,2,-3,-4,-1,3,3,0,-3,-1,0,1"],
     ["poly-check", "--poly=1,2,2,1,0,-1,-2,-4,-5,-4,-2,-1,0,1,2,2,1"],
     ["poly-check", "--poly=1,2305567963945518424753102147331756070"],
+    ["poly-check", "--poly=-1,2,2,-6,-2,10,0,-10,2,6,-2,-2,1"],
+    ["poly-check", "--poly=1,-1,-1,-1,1"],
+    ["poly-check", "--poly=1,0,1,0,1,0,0,0,0,0,-1,0,-1,0,-2,0,-1,0,-1,0,0,0,0,0,1,0,1,0,1,0,1,"
+     "0,1,0,1,0,0,0,0,0,-1,0,0,0,-1,0,0,0,-1,0,0,0,-1,0,0,0,-1,0,0,0,0,0,1,0,1,0,1,0,1,0,1,0,1,"
+     "0,0,0,0,0,-1,0,-1,0,-2,0,-1,0,-1,0,0,0,0,0,1,0,1,0,1"],
     ["mahler", "--poly=578,-1819,936,1160,-1114,996,-62,1"],
     ["mahler", "--poly=0,0,0,-1,-1,1"],
     ["mahler", "--poly=-6,11,-6,1"],
@@ -121,6 +130,8 @@ CONTRACT = [
     ["mahler", "--poly=-4,2,6,-3,-2,1"],
     ["mahler", "--poly=-2,-1,5,7,6"],
     ["mahler", "--poly=-4,6,2,-5,0,1"],
+    ["mahler", "--poly=2,-1,-5,3"],
+    ["mahler", "--poly=-2,-8,-8,1,4,4"],
     ["perron", "--poly=0,1"],
     ["perron", "--poly=2,1"],
     ["padding", "--poly=1,1"],
